@@ -1,0 +1,476 @@
+"""Command-line front end.
+
+Subcommands:
+  solve        run the series construction, write coefficient tables
+  verify       run residual checks on a solved scenario
+  closed-form  exact solutions for constant-curvature spectra
+  majorant     domination constants and convergence checks
+  compare      calibrate solver output against the closed form
+  list-metrics show the built-in metric registry
+
+Exit codes: 0 success, 1 a selected check failed, 2 invalid input,
+3 numerical degeneracy.  Reports are byte-reproducible with --no-timestamp.
+"""
+
+from __future__ import annotations
+
+import argparse
+import concurrent.futures
+import os
+import sys
+import warnings
+
+from . import __version__, majorant
+from .closed_form import RicciSpectrum, calibrate, p_of_t, ricci_spectrum_of, w_inv_closed
+from .conventions import CONVENTIONS
+from .errors import DegeneracyError, InvalidInputError, RicciflatError
+from .geometry import BUILTIN_METRICS
+from .report import (
+    matrix_rows,
+    series_rows,
+    solution_summary,
+    write_json,
+    write_residuals_csv,
+    write_series_csv,
+)
+from .scenario import ALL_CHECKS, Scenario, apply_overrides, load_scenario
+from .solver import solve
+from .verify import (
+    curvature_and_class,
+    laplacian_moment,
+    perturb_solution,
+    residual_consequence,
+    residual_system,
+    smoothness_check,
+)
+
+EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
+EXIT_INVALID = 2
+EXIT_DEGENERATE = 3
+
+
+def main(argv=None) -> int:
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command is None:
+        parser.print_help()
+        return EXIT_INVALID
+    try:
+        return args.func(args)
+    except InvalidInputError as exc:
+        print(f"error: invalid input: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except DegeneracyError as exc:
+        print(f"error: numerical degeneracy: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
+    except RicciflatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--metric", help="builtin metric spec, e.g. flat:2")
+    common.add_argument("--metric-file", help="scenario file supplying the metric")
+    common.add_argument("--M", type=int, dest="t_order", help="t truncation order")
+    common.add_argument("--D", type=int, dest="space_degree", help="spatial degree cap")
+    common.add_argument("--c", type=float, dest="c", help="moment-map Laplacian constant")
+    common.add_argument("--R", type=float, dest="radius", help="majorant polydisc radius")
+    common.add_argument("--tol", type=float, dest="tolerance", help="relative tolerance")
+    common.add_argument("--seed", type=int, dest="seed", help="scenario seed")
+    common.add_argument("--out", default=None, help="output directory")
+    common.add_argument(
+        "--no-timestamp", action="store_true", help="omit the timestamp field"
+    )
+    common.add_argument(
+        "--jobs", type=int, default=1, help="parallel workers for scenario batches"
+    )
+    common.add_argument(
+        "scenarios", nargs="*", help="scenario files (batched when several)"
+    )
+
+    parser = argparse.ArgumentParser(
+        prog="ricciflat",
+        description="Series construction and verification of circle-invariant "
+        "Ricci-flat Kahler metrics on canonical bundles.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    parser.set_defaults(command=None)
+    sub = parser.add_subparsers(dest="command")
+
+    p = sub.add_parser("solve", parents=[common], help="run the series construction")
+    p.set_defaults(func=cmd_solve)
+
+    p = sub.add_parser("verify", parents=[common], help="run residual checks")
+    for check in ALL_CHECKS:
+        p.add_argument(f"--{check}", action="append_const", const=check, dest="selected")
+    p.add_argument(
+        "--perturb",
+        help="inject a fault TARGET:ORDER:EPS (targets v, g, w) before checking",
+    )
+    p.set_defaults(func=cmd_verify, selected=None)
+
+    p = sub.add_parser(
+        "closed-form", parents=[common], help="exact constant-curvature solutions"
+    )
+    p.add_argument("--eigenvalues", help="comma-separated Ricci eigenvalues")
+    p.add_argument("--n", type=int, help="complex dimension for --eigenvalues")
+    p.set_defaults(func=cmd_closed_form)
+
+    p = sub.add_parser("majorant", parents=[common], help="domination checks")
+    p.add_argument("--m-max", type=int, default=None, help="orders of C_m to build")
+    p.set_defaults(func=cmd_majorant)
+
+    p = sub.add_parser(
+        "compare", parents=[common], help="calibrate against the closed form"
+    )
+    p.set_defaults(func=cmd_compare)
+
+    p = sub.add_parser("list-metrics", help="show builtin metrics")
+    p.set_defaults(func=cmd_list_metrics)
+
+    return parser
+
+
+# ---------------------------------------------------------------------------
+# Scenario assembly and batching
+# ---------------------------------------------------------------------------
+
+
+def _collect_scenarios(args) -> list[Scenario]:
+    overrides = {
+        "c": getattr(args, "c", None),
+        "t_order": getattr(args, "t_order", None),
+        "space_degree": getattr(args, "space_degree", None),
+        "radius": getattr(args, "radius", None),
+        "tolerance": getattr(args, "tolerance", None),
+        "seed": getattr(args, "seed", None),
+        "out_dir": getattr(args, "out", None),
+        "no_timestamp": True if getattr(args, "no_timestamp", False) else None,
+        "perturb": getattr(args, "perturb", None),
+    }
+    files = list(args.scenarios or [])
+    if getattr(args, "metric_file", None):
+        files.append(args.metric_file)
+    scenarios = []
+    for path in files:
+        if not os.path.exists(path):
+            raise InvalidInputError(f"scenario file not found: {path}")
+        scenarios.append(load_scenario(path, overrides))
+    if getattr(args, "metric", None):
+        base = Scenario(metric=args.metric, label=args.metric.replace(":", "_"))
+        scenarios.append(apply_overrides(base, overrides))
+    if not scenarios:
+        raise InvalidInputError(
+            "no scenario given: pass --metric, --metric-file or scenario files"
+        )
+    return scenarios
+
+
+def _run_batch(scenarios, worker, jobs: int, extra=None) -> int:
+    """Run a module-level worker(scenario, out_dir, extra) over the batch;
+    workers must be picklable for the process pool."""
+    if len(scenarios) == 1:
+        return worker(scenarios[0], scenarios[0].out_dir, extra)
+
+    codes = []
+    tagged = [
+        (sc, os.path.join(sc.out_dir, f"{i:02d}_{_safe(sc.label)}"))
+        for i, sc in enumerate(scenarios)
+    ]
+    if jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = [pool.submit(worker, sc, out, extra) for sc, out in tagged]
+            codes = [f.result() for f in futures]
+    else:
+        codes = [worker(sc, out, extra) for sc, out in tagged]
+    return max(codes)
+
+
+def _safe(label: str) -> str:
+    return "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in os.path.basename(label))
+
+
+def _solve_scenario(sc: Scenario):
+    initial = sc.initial_data()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = solve(initial, sc.solver_config())
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return sol
+
+
+# ---------------------------------------------------------------------------
+# Subcommands
+# ---------------------------------------------------------------------------
+
+
+def cmd_solve(args) -> int:
+    return _run_batch(_collect_scenarios(args), _solve_one, args.jobs)
+
+
+def _solve_one(sc: Scenario, out_dir: str, extra=None) -> int:
+    sol = _solve_scenario(sc)
+    os.makedirs(out_dir, exist_ok=True)
+    write_series_csv(
+        os.path.join(out_dir, "v.csv"), [series_rows("v", sol.v)]
+    )
+    write_series_csv(os.path.join(out_dir, "g.csv"), [matrix_rows("g", sol.g)])
+    write_series_csv(
+        os.path.join(out_dir, "w_inv.csv"), [series_rows("w_inv", sol.w_inv)]
+    )
+    write_series_csv(
+        os.path.join(out_dir, "exp_u.csv"), [series_rows("exp_u", sol.exp_u)]
+    )
+    write_json(
+        os.path.join(out_dir, "report.json"),
+        {
+            "command": "solve",
+            "scenario": sc.as_dict(),
+            "conventions": CONVENTIONS,
+            "solution": solution_summary(sol),
+        },
+        no_timestamp=sc.no_timestamp,
+    )
+    print(f"solve: wrote {out_dir}/report.json (metric {sol.input.name})")
+    return EXIT_OK
+
+
+def cmd_verify(args) -> int:
+    selected = tuple(args.selected or ALL_CHECKS)
+    scenarios = [
+        apply_overrides(sc, {"checks": sc.checks or selected})
+        for sc in _collect_scenarios(args)
+    ]
+    return _run_batch(scenarios, _verify_one, args.jobs)
+
+
+def _verify_one(sc: Scenario, out_dir: str, extra=None) -> int:
+    sol = _solve_scenario(sc)
+    if sc.perturb:
+        target, order, eps = _parse_perturb(sc.perturb)
+        sol = perturb_solution(sol, target, order, eps)
+
+    checks = sc.checks or ALL_CHECKS
+    tol = sc.tolerance
+    residual_reports = []
+    results = {}
+    passed = True
+
+    if "system" in checks:
+        rep = residual_system(sol, tol)
+        residual_reports.append(rep)
+        results["system"] = rep.as_dict()
+        passed &= rep.passed
+    if "consequence" in checks:
+        rep = residual_consequence(sol, tol)
+        residual_reports.append(rep)
+        results["consequence"] = rep.as_dict()
+        passed &= rep.passed
+    if "laplacian" in checks:
+        rep = laplacian_moment(sol, tol)
+        residual_reports.append(rep)
+        results["laplacian"] = rep.as_dict()
+        passed &= rep.passed
+    if "curvature" in checks:
+        rep = curvature_and_class(sol, tol)
+        residual_reports.append(rep.closedness)
+        results["curvature"] = {
+            "closedness": rep.closedness.as_dict(),
+            "class_integral": rep.class_integral,
+            "nearest_integer": rep.nearest_integer,
+            "integral_deviation": rep.integral_deviation,
+            "quadrature_points": rep.quadrature_points,
+            "kappa": rep.kappa,
+            "proportionality_defect": rep.proportionality_defect,
+            "realness_defect": rep.form.realness_defect,
+            "notes": list(rep.notes),
+        }
+        passed &= rep.passed
+    if "smoothness" in checks:
+        rep = smoothness_check(sol, tol)
+        results["smoothness"] = rep.as_dict()
+        expected_smooth = abs(sc.c - 1.0) <= 1e-12
+        agreement = rep.is_smooth == expected_smooth
+        results["smoothness"]["verdict_matches_c"] = agreement
+        passed &= rep.a_deviation <= 1e-10 * max(1.0, abs(rep.a_expected))
+        passed &= agreement
+
+    os.makedirs(out_dir, exist_ok=True)
+    write_residuals_csv(os.path.join(out_dir, "residuals.csv"), residual_reports)
+    write_json(
+        os.path.join(out_dir, "report.json"),
+        {
+            "command": "verify",
+            "scenario": sc.as_dict(),
+            "conventions": CONVENTIONS,
+            "solution": solution_summary(sol),
+            "checks": results,
+            "passed": passed,
+        },
+        no_timestamp=sc.no_timestamp,
+    )
+    for name, res in sorted(results.items()):
+        verdict = res.get("passed")
+        if name == "curvature":
+            verdict = res["closedness"]["passed"]
+        if name == "smoothness":
+            verdict = res["verdict_matches_c"]
+        print(f"verify[{name}]: {'pass' if verdict else 'FAIL'}")
+    print(f"verify: {'pass' if passed else 'FAIL'} -> {out_dir}/report.json")
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
+
+
+def _parse_perturb(spec: str):
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise InvalidInputError("--perturb expects TARGET:ORDER:EPS")
+    target, order, eps = parts[0], parts[1], parts[2]
+    try:
+        return target, int(order), float(eps)
+    except ValueError as exc:
+        raise InvalidInputError(f"bad --perturb spec {spec!r}") from exc
+
+
+def cmd_closed_form(args) -> int:
+    out_dir = args.out or "ricciflat-out"
+    t_order = args.t_order or 8
+    if args.eigenvalues:
+        values = tuple(float(t) for t in args.eigenvalues.split(",") if t.strip())
+        n = args.n or len(values)
+        if len(values) == 1 and n > 1:
+            values = values * n
+        spectrum = RicciSpectrum(n, values)
+        drift = 0.0
+    else:
+        scenarios = _collect_scenarios(args)
+        if len(scenarios) != 1:
+            raise InvalidInputError("closed-form takes one metric source")
+        initial = scenarios[0].initial_data()
+        spectrum, drift = ricci_spectrum_of(initial)
+        t_order = scenarios[0].t_order
+
+    P = p_of_t(spectrum)
+    w = w_inv_closed(P)
+    series = w.series(t_order)
+
+    os.makedirs(out_dir, exist_ok=True)
+    csv_path = os.path.join(out_dir, "closed_form.csv")
+    import csv as _csv
+
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        wr = _csv.writer(fh, lineterminator="\n")
+        wr.writerow(("series", "t_order", "value"))
+        for k, val in enumerate(P):
+            wr.writerow(("P", k, repr(float(val))))
+        for k, val in enumerate(series):
+            wr.writerow(("w_inv", k, repr(float(val))))
+    write_json(
+        os.path.join(out_dir, "report.json"),
+        {
+            "command": "closed-form",
+            "eigenvalues": list(spectrum.eigenvalues),
+            "eigenvalue_drift": drift,
+            "P": [float(v) for v in P],
+            "w_inv_numerator": list(w.numerator),
+            "w_inv_denominator": list(w.denominator),
+            "w_inv_series": [float(v) for v in series],
+        },
+        no_timestamp=bool(args.no_timestamp),
+    )
+    print(f"closed-form: P degree {len(P) - 1}, wrote {csv_path}")
+    return EXIT_OK
+
+
+def cmd_majorant(args) -> int:
+    return _run_batch(
+        _collect_scenarios(args), _majorant_one, args.jobs, extra=args.m_max
+    )
+
+
+def _majorant_one(sc: Scenario, out_dir: str, m_max_arg=None) -> int:
+    sol = _solve_scenario(sc)
+    params = majorant.estimate_params(sol, sc.radius)
+    m_max = m_max_arg or sol.t_order
+    bounds = majorant.nonlinearity_bounds(sol, params, m_max)
+    C = majorant.majorant_sequence(params, bounds, m_max)
+    rep = majorant.check_domination(sol, params, C)
+    lemma = [
+        row
+        for p in (0, 1, 2, 3)
+        for row in majorant.cauchy_estimate_check(p, 1.0, sc.radius)
+    ]
+    os.makedirs(out_dir, exist_ok=True)
+    import csv as _csv
+
+    with open(os.path.join(out_dir, "majorant.csv"), "w", newline="", encoding="utf-8") as fh:
+        wr = _csv.writer(fh, lineterminator="\n")
+        wr.writerow(("inequality", "m", "radius", "observed", "bound", "verdict"))
+        for r in rep.rows:
+            wr.writerow((r.inequality, r.m, repr(r.radius), repr(r.observed), repr(r.bound), r.status))
+    payload = rep.as_dict()
+    payload["derivative_lemma"] = [
+        {"p": r.p, "radius": r.radius, "observed": r.observed, "bound": r.bound, "status": r.status}
+        for r in lemma
+    ]
+    write_json(
+        os.path.join(out_dir, "report.json"),
+        {"command": "majorant", "scenario": sc.as_dict(), "majorant": payload},
+        no_timestamp=sc.no_timestamp,
+    )
+    ok = rep.passed and all(r.status == "pass" for r in lemma)
+    print(f"majorant: {'pass' if ok else 'FAIL'} (A={params.A:.6g}, R={params.R})")
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
+
+
+def cmd_compare(args) -> int:
+    return _run_batch(_collect_scenarios(args), _compare_one, args.jobs)
+
+
+def _compare_one(sc: Scenario, out_dir: str, extra=None) -> int:
+    sol = _solve_scenario(sc)
+    rep = calibrate(sol, tolerance=sc.tolerance)
+    os.makedirs(out_dir, exist_ok=True)
+    import csv as _csv
+
+    with open(os.path.join(out_dir, "comparison.csv"), "w", newline="", encoding="utf-8") as fh:
+        wr = _csv.writer(fh, lineterminator="\n")
+        wr.writerow(("candidate_kappa", "max_deviation"))
+        for k, dev in sorted(rep.per_candidate.items()):
+            wr.writerow((repr(float(k)), repr(float(dev))))
+    write_json(
+        os.path.join(out_dir, "report.json"),
+        {
+            "command": "compare",
+            "scenario": sc.as_dict(),
+            "calibration": {
+                "matched": rep.matched,
+                "kappa": rep.kappa,
+                "max_relative_deviation": rep.max_deviation,
+                "metric_deviation": rep.metric_deviation,
+                "w_inv_deviation": rep.w_inv_deviation,
+                "eigenvalues": list(rep.eigenvalues),
+                "eigenvalue_drift": rep.eigenvalue_drift,
+                "P": list(rep.P),
+                "candidates": list(rep.candidates),
+            },
+        },
+        no_timestamp=sc.no_timestamp,
+    )
+    if rep.matched:
+        print(f"compare: kappa={rep.kappa}, deviation={rep.max_deviation:.3e}")
+        return EXIT_OK
+    print(f"compare: no convention match (best deviation {rep.max_deviation:.3e})")
+    return EXIT_CHECK_FAILED
+
+
+def cmd_list_metrics(args) -> int:
+    for name in sorted(BUILTIN_METRICS):
+        print(f"{name:22s} {BUILTIN_METRICS[name][1]}")
+    return EXIT_OK
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,270 @@
+"""Closed-form solutions for bases with constant principal Ricci curvatures.
+
+When the eigenvalues of the Ricci curvature relative to the metric are
+constant on the base, the evolved Kahler form is affine in the flow
+parameter,
+
+    omega(tau) = Phi + tau * ricci(Phi),
+
+the relative volume polynomial is P(tau) = prod_i (1 + lambda_i tau), and the
+fiber weight reciprocal is the rational function
+
+    w^{-1}(tau) = integral_0^tau P / P.
+
+These exact expressions are the independent oracle for the series solver.
+The solver's flow variable differs from tau by a convention factor kappa
+(powers of two coming from the mixed-Hessian normalization); ``calibrate``
+finds kappa from a documented finite candidate set instead of fitting it
+continuously, so a real bug cannot hide inside a fitted constant.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .conventions import CALIBRATION_CANDIDATES
+from .errors import InvalidInputError
+from .geometry import HermitianJetMatrix, InitialData, jet_det, ricci_form
+from .jets import (
+    Jet,
+    TJet,
+    jet_eval_many,
+    jet_scale,
+    max_abs_coeff,
+    max_coeff_diff,
+)
+
+
+@dataclass(frozen=True)
+class RicciSpectrum:
+    """Constant principal Ricci curvatures of a base metric."""
+
+    n: int
+    eigenvalues: tuple[float, ...]
+
+    def __post_init__(self):
+        if len(self.eigenvalues) != self.n:
+            raise InvalidInputError("need one eigenvalue per complex dimension")
+        if not all(np.isfinite(self.eigenvalues)):
+            raise InvalidInputError("eigenvalues must be finite")
+
+    @property
+    def is_einstein(self) -> bool:
+        lam = self.eigenvalues
+        return max(lam) - min(lam) <= 1e-9 * max(1.0, abs(lam[0]))
+
+
+@dataclass(frozen=True)
+class RationalT:
+    """Ratio of two real polynomials in t, denominator nonzero at t = 0.
+
+    Comparisons cross-multiply, so no reduction to lowest terms is needed.
+    """
+
+    numerator: tuple[float, ...]
+    denominator: tuple[float, ...]
+
+    def __post_init__(self):
+        if abs(self.denominator[0]) == 0:
+            raise InvalidInputError("denominator vanishes at t = 0")
+
+    def series(self, order: int) -> np.ndarray:
+        """Taylor coefficients through t^order."""
+        num = np.zeros(order + 1)
+        num[: min(len(self.numerator), order + 1)] = self.numerator[: order + 1]
+        den = np.zeros(order + 1)
+        den[: min(len(self.denominator), order + 1)] = self.denominator[: order + 1]
+        out = np.empty(order + 1)
+        for m in range(order + 1):
+            acc = num[m]
+            for k in range(1, m + 1):
+                acc -= den[k] * out[m - k]
+            out[m] = acc / den[0]
+        return out
+
+    def __call__(self, t: float) -> float:
+        return float(
+            np.polyval(self.numerator[::-1], t) / np.polyval(self.denominator[::-1], t)
+        )
+
+
+def p_of_t(spectrum: RicciSpectrum) -> np.ndarray:
+    """Relative volume polynomial prod_i (1 + lambda_i t), ascending coefficients."""
+    poly = np.array([1.0])
+    for lam in spectrum.eigenvalues:
+        poly = np.convolve(poly, np.array([1.0, lam]))
+    last = np.max(np.flatnonzero(poly))
+    return poly[: last + 1]
+
+
+def w_inv_closed(P: np.ndarray) -> RationalT:
+    """w^{-1}(t) = (integral_0^t P) / P as an exact rational function."""
+    P = np.asarray(P, dtype=float)
+    if abs(P[0] - 1.0) > 1e-12:
+        raise InvalidInputError(f"P(0) must be 1, got {P[0]}")
+    integral = np.concatenate([[0.0], P / np.arange(1, len(P) + 1)])
+    return RationalT(tuple(integral), tuple(P))
+
+
+def omega_of_t(
+    Phi: HermitianJetMatrix, rho: HermitianJetMatrix, t_order: int
+) -> tuple[HermitianJetMatrix, TJet]:
+    """Affine family g(t) = Phi + t*rho as a t-series matrix, plus det g(t).
+
+    det g(t) equals P(t) * det Phi whenever rho has constant eigenvalues
+    relative to Phi; the returned determinant lets callers verify that.
+    """
+    n = Phi.n
+    ctx = Phi.entries[0][0].ctx
+    zeros = [ctx.zero() for _ in range(max(t_order - 1, 0))]
+    g = HermitianJetMatrix(
+        [
+            [
+                TJet([Phi.entries[i][j], rho.entries[i][j]] + list(zeros))
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    )
+    return g, jet_det(g)
+
+
+def ricci_spectrum_of(initial: InitialData, sample_count: int = 24) -> tuple[RicciSpectrum, float]:
+    """Eigenvalues of the Ricci matrix relative to h at the base point, plus
+    the worst eigenvalue drift over nearby sample points (constancy measure)."""
+    rho = ricci_form(initial.h)
+    h0 = initial.h.base_matrix()
+    r0 = rho.base_matrix()
+    eig0 = np.sort(np.linalg.eigvals(np.linalg.solve(h0, r0)).real)
+
+    rng = np.random.default_rng(20240817)
+    radius = 0.05 * min(1.0, initial.polydisc_radius)
+    pts = rng.uniform(-radius, radius, size=(sample_count, 2 * initial.n))
+    drift = 0.0
+    for p in pts:
+        hp = _matrix_at(initial.h, p)
+        rp = _matrix_at(rho, p)
+        eig = np.sort(np.linalg.eigvals(np.linalg.solve(hp, rp)).real)
+        drift = max(drift, float(np.max(np.abs(eig - eig0))))
+    return RicciSpectrum(initial.n, tuple(eig0)), drift
+
+
+def _matrix_at(mat: HermitianJetMatrix, point) -> np.ndarray:
+    pts = np.asarray(point, dtype=float)[None, :]
+    out = np.empty((mat.n, mat.n), dtype=np.complex128)
+    for i in range(mat.n):
+        for j in range(mat.n):
+            out[i, j] = jet_eval_many(mat.entries[i][j], pts)[0]
+    return out
+
+
+@dataclass(frozen=True)
+class CalibrationReport:
+    """Outcome of matching a solver run against the affine closed form."""
+
+    kappa: float | None
+    max_deviation: float
+    metric_deviation: float
+    w_inv_deviation: float
+    eigenvalues: tuple[float, ...]
+    eigenvalue_drift: float
+    P: tuple[float, ...]
+    orders_compared: int
+    candidates: tuple[float, ...] = CALIBRATION_CANDIDATES
+    per_candidate: dict = field(default_factory=dict)
+
+    @property
+    def matched(self) -> bool:
+        return self.kappa is not None
+
+
+def calibrate(solution, tolerance: float = 1e-9, drift_tolerance: float = 1e-6) -> CalibrationReport:
+    """Match solver output against Phi + (kappa t) rho for kappa in the
+    documented candidate set; the fiber weight must then satisfy
+    w_inv_solver(t) = (c/kappa) * w_inv_closed(kappa t).
+
+    Raises on bases whose principal Ricci curvatures are not constant.
+    """
+    initial = solution.input
+    spectrum, drift = ricci_spectrum_of(initial)
+    if drift > drift_tolerance:
+        raise InvalidInputError(
+            f"principal Ricci curvatures are not constant over the sample "
+            f"points (drift {drift:.3e} > {drift_tolerance:.0e})"
+        )
+    rho = ricci_form(initial.h)
+    P = p_of_t(spectrum)
+    closed_w = w_inv_closed(P)
+    c = solution.config.c
+
+    per_candidate = {}
+    best = (None, np.inf, np.inf, np.inf)
+    for kappa in CALIBRATION_CANDIDATES:
+        gdev = _metric_deviation(solution, initial.h, rho, kappa)
+        wdev = _w_inv_deviation(solution, closed_w, kappa, c)
+        dev = max(gdev, wdev)
+        per_candidate[kappa] = dev
+        if dev < best[1]:
+            best = (kappa, dev, gdev, wdev)
+
+    kappa, dev, gdev, wdev = best
+    scale = _solution_scale(solution)
+    matched = dev <= tolerance * scale
+    return CalibrationReport(
+        kappa=kappa if matched else None,
+        max_deviation=dev / scale,
+        metric_deviation=gdev / scale,
+        w_inv_deviation=wdev / scale,
+        eigenvalues=spectrum.eigenvalues,
+        eigenvalue_drift=drift,
+        P=tuple(P),
+        orders_compared=solution.t_order,
+        per_candidate=per_candidate,
+    )
+
+
+def _solution_scale(solution) -> float:
+    """Magnitude reference for relative deviations."""
+    scale = 1.0
+    for i in range(solution.n):
+        for j in range(solution.n):
+            for m, cj in enumerate(solution.g.entries[i][j].coeffs):
+                if solution.order_validity(m) >= 0:
+                    scale = max(scale, max_abs_coeff(cj))
+    return scale
+
+
+def _metric_deviation(solution, Phi, rho, kappa) -> float:
+    worst = 0.0
+    n = solution.n
+    for i in range(n):
+        for j in range(n):
+            series = solution.g.entries[i][j]
+            for m, cj in enumerate(series.coeffs):
+                valid = min(solution.order_validity(m), cj.valid_degree)
+                if valid < 0:
+                    continue
+                if m == 0:
+                    target = Phi.entries[i][j]
+                elif m == 1:
+                    target = jet_scale(rho.entries[i][j], kappa)
+                else:
+                    target = cj.ctx.zero()
+                worst = max(worst, max_coeff_diff(cj, target, valid))
+    return worst
+
+
+def _w_inv_deviation(solution, closed_w: RationalT, kappa: float, c: float) -> float:
+    order = solution.w_inv.order
+    target = closed_w.series(order) * (c / kappa)
+    target *= kappa ** np.arange(order + 1)
+    worst = 0.0
+    for m, cj in enumerate(solution.w_inv.coeffs):
+        ref = cj.ctx.constant(target[m])
+        valid = cj.valid_degree
+        if valid < 0:
+            continue
+        worst = max(worst, max_coeff_diff(cj, ref, valid))
+    return worst

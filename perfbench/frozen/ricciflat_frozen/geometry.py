@@ -1,0 +1,431 @@
+"""Kahler-specific structures on top of the jet algebra.
+
+Hermitian matrices of jets (initial metrics h_ij and evolved metrics g_ij),
+the complex mixed Hessian, truncated determinants, the Ricci coefficient
+matrix, and a registry of built-in real-analytic metrics used by scenarios
+and tests.  Conventions are fixed in ``conventions.py``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .conventions import MIXED_HESSIAN_FACTOR
+from .errors import InvalidInputError, ValidityError
+from .jets import (
+    Jet,
+    JetContext,
+    TJet,
+    context,
+    jet_add,
+    jet_conj,
+    jet_derive,
+    jet_log,
+    jet_mul,
+    jet_reciprocal,
+    jet_scale,
+    max_coeff_diff,
+    t_conj,
+)
+
+
+class HermitianJetMatrix:
+    """n x n matrix of Jet (or TJet) entries with conjugate-transpose symmetry.
+
+    Symmetry is structural where construction allows it (``from_upper``
+    mirrors the strict upper triangle through conjugation); independently
+    computed matrices can be audited with ``hermitian_defect``.
+    """
+
+    __slots__ = ("n", "entries")
+
+    def __init__(self, entries):
+        entries = tuple(tuple(row) for row in entries)
+        n = len(entries)
+        if any(len(row) != n for row in entries):
+            raise InvalidInputError("matrix entries must be square")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("HermitianJetMatrix is immutable")
+
+    @classmethod
+    def from_upper(cls, upper):
+        """Build from entries given for i <= j; the lower triangle is the
+        coefficientwise conjugate of the upper one."""
+        n = len(upper)
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                e = upper[i][j] if isinstance(upper[i], (list, tuple)) else upper[(i, j)]
+                rows[i][j] = e
+                if i != j:
+                    rows[j][i] = _conj_entry(e)
+        return cls(rows)
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.entries[i][j]
+
+    def map(self, fn) -> "HermitianJetMatrix":
+        return HermitianJetMatrix(
+            [[fn(self.entries[i][j]) for j in range(self.n)] for i in range(self.n)]
+        )
+
+    def hermitian_defect(self) -> float:
+        """Max coefficientwise deviation |entry(i,j) - conj(entry(j,i))|."""
+        worst = 0.0
+        for i in range(self.n):
+            for j in range(self.n):
+                a = self.entries[i][j]
+                b = _conj_entry(self.entries[j][i])
+                if isinstance(a, TJet):
+                    m = min(a.order, b.order)
+                    d = max(
+                        max_coeff_diff(a.coeffs[k], b.coeffs[k]) for k in range(m + 1)
+                    )
+                else:
+                    d = max_coeff_diff(a, b)
+                worst = max(worst, d)
+        return worst
+
+    def base_matrix(self) -> np.ndarray:
+        """Constant terms at the base point as a plain complex matrix (order 0
+        in t when entries are TJets)."""
+        out = np.empty((self.n, self.n), dtype=np.complex128)
+        for i in range(self.n):
+            for j in range(self.n):
+                e = self.entries[i][j]
+                if isinstance(e, TJet):
+                    e = e.coeffs[0]
+                out[i, j] = e.constant_term
+        return out
+
+    def __repr__(self):
+        kind = "TJet" if isinstance(self.entries[0][0], TJet) else "Jet"
+        return f"HermitianJetMatrix(n={self.n}, {kind})"
+
+
+def _conj_entry(e):
+    return t_conj(e) if isinstance(e, TJet) else jet_conj(e)
+
+
+def jet_det(g: HermitianJetMatrix):
+    """Truncated determinant by cofactor expansion (n <= 4); works for Jet
+    and TJet entries alike."""
+    return _det(g.entries)
+
+
+def _det(rows):
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    acc = None
+    for j in range(n):
+        minor = [
+            [rows[i][k] for k in range(n) if k != j] for i in range(1, n)
+        ]
+        term = rows[0][j] * _det(minor)
+        if j % 2 == 1:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def adjugate(g: HermitianJetMatrix):
+    """Adjugate matrix (transpose of cofactors), entrywise over the jet ring."""
+    n = g.n
+    rows = g.entries
+    if n == 1:
+        e = rows[0][0]
+        if isinstance(e, TJet):
+            ctx = e.ctx
+            one = TJet([ctx.constant(1.0)] + [ctx.zero() for _ in range(e.order)])
+        else:
+            one = e.ctx.constant(1.0)
+        return [[one]]
+    adj = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [
+                [rows[r][c] for c in range(n) if c != j]
+                for r in range(n)
+                if r != i
+            ]
+            cof = _det(minor)
+            if (i + j) % 2 == 1:
+                cof = -cof
+            adj[j][i] = cof
+    return adj
+
+
+def complex_mixed_hessian(f: Jet | TJet, allow_exhausted: bool = False) -> HermitianJetMatrix:
+    """Matrix H_ij = 4 d^2 f / dz_i dzbar_j, computed through real partials.
+
+    Diagonal entries are assembled directly as f_{x_i x_i} + f_{y_i y_i} so
+    they agree with the real Laplacian exactly; the lower triangle mirrors
+    the upper one through conjugation.  Validity drops by two.
+    """
+    if isinstance(f, TJet):
+        return _mixed_hessian_t(f, allow_exhausted)
+    if f.valid_degree < 2 and not allow_exhausted:
+        raise ValidityError(
+            f"mixed Hessian needs valid_degree >= 2, have {f.valid_degree}"
+        )
+    n = f.ctx.n
+    dx = [jet_derive(f, 2 * i, allow_exhausted=True) for i in range(n)]
+    dy = [jet_derive(f, 2 * i + 1, allow_exhausted=True) for i in range(n)]
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            xx = jet_derive(dx[j], 2 * i, allow_exhausted=True)
+            yy = jet_derive(dy[j], 2 * i + 1, allow_exhausted=True)
+            h = jet_add(xx, yy)
+            if i != j:
+                # 4 dz_i dzbar_j = dx_i dx_j + dy_i dy_j + i(dx_i dy_j - dy_i dx_j)
+                xy = jet_derive(dy[j], 2 * i, allow_exhausted=True)
+                yx = jet_derive(dx[j], 2 * i + 1, allow_exhausted=True)
+                h = jet_add(h, jet_scale(jet_add(xy, jet_scale(yx, -1.0)), 1j))
+            rows[i][j] = h
+            if i != j:
+                rows[j][i] = jet_conj(h)
+    return HermitianJetMatrix(rows)
+
+
+def _mixed_hessian_t(f: TJet, allow_exhausted: bool) -> HermitianJetMatrix:
+    per_order = [complex_mixed_hessian(c, allow_exhausted) for c in f.coeffs]
+    n = f.ctx.n
+    rows = [
+        [TJet([h.entries[i][j] for h in per_order]) for j in range(n)]
+        for i in range(n)
+    ]
+    return HermitianJetMatrix(rows)
+
+
+def dz(f: Jet, i: int, allow_exhausted: bool = False) -> Jet:
+    """d/dz_i = (d/dx_i - i d/dy_i)/2."""
+    a = jet_derive(f, 2 * i, allow_exhausted)
+    b = jet_derive(f, 2 * i + 1, allow_exhausted)
+    return jet_scale(jet_add(a, jet_scale(b, -1j)), 0.5)
+
+
+def dzbar(f: Jet, i: int, allow_exhausted: bool = False) -> Jet:
+    """d/dzbar_i = (d/dx_i + i d/dy_i)/2."""
+    a = jet_derive(f, 2 * i, allow_exhausted)
+    b = jet_derive(f, 2 * i + 1, allow_exhausted)
+    return jet_scale(jet_add(a, jet_scale(b, 1j)), 0.5)
+
+
+def ricci_form(g: HermitianJetMatrix) -> HermitianJetMatrix:
+    """Ricci coefficient matrix -d^2(log det g)/dz_i dzbar_j (no factor 4).
+
+    The factor 4 is owned by ``complex_mixed_hessian`` and applied where the
+    flow equation requires it.
+    """
+    ld = jet_log(jet_det(g))
+    return complex_mixed_hessian(ld).map(
+        lambda e: jet_scale(e, -1.0 / MIXED_HESSIAN_FACTOR)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Initial data and built-in metrics
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class InitialData:
+    """Real-analytic Hermitian metric data at the origin of a chart.
+
+    ``h`` holds order-0 jets; ``base_point`` is the jet origin (kept for
+    report metadata); ``polydisc_radius`` bounds the region where the jets
+    are meant to represent the metric.
+    """
+
+    n: int
+    h: HermitianJetMatrix
+    base_point: np.ndarray = field(default=None)
+    polydisc_radius: float = 1.0
+    name: str = "custom"
+    chart_info: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.base_point is None:
+            object.__setattr__(self, "base_point", np.zeros(2 * self.n))
+        base = self.h.base_matrix()
+        herm = self.h.hermitian_defect()
+        if herm > 1e-9:
+            raise InvalidInputError(
+                f"initial metric is not Hermitian (defect {herm:.3e})"
+            )
+        eig = np.linalg.eigvalsh((base + base.conj().T) / 2)
+        if eig.min() <= 0:
+            raise InvalidInputError(
+                f"initial metric is not positive definite at the base point "
+                f"(min eigenvalue {eig.min():.3e})"
+            )
+
+    @property
+    def ctx(self) -> JetContext:
+        return self.h.entries[0][0].ctx
+
+
+def flat(n: int, cap: int) -> InitialData:
+    ctx = context(n, cap)
+    rows = [
+        [ctx.constant(1.0 if i == j else 0.0) for j in range(n)] for i in range(n)
+    ]
+    return InitialData(
+        n=n,
+        h=HermitianJetMatrix(rows),
+        name=f"flat:{n}",
+        chart_info={"kind": "flat", "n": n},
+    )
+
+
+def fubini_study_chart(n: int, scale: float, cap: int) -> InitialData:
+    """Affine-chart jets of the standard projective-space metric, multiplied
+    by ``scale``:  h_ij = scale * [ (1+|z|^2) delta_ij - zbar_i z_j ] / (1+|z|^2)^2.
+
+    The induced Einstein constant is computed by the callers, never assumed.
+    """
+    if scale <= 0:
+        raise InvalidInputError("fubini_study_chart scale must be positive")
+    ctx = context(n, cap)
+    q = ctx.constant(1.0)
+    for k in range(n):
+        q = jet_add(q, jet_add(jet_mul(ctx.x(k), ctx.x(k)), jet_mul(ctx.y(k), ctx.y(k))))
+    r = jet_reciprocal(q)
+    r2 = jet_mul(r, r)
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            e = jet_scale(jet_mul(jet_mul(ctx.zbar(i), ctx.z(j)), r2), -scale)
+            if i == j:
+                e = jet_add(e, jet_scale(r, scale))
+            rows[i][j] = e
+            if i != j:
+                rows[j][i] = jet_conj(e)
+    return InitialData(
+        n=n,
+        h=HermitianJetMatrix(rows),
+        polydisc_radius=0.9,
+        name=f"fubini_study_chart:{n},{scale}",
+        chart_info={"kind": "fubini_study", "n": n, "scale": scale},
+    )
+
+
+def product(parts: list[InitialData], cap: int) -> InitialData:
+    """Block-diagonal product metric of the given factors."""
+    n = sum(p.n for p in parts)
+    ctx = context(n, cap)
+    rows = [[ctx.zero() for _ in range(n)] for _ in range(n)]
+    offset = 0
+    var_offset = 0
+    for p in parts:
+        remap = _remap_vars(p.ctx, ctx, var_offset)
+        for i in range(p.n):
+            for j in range(p.n):
+                rows[offset + i][offset + j] = remap(p.h.entries[i][j])
+        offset += p.n
+        var_offset += 2 * p.n
+    radius = min(p.polydisc_radius for p in parts)
+    name = "product(" + ",".join(p.name for p in parts) + ")"
+    return InitialData(n=n, h=HermitianJetMatrix(rows), polydisc_radius=radius, name=name)
+
+
+def _remap_vars(src: JetContext, dst: JetContext, var_offset: int):
+    """Embed jets of a factor into the product context by shifting variables."""
+    shifted = np.zeros((src.size, dst.nvars), dtype=np.int64)
+    shifted[:, var_offset : var_offset + src.nvars] = src.exponents
+    idx = np.array([dst.rank_of(e) for e in shifted], dtype=np.int64)
+
+    def remap(jet: Jet) -> Jet:
+        out = np.zeros(dst.size, dtype=np.complex128)
+        out[idx] = jet.coeffs[: src.size]
+        return Jet(dst, out, min(jet.valid_degree, dst.cap))
+
+    return remap
+
+
+def perturbed_flat(n: int, eps: float, seed: int, degree: int, cap: int) -> InitialData:
+    """Flat metric plus a random closed Hermitian perturbation.
+
+    The perturbation is the mixed Hessian of a random real polynomial
+    potential (coefficients seeded, degree ``degree + 2``), scaled by eps.
+    Going through a potential keeps the data Hermitian and genuinely Kahler
+    for every n, and the perturbation is positivity-preserving for the small
+    eps used in scenarios; positivity at the base is still checked.
+    """
+    if eps < 0:
+        raise InvalidInputError("perturbation size must be nonnegative")
+    ctx = context(n, cap)
+    base = flat(n, cap)
+    if eps == 0:
+        return InitialData(
+            n=n,
+            h=base.h,
+            name=f"perturbed_flat:{n},{eps},{seed},{degree}",
+            chart_info={"kind": "flat", "n": n},
+        )
+    rng = np.random.default_rng(seed)
+    pot_ctx = ctx
+    pot = np.zeros(pot_ctx.size)
+    top = min(degree + 2, cap)
+    lo = pot_ctx.deg_start[2] if top >= 2 else pot_ctx.deg_start[0]
+    hi = pot_ctx.deg_start[top + 1]
+    pot[lo:hi] = rng.uniform(-1.0, 1.0, hi - lo)
+    potential = Jet(pot_ctx, pot.astype(np.complex128), cap)
+    bump = complex_mixed_hessian(potential).map(
+        lambda e: jet_scale(e, eps / MIXED_HESSIAN_FACTOR)
+    )
+    rows = [
+        [jet_add(base.h.entries[i][j], bump.entries[i][j]) for j in range(n)]
+        for i in range(n)
+    ]
+    return InitialData(
+        n=n,
+        h=HermitianJetMatrix(rows),
+        name=f"perturbed_flat:{n},{eps},{seed},{degree}",
+    )
+
+
+BUILTIN_METRICS = {
+    "flat": (flat, "flat:n  identity metric on C^n"),
+    "fubini_study_chart": (
+        fubini_study_chart,
+        "fubini_study_chart:n,scale  projective-space chart metric times scale",
+    ),
+    "perturbed_flat": (
+        perturbed_flat,
+        "perturbed_flat:n,eps,seed,degree  flat plus seeded random Kahler bump",
+    ),
+    "product": (product, "product:spec1|spec2|...  block-diagonal product"),
+}
+
+
+def builtin_metric(name: str, params: list, cap: int) -> InitialData:
+    """Instantiate a built-in metric by name and positional parameters."""
+    if name == "flat":
+        (n,) = params
+        return flat(int(n), cap)
+    if name == "fubini_study_chart":
+        n, scale = params
+        return fubini_study_chart(int(n), float(scale), cap)
+    if name == "perturbed_flat":
+        n, eps, seed, degree = params
+        return perturbed_flat(int(n), float(eps), int(seed), int(degree), cap)
+    if name == "product":
+        parts = [
+            builtin_metric(p["name"], p["params"], cap) if isinstance(p, dict) else p
+            for p in params
+        ]
+        return product(parts, cap)
+    raise InvalidInputError(
+        f"unknown metric {name!r}; known: {sorted(BUILTIN_METRICS)}"
+    )

@@ -1,0 +1,365 @@
+"""Scenario definitions: what to solve, at which orders, with which checks.
+
+A scenario comes from CLI flags, from a sectioned key=value file, or both
+(flags win).  Metric sources are either a built-in name with positional
+parameters (``fubini_study_chart:1,1.0``) or inline polynomial entries in
+the real coordinates x1..xn, y1..yn, parsed by a small expression grammar:
+sums, differences, products, integer powers, decimal literals and the
+imaginary unit ``i``.  Entries are given for i <= j; the lower triangle is
+filled by conjugation, and an explicitly given lower entry must agree with
+the conjugate of its mirror.
+"""
+
+from __future__ import annotations
+
+import configparser
+import io
+import re
+from dataclasses import dataclass, field, fields
+
+from .errors import InvalidInputError
+from .geometry import (
+    HermitianJetMatrix,
+    InitialData,
+    builtin_metric,
+)
+from .jets import Jet, context, jet_conj, max_coeff_diff
+
+
+@dataclass(frozen=True)
+class Scenario:
+    metric: str | None = None            # builtin spec "name:params"
+    metric_entries: dict = field(default_factory=dict)  # {(i,j): expression}
+    metric_n: int | None = None
+    c: float = 1.0
+    t_order: int = 8
+    space_degree: int = 12
+    radius: float = 0.2
+    tolerance: float = 1e-9
+    seed: int = 0
+    checks: tuple[str, ...] = ()
+    perturb: str | None = None
+    out_dir: str = "ricciflat-out"
+    no_timestamp: bool = False
+    label: str = "scenario"
+
+    def initial_data(self) -> InitialData:
+        if self.metric:
+            name, params = parse_metric_spec(self.metric)
+            return builtin_metric(name, params, self.space_degree)
+        if self.metric_entries:
+            return inline_metric(
+                self.metric_entries, self.metric_n, self.space_degree
+            )
+        raise InvalidInputError("scenario has no metric source")
+
+    def solver_config(self):
+        from .solver import SolverConfig
+
+        return SolverConfig(
+            c=self.c,
+            t_order=self.t_order,
+            space_degree=self.space_degree,
+            tolerance=self.tolerance,
+        )
+
+    def as_dict(self) -> dict:
+        return {
+            "label": self.label,
+            "metric": self.metric,
+            "metric_entries": {f"{i+1},{j+1}": e for (i, j), e in self.metric_entries.items()},
+            "metric_n": self.metric_n,
+            "c": self.c,
+            "t_order": self.t_order,
+            "space_degree": self.space_degree,
+            "radius": self.radius,
+            "tolerance": self.tolerance,
+            "seed": self.seed,
+            "checks": list(self.checks),
+            "perturb": self.perturb,
+        }
+
+
+ALL_CHECKS = ("system", "consequence", "laplacian", "curvature", "smoothness")
+
+
+def parse_metric_spec(spec: str) -> tuple[str, list]:
+    """Split ``name:p1,p2,...`` into the name and numeric parameters.
+
+    Product metrics separate their factor specs with ``|``:
+    ``product:fubini_study_chart:1,1.0|flat:1``.
+    """
+    spec = spec.strip()
+    if spec.startswith("product:"):
+        factors = []
+        for part in spec[len("product:") :].split("|"):
+            name, params = parse_metric_spec(part)
+            factors.append({"name": name, "params": params})
+        if not factors:
+            raise InvalidInputError("product needs at least one factor")
+        return "product", factors
+    if ":" in spec:
+        name, rest = spec.split(":", 1)
+        params = [_number(tok) for tok in rest.split(",") if tok != ""]
+    else:
+        name, params = spec, []
+    return name.strip(), params
+
+
+def _number(tok: str):
+    tok = tok.strip()
+    try:
+        if re.fullmatch(r"[+-]?\d+", tok):
+            return int(tok)
+        return float(tok)
+    except ValueError as exc:
+        raise InvalidInputError(f"bad numeric parameter {tok!r}") from exc
+
+
+# ---------------------------------------------------------------------------
+# Scenario files
+# ---------------------------------------------------------------------------
+
+_ENTRY_RE = re.compile(r"h_(\d+)_(\d+)$")
+
+
+def load_scenario(path: str, overrides: dict | None = None) -> Scenario:
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    sc = parse_scenario_text(text, label=path)
+    if overrides:
+        sc = apply_overrides(sc, overrides)
+    return sc
+
+
+def parse_scenario_text(text: str, label: str = "inline") -> Scenario:
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cp.optionxform = str
+    try:
+        cp.read_string(text)
+    except configparser.Error as exc:
+        raise InvalidInputError(f"unparseable scenario file: {exc}") from exc
+
+    kw: dict = {"label": label}
+    if cp.has_section("metric"):
+        sec = cp["metric"]
+        if "builtin" in sec:
+            kw["metric"] = sec["builtin"].strip()
+        if "n" in sec:
+            kw["metric_n"] = int(sec["n"])
+        entries = {}
+        for key, value in sec.items():
+            m = _ENTRY_RE.match(key)
+            if m:
+                i, j = int(m.group(1)) - 1, int(m.group(2)) - 1
+                if i < 0 or j < 0:
+                    raise InvalidInputError(f"metric entry indices start at 1: {key}")
+                entries[(i, j)] = value.strip()
+        if entries:
+            kw["metric_entries"] = entries
+    if cp.has_section("solver"):
+        sec = cp["solver"]
+        for opt, attr, conv in (
+            ("c", "c", float),
+            ("M", "t_order", int),
+            ("D", "space_degree", int),
+            ("R", "radius", float),
+            ("tol", "tolerance", float),
+            ("seed", "seed", int),
+        ):
+            if opt in sec:
+                kw[attr] = conv(sec[opt])
+    if cp.has_section("checks") and "run" in cp["checks"]:
+        toks = [t.strip() for t in cp["checks"]["run"].split(",") if t.strip()]
+        bad = [t for t in toks if t not in ALL_CHECKS]
+        if bad:
+            raise InvalidInputError(f"unknown checks {bad}; valid: {ALL_CHECKS}")
+        kw["checks"] = tuple(toks)
+    if cp.has_section("output"):
+        sec = cp["output"]
+        if "dir" in sec:
+            kw["out_dir"] = sec["dir"].strip()
+        if "no_timestamp" in sec:
+            kw["no_timestamp"] = sec.getboolean("no_timestamp")
+    return Scenario(**kw)
+
+
+def apply_overrides(sc: Scenario, overrides: dict) -> Scenario:
+    valid = {f.name for f in fields(Scenario)}
+    clean = {k: v for k, v in overrides.items() if v is not None}
+    bad = set(clean) - valid
+    if bad:
+        raise InvalidInputError(f"unknown scenario fields {sorted(bad)}")
+    from dataclasses import replace
+
+    return replace(sc, **clean)
+
+
+# ---------------------------------------------------------------------------
+# Inline metric entries
+# ---------------------------------------------------------------------------
+
+
+def inline_metric(entries: dict, n: int | None, cap: int) -> InitialData:
+    if n is None:
+        n = 1 + max(max(i, j) for i, j in entries)
+    ctx = context(n, cap)
+    parsed = {}
+    for (i, j), expr in entries.items():
+        if i >= n or j >= n:
+            raise InvalidInputError(
+                f"metric entry h_{i+1}_{j+1} outside dimension n={n}"
+            )
+        parsed[(i, j)] = parse_polynomial(expr, ctx)
+
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            given = parsed.get((i, j))
+            mirror = parsed.get((j, i))
+            if given is None and mirror is None:
+                if i == j:
+                    raise InvalidInputError(f"missing diagonal entry h_{i+1}_{j+1}")
+                rows[i][j] = ctx.zero()
+            elif given is not None:
+                rows[i][j] = given
+            else:
+                rows[i][j] = jet_conj(mirror)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i, j) in parsed and (j, i) in parsed:
+                gap = max_coeff_diff(parsed[(i, j)], jet_conj(parsed[(j, i)]))
+                if gap > 1e-12:
+                    raise InvalidInputError(
+                        f"entries h_{i+1}_{j+1} and h_{j+1}_{i+1} are not "
+                        f"conjugate (gap {gap:.3e})"
+                    )
+    return InitialData(n=n, h=HermitianJetMatrix(rows), name="inline")
+
+
+# ---------------------------------------------------------------------------
+# Polynomial expression grammar
+# ---------------------------------------------------------------------------
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)|(?P<name>[A-Za-z]\w*)"
+    r"|(?P<op>[()+\-*^]))"
+)
+
+
+def parse_polynomial(src: str, ctx) -> Jet:
+    """Parse +, -, *, integer ^, decimals, coordinates x1..yn and the
+    imaginary unit i into a jet."""
+    tokens = []
+    pos = 0
+    while pos < len(src):
+        m = _TOKEN_RE.match(src, pos)
+        if not m or m.end() == pos:
+            raise InvalidInputError(f"bad character in expression at: {src[pos:]!r}")
+        tokens.append(m)
+        pos = m.end()
+    stream = _TokenStream(tokens, src)
+    jet = _parse_sum(stream, ctx)
+    if not stream.done:
+        raise InvalidInputError(f"trailing input in expression: {stream.rest()!r}")
+    return jet
+
+
+class _TokenStream:
+    def __init__(self, tokens, src):
+        self.tokens = tokens
+        self.src = src
+        self.i = 0
+
+    @property
+    def done(self):
+        return self.i >= len(self.tokens)
+
+    def peek(self):
+        return None if self.done else self.tokens[self.i]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def rest(self):
+        return "" if self.done else self.src[self.tokens[self.i].start() :]
+
+
+def _parse_sum(s: _TokenStream, ctx) -> Jet:
+    acc = _parse_product(s, ctx)
+    while not s.done:
+        tok = s.peek()
+        op = tok.group("op")
+        if op == "+":
+            s.next()
+            acc = acc + _parse_product(s, ctx)
+        elif op == "-":
+            s.next()
+            acc = acc - _parse_product(s, ctx)
+        else:
+            break
+    return acc
+
+
+def _parse_product(s: _TokenStream, ctx) -> Jet:
+    acc = _parse_power(s, ctx)
+    while not s.done and s.peek().group("op") == "*":
+        s.next()
+        acc = acc * _parse_power(s, ctx)
+    return acc
+
+
+def _parse_power(s: _TokenStream, ctx) -> Jet:
+    base = _parse_atom(s, ctx)
+    if not s.done and s.peek().group("op") == "^":
+        s.next()
+        tok = s.peek()
+        if tok is None or tok.group("num") is None or "." in tok.group("num"):
+            raise InvalidInputError("exponent must be a nonnegative integer")
+        s.next()
+        k = int(tok.group("num"))
+        out = ctx.constant(1.0)
+        for _ in range(k):
+            out = out * base
+        return out
+    return base
+
+
+def _parse_atom(s: _TokenStream, ctx) -> Jet:
+    tok = s.peek()
+    if tok is None:
+        raise InvalidInputError("unexpected end of expression")
+    if tok.group("op") == "(":
+        s.next()
+        inner = _parse_sum(s, ctx)
+        closing = s.peek()
+        if closing is None or closing.group("op") != ")":
+            raise InvalidInputError("unbalanced parentheses")
+        s.next()
+        return inner
+    if tok.group("op") == "-":
+        s.next()
+        return -_parse_power(s, ctx)
+    if tok.group("op") == "+":
+        s.next()
+        return _parse_power(s, ctx)
+    if tok.group("num") is not None:
+        s.next()
+        return ctx.constant(float(tok.group("num")))
+    name = tok.group("name")
+    if name is None:
+        raise InvalidInputError(f"unexpected token near {s.rest()!r}")
+    s.next()
+    if name == "i":
+        return ctx.constant(1j)
+    m = re.fullmatch(r"([xy])(\d+)", name)
+    if not m:
+        raise InvalidInputError(f"unknown symbol {name!r} (use x1..yn or i)")
+    idx = int(m.group(2)) - 1
+    if idx < 0 or idx >= ctx.n:
+        raise InvalidInputError(
+            f"coordinate {name} outside dimension n={ctx.n}"
+        )
+    return ctx.x(idx) if m.group(1) == "x" else ctx.y(idx)

@@ -1,0 +1,350 @@
+"""Order-by-order construction of the metric series from initial data.
+
+The construction solves the singular evolution system
+
+    t dv/dt = -1 + c e^{-v} det g,
+    H(v) + c dg/dt = 0,           g|_{t=0} = h,  e^v|_{t=0} = c det h,
+
+where H is the mixed Hessian of ``geometry.complex_mixed_hessian`` and
+v is the regular part of the log-volume potential u = log t + v.  Working in
+(v, g) keeps every series pole-free: e^u vanishes at t = 0, so u itself has a
+log t singularity no jet could hold, and w has a 1/(ct) pole, so only the
+regular reciprocal w^{-1} = c t / (1 + t dv/dt) is ever materialized.
+
+One order of the recursion (state holds v_0..v_m, g^(0)..g^(m)):
+
+    g^(m+1) = -(1/(c(m+1))) H(v_m)
+    v_{m+1} = [t^{m+1}] (c e^{-v} det g) / (m+2),   with v_{m+1} set to 0
+              inside e^{-v} while extracting the coefficient.
+
+The divisor m+2 comes from the fact that v_{m+1} occurs linearly in the
+right-hand side with coefficient -c e^{-v_0} det h = -1 identically; that
+identity is asserted at startup rather than re-derived each run, and it is
+what makes the recursion non-resonant (the divisor never vanishes).  Each
+order consumes two spatial degrees, so order m is trusted to degree D - 2m.
+"""
+
+from __future__ import annotations
+
+import warnings
+from dataclasses import dataclass, replace
+from itertools import permutations, product as iproduct
+
+from .errors import DegeneracyError, InvalidInputError
+from .geometry import (
+    HermitianJetMatrix,
+    InitialData,
+    complex_mixed_hessian,
+    jet_det,
+)
+from .jets import (
+    Jet,
+    TJet,
+    jet_add,
+    jet_log,
+    jet_mul,
+    jet_reciprocal,
+    jet_scale,
+    max_abs_coeff,
+    t_integrate,
+    t_reciprocal,
+)
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """Knobs of one solve.
+
+    ``c`` is the constant the moment-map Laplacian must equal (1 gives the
+    smooth fiber extension, other values a cone); ``t_order`` is the
+    truncation order M in t; ``space_degree`` the spatial degree cap D.
+    With D < 2M + 2 the top orders run out of trusted spatial degrees; by
+    default the solver continues and records negative validity (downstream
+    checks skip those coefficients), with ``strict_validity`` it raises.
+    """
+
+    c: float = 1.0
+    t_order: int = 8
+    space_degree: int = 12
+    tolerance: float = 1e-9
+    strict_validity: bool = False
+
+    def __post_init__(self):
+        if self.c == 0:
+            raise InvalidInputError("constant c must be nonzero")
+        if self.t_order < 1:
+            raise InvalidInputError("t_order must be >= 1")
+        if self.space_degree < 2:
+            raise InvalidInputError("space_degree must be >= 2")
+
+
+@dataclass(frozen=True)
+class SolverState:
+    """Immutable snapshot after ``m`` completed orders."""
+
+    config: SolverConfig
+    initial: InitialData
+    m: int
+    v: tuple[Jet, ...]                      # v_0 .. v_m
+    g: tuple                                # g^(0) .. g^(m), entry matrices
+    exp_neg_v: tuple[Jet, ...]              # coefficients of e^{-v}
+    det_g: tuple[Jet, ...]                  # coefficients of det g
+    validity: tuple[int, ...]               # claimed validity per order
+
+
+@dataclass(frozen=True)
+class Solution:
+    """Full solver output.
+
+    ``u_reg`` is the regular part of the log-volume potential (equal to v);
+    ``exp_u`` is t e^v, whose constant term vanishes and whose linear
+    coefficient is c det h; ``w_inv`` is the fiber weight reciprocal with
+    zero constant term.  ``w_inv_crosscheck`` records the worst coefficient
+    gap between the assembled w_inv and c * integral(det g)/det g.
+    """
+
+    config: SolverConfig
+    input: InitialData
+    v: TJet
+    g: HermitianJetMatrix
+    u_reg: TJet
+    w_inv: TJet
+    exp_u: TJet
+    validity: tuple[int, ...]
+    w_inv_crosscheck: float
+    base_identity_margin: float
+    warnings: tuple[str, ...] = ()
+    perturbations: tuple[str, ...] = ()
+
+    @property
+    def n(self) -> int:
+        return self.input.n
+
+    @property
+    def t_order(self) -> int:
+        return self.v.order
+
+    def order_validity(self, m: int) -> int:
+        return self.validity[m] if m < len(self.validity) else -1
+
+
+def init_state(initial: InitialData, config: SolverConfig) -> SolverState:
+    """Order-0 state: v_0 = log(c det h), g^(0) = h."""
+    ctx = initial.ctx
+    if config.space_degree != ctx.cap:
+        raise InvalidInputError(
+            f"config space_degree {config.space_degree} does not match the "
+            f"initial data degree cap {ctx.cap}"
+        )
+    det_h = jet_det(initial.h)
+    scaled = jet_scale(det_h, config.c)
+    if scaled.constant_term.real <= 0 or abs(scaled.constant_term.imag) > 1e-12:
+        raise InvalidInputError(
+            f"c * det h at the base point must be real positive, "
+            f"got {scaled.constant_term}"
+        )
+    v0 = jet_log(scaled)
+    return SolverState(
+        config=config,
+        initial=initial,
+        m=0,
+        v=(v0,),
+        g=(initial.h.entries,),
+        exp_neg_v=(jet_reciprocal(scaled),),
+        det_g=(det_h,),
+        validity=(ctx.cap,),
+    )
+
+
+def step(state: SolverState) -> SolverState:
+    """Advance one order: produce g^(m+1) and v_{m+1}."""
+    cfg = state.config
+    m = state.m
+    c = cfg.c
+    vm = state.v[m]
+    if vm.valid_degree < 2 and cfg.strict_validity:
+        raise DegeneracyError(
+            f"spatial validity exhausted at order {m}: degree cap "
+            f"{cfg.space_degree} is too small for t_order {cfg.t_order} "
+            f"(need >= {2 * cfg.t_order + 2})"
+        )
+    hess = complex_mixed_hessian(vm, allow_exhausted=True)
+    g_new = hess.map(lambda e: jet_scale(e, -1.0 / (c * (m + 1)))).entries
+
+    det_new = _det_coefficient(state.g + (g_new,), m + 1)
+
+    # [t^{m+1}] e^{-v} with v_{m+1} pinned to zero: the k = m+1 term of the
+    # exponential recursion drops out.
+    x_partial = _exp_coefficient(state.v, state.exp_neg_v, m + 1)
+
+    e_coeff = jet_mul(state.exp_neg_v[0], det_new)
+    for j in range(1, m + 1):
+        e_coeff = jet_add(e_coeff, jet_mul(state.exp_neg_v[j], state.det_g[m + 1 - j]))
+    e_coeff = jet_add(e_coeff, jet_mul(x_partial, state.det_g[0]))
+    v_new = jet_scale(e_coeff, c / (m + 2))
+
+    x_new = jet_add(x_partial, jet_scale(jet_mul(v_new, state.exp_neg_v[0]), -1.0))
+
+    return replace(
+        state,
+        m=m + 1,
+        v=state.v + (v_new,),
+        g=state.g + (g_new,),
+        exp_neg_v=state.exp_neg_v + (x_new,),
+        det_g=state.det_g + (det_new,),
+        validity=state.validity + (cfg.space_degree - 2 * (m + 1),),
+    )
+
+
+def _exp_coefficient(v: tuple, x: tuple, m: int) -> Jet:
+    """[t^m] of e^{-v} given coefficients of orders < m, via X' = -v' X."""
+    acc = None
+    for k in range(1, min(m, len(v) - 1) + 1):
+        term = jet_scale(jet_mul(v[k], x[m - k]), -float(k))
+        acc = term if acc is None else jet_add(acc, term)
+    if acc is None:
+        return v[0].ctx.zero()
+    return jet_scale(acc, 1.0 / m)
+
+
+def _det_coefficient(g_orders: tuple, m: int) -> Jet:
+    """[t^m] det(sum_k g^(k) t^k) by multilinear expansion over column orders."""
+    n = len(g_orders[0])
+    ctx = g_orders[0][0][0].ctx
+    if n == 1:
+        return g_orders[m][0][0] if m < len(g_orders) else ctx.zero()
+
+    acc = None
+    orders = range(min(m, len(g_orders) - 1) + 1)
+    for combo in iproduct(orders, repeat=n):
+        if sum(combo) != m:
+            continue
+        for perm in permutations(range(n)):
+            sign = _perm_sign(perm)
+            term = g_orders[combo[0]][0][perm[0]]
+            for r in range(1, n):
+                term = jet_mul(term, g_orders[combo[r]][r][perm[r]])
+            term = jet_scale(term, float(sign))
+            acc = term if acc is None else jet_add(acc, term)
+    return acc if acc is not None else ctx.zero()
+
+
+def _perm_sign(perm) -> int:
+    sign = 1
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def solve(initial: InitialData, config: SolverConfig) -> Solution:
+    """Run the recursion to the configured order and assemble the outputs."""
+    notes = []
+    if config.space_degree < 2 * config.t_order + 2:
+        msg = (
+            f"space_degree {config.space_degree} < 2*t_order + 2 = "
+            f"{2 * config.t_order + 2}: top orders have no trusted spatial "
+            f"coefficients and are skipped by checks"
+        )
+        warnings.warn(msg, stacklevel=2)
+        notes.append(msg)
+
+    state = init_state(initial, config)
+
+    # The extraction divisor hard-codes the unit identity c e^{-v0} det h = 1.
+    unit = jet_mul(jet_scale(state.exp_neg_v[0], config.c), state.det_g[0])
+    margin = max(
+        abs(unit.constant_term - 1.0),
+        max_abs_coeff(jet_add(unit, unit.ctx.constant(-1.0))),
+    )
+    if margin > max(config.tolerance, 1e-8):
+        raise DegeneracyError(
+            f"normalization identity c e^(-v0) det h = 1 fails by {margin:.3e}"
+        )
+
+    for _ in range(config.t_order):
+        state = step(state)
+
+    v = TJet(state.v)
+    n = initial.n
+    g = HermitianJetMatrix(
+        [
+            [TJet([state.g[m][i][j] for m in range(config.t_order + 1)]) for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+    # e^u = t e^v, zero constant term by construction.
+    exp_v = _series_exp(state.v, state.exp_neg_v)
+    ctx = initial.ctx
+    exp_u = TJet((ctx.zero(),) + exp_v)
+
+    # w^{-1} = c t / (1 + t dv/dt), a regular series with zero constant term.
+    one_plus = TJet(
+        (ctx.constant(1.0),)
+        + tuple(jet_scale(state.v[m], float(m)) for m in range(1, config.t_order + 1))
+    )
+    recip = t_reciprocal(one_plus)
+    w_inv = TJet((ctx.zero(),) + tuple(jet_scale(cj, config.c) for cj in recip.coeffs))
+
+    # Cross-multiplied form of w^{-1} = c * integral(det g) / det g.
+    det_g = TJet(state.det_g)
+    resid = w_inv * det_g - t_integrate(det_g) * config.c
+    cross = max(max_abs_coeff(c) for c in resid.coeffs)
+
+    return Solution(
+        config=config,
+        input=initial,
+        v=v,
+        g=g,
+        u_reg=v,
+        w_inv=w_inv,
+        exp_u=exp_u,
+        validity=state.validity,
+        w_inv_crosscheck=cross,
+        base_identity_margin=margin,
+        warnings=tuple(notes),
+    )
+
+
+def _series_exp(v: tuple, exp_neg_v: tuple) -> tuple:
+    """Coefficients of e^{+v} through the available order."""
+    out = [jet_reciprocal(exp_neg_v[0])]
+    for m in range(1, len(v)):
+        acc = None
+        for k in range(1, m + 1):
+            term = jet_scale(jet_mul(v[k], out[m - k]), float(k))
+            acc = term if acc is None else jet_add(acc, term)
+        out.append(jet_scale(acc, 1.0 / m))
+    return tuple(out)
+
+
+def truncate_solution(sol: Solution, t_order: int) -> Solution:
+    """Restrict a solution to a lower t-order (coefficients are unchanged:
+    the recursion at order m never looks ahead)."""
+    if t_order >= sol.config.t_order:
+        return sol
+    cfg = replace(sol.config, t_order=t_order)
+    return Solution(
+        config=cfg,
+        input=sol.input,
+        v=sol.v.truncate(t_order),
+        g=sol.g.map(lambda e: e.truncate(t_order)),
+        u_reg=sol.u_reg.truncate(t_order),
+        w_inv=sol.w_inv.truncate(t_order + 1),
+        exp_u=sol.exp_u.truncate(t_order + 1),
+        validity=sol.validity[: t_order + 1],
+        w_inv_crosscheck=sol.w_inv_crosscheck,
+        base_identity_margin=sol.base_identity_margin,
+        warnings=sol.warnings,
+        perturbations=sol.perturbations,
+    )
