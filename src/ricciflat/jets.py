@@ -12,7 +12,9 @@ coefficients are trusted.  Ring operations take the minimum of the operands'
 validity, differentiation lowers it by one.  Reading a derivative past the
 trusted degree is an error rather than silent garbage, because the solver
 spends two spatial degrees per t-order and corrupted tails would poison the
-residual checks downstream.
+residual checks downstream.  For the same reason products form only the
+degree blocks through the result's trusted degree (their tails are zero),
+and evaluation reads each jet only through its own ``valid_degree``.
 
 A TJet is a truncated power series in the moment-map variable t whose
 coefficients are jets, each with its own validity.
@@ -187,7 +189,7 @@ class Jet:
     operations return new jets, so values are safely shareable.
     """
 
-    __slots__ = ("ctx", "coeffs", "valid_degree", "_eff", "_real")
+    __slots__ = ("ctx", "coeffs", "valid_degree", "_eff")
 
     def __init__(self, ctx: JetContext, coeffs: np.ndarray, valid_degree: int):
         coeffs = np.asarray(coeffs, dtype=np.complex128)
@@ -201,7 +203,6 @@ class Jet:
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "valid_degree", min(int(valid_degree), ctx.cap))
         object.__setattr__(self, "_eff", None)
-        object.__setattr__(self, "_real", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Jet is immutable")
@@ -223,16 +224,6 @@ class Jet:
             eff = int(self.ctx.degrees[nz[-1]]) if len(nz) else -1
             object.__setattr__(self, "_eff", eff)
         return eff
-
-    @property
-    def real_view(self):
-        """Contiguous float64 copy of the real parts when the jet has no
-        imaginary content, else None.  Cached; used by the product kernel."""
-        r = self._real
-        if r is None:
-            r = self.coeffs.real.copy() if not self.coeffs.imag.any() else False
-            object.__setattr__(self, "_real", r)
-        return None if r is False else r
 
     def coefficient(self, exponents) -> complex:
         return complex(self.coeffs[self.ctx.rank_of(exponents)])
@@ -279,7 +270,6 @@ def _fresh(ctx: JetContext, coeffs: np.ndarray, valid_degree: int) -> Jet:
     object.__setattr__(jet, "coeffs", coeffs)
     object.__setattr__(jet, "valid_degree", min(int(valid_degree), ctx.cap))
     object.__setattr__(jet, "_eff", None)
-    object.__setattr__(jet, "_real", None)
     return jet
 
 
@@ -301,30 +291,33 @@ def jet_scale(a: Jet, s: complex) -> Jet:
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
-    """Truncated Cauchy product; skips all-zero degree blocks of either factor
-    and drops to a float kernel when both factors have real coefficients."""
+    """Truncated Cauchy product through the trusted degree of the result.
+
+    Only degree blocks da + db <= min(valid_degree) are formed, so the
+    untrusted tail of the product is zero and the operands are read only
+    through that degree.  All-zero blocks of either factor are skipped, and
+    the kernel drops to float arithmetic when both trusted prefixes are real.
+    """
     _require_same_ctx(a, b)
     ctx = a.ctx
-    ea, eb = a.effective_degree, b.effective_degree
     vd = min(a.valid_degree, b.valid_degree)
-    if ea < 0 or eb < 0:
-        return _fresh(ctx, np.zeros(ctx.size, dtype=np.complex128), vd)
-
-    av, bv = a.real_view, b.real_view
-    both_real = av is not None and bv is not None
-    if not both_real:
-        av, bv = a.coeffs, b.coeffs
-    out = np.zeros(ctx.size, dtype=np.float64 if both_real else np.complex128)
+    out = np.zeros(ctx.size, dtype=np.complex128)
+    if vd < 0:
+        return _fresh(ctx, out, vd)
 
     start = ctx.deg_start
-    nz_a = [bool(a.coeffs[start[d] : start[d + 1]].any()) for d in range(min(ea, ctx.cap) + 1)]
-    nz_b = [bool(b.coeffs[start[d] : start[d + 1]].any()) for d in range(min(eb, ctx.cap) + 1)]
-    for da in range(len(nz_a)):
-        if not nz_a[da]:
-            continue
-        for db in range(min(len(nz_b) - 1, ctx.cap - da) + 1):
-            if not nz_b[db]:
-                continue
+    av, bv = a.coeffs[: start[vd + 1]], b.coeffs[: start[vd + 1]]
+    nz_a = np.logical_or.reduceat(av != 0, start[: vd + 1])
+    nz_b = np.logical_or.reduceat(bv != 0, start[: vd + 1])
+    if not (nz_a.any() and nz_b.any()):
+        return _fresh(ctx, out, vd)
+    both_real = not (av.imag.any() or bv.imag.any())
+    if both_real:
+        av, bv = av.real.copy(), bv.real.copy()
+        out = np.zeros(ctx.size, dtype=np.float64)
+
+    for da in np.flatnonzero(nz_a).tolist():
+        for db in np.flatnonzero(nz_b[: vd - da + 1]).tolist():
             I, J, seg_starts, out_idx = ctx.block_pairs(da, db)
             prod = av[I]
             prod *= bv[J]
@@ -416,24 +409,50 @@ def jet_eval(a: Jet, point) -> complex:
 
 def jet_eval_many(a: Jet, points: np.ndarray) -> np.ndarray:
     """Evaluate at a batch of points, shape (P, 2n); returns shape (P,)."""
-    ctx = a.ctx
+    return jet_eval_grid([a], points)[0]
+
+
+def jet_eval_grid(jets, points: np.ndarray) -> np.ndarray:
+    """Evaluate jets of one context at a batch of points, shape (P, 2n);
+    returns shape (len(jets), P).
+
+    Each jet is read only through its own ``valid_degree`` (a jet with no
+    trusted degree evaluates to zero).  The monomial matrix of the points is
+    built once, through the highest trusted degree among the jets, in chunks
+    of at most 4M entries, and all jets are evaluated against it with one
+    matrix product per chunk.
+    """
+    jets = list(jets)
+    ctx = jets[0].ctx
+    for jet in jets[1:]:
+        _require_same_ctx(jets[0], jet)
     pts = np.asarray(points, dtype=np.complex128)
     if pts.ndim != 2 or pts.shape[1] != ctx.nvars:
         raise InvalidInputError(
             f"points must have shape (P, {ctx.nvars}), got {pts.shape}"
         )
-    out = np.empty(pts.shape[0], dtype=np.complex128)
-    chunk = max(1, 4_000_000 // max(ctx.size, 1))
+    out = np.zeros((len(jets), pts.shape[0]), dtype=np.complex128)
+    top = max(jet.valid_degree for jet in jets)
+    if top < 0:
+        return out
+    width = int(ctx.deg_start[top + 1])
+    coeffs = np.zeros((width, len(jets)), dtype=np.complex128)
+    for k, jet in enumerate(jets):
+        if jet.valid_degree >= 0:
+            end = ctx.deg_start[jet.valid_degree + 1]
+            coeffs[:end, k] = jet.coeffs[:end]
+    exponents = ctx.exponents[:width]
+    chunk = max(1, 4_000_000 // width)
     for lo in range(0, pts.shape[0], chunk):
         sub = pts[lo : lo + chunk]
-        mono = np.ones((sub.shape[0], ctx.size), dtype=np.complex128)
+        mono = np.ones((sub.shape[0], width), dtype=np.complex128)
         for v in range(ctx.nvars):
-            powers = np.empty((sub.shape[0], ctx.cap + 1), dtype=np.complex128)
+            powers = np.empty((sub.shape[0], top + 1), dtype=np.complex128)
             powers[:, 0] = 1.0
-            for d in range(1, ctx.cap + 1):
+            for d in range(1, top + 1):
                 powers[:, d] = powers[:, d - 1] * sub[:, v]
-            mono *= powers[:, ctx.exponents[:, v]]
-        out[lo : lo + chunk] = mono @ a.coeffs
+            mono *= powers[:, exponents[:, v]]
+        out[:, lo : lo + chunk] = (mono @ coeffs).T
     return out
 
 
@@ -451,7 +470,6 @@ def jet_restrict_validity(a: Jet, valid_degree: int) -> Jet:
     object.__setattr__(jet, "coeffs", a.coeffs)
     object.__setattr__(jet, "valid_degree", min(a.valid_degree, valid_degree))
     object.__setattr__(jet, "_eff", a._eff)
-    object.__setattr__(jet, "_real", a._real)
     return jet
 
 
@@ -569,10 +587,6 @@ def t_constant(ctx: JetContext, value: complex, order: int) -> TJet:
     return TJet([ctx.constant(value)] + [ctx.zero() for _ in range(order)])
 
 
-def t_from_jets(jets) -> TJet:
-    return TJet(jets)
-
-
 def t_coeff(a: TJet, m: int) -> Jet:
     """Coefficient of t^m."""
     return a.coeffs[m]
@@ -595,11 +609,6 @@ def t_derive(a: TJet) -> TJet:
     return TJet(
         [jet_scale(a.coeffs[m], float(m)) for m in range(1, a.order + 1)]
     )
-
-
-def t_scale_variable(a: TJet, s: float) -> TJet:
-    """Substitute t -> s*t."""
-    return TJet([jet_scale(c, s**m) for m, c in enumerate(a.coeffs)])
 
 
 def t_reciprocal(a: TJet) -> TJet:
@@ -629,17 +638,3 @@ def t_exp(a: TJet) -> TJet:
 
 def t_conj(a: TJet) -> TJet:
     return TJet([jet_conj(c) for c in a.coeffs])
-
-
-def t_derive_space(a: TJet, var: int, allow_exhausted: bool = False) -> TJet:
-    return TJet([jet_derive(c, var, allow_exhausted) for c in a.coeffs])
-
-
-def t_max_coeff_diff(a: TJet, b: TJet, orders: int | None = None) -> float:
-    m = min(a.order, b.order)
-    if orders is not None:
-        m = min(m, orders)
-    return max(
-        (max_coeff_diff(a.coeffs[k], b.coeffs[k]) for k in range(m + 1)),
-        default=0.0,
-    )

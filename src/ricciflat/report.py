@@ -2,15 +2,19 @@
 
 Column names and JSON fields are part of the interface.  Coefficient tables
 order monomials graded-lexicographically (the storage order of the jets) and
-t ascending.  All floats are written with full ``repr`` precision so that
-identical runs produce byte-identical files; the report timestamp is the
-only non-reproducible field and can be suppressed.
+t ascending, and hold only the trusted coefficients of each jet (through its
+``valid_degree``).  All floats are written with full ``repr`` precision so
+that identical runs produce byte-identical files; the report timestamp is
+the only non-reproducible field and can be suppressed.  JSON reports stay
+strict JSON: non-finite floats are written as the strings "NaN", "Infinity"
+and "-Infinity".
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from datetime import datetime, timezone
 
@@ -34,8 +38,11 @@ def monomial_label(ctx: JetContext, idx: int) -> str:
 
 
 def _jet_rows(series: str, i, j, m: int, jet: Jet, include_zero: bool = False):
+    """Rows for the monomials through the jet's valid_degree; none when it
+    has no trusted degree."""
     ctx = jet.ctx
-    for idx in range(ctx.size):
+    end = int(ctx.deg_start[jet.valid_degree + 1]) if jet.valid_degree >= 0 else 0
+    for idx in range(end):
         val = jet.coeffs[idx]
         if not include_zero and val == 0:
             continue
@@ -101,13 +108,24 @@ def write_residuals_csv(path: str, reports) -> None:
                 w.writerow(row)
 
 
+def _strict_json(obj):
+    """Copy of ``obj`` with non-finite floats replaced by their names."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
+    if isinstance(obj, dict):
+        return {k: _strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(v) for v in obj]
+    return obj
+
+
 def write_json(path: str, payload: dict, no_timestamp: bool = False) -> None:
-    doc = dict(payload)
+    doc = _strict_json(payload)
     if not no_timestamp:
         doc["timestamp"] = datetime.now(timezone.utc).isoformat()
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

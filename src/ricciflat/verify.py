@@ -63,7 +63,11 @@ class ResidualReport:
 
     @property
     def max_relative_residual(self) -> float:
+        """Worst residual/scale over the checked rows; NaN when any of them
+        is not finite, whatever its position."""
         vals = [r.residual / r.scale for r in self.rows if r.status != "skipped"]
+        if not all(math.isfinite(v) for v in vals):
+            return math.nan
         return max(vals) if vals else 0.0
 
     @property
@@ -97,26 +101,17 @@ class ResidualReport:
 
 
 def _row(identity, m, valid, resid, scale, tol) -> ResidualRow:
+    """A non-finite residual or scale fails the row."""
     if valid < 0:
         return ResidualRow(identity, m, valid, 0.0, max(scale, 1.0), "skipped")
-    status = "pass" if resid <= tol * max(scale, 1.0) else "fail"
-    return ResidualRow(identity, m, valid, resid, max(scale, 1.0), status)
+    ok = math.isfinite(resid) and math.isfinite(scale) and resid <= tol * max(scale, 1.0)
+    return ResidualRow(identity, m, valid, resid, max(scale, 1.0), "pass" if ok else "fail")
 
 
-def _matrix_rows(identity, m, resid_mat, scale, tol, validity_cap) -> ResidualRow:
-    """Collapse an entrywise residual matrix into one row for order m."""
-    worst = 0.0
-    valid = validity_cap
-    n = resid_mat.n if hasattr(resid_mat, "n") else len(resid_mat)
-    entries = resid_mat.entries if hasattr(resid_mat, "entries") else resid_mat
-    for i in range(n):
-        for j in range(n):
-            e = entries[i][j]
-            v = min(e.valid_degree, validity_cap)
-            valid = min(valid, e.valid_degree)
-            if v >= 0:
-                worst = max(worst, max_abs_coeff(e, v))
-    return _row(identity, m, valid, worst, scale, tol)
+def _max(*values) -> float:
+    """Largest value, NaN as soon as one value is NaN (Python's ``max``
+    drops a NaN that is not its first argument)."""
+    return float(np.max(values))
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +142,8 @@ def residual_system(sol: Solution, tolerance: float = 1e-9) -> ResidualReport:
                 resid = jet_add(hess.entries[i][j], term)
                 v = min(resid.valid_degree, valid)
                 if v >= 0:
-                    worst = max(worst, max_abs_coeff(resid, v))
-                    scale = max(
+                    worst = _max(worst, max_abs_coeff(resid, v))
+                    scale = _max(
                         scale, max_abs_coeff(hess.entries[i][j], v), max_abs_coeff(term, v)
                     )
         rows.append(_row("hessian_flow", m, valid, worst, scale, tolerance))
@@ -219,8 +214,8 @@ def residual_consequence(sol: Solution, tolerance: float = 1e-9) -> ResidualRepo
                 resid = jet_add(a, b)
                 v = min(resid.valid_degree, valid)
                 if v >= 0:
-                    worst = max(worst, max_abs_coeff(resid, v))
-                    scale = max(scale, max_abs_coeff(a, v), max_abs_coeff(b, v))
+                    worst = _max(worst, max_abs_coeff(resid, v))
+                    scale = _max(scale, max_abs_coeff(a, v), max_abs_coeff(b, v))
         rows.append(_row("second_order_flow", m, valid, worst, scale, tolerance))
     return ResidualReport(
         name="residual_consequence",
@@ -345,7 +340,7 @@ def curvature_and_class(
         for k in range(min(w_z[i].order, w_zbar[i].order) + 1):
             a, b = w_z[i].coeffs[k], w_zbar[i].coeffs[k]
             if min(a.valid_degree, b.valid_degree) >= 0:
-                realness = max(realness, max_coeff_diff(jet_conj(a), b))
+                realness = _max(realness, max_coeff_diff(jet_conj(a), b))
 
     rows = list(_closedness_rows(sol, g_t, vt, tolerance))
     closed = ResidualReport(
@@ -411,8 +406,8 @@ def _closedness_rows(sol: Solution, g_t, vt, tolerance):
                 resid = jet_add(a, b)
                 v = min(resid.valid_degree, valid)
                 if v >= 0:
-                    worst = max(worst, max_abs_coeff(resid, v))
-                    scale = max(scale, max_abs_coeff(a, v), max_abs_coeff(b, v))
+                    worst = _max(worst, max_abs_coeff(resid, v))
+                    scale = _max(scale, max_abs_coeff(a, v), max_abs_coeff(b, v))
         yield _row("dF_dt_dz_dzbar", m, valid, worst, scale, tolerance)
 
     if n >= 2:
@@ -431,8 +426,8 @@ def _closedness_rows(sol: Solution, g_t, vt, tolerance):
                         resid = jet_add(a, jet_scale(b, -1.0))
                         v = min(resid.valid_degree, valid)
                         if v >= 0:
-                            worst = max(worst, max_abs_coeff(resid, v))
-                            scale = max(scale, max_abs_coeff(a, v), max_abs_coeff(b, v))
+                            worst = _max(worst, max_abs_coeff(resid, v))
+                            scale = _max(scale, max_abs_coeff(a, v), max_abs_coeff(b, v))
             yield _row("dF_dz_dz_dzbar", m, valid, worst, scale, tolerance)
 
 
