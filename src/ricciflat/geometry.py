@@ -116,29 +116,13 @@ def _conj_entry(e):
 def jet_det(g: HermitianJetMatrix):
     """Truncated determinant by cofactor expansion (n <= 4); works for Jet
     and TJet entries alike."""
-    return _det(g.entries)
-
-
-def _det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = None
-    for j in range(n):
-        minor = [
-            [rows[i][k] for k in range(n) if k != j] for i in range(1, n)
-        ]
-        term = rows[0][j] * _det(minor)
-        if j % 2 == 1:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+    full = tuple(range(g.n))
+    return _minor_det(g.entries, full, full, {})
 
 
 def adjugate(g: HermitianJetMatrix):
-    """Adjugate matrix (transpose of cofactors), entrywise over the jet ring."""
+    """Adjugate matrix (transpose of cofactors), entrywise over the jet ring.
+    The cofactors share their smaller minors through one memo per call."""
     n = g.n
     rows = g.entries
     if n == 1:
@@ -149,19 +133,34 @@ def adjugate(g: HermitianJetMatrix):
         else:
             one = e.ctx.constant(1.0)
         return [[one]]
+    full = tuple(range(n))
+    memo = {}
     adj = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            minor = [
-                [rows[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            cof = _det(minor)
+            cof = _minor_det(rows, full[:i] + full[i + 1 :], full[:j] + full[j + 1 :], memo)
             if (i + j) % 2 == 1:
                 cof = -cof
             adj[j][i] = cof
     return adj
+
+
+def _minor_det(rows, R: tuple, C: tuple, memo: dict):
+    """Determinant of the minor on row tuple R and column tuple C by
+    Laplace expansion along its first row; ``memo`` maps (R, C) to the
+    minors already expanded within the caller's call."""
+    det = memo.get((R, C))
+    if det is None:
+        if len(R) == 1:
+            det = rows[R[0]][C[0]]
+        else:
+            for k, j in enumerate(C):
+                term = rows[R[0]][j] * _minor_det(rows, R[1:], C[:k] + C[k + 1 :], memo)
+                if k % 2 == 1:
+                    term = -term
+                det = term if det is None else det + term
+        memo[(R, C)] = det
+    return det
 
 
 def complex_mixed_hessian(f: Jet | TJet, allow_exhausted: bool = False) -> HermitianJetMatrix:

@@ -170,14 +170,6 @@ class JetContext:
     def zbar(self, i: int) -> "Jet":
         return jet_add(self.x(i), jet_scale(self.y(i), -1j))
 
-    def from_coeff_dict(self, coeffs: dict, valid_degree: int | None = None) -> "Jet":
-        """Build a jet from {exponent tuple: coefficient}."""
-        c = np.zeros(self.size, dtype=np.complex128)
-        for exp, val in coeffs.items():
-            c[self.rank_of(exp)] = val
-        vd = self.cap if valid_degree is None else valid_degree
-        return Jet(self, c, vd)
-
     def __repr__(self):
         return f"JetContext(n={self.n}, cap={self.cap}, size={self.size})"
 
@@ -623,16 +615,26 @@ def t_reciprocal(a: TJet) -> TJet:
     return TJet(out)
 
 
-def t_exp(a: TJet) -> TJet:
-    """Truncated exp of a t-series, via the linear recursion E' = a' E."""
-    e0 = jet_exp(a.coeffs[0])
-    out = [e0]
+def t_exp_coeff(a, e, m: int, sign: float = 1.0) -> Jet:
+    """[t^m] of E = exp(sign * a) from E's coefficients ``e`` of orders < m,
+    via the linear recursion E' = sign a' E.  ``a`` is a sequence of jet
+    coefficients; a_k reads as zero past its length, so a caller may leave
+    the top coefficient of a out (it then drops out of the recursion)."""
+    acc = None
+    for k in range(1, min(m, len(a) - 1) + 1):
+        term = jet_scale(jet_mul(a[k], e[m - k]), sign * k)
+        acc = term if acc is None else jet_add(acc, term)
+    if acc is None:
+        return e[0].ctx.zero()
+    return jet_scale(acc, 1.0 / m)
+
+
+def t_exp(a: TJet, e0: Jet | None = None) -> TJet:
+    """Truncated exp of a t-series, via the linear recursion E' = a' E.
+    ``e0`` is exp(a_0) when the caller already holds it."""
+    out = [jet_exp(a.coeffs[0]) if e0 is None else e0]
     for m in range(1, a.order + 1):
-        acc = None
-        for k in range(1, m + 1):
-            term = jet_scale(jet_mul(a.coeffs[k], out[m - k]), float(k))
-            acc = term if acc is None else jet_add(acc, term)
-        out.append(jet_scale(acc, 1.0 / m))
+        out.append(t_exp_coeff(a.coeffs, out, m))
     return TJet(out)
 
 

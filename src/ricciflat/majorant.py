@@ -44,6 +44,9 @@ from .solver import Solution
 
 _GRID_SEED = 120221
 
+# A is clamped up to this floor when the first-order data vanish identically.
+_A_FLOOR = 1e-8
+
 
 @dataclass(frozen=True)
 class MajorantParams:
@@ -62,7 +65,6 @@ class MajorantParams:
     sigma: float
     M_const: float
     euler_e: float = math.e
-    A_floor: float = 1e-8
     A_clamped: bool = False
     sup_inflation: float = 1.25
     grid_points: int = 128
@@ -129,9 +131,9 @@ def estimate_params(sol: Solution, R: float, grid_points: int = 128) -> Majorant
     A = float(np.max(sups))  # np.max keeps a NaN sample, so the checks fail
 
     notes = []
-    clamped = A < 1e-8
+    clamped = A < _A_FLOOR
     if clamped:
-        A = 1e-8
+        A = _A_FLOOR
         notes.append("degenerate first-order data: A clamped to the 1e-8 floor")
     return MajorantParams(
         R=R,
@@ -226,12 +228,11 @@ def _pattern_determinant(h, Lv0, cols, rows, ctx) -> TJet:
 # ---------------------------------------------------------------------------
 
 
-def majorant_sequence(params: MajorantParams, bound_provider, m_max: int) -> list[float]:
+def majorant_sequence(params: MajorantParams, bounds: dict, m_max: int) -> list[float]:
     """Coefficients C_1..C_m_max of the dominating series, C_1 = A.
 
-    ``bound_provider`` is either a prepared {(p, q, s, |alpha|, |beta|): A}
-    table or a callable m_max -> table (such as a closure over
-    ``nonlinearity_bounds``).  Every term of the scalar majorant equation
+    ``bounds`` is the {(p, q, s, |alpha|, |beta|): A} table of
+    ``nonlinearity_bounds``.  Every term of the scalar majorant equation
     contributes, at order m,
 
         A_{p,q,s,alpha,beta} (2e)^{|alpha|} (4 e^2 M)^{|beta|} R^{w-2}
@@ -245,7 +246,6 @@ def majorant_sequence(params: MajorantParams, bound_provider, m_max: int) -> lis
     """
     if m_max < 1:
         raise InvalidInputError("m_max must be >= 1")
-    bounds = bound_provider(m_max) if callable(bound_provider) else bound_provider
     e = params.euler_e
     M = params.M_const
     C = [0.0, params.A]

@@ -21,7 +21,8 @@ The divisor m+2 comes from the fact that v_{m+1} occurs linearly in the
 right-hand side with coefficient -c e^{-v_0} det h = -1 identically; that
 identity is asserted at startup rather than re-derived each run, and it is
 what makes the recursion non-resonant (the divisor never vanishes).  Each
-order consumes two spatial degrees, so order m is trusted to degree D - 2m.
+order consumes two spatial degrees, so v_m is trusted two degrees less than
+v_{m-1}: to D - 2m when h is trusted through the cap D.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ from .jets import (
     jet_reciprocal,
     jet_scale,
     max_abs_coeff,
+    t_derive,
+    t_exp,
+    t_exp_coeff,
     t_integrate,
     t_reciprocal,
 )
@@ -58,9 +62,11 @@ class SolverConfig:
     ``c`` is the constant the moment-map Laplacian must equal (1 gives the
     smooth fiber extension, other values a cone); ``t_order`` is the
     truncation order M in t; ``space_degree`` the spatial degree cap D.
-    With D < 2M + 2 the top orders run out of trusted spatial degrees; by
-    default the solver continues and records negative validity (downstream
-    checks skip those coefficients), with ``strict_validity`` it raises.
+    Order m is trusted two spatial degrees less than order m - 1, starting
+    from the validity of log(c det h) (D, or less when h itself is trusted
+    only to a lower degree).  When the top orders run out of trusted degrees
+    the solver by default continues with negative validity (downstream
+    checks skip those coefficients); with ``strict_validity`` it raises.
     """
 
     c: float = 1.0
@@ -89,28 +95,27 @@ class SolverState:
     g: tuple                                # g^(0) .. g^(m), entry matrices
     exp_neg_v: tuple[Jet, ...]              # coefficients of e^{-v}
     det_g: tuple[Jet, ...]                  # coefficients of det g
-    validity: tuple[int, ...]               # claimed validity per order
 
 
 @dataclass(frozen=True)
 class Solution:
     """Full solver output.
 
-    ``u_reg`` is the regular part of the log-volume potential (equal to v);
+    ``v`` is the regular part of the log-volume potential u = log t + v;
     ``exp_u`` is t e^v, whose constant term vanishes and whose linear
     coefficient is c det h; ``w_inv`` is the fiber weight reciprocal with
-    zero constant term.  ``w_inv_crosscheck`` records the worst coefficient
-    gap between the assembled w_inv and c * integral(det g)/det g.
+    zero constant term.  ``validity`` is the ``valid_degree`` of each v_m
+    (reported as ``validity_per_order``).  ``w_inv_crosscheck`` records the
+    worst coefficient gap between the assembled w_inv and
+    c * integral(det g)/det g.
     """
 
     config: SolverConfig
     input: InitialData
     v: TJet
     g: HermitianJetMatrix
-    u_reg: TJet
     w_inv: TJet
     exp_u: TJet
-    validity: tuple[int, ...]
     w_inv_crosscheck: float
     base_identity_margin: float
     warnings: tuple[str, ...] = ()
@@ -123,6 +128,10 @@ class Solution:
     @property
     def t_order(self) -> int:
         return self.v.order
+
+    @property
+    def validity(self) -> tuple[int, ...]:
+        return self.v.valid_degrees
 
     def order_validity(self, m: int) -> int:
         return self.validity[m] if m < len(self.validity) else -1
@@ -152,7 +161,6 @@ def init_state(initial: InitialData, config: SolverConfig) -> SolverState:
         g=(initial.h.entries,),
         exp_neg_v=(jet_reciprocal(scaled),),
         det_g=(det_h,),
-        validity=(ctx.cap,),
     )
 
 
@@ -175,7 +183,7 @@ def step(state: SolverState) -> SolverState:
 
     # [t^{m+1}] e^{-v} with v_{m+1} pinned to zero: the k = m+1 term of the
     # exponential recursion drops out.
-    x_partial = _exp_coefficient(state.v, state.exp_neg_v, m + 1)
+    x_partial = t_exp_coeff(state.v, state.exp_neg_v, m + 1, sign=-1.0)
 
     e_coeff = jet_mul(state.exp_neg_v[0], det_new)
     for j in range(1, m + 1):
@@ -192,19 +200,7 @@ def step(state: SolverState) -> SolverState:
         g=state.g + (g_new,),
         exp_neg_v=state.exp_neg_v + (x_new,),
         det_g=state.det_g + (det_new,),
-        validity=state.validity + (cfg.space_degree - 2 * (m + 1),),
     )
-
-
-def _exp_coefficient(v: tuple, x: tuple, m: int) -> Jet:
-    """[t^m] of e^{-v} given coefficients of orders < m, via X' = -v' X."""
-    acc = None
-    for k in range(1, min(m, len(v) - 1) + 1):
-        term = jet_scale(jet_mul(v[k], x[m - k]), -float(k))
-        acc = term if acc is None else jet_add(acc, term)
-    if acc is None:
-        return v[0].ctx.zero()
-    return jet_scale(acc, 1.0 / m)
 
 
 def _det_coefficient(g_orders: tuple, m: int) -> Jet:
@@ -284,15 +280,12 @@ def solve(initial: InitialData, config: SolverConfig) -> Solution:
     )
 
     # e^u = t e^v, zero constant term by construction.
-    exp_v = _series_exp(state.v, state.exp_neg_v)
     ctx = initial.ctx
-    exp_u = TJet((ctx.zero(),) + exp_v)
+    exp_v = t_exp(v, jet_reciprocal(state.exp_neg_v[0]))
+    exp_u = TJet((ctx.zero(),) + exp_v.coeffs)
 
     # w^{-1} = c t / (1 + t dv/dt), a regular series with zero constant term.
-    one_plus = TJet(
-        (ctx.constant(1.0),)
-        + tuple(jet_scale(state.v[m], float(m)) for m in range(1, config.t_order + 1))
-    )
+    one_plus = TJet((ctx.constant(1.0),) + t_derive(v).coeffs)
     recip = t_reciprocal(one_plus)
     w_inv = TJet((ctx.zero(),) + tuple(jet_scale(cj, config.c) for cj in recip.coeffs))
 
@@ -306,26 +299,12 @@ def solve(initial: InitialData, config: SolverConfig) -> Solution:
         input=initial,
         v=v,
         g=g,
-        u_reg=v,
         w_inv=w_inv,
         exp_u=exp_u,
-        validity=state.validity,
         w_inv_crosscheck=cross,
         base_identity_margin=margin,
         warnings=tuple(notes),
     )
-
-
-def _series_exp(v: tuple, exp_neg_v: tuple) -> tuple:
-    """Coefficients of e^{+v} through the available order."""
-    out = [jet_reciprocal(exp_neg_v[0])]
-    for m in range(1, len(v)):
-        acc = None
-        for k in range(1, m + 1):
-            term = jet_scale(jet_mul(v[k], out[m - k]), float(k))
-            acc = term if acc is None else jet_add(acc, term)
-        out.append(jet_scale(acc, 1.0 / m))
-    return tuple(out)
 
 
 def truncate_solution(sol: Solution, t_order: int) -> Solution:
@@ -339,10 +318,8 @@ def truncate_solution(sol: Solution, t_order: int) -> Solution:
         input=sol.input,
         v=sol.v.truncate(t_order),
         g=sol.g.map(lambda e: e.truncate(t_order)),
-        u_reg=sol.u_reg.truncate(t_order),
         w_inv=sol.w_inv.truncate(t_order + 1),
         exp_u=sol.exp_u.truncate(t_order + 1),
-        validity=sol.validity[: t_order + 1],
         w_inv_crosscheck=sol.w_inv_crosscheck,
         base_identity_margin=sol.base_identity_margin,
         warnings=sol.warnings,

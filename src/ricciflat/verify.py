@@ -149,7 +149,7 @@ def residual_system(sol: Solution, tolerance: float = 1e-9) -> ResidualReport:
         rows.append(_row("hessian_flow", m, valid, worst, scale, tolerance))
 
     exp_v = t_exp(sol.v)
-    one_plus = _one_plus_t_vt(sol)
+    one_plus = TJet((sol.input.ctx.constant(1.0),) + t_derive(sol.v).coeffs)
     lhs = exp_v * one_plus
     det_g = jet_det(sol.g)
     for m in range(min(lhs.order, det_g.order) + 1):
@@ -176,16 +176,6 @@ def residual_system(sol: Solution, tolerance: float = 1e-9) -> ResidualReport:
     )
 
 
-def _one_plus_t_vt(sol: Solution) -> TJet:
-    ctx = sol.input.ctx
-    return TJet(
-        (ctx.constant(1.0),)
-        + tuple(
-            jet_scale(sol.v.coeffs[m], float(m)) for m in range(1, sol.t_order + 1)
-        )
-    )
-
-
 def residual_consequence(sol: Solution, tolerance: float = 1e-9) -> ResidualReport:
     """The second-order flow identity 4 w_{z_i zbar_j} + (g_ij)_tt = 0,
     rewritten pole-free as (1/c) H(dv/dt) + d^2 g/dt^2 = 0.
@@ -197,14 +187,23 @@ def residual_consequence(sol: Solution, tolerance: float = 1e-9) -> ResidualRepo
     """
     if sol.t_order < 3:
         raise InvalidInputError("consequence residual needs t_order >= 3")
+    return ResidualReport(
+        name="residual_consequence",
+        rows=tuple(_second_order_flow_rows(sol, "second_order_flow", tolerance)),
+        tolerance=tolerance,
+        metadata={"c": sol.config.c, "orders_checked": sol.t_order - 1},
+    )
+
+
+def _second_order_flow_rows(sol: Solution, identity: str, tolerance: float):
+    """Rows of (1/c) H(dv/dt) + d^2 g/dt^2 = 0, one per t-order m, in the
+    coefficient form (m+1)/c H(v_{m+1}) + (m+1)(m+2) g^(m+2) = 0."""
     c = sol.config.c
-    rows = []
     for m in range(sol.t_order - 1):
         vnext = sol.v.coeffs[m + 1]
         hess = complex_mixed_hessian(vnext, allow_exhausted=True)
         valid = vnext.valid_degree - 2
-        worst = 0.0
-        scale = 0.0
+        worst, scale = 0.0, 0.0
         for i in range(sol.n):
             for j in range(sol.n):
                 a = jet_scale(hess.entries[i][j], (m + 1) / c)
@@ -216,13 +215,7 @@ def residual_consequence(sol: Solution, tolerance: float = 1e-9) -> ResidualRepo
                 if v >= 0:
                     worst = _max(worst, max_abs_coeff(resid, v))
                     scale = _max(scale, max_abs_coeff(a, v), max_abs_coeff(b, v))
-        rows.append(_row("second_order_flow", m, valid, worst, scale, tolerance))
-    return ResidualReport(
-        name="residual_consequence",
-        rows=tuple(rows),
-        tolerance=tolerance,
-        metadata={"c": c, "orders_checked": sol.t_order - 1},
-    )
+        yield _row(identity, m, valid, worst, scale, tolerance)
 
 
 def laplacian_moment(sol: Solution, tolerance: float = 1e-9) -> ResidualReport:
@@ -306,7 +299,6 @@ class CurvatureReport:
 def curvature_and_class(
     sol: Solution,
     tolerance: float = 1e-9,
-    integral_tolerance: float = 1e-3,
     min_quadrature_points: int = 256,
 ) -> CurvatureReport:
     """Assemble the curvature blocks, check dF = 0 coefficientwise, and for
@@ -342,7 +334,7 @@ def curvature_and_class(
             if min(a.valid_degree, b.valid_degree) >= 0:
                 realness = _max(realness, max_coeff_diff(jet_conj(a), b))
 
-    rows = list(_closedness_rows(sol, g_t, vt, tolerance))
+    rows = list(_closedness_rows(sol, g_t, tolerance))
     closed = ResidualReport(
         name="curvature_closedness",
         rows=tuple(rows),
@@ -387,28 +379,11 @@ def curvature_and_class(
     )
 
 
-def _closedness_rows(sol: Solution, g_t, vt, tolerance):
+def _closedness_rows(sol: Solution, g_t, tolerance):
     """dF = 0 splits into the second-order flow identity (dt dz dzbar part)
     and the symmetry of spatial gradients of (g_ij)_t (dz dz dzbar part)."""
-    c = sol.config.c
     n = sol.n
-    for m in range(sol.t_order - 1):
-        vnext = sol.v.coeffs[m + 1]
-        hess = complex_mixed_hessian(vnext, allow_exhausted=True)
-        valid = vnext.valid_degree - 2
-        worst, scale = 0.0, 0.0
-        for i in range(n):
-            for j in range(n):
-                a = jet_scale(hess.entries[i][j], (m + 1) / c)
-                b = jet_scale(
-                    sol.g.entries[i][j].coeffs[m + 2], float((m + 1) * (m + 2))
-                )
-                resid = jet_add(a, b)
-                v = min(resid.valid_degree, valid)
-                if v >= 0:
-                    worst = _max(worst, max_abs_coeff(resid, v))
-                    scale = _max(scale, max_abs_coeff(a, v), max_abs_coeff(b, v))
-        yield _row("dF_dt_dz_dzbar", m, valid, worst, scale, tolerance)
+    yield from _second_order_flow_rows(sol, "dF_dt_dz_dzbar", tolerance)
 
     if n >= 2:
         for m in range(g_t.entries[0][0].order + 1):
@@ -560,11 +535,9 @@ def perturb_solution(sol: Solution, target: str, order: int, eps: float) -> Solu
             raise InvalidInputError(f"v has no order-{order} coefficient")
         coeffs = list(sol.v.coeffs)
         coeffs[order] = bumped(coeffs[order])
-        new_v = TJet(coeffs)
         return replace(
             sol,
-            v=new_v,
-            u_reg=new_v,
+            v=TJet(coeffs),
             perturbations=sol.perturbations + (f"v:{order}:{eps}",),
         )
     if target == "g":

@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import pytest
@@ -28,8 +29,16 @@ def solve_corpus_member(n: int, seed: int, c: float = 1.0):
 
 
 @pytest.fixture(scope="session")
-def corpus_solutions():
-    return {key: solve_corpus_member(*key) for key in corpus_keys()}
+def timed_corpus():
+    """The c=1 corpus and the seconds its build took (charged to A3)."""
+    t0 = time.time()
+    solutions = {key: solve_corpus_member(*key) for key in corpus_keys()}
+    return solutions, time.time() - t0
+
+
+@pytest.fixture(scope="session")
+def corpus_solutions(timed_corpus):
+    return timed_corpus[0]
 
 
 @pytest.fixture(scope="session")

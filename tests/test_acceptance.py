@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import CORPUS_M, corpus_keys, solve_corpus_member
+from conftest import CORPUS_M, corpus_keys
 from ricciflat import geometry as geo
 from ricciflat.cli import main as cli_main
 from ricciflat.closed_form import calibrate
@@ -32,8 +32,6 @@ from ricciflat.verify import (
     smoothness_check,
 )
 
-_corpus_build_seconds = {}
-
 
 @contextmanager
 def criterion(tag: str, detail: str):
@@ -43,14 +41,6 @@ def criterion(tag: str, detail: str):
         print(f"[FAIL] {tag}: {detail}")
         raise
     print(f"[PASS] {tag}: {detail}")
-
-
-@pytest.fixture(scope="session")
-def timed_corpus():
-    t0 = time.time()
-    solutions = {key: solve_corpus_member(*key) for key in corpus_keys()}
-    _corpus_build_seconds["c1"] = time.time() - t0
-    return solutions
 
 
 def test_a1_flat_base_is_exactly_trivial():
@@ -99,15 +89,16 @@ def test_a2_einstein_oracle_equivalence():
 
 
 def test_a3_second_order_identity_redundant(timed_corpus):
+    solutions, build_seconds = timed_corpus
     t0 = time.time()
     worst = 0.0
     for key in corpus_keys():
-        rep = residual_consequence(timed_corpus[key], tolerance=1e-9)
+        rep = residual_consequence(solutions[key], tolerance=1e-9)
         assert rep.passed, f"consequence residual failed for {key}"
         worst = max(worst, rep.max_relative_residual)
         orders = {r.t_order for r in rep.rows}
         assert orders == set(range(CORPUS_M - 1))
-    elapsed = time.time() - t0 + _corpus_build_seconds.get("c1", 0.0)
+    elapsed = time.time() - t0 + build_seconds
     with criterion(
         "A3", f"10 scenarios, worst residual {worst:.2e}, total {elapsed:.0f}s"
     ):
@@ -115,10 +106,10 @@ def test_a3_second_order_identity_redundant(timed_corpus):
         assert elapsed < 300.0
 
 
-def test_a4_moment_laplacian_is_constant(timed_corpus):
+def test_a4_moment_laplacian_is_constant(corpus_solutions, corpus_solutions_c2):
     worst = 0.0
     for key in corpus_keys():
-        for c, sol in ((1.0, timed_corpus[key]), (2.0, solve_corpus_member(*key, c=2.0))):
+        for c, sol in ((1.0, corpus_solutions[key]), (2.0, corpus_solutions_c2[key])):
             rep = laplacian_moment(sol, tolerance=1e-9)
             assert rep.passed, f"laplacian failed for {key} c={c}"
             worst = max(worst, rep.max_relative_residual)
@@ -126,10 +117,10 @@ def test_a4_moment_laplacian_is_constant(timed_corpus):
         assert worst <= 1e-9
 
 
-def test_a5_majorant_domination(timed_corpus):
+def test_a5_majorant_domination(corpus_solutions):
     grid_points = 128
     for key in corpus_keys():
-        sol = timed_corpus[key]
+        sol = corpus_solutions[key]
         params = estimate_params(sol, 0.2, grid_points=grid_points)
         rep = check_domination(sol, params, points_per_radius=grid_points)
         assert rep.C[1] == params.A, "C_1 must equal A exactly"

@@ -61,7 +61,7 @@ def _with_nan_in_v1(sol, position):
     c[idx] = math.nan
     coeffs = list(sol.v.coeffs)
     coeffs[1] = Jet(v1.ctx, c, v1.valid_degree)
-    return replace(sol, v=TJet(coeffs), u_reg=TJet(coeffs))
+    return replace(sol, v=TJet(coeffs))
 
 
 @pytest.mark.parametrize("position", ["first", "last"])

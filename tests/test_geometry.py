@@ -7,6 +7,7 @@ from ricciflat.errors import InvalidInputError
 from ricciflat.geometry import (
     HermitianJetMatrix,
     InitialData,
+    adjugate,
     builtin_metric,
     complex_mixed_hessian,
     flat,
@@ -18,10 +19,13 @@ from ricciflat.geometry import (
 )
 from ricciflat.jets import (
     Jet,
+    TJet,
     context,
     jet_derive,
     jet_mul,
+    jet_restrict_validity,
     jet_scale,
+    max_abs_coeff,
     max_coeff_diff,
 )
 
@@ -150,6 +154,105 @@ def test_det_three_by_three_vs_symbolic():
     exprs = [[jet_to_expr(h[i, j])[0] for j in range(3)] for i in range(3)]
     m = sp.Matrix(exprs)
     assert jet_vs_expr(det, m.det()) < 1e-12
+
+
+# Reference: plain cofactor recursion along the first row, recomputing every
+# minor, with n = 2 written out.  The memoised expansion must reproduce it
+# bit for bit.
+def _reference_det(rows):
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    acc = None
+    for j in range(n):
+        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
+        term = rows[0][j] * _reference_det(minor)
+        if j % 2 == 1:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _reference_adjugate(rows):
+    n = len(rows)
+    adj = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [[rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+            cof = _reference_det(minor)
+            if (i + j) % 2 == 1:
+                cof = -cof
+            adj[j][i] = cof
+    return adj
+
+
+def _same_bits(a, b) -> bool:
+    if isinstance(a, TJet):
+        return a.order == b.order and all(map(_same_bits, a.coeffs, b.coeffs))
+    return a.valid_degree == b.valid_degree and a.coeffs.tobytes() == b.coeffs.tobytes()
+
+
+_DET_CAPS = {1: 8, 2: 6, 3: 4, 4: 3}
+
+
+def _random_matrix(n, kind, seed):
+    """Random complex Hermitian matrix of Jets, or of order-2 TJets whose
+    order-k coefficients are trusted two degrees less per order."""
+    ctx = context(n, _DET_CAPS[n])
+    rng = np.random.default_rng(seed)
+    if kind == "jet":
+        return random_hermitian(ctx, rng)
+    orders = [random_hermitian(ctx, rng, scale=0.2 / (k + 1)) for k in range(3)]
+    return HermitianJetMatrix(
+        [
+            [
+                TJet(
+                    jet_restrict_validity(h[i, j], ctx.cap - 2 * k)
+                    for k, h in enumerate(orders)
+                )
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    )
+
+
+@pytest.mark.parametrize("kind", ["jet", "tjet"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_det_and_adjugate_match_plain_cofactor_recursion(n, kind):
+    g = _random_matrix(n, kind, seed=10 + n)
+    assert _same_bits(jet_det(g), _reference_det(g.entries))
+    adj = adjugate(g)
+    if n == 1:
+        one = adj[0][0]
+        first = one.coeffs[0] if kind == "tjet" else one
+        assert max_coeff_diff(first, first.ctx.constant(1.0)) == 0.0
+        return
+    ref = _reference_adjugate(g.entries)
+    for i in range(n):
+        for j in range(n):
+            assert _same_bits(adj[i][j], ref[i][j])
+
+
+@pytest.mark.parametrize("kind", ["jet", "tjet"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_adjugate_times_matrix_is_det_identity(n, kind):
+    g = _random_matrix(n, kind, seed=20 + n)
+    det = jet_det(g)
+    adj = adjugate(g)
+    as_series = (lambda e: e.coeffs) if kind == "tjet" else (lambda e: (e,))
+    scale = max(max_abs_coeff(d) for d in as_series(det))
+    for i in range(n):
+        for j in range(n):
+            prod = adj[i][0] * g[0, j]
+            for k in range(1, n):
+                prod = prod + adj[i][k] * g[k, j]
+            target = det if i == j else det * 0.0
+            # max_coeff_diff reads through the common trusted degree only
+            for p, t in zip(as_series(prod), as_series(target)):
+                assert max_coeff_diff(p, t) <= 1e-12 * scale
 
 
 # -- Ricci form ------------------------------------------------------------------

@@ -15,6 +15,7 @@ from ricciflat.jets import (
     jet_scale,
     max_coeff_diff,
 )
+from ricciflat.report import solution_summary
 from ricciflat.solver import (
     SolverConfig,
     init_state,
@@ -144,6 +145,16 @@ def test_solution_validity_metadata():
     assert sol.validity == (12, 10, 8, 6, 4)
     for m, cj in enumerate(sol.v.coeffs):
         assert cj.valid_degree >= 12 - 2 * m
+
+
+def test_validity_follows_the_jets():
+    # perturbed_flat's h is itself a mixed Hessian, trusted only to D - 2, so
+    # v_m is trusted to D - 2 - 2m, not to the D - 2m of the cap alone.
+    init = geo.perturbed_flat(2, 0.1, 0, 2, 10)
+    sol = solve(init, SolverConfig(c=1.0, t_order=4, space_degree=10))
+    assert sol.validity == sol.v.valid_degrees == (8, 6, 4, 2, 0)
+    assert solution_summary(sol)["validity_per_order"] == [8, 6, 4, 2, 0]
+    assert truncate_solution(sol, 2).validity == (8, 6, 4)
 
 
 def test_determinism_bitwise():
