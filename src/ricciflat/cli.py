@@ -29,6 +29,7 @@ from .report import (
     matrix_rows,
     series_rows,
     solution_summary,
+    write_csv,
     write_json,
     write_residuals_csv,
     write_series_csv,
@@ -358,15 +359,12 @@ def cmd_closed_form(args) -> int:
 
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "closed_form.csv")
-    import csv as _csv
-
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        wr = _csv.writer(fh, lineterminator="\n")
-        wr.writerow(("series", "t_order", "value"))
-        for k, val in enumerate(P):
-            wr.writerow(("P", k, repr(float(val))))
-        for k, val in enumerate(series):
-            wr.writerow(("w_inv", k, repr(float(val))))
+    write_csv(
+        csv_path,
+        ("series", "t_order", "value"),
+        [("P", k, repr(float(val))) for k, val in enumerate(P)]
+        + [("w_inv", k, repr(float(val))) for k, val in enumerate(series)],
+    )
     write_json(
         os.path.join(out_dir, "report.json"),
         {
@@ -403,13 +401,14 @@ def _majorant_one(sc: Scenario, out_dir: str, m_max_arg=None) -> int:
         for row in majorant.cauchy_estimate_check(p, 1.0, sc.radius)
     ]
     os.makedirs(out_dir, exist_ok=True)
-    import csv as _csv
-
-    with open(os.path.join(out_dir, "majorant.csv"), "w", newline="", encoding="utf-8") as fh:
-        wr = _csv.writer(fh, lineterminator="\n")
-        wr.writerow(("inequality", "m", "radius", "observed", "bound", "verdict"))
-        for r in rep.rows:
-            wr.writerow((r.inequality, r.m, repr(r.radius), repr(r.observed), repr(r.bound), r.status))
+    write_csv(
+        os.path.join(out_dir, "majorant.csv"),
+        ("inequality", "m", "radius", "observed", "bound", "verdict"),
+        [
+            (r.inequality, r.m, repr(r.radius), repr(r.observed), repr(r.bound), r.status)
+            for r in rep.rows
+        ],
+    )
     payload = rep.as_dict()
     payload["derivative_lemma"] = [
         {"p": r.p, "radius": r.radius, "observed": r.observed, "bound": r.bound, "status": r.status}
@@ -433,13 +432,11 @@ def _compare_one(sc: Scenario, out_dir: str, extra=None) -> int:
     sol = _solve_scenario(sc)
     rep = calibrate(sol, tolerance=sc.tolerance)
     os.makedirs(out_dir, exist_ok=True)
-    import csv as _csv
-
-    with open(os.path.join(out_dir, "comparison.csv"), "w", newline="", encoding="utf-8") as fh:
-        wr = _csv.writer(fh, lineterminator="\n")
-        wr.writerow(("candidate_kappa", "max_deviation"))
-        for k, dev in sorted(rep.per_candidate.items()):
-            wr.writerow((repr(float(k)), repr(float(dev))))
+    write_csv(
+        os.path.join(out_dir, "comparison.csv"),
+        ("candidate_kappa", "max_deviation"),
+        [(repr(float(k)), repr(float(dev))) for k, dev in sorted(rep.per_candidate.items())],
+    )
     write_json(
         os.path.join(out_dir, "report.json"),
         {

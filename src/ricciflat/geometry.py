@@ -9,6 +9,7 @@ and tests.  Conventions are fixed in ``conventions.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product as iproduct
 
 import numpy as np
 
@@ -76,21 +77,18 @@ class HermitianJetMatrix:
         )
 
     def hermitian_defect(self) -> float:
-        """Max coefficientwise deviation |entry(i,j) - conj(entry(j,i))|."""
-        worst = 0.0
+        """Max coefficientwise deviation |entry(i,j) - conj(entry(j,i))|; NaN
+        as soon as one compared coefficient is NaN."""
+        diffs = [0.0]
         for i in range(self.n):
             for j in range(self.n):
                 a = self.entries[i][j]
                 b = _conj_entry(self.entries[j][i])
                 if isinstance(a, TJet):
-                    m = min(a.order, b.order)
-                    d = max(
-                        max_coeff_diff(a.coeffs[k], b.coeffs[k]) for k in range(m + 1)
-                    )
+                    diffs.extend(map(max_coeff_diff, a.coeffs, b.coeffs))
                 else:
-                    d = max_coeff_diff(a, b)
-                worst = max(worst, d)
-        return worst
+                    diffs.append(max_coeff_diff(a, b))
+        return float(np.max(diffs))
 
     def base_matrix(self) -> np.ndarray:
         """Constant terms at the base point as a plain complex matrix (order 0
@@ -117,7 +115,7 @@ def jet_det(g: HermitianJetMatrix):
     """Truncated determinant by cofactor expansion (n <= 4); works for Jet
     and TJet entries alike."""
     full = tuple(range(g.n))
-    return _minor_det(g.entries, full, full, {})
+    return minor_det(g.entries, full, full, {})
 
 
 def adjugate(g: HermitianJetMatrix):
@@ -138,29 +136,52 @@ def adjugate(g: HermitianJetMatrix):
     adj = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            cof = _minor_det(rows, full[:i] + full[i + 1 :], full[:j] + full[j + 1 :], memo)
+            cof = minor_det(rows, full[:i] + full[i + 1 :], full[:j] + full[j + 1 :], memo)
             if (i + j) % 2 == 1:
                 cof = -cof
             adj[j][i] = cof
     return adj
 
 
-def _minor_det(rows, R: tuple, C: tuple, memo: dict):
+def minor_det(rows, R: tuple, C: tuple, memo: dict):
     """Determinant of the minor on row tuple R and column tuple C by
     Laplace expansion along its first row; ``memo`` maps (R, C) to the
-    minors already expanded within the caller's call."""
+    minors already expanded within the caller's call.  This division-free
+    cofactor expansion is the one determinant routine of the package."""
     det = memo.get((R, C))
     if det is None:
         if len(R) == 1:
             det = rows[R[0]][C[0]]
         else:
             for k, j in enumerate(C):
-                term = rows[R[0]][j] * _minor_det(rows, R[1:], C[:k] + C[k + 1 :], memo)
+                term = rows[R[0]][j] * minor_det(rows, R[1:], C[:k] + C[k + 1 :], memo)
                 if k % 2 == 1:
                     term = -term
                 det = term if det is None else det + term
         memo[(R, C)] = det
     return det
+
+
+def det_coefficient(g_orders, m: int) -> Jet:
+    """[t^m] det(sum_k g^(k) t^k) for matrices g^(k) of Jet entries.
+
+    The determinant is multilinear in rows, so the coefficient is the sum,
+    over order tuples (k_0, .., k_{n-1}) with sum m, of the determinant whose
+    row r comes from g^(k_r).  With the orders stacked into one row list,
+    that row sits at index k_r n + r, and all tuples share one memo of minors.
+    """
+    n = len(g_orders[0])
+    rows = [row for g in g_orders for row in g]
+    cols = tuple(range(n))
+    memo = {}
+    acc = None
+    orders = range(min(m, len(g_orders) - 1) + 1)
+    for combo in iproduct(orders, repeat=n):
+        if sum(combo) != m:
+            continue
+        term = minor_det(rows, tuple(k * n + r for r, k in enumerate(combo)), cols, memo)
+        acc = term if acc is None else acc + term
+    return acc if acc is not None else g_orders[0][0][0].ctx.zero()
 
 
 def complex_mixed_hessian(f: Jet | TJet, allow_exhausted: bool = False) -> HermitianJetMatrix:
@@ -257,8 +278,10 @@ class InitialData:
         if self.base_point is None:
             object.__setattr__(self, "base_point", np.zeros(2 * self.n))
         base = self.h.base_matrix()
+        if not np.isfinite(base).all():
+            raise InvalidInputError("initial metric is not finite at the base point")
         herm = self.h.hermitian_defect()
-        if herm > 1e-9:
+        if not herm <= 1e-9:
             raise InvalidInputError(
                 f"initial metric is not Hermitian (defect {herm:.3e})"
             )

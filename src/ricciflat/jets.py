@@ -529,9 +529,6 @@ class TJet:
     def valid_degrees(self) -> tuple[int, ...]:
         return tuple(c.valid_degree for c in self.coeffs)
 
-    def coeff(self, m: int) -> Jet:
-        return self.coeffs[m]
-
     def __add__(self, other):
         if isinstance(other, (int, float, complex)):
             other = t_constant(self.ctx, other, self.order)
@@ -577,11 +574,6 @@ class TJet:
 
 def t_constant(ctx: JetContext, value: complex, order: int) -> TJet:
     return TJet([ctx.constant(value)] + [ctx.zero() for _ in range(order)])
-
-
-def t_coeff(a: TJet, m: int) -> Jet:
-    """Coefficient of t^m."""
-    return a.coeffs[m]
 
 
 def t_integrate(a: TJet) -> TJet:

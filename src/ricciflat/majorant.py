@@ -28,7 +28,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import HermitianJetMatrix, complex_mixed_hessian, jet_det
+from .geometry import complex_mixed_hessian, jet_det, minor_det
 from .jets import (
     Jet,
     TJet,
@@ -38,7 +38,6 @@ from .jets import (
     jet_mul,
     jet_reciprocal,
     jet_scale,
-    t_coeff,
 )
 from .solver import Solution
 
@@ -160,7 +159,9 @@ def nonlinearity_bounds(sol: Solution, params: MajorantParams, m_max: int) -> di
     where Z stands for the shifted potential and the Y_{ij} for the
     integrated operator images.  The determinant is multilinear in columns,
     so the coefficient of t^p Y^beta is an explicit jet: columns selected by
-    beta become unit vectors, the rest stay h + t L(v_0).  The e^{-Z} factor
+    beta become unit vectors e_rows, the rest stay A = h + t L(v_0).  Such a
+    determinant is the signed complementary minor of A on the remaining rows
+    and columns, and all minors come from one memo.  The e^{-Z} factor
     contributes the exact scalar (-1)^q / q!.  Each jet coefficient is
     bounded by its polydisc supremum times the inflation factor.
 
@@ -178,14 +179,22 @@ def nonlinearity_bounds(sol: Solution, params: MajorantParams, m_max: int) -> di
     Lv0 = hess.map(lambda e: jet_scale(e, -1.0 / c))
     recip_det_h = jet_reciprocal(jet_det(h))
 
+    # A = h + t L(v_0), padded to order n so one memo serves every minor.
+    zero = ctx.zero()
+    A = [
+        [TJet([h.entries[i][j], Lv0.entries[i][j]] + [zero] * (n - 1)) for j in range(n)]
+        for i in range(n)
+    ]
+    memo = {}
+
     # sup |[t^p Y^beta] det(...) / det h| aggregated over patterns by |beta|
     keyed = []
     for k in range(n + 1):
         for cols in combinations(range(n), k):
             for rows in permutations(range(n), k):
-                series = _pattern_determinant(h, Lv0, cols, rows, ctx)
-                for p in range(series.order + 1):
-                    keyed.append(((p, k), jet_mul(t_coeff(series, p), recip_det_h)))
+                series = _pattern_series(A, rows, cols, memo)
+                for p, coeff in enumerate(series.coeffs):
+                    keyed.append(((p, k), jet_mul(coeff, recip_det_h)))
     pts = polydisc_grid(ctx.nvars, params.R, params.grid_points)
     sups = np.max(np.abs(jet_eval_grid([d for _, d in keyed], pts)), axis=1)
     agg: dict[tuple[int, int], float] = {}
@@ -204,23 +213,20 @@ def nonlinearity_bounds(sol: Solution, params: MajorantParams, m_max: int) -> di
     return bounds
 
 
-def _pattern_determinant(h, Lv0, cols, rows, ctx) -> TJet:
-    """det of the matrix whose beta-selected columns are unit vectors e_row
-    and whose remaining columns are h + t L(v_0), as an order-n t-series."""
-    n = h.n
-    order = n - len(cols)
-    zero = ctx.zero()
-    entries = [[None] * n for _ in range(n)]
-    sel = dict(zip(cols, rows))
-    for i in range(n):
-        for j in range(n):
-            if j in sel:
-                const = ctx.constant(1.0 if i == sel[j] else 0.0)
-                entries[i][j] = TJet([const] + [zero] * order)
-            else:
-                coeffs = [h.entries[i][j], Lv0.entries[i][j]] + [zero] * max(order - 1, 0)
-                entries[i][j] = TJet(coeffs[: order + 1])
-    return jet_det(HermitianJetMatrix(entries))
+def _pattern_series(A, rows, cols, memo: dict) -> TJet:
+    """det of A with the columns ``cols`` replaced by the unit vectors e_rows,
+    as a t-series of order n - k.  Laplace expansion along those columns
+    leaves the complementary minor of A, signed by
+    (-1)^(sum rows + sum cols + inversions of rows)."""
+    n, k = len(A), len(cols)
+    inversions = sum(a > b for a, b in combinations(rows, 2))
+    sign = (-1) ** (sum(rows) + sum(cols) + inversions)
+    if k == n:
+        return TJet([A[0][0].ctx.constant(float(sign))])
+    R = tuple(i for i in range(n) if i not in rows)
+    C = tuple(j for j in range(n) if j not in cols)
+    series = minor_det(A, R, C, memo).truncate(n - k)
+    return series if sign > 0 else -series
 
 
 # ---------------------------------------------------------------------------

@@ -73,14 +73,17 @@ def matrix_rows(name: str, matrix):
             yield from series_rows(name, matrix.entries[i][j], i, j)
 
 
-def write_series_csv(path: str, blocks) -> None:
-    """blocks: iterable of row iterables (from series_rows / matrix_rows)."""
+def write_csv(path: str, header, rows) -> None:
+    """One CSV table: the header, then ``rows``, each line ended by "\\n"."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(SERIES_COLUMNS)
-        for block in blocks:
-            for row in block:
-                w.writerow(row)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_series_csv(path: str, blocks) -> None:
+    """blocks: iterable of row iterables (from series_rows / matrix_rows)."""
+    write_csv(path, SERIES_COLUMNS, (row for block in blocks for row in block))
 
 
 def residual_rows(report) -> list[tuple]:
@@ -100,12 +103,7 @@ def residual_rows(report) -> list[tuple]:
 
 
 def write_residuals_csv(path: str, reports) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(RESIDUAL_COLUMNS)
-        for rep in reports:
-            for row in residual_rows(rep):
-                w.writerow(row)
+    write_csv(path, RESIDUAL_COLUMNS, (row for rep in reports for row in residual_rows(rep)))
 
 
 def _strict_json(obj):

@@ -22,20 +22,27 @@ right-hand side with coefficient -c e^{-v_0} det h = -1 identically; that
 identity is asserted at startup rather than re-derived each run, and it is
 what makes the recursion non-resonant (the divisor never vanishes).  Each
 order consumes two spatial degrees, so v_m is trusted two degrees less than
-v_{m-1}: to D - 2m when h is trusted through the cap D.
+v_{m-1}: to D - 2m when h is trusted through the cap D.  When the top order
+ends with no trusted degree, ``solve`` warns and the checks skip it.
+
+The new coefficient [t^{m+1}] det g comes from ``geometry.det_coefficient``,
+the row-multilinear expansion over order tuples on top of the package's one
+memoised Laplace expansion; only that coefficient is formed per order, the
+lower ones are kept in the state.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
-from itertools import permutations, product as iproduct
 
 from .errors import DegeneracyError, InvalidInputError
 from .geometry import (
     HermitianJetMatrix,
     InitialData,
     complex_mixed_hessian,
+    det_coefficient,
     jet_det,
 )
 from .jets import (
@@ -65,19 +72,18 @@ class SolverConfig:
     Order m is trusted two spatial degrees less than order m - 1, starting
     from the validity of log(c det h) (D, or less when h itself is trusted
     only to a lower degree).  When the top orders run out of trusted degrees
-    the solver by default continues with negative validity (downstream
-    checks skip those coefficients); with ``strict_validity`` it raises.
+    the solver continues with negative validity (downstream checks skip
+    those coefficients) and warns.
     """
 
     c: float = 1.0
     t_order: int = 8
     space_degree: int = 12
     tolerance: float = 1e-9
-    strict_validity: bool = False
 
     def __post_init__(self):
-        if self.c == 0:
-            raise InvalidInputError("constant c must be nonzero")
+        if not math.isfinite(self.c) or self.c == 0:
+            raise InvalidInputError(f"constant c must be finite and nonzero, got {self.c}")
         if self.t_order < 1:
             raise InvalidInputError("t_order must be >= 1")
         if self.space_degree < 2:
@@ -166,20 +172,12 @@ def init_state(initial: InitialData, config: SolverConfig) -> SolverState:
 
 def step(state: SolverState) -> SolverState:
     """Advance one order: produce g^(m+1) and v_{m+1}."""
-    cfg = state.config
     m = state.m
-    c = cfg.c
-    vm = state.v[m]
-    if vm.valid_degree < 2 and cfg.strict_validity:
-        raise DegeneracyError(
-            f"spatial validity exhausted at order {m}: degree cap "
-            f"{cfg.space_degree} is too small for t_order {cfg.t_order} "
-            f"(need >= {2 * cfg.t_order + 2})"
-        )
-    hess = complex_mixed_hessian(vm, allow_exhausted=True)
+    c = state.config.c
+    hess = complex_mixed_hessian(state.v[m], allow_exhausted=True)
     g_new = hess.map(lambda e: jet_scale(e, -1.0 / (c * (m + 1)))).entries
 
-    det_new = _det_coefficient(state.g + (g_new,), m + 1)
+    det_new = det_coefficient(state.g + (g_new,), m + 1)
 
     # [t^{m+1}] e^{-v} with v_{m+1} pinned to zero: the k = m+1 term of the
     # exponential recursion drops out.
@@ -203,57 +201,8 @@ def step(state: SolverState) -> SolverState:
     )
 
 
-def _det_coefficient(g_orders: tuple, m: int) -> Jet:
-    """[t^m] det(sum_k g^(k) t^k) by multilinear expansion over column orders."""
-    n = len(g_orders[0])
-    ctx = g_orders[0][0][0].ctx
-    if n == 1:
-        return g_orders[m][0][0] if m < len(g_orders) else ctx.zero()
-
-    acc = None
-    orders = range(min(m, len(g_orders) - 1) + 1)
-    for combo in iproduct(orders, repeat=n):
-        if sum(combo) != m:
-            continue
-        for perm in permutations(range(n)):
-            sign = _perm_sign(perm)
-            term = g_orders[combo[0]][0][perm[0]]
-            for r in range(1, n):
-                term = jet_mul(term, g_orders[combo[r]][r][perm[r]])
-            term = jet_scale(term, float(sign))
-            acc = term if acc is None else jet_add(acc, term)
-    return acc if acc is not None else ctx.zero()
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def solve(initial: InitialData, config: SolverConfig) -> Solution:
     """Run the recursion to the configured order and assemble the outputs."""
-    notes = []
-    if config.space_degree < 2 * config.t_order + 2:
-        msg = (
-            f"space_degree {config.space_degree} < 2*t_order + 2 = "
-            f"{2 * config.t_order + 2}: top orders have no trusted spatial "
-            f"coefficients and are skipped by checks"
-        )
-        warnings.warn(msg, stacklevel=2)
-        notes.append(msg)
-
     state = init_state(initial, config)
 
     # The extraction divisor hard-codes the unit identity c e^{-v0} det h = 1.
@@ -271,6 +220,15 @@ def solve(initial: InitialData, config: SolverConfig) -> Solution:
         state = step(state)
 
     v = TJet(state.v)
+    notes = []
+    if v.valid_degrees[-1] < 0:
+        msg = (
+            f"space_degree {config.space_degree} < 2*t_order + 2 = "
+            f"{2 * config.t_order + 2}: top orders have no trusted spatial "
+            f"coefficients and are skipped by checks"
+        )
+        warnings.warn(msg, stacklevel=2)
+        notes.append(msg)
     n = initial.n
     g = HermitianJetMatrix(
         [

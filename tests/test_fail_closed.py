@@ -10,7 +10,9 @@ import pytest
 
 from ricciflat import geometry as geo
 from ricciflat.cli import main
-from ricciflat.jets import Jet, TJet
+from ricciflat.errors import InvalidInputError
+from ricciflat.geometry import HermitianJetMatrix, InitialData
+from ricciflat.jets import Jet, TJet, context
 from ricciflat.majorant import _dom_row, check_domination, estimate_params
 from ricciflat.report import write_json
 from ricciflat.solver import SolverConfig, solve
@@ -105,3 +107,39 @@ def test_cli_verify_with_nan_perturbation_fails_with_strict_json(tmp_path):
     report = _strict_load(out / "report.json")
     assert report["passed"] is False
     assert report["checks"]["system"]["max_relative_residual"] == "NaN"
+
+
+def _flat_with_nan(i, j, idx):
+    ctx = context(2, 4)
+    rows = [[ctx.constant(1.0 if a == b else 0.0) for b in range(2)] for a in range(2)]
+    c = rows[i][j].coeffs.copy()
+    c[idx] = math.nan
+    rows[i][j] = Jet(ctx, c, ctx.cap)
+    return HermitianJetMatrix(rows)
+
+
+@pytest.mark.parametrize("i, j, idx", [(1, 0, 3), (0, 1, 3), (1, 1, 0)])
+def test_initial_data_rejects_nan_entries(i, j, idx):
+    h = _flat_with_nan(i, j, idx)
+    assert math.isnan(h.hermitian_defect())
+    with pytest.raises(InvalidInputError):
+        InitialData(n=2, h=h)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_solver_config_rejects_non_finite_c(c):
+    with pytest.raises(InvalidInputError):
+        SolverConfig(c=c)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--metric", "fubini_study_chart:1,nan"),
+        ("--metric", "fubini_study_chart:1,1", "--c", "nan"),
+    ],
+)
+def test_cli_verify_rejects_non_finite_input_with_exit_two(tmp_path, extra):
+    out = tmp_path / "out"
+    code = main(["verify", *extra, "--M", "4", "--D", "10", "--no-timestamp", "--out", str(out)])
+    assert code == 2

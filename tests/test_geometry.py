@@ -1,3 +1,5 @@
+from itertools import combinations, permutations, product as iproduct
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -10,6 +12,7 @@ from ricciflat.geometry import (
     adjugate,
     builtin_metric,
     complex_mixed_hessian,
+    det_coefficient,
     flat,
     fubini_study_chart,
     jet_det,
@@ -253,6 +256,47 @@ def test_adjugate_times_matrix_is_det_identity(n, kind):
             # max_coeff_diff reads through the common trusted degree only
             for p, t in zip(as_series(prod), as_series(target)):
                 assert max_coeff_diff(p, t) <= 1e-12 * scale
+
+
+# Reference: the Leibniz expansion of [t^m] det(sum_k g^(k) t^k) over order
+# tuples times permutations, which the solver used before it took its minors
+# from the memoised expansion.
+def _leibniz_det_coefficient(g_orders, m):
+    n = len(g_orders[0])
+    if n == 1:
+        return g_orders[m][0][0]
+    acc = None
+    for combo in iproduct(range(m + 1), repeat=n):
+        if sum(combo) != m:
+            continue
+        for perm in permutations(range(n)):
+            inversions = sum(a > b for a, b in combinations(perm, 2))
+            term = g_orders[combo[0]][0][perm[0]]
+            for r in range(1, n):
+                term = jet_mul(term, g_orders[combo[r]][r][perm[r]])
+            term = jet_scale(term, float((-1) ** inversions))
+            acc = term if acc is None else acc + term
+    return acc
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_det_coefficient_matches_leibniz_expansion(n):
+    ctx = context(n, _DET_CAPS[n])
+    rng = np.random.default_rng(30 + n)
+    g_orders = tuple(
+        random_hermitian(ctx, rng, scale=0.2 / (k + 1))
+        .map(lambda e, k=k: jet_restrict_validity(e, ctx.cap - k))
+        .entries
+        for k in range(4)
+    )
+    for m in range(4):
+        got = det_coefficient(g_orders[: m + 1], m)
+        want = _leibniz_det_coefficient(g_orders[: m + 1], m)
+        if n == 1:
+            assert _same_bits(got, want)
+        else:
+            assert got.valid_degree == want.valid_degree
+            assert max_coeff_diff(got, want) <= 1e-14 * max(1.0, max_abs_coeff(want))
 
 
 # -- Ricci form ------------------------------------------------------------------

@@ -26,7 +26,6 @@ from ricciflat.jets import (
     jet_scale,
     jet_truncate,
     max_coeff_diff,
-    t_coeff,
     t_derive,
     t_integrate,
     t_reciprocal,
@@ -293,12 +292,6 @@ def test_t_reciprocal_roundtrip():
     assert max_coeff_diff(prod.coeffs[0], ctx.constant(1.0)) < 1e-12
     for m in range(1, prod.order + 1):
         assert np.max(np.abs(prod.coeffs[m].coeffs)) < 1e-12
-
-
-def test_t_coeff_indexing():
-    ctx = context(1, 2)
-    series = TJet([ctx.constant(float(k)) for k in range(4)])
-    assert t_coeff(series, 2).constant_term == 2.0
 
 
 def test_jets_close_uses_common_validity():

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 from conftest import solve_corpus_member
 from ricciflat import geometry as geo
 from ricciflat.errors import InvalidInputError
-from ricciflat.geometry import HermitianJetMatrix, InitialData
-from ricciflat.jets import context
+from ricciflat import majorant
+from ricciflat.geometry import HermitianJetMatrix, InitialData, complex_mixed_hessian, jet_det
+from ricciflat.jets import TJet, context, jet_log, jet_scale
 from ricciflat.majorant import (
     MajorantParams,
     cauchy_estimate_check,
@@ -154,6 +156,66 @@ def test_nonlinearity_bounds_weight_filter():
     for (p, q, s, at, bt) in bounds:
         assert p + q + s + at + 2 * bt >= 2
         assert p + q + s + at + bt <= 5
+
+
+# Reference: each pattern as one full determinant, the unit columns written
+# out, as the majorant computed it before it took the complementary minors
+# from one memo.
+def _reference_pattern_determinant(h, Lv0, cols, rows, ctx):
+    n = h.n
+    order = n - len(cols)
+    zero = ctx.zero()
+    entries = [[None] * n for _ in range(n)]
+    sel = dict(zip(cols, rows))
+    for i in range(n):
+        for j in range(n):
+            if j in sel:
+                const = ctx.constant(1.0 if i == sel[j] else 0.0)
+                entries[i][j] = TJet([const] + [zero] * order)
+            else:
+                coeffs = [h.entries[i][j], Lv0.entries[i][j]] + [zero] * max(order - 1, 0)
+                entries[i][j] = TJet(coeffs[: order + 1])
+    return jet_det(HermitianJetMatrix(entries))
+
+
+def _reference_pattern_series(A, rows, cols, memo):
+    h = HermitianJetMatrix([[e.coeffs[0] for e in row] for row in A])
+    Lv0 = HermitianJetMatrix([[e.coeffs[1] for e in row] for row in A])
+    return _reference_pattern_determinant(h, Lv0, cols, rows, A[0][0].ctx)
+
+
+_PATTERN_CAPS = {1: 8, 2: 6, 3: 4, 4: 4}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_signed_minors_equal_the_full_pattern_determinants(n):
+    h = geo.perturbed_flat(n, 0.1, n, 2, _PATTERN_CAPS[n]).h
+    hess = complex_mixed_hessian(jet_log(jet_det(h)), allow_exhausted=True)
+    zero = h.entries[0][0].ctx.zero()
+    A = [
+        [TJet([h[i, j], jet_scale(hess[i, j], -1.0)] + [zero] * (n - 1)) for j in range(n)]
+        for i in range(n)
+    ]
+    memo = {}
+    for k in range(n + 1):
+        for cols in combinations(range(n), k):
+            for rows in permutations(range(n), k):
+                got = majorant._pattern_series(A, rows, cols, memo)
+                want = _reference_pattern_series(A, rows, cols, None)
+                assert got.order == want.order == n - k
+                for a, b in zip(got.coeffs, want.coeffs):
+                    assert a.valid_degree == b.valid_degree
+                    assert np.array_equal(a.coeffs, b.coeffs)
+
+
+@pytest.mark.parametrize("n, D", [(1, 10), (2, 8), (3, 6), (4, 4)])
+def test_nonlinearity_bounds_unchanged_by_the_shared_minors(n, D, monkeypatch):
+    # the bounds read only h and v_0, so one solved order is enough
+    sol = solve(geo.perturbed_flat(n, 0.1, 0, 2, D), SolverConfig(t_order=1, space_degree=D))
+    params = simple_params(R=0.2)
+    got = nonlinearity_bounds(sol, params, 4)
+    monkeypatch.setattr(majorant, "_pattern_series", _reference_pattern_series)
+    assert got == nonlinearity_bounds(sol, params, 4)
 
 
 # -- domination ----------------------------------------------------------------------

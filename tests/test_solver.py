@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ricciflat import geometry as geo
-from ricciflat.errors import DegeneracyError, InvalidInputError
+from ricciflat.errors import InvalidInputError
 from ricciflat.geometry import HermitianJetMatrix, InitialData, complex_mixed_hessian
 from ricciflat.jets import (
     context,
@@ -239,13 +239,13 @@ def test_shifted_variable_recursion_agrees():
 
 def test_integrated_determinant_linear_coefficient_is_initial_determinant():
     from ricciflat.geometry import jet_det
-    from ricciflat.jets import t_coeff, t_integrate
+    from ricciflat.jets import t_integrate
 
     init = geo.perturbed_flat(1, 0.1, 4, 2, 12)
     sol = solve(init, SolverConfig(c=1.0, t_order=3, space_degree=12))
     integ = t_integrate(jet_det(sol.g))
     det_h = jet_det(init.h)
-    assert max_coeff_diff(t_coeff(integ, 1), det_h) == 0.0
+    assert max_coeff_diff(integ.coeffs[1], det_h) == 0.0
 
 
 def test_solver_preserves_hermitian_symmetry():
@@ -254,18 +254,18 @@ def test_solver_preserves_hermitian_symmetry():
     assert sol.g.hermitian_defect() <= 1e-11
 
 
-def test_strict_validity_raises_when_degrees_exhaust():
-    init = geo.fubini_study_chart(1, 1.0, 8)
-    cfg = SolverConfig(c=1.0, t_order=6, space_degree=8, strict_validity=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(DegeneracyError):
-            solve(init, cfg)
-
-
 def test_low_degree_warns_but_solves():
     init = geo.fubini_study_chart(1, 1.0, 8)
     with pytest.warns(UserWarning, match="top orders"):
         sol = solve(init, SolverConfig(c=1.0, t_order=6, space_degree=8))
     assert sol.t_order == 6
     assert sol.validity[-1] < 0
+
+
+def test_no_warning_while_the_top_order_is_trusted():
+    init = geo.fubini_study_chart(1, 1.0, 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve(init, SolverConfig(t_order=5, space_degree=10))
+    assert sol.validity == (10, 8, 6, 4, 2, 0)
+    assert sol.warnings == ()
