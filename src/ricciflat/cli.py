@@ -392,6 +392,10 @@ def _majorant_one(sc: Scenario, out_dir: str, m_max_arg=None) -> int:
     sol = _solve_scenario(sc)
     params = majorant.estimate_params(sol, sc.radius)
     m_max = m_max_arg or sol.t_order
+    if not params.A_clamped:
+        # Refuse before the bounds are built: a clamped A needs no radius
+        # estimate, any other needs C_1..C_4.
+        majorant.require_radius_orders(m_max)
     bounds = majorant.nonlinearity_bounds(sol, params, m_max)
     C = majorant.majorant_sequence(params, bounds, m_max)
     rep = majorant.check_domination(sol, params, C)

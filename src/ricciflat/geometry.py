@@ -118,11 +118,15 @@ def jet_det(g: HermitianJetMatrix):
     return minor_det(g.entries, full, full, {})
 
 
-def adjugate(g: HermitianJetMatrix):
-    """Adjugate matrix (transpose of cofactors), entrywise over the jet ring.
-    The cofactors share their smaller minors through one memo per call."""
+def det_and_adjugate(g: HermitianJetMatrix):
+    """(det g, adjugate of g) from one memo of minors.  The adjugate is the
+    transpose of the cofactors; det's first-row expansion reuses the
+    cofactor minors of row 0, so both cost one expansion."""
     n = g.n
     rows = g.entries
+    full = tuple(range(n))
+    memo = {}
+    det = minor_det(rows, full, full, memo)
     if n == 1:
         e = rows[0][0]
         if isinstance(e, TJet):
@@ -130,9 +134,7 @@ def adjugate(g: HermitianJetMatrix):
             one = TJet([ctx.constant(1.0)] + [ctx.zero() for _ in range(e.order)])
         else:
             one = e.ctx.constant(1.0)
-        return [[one]]
-    full = tuple(range(n))
-    memo = {}
+        return det, [[one]]
     adj = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -140,7 +142,13 @@ def adjugate(g: HermitianJetMatrix):
             if (i + j) % 2 == 1:
                 cof = -cof
             adj[j][i] = cof
-    return adj
+    return det, adj
+
+
+def adjugate(g: HermitianJetMatrix):
+    """The adjugate half of ``det_and_adjugate``; kept as a name because
+    the benchmark tracer (``perfbench/tracer.py``) times it."""
+    return det_and_adjugate(g)[1]
 
 
 def minor_det(rows, R: tuple, C: tuple, memo: dict):

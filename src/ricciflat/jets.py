@@ -16,14 +16,22 @@ residual checks downstream.  For the same reason products form only the
 degree blocks through the result's trusted degree (their tails are zero),
 and evaluation reads each jet only through its own ``valid_degree``.
 
+A product runs one gather, multiply, segmented sum and scatter-add per
+nonzero degree row of its first factor.  The context caches, per row, the
+pair tables of that block against all blocks of the second factor up to the
+largest degree asked for so far; smaller requests use a prefix.
+
 A TJet is a truncated power series in the moment-map variable t whose
-coefficients are jets, each with its own validity.
+coefficients are jets, each with its own validity.  The Cauchy sums of the
+series product, reciprocal and exponential form no products for a
+t-coefficient whose validity is negative: it is returned as a zero jet.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -82,7 +90,7 @@ class JetContext:
         self._order = np.argsort(self._packed, kind="stable")
         self._sorted_keys = self._packed[self._order]
 
-        self._pair_cache: dict[tuple[int, int], tuple] = {}
+        self._pair_cache: dict[int, tuple] = {}
         self._deriv_cache: dict[int, tuple] = {}
 
     # -- index helpers ----------------------------------------------------
@@ -101,28 +109,50 @@ class JetContext:
         return self._order[pos]
 
     def block_pairs(self, da: int, db: int):
-        """Gather/scatter tables multiplying the degree-da block against the
-        degree-db block.  Pairs are pre-sorted by target monomial so one
-        segmented reduction accumulates each product coefficient."""
-        tab = self._pair_cache.get((da, db))
-        if tab is None:
-            ia = np.arange(self.deg_start[da], self.deg_start[da + 1])
-            ib = np.arange(self.deg_start[db], self.deg_start[db + 1])
-            I = np.repeat(ia, len(ib))
-            J = np.tile(ib, len(ia))
-            K = self._lookup_keys(self._packed[I] + self._packed[J])
-            K = (K - self.deg_start[da + db]).astype(np.int64)
-            order = np.argsort(K, kind="stable")
-            Ks = K[order]
-            seg_starts = np.flatnonzero(np.r_[True, Ks[1:] != Ks[:-1]])
-            tab = (
-                np.ascontiguousarray(I[order], dtype=np.intp),
-                np.ascontiguousarray(J[order], dtype=np.intp),
-                seg_starts,
-                np.ascontiguousarray(Ks[seg_starts], dtype=np.intp),
-            )
-            self._pair_cache[(da, db)] = tab
-        return tab
+        """Gather tables multiplying the degree-da block against the degree-db
+        block: (I, J, segment starts, global target ranks).  Pairs are sorted
+        by target monomial, stably, so one segmented reduction accumulates
+        each product coefficient.  Built on demand by ``row_pairs``; not
+        cached."""
+        ia = np.arange(self.deg_start[da], self.deg_start[da + 1])
+        ib = np.arange(self.deg_start[db], self.deg_start[db + 1])
+        I = np.repeat(ia, len(ib))
+        J = np.tile(ib, len(ia))
+        K = self._lookup_keys(self._packed[I] + self._packed[J])
+        order = np.argsort(K, kind="stable")
+        Ks = K[order]
+        seg_starts = np.flatnonzero(np.r_[True, Ks[1:] != Ks[:-1]])
+        return I[order], J[order], seg_starts, Ks[seg_starts]
+
+    def row_pairs(self, da: int, db_max: int):
+        """Gather tables of the degree-da block against every degree-db block
+        with db <= db_max, concatenated in db order: (I, J, segment starts,
+        global target ranks, ends), where ``ends[k]`` is the (pair count,
+        segment count) of the blocks db <= k.
+
+        Targets of degree da + db fill their own block, so the row is sorted
+        by target and the tables for any smaller bound are a prefix of it.  A
+        cached row grows, by appending blocks, only when a larger db_max is
+        asked for.
+        """
+        row = self._pair_cache.get(da)
+        have = -1 if row is None else len(row[4]) - 1
+        if db_max > have:
+            parts = [] if row is None else [row[:4]]
+            ends = [] if row is None else list(row[4])
+            pairs, segs = ends[-1] if ends else (0, 0)
+            for db in range(have + 1, db_max + 1):
+                I, J, seg_starts, targets = self.block_pairs(da, db)
+                parts.append((I, J, seg_starts + pairs, targets))
+                pairs += len(I)
+                segs += len(seg_starts)
+                ends.append((pairs, segs))
+            row = tuple(
+                np.ascontiguousarray(np.concatenate(col), dtype=np.intp)
+                for col in zip(*parts)
+            ) + (tuple(ends),)
+            self._pair_cache[da] = row
+        return row
 
     def deriv_table(self, var: int):
         tab = self._deriv_cache.get(var)
@@ -285,10 +315,20 @@ def jet_scale(a: Jet, s: complex) -> Jet:
 def jet_mul(a: Jet, b: Jet) -> Jet:
     """Truncated Cauchy product through the trusted degree of the result.
 
-    Only degree blocks da + db <= min(valid_degree) are formed, so the
+    Only degree blocks da + db <= vd = min(valid_degree) are formed, so the
     untrusted tail of the product is zero and the operands are read only
-    through that degree.  All-zero blocks of either factor are skipped, and
-    the kernel drops to float arithmetic when both trusted prefixes are real.
+    through vd.  Each nonzero degree row da of ``a`` costs one gather, one
+    multiply, one segmented sum and one scatter-add, over the prefix of its
+    row tables that reaches b's highest nonzero block of degree <= vd - da.
+    The kernel drops to float arithmetic when both trusted prefixes are real.
+
+    The result is bitwise that of a loop over (da, db) block pairs: each
+    target still receives one sum per da, in ascending da, and each sum runs
+    over the same pairs in the same order.  Two details keep it so.  The
+    constant pair is multiplied as scalars, because numpy rounds a complex
+    product of length one (its scalar path) differently from the same
+    product inside a longer array.  The output starts as +0.0 and is only
+    ever added to, so a sum of -0.0 never shows as -0.0.
     """
     _require_same_ctx(a, b)
     ctx = a.ctx
@@ -299,23 +339,26 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
 
     start = ctx.deg_start
     av, bv = a.coeffs[: start[vd + 1]], b.coeffs[: start[vd + 1]]
-    nz_a = np.logical_or.reduceat(av != 0, start[: vd + 1])
-    nz_b = np.logical_or.reduceat(bv != 0, start[: vd + 1])
-    if not (nz_a.any() and nz_b.any()):
+    rows = np.logical_or.reduceat(av != 0, start[: vd + 1]).nonzero()[0].tolist()
+    cols = np.logical_or.reduceat(bv != 0, start[: vd + 1]).nonzero()[0].tolist()
+    if not (rows and cols):
         return _fresh(ctx, out, vd)
     both_real = not (av.imag.any() or bv.imag.any())
     if both_real:
         av, bv = av.real.copy(), bv.real.copy()
         out = np.zeros(ctx.size, dtype=np.float64)
 
-    for da in np.flatnonzero(nz_a).tolist():
-        for db in np.flatnonzero(nz_b[: vd - da + 1]).tolist():
-            I, J, seg_starts, out_idx = ctx.block_pairs(da, db)
-            prod = av[I]
-            prod *= bv[J]
-            sums = np.add.reduceat(prod, seg_starts)
-            seg = out[start[da + db] : start[da + db + 1]]
-            seg[out_idx] += sums
+    for da in rows:
+        if vd - da < cols[0]:
+            break
+        db_max = cols[bisect_right(cols, vd - da) - 1]
+        I, J, seg_starts, targets, ends = ctx.row_pairs(da, db_max)
+        pairs, segs = ends[db_max]
+        prod = av[I[:pairs]]
+        prod *= bv[J[:pairs]]
+        if da == 0:
+            prod[0] = av[0] * bv[0]
+        out[targets[:segs]] += np.add.reduceat(prod, seg_starts[:segs])
     return _fresh(ctx, out.astype(np.complex128) if both_real else out, vd)
 
 
@@ -552,12 +595,16 @@ class TJet:
             return TJet([jet_scale(c, other) for c in self.coeffs])
         if isinstance(other, Jet):
             return TJet([jet_mul(c, other) for c in self.coeffs])
-        m = min(self.order, other.order)
+        a, b = self.coeffs, other.coeffs
         out = []
-        for k in range(m + 1):
-            acc = jet_mul(self.coeffs[0], other.coeffs[k])
+        for k in range(min(self.order, other.order) + 1):
+            vd = _cauchy_validity(a, b, k, range(k + 1))
+            if vd < 0:
+                out.append(self.ctx.zero(vd))
+                continue
+            acc = jet_mul(a[0], b[k])
             for j in range(1, k + 1):
-                acc = jet_add(acc, jet_mul(self.coeffs[j], other.coeffs[k - j]))
+                acc = jet_add(acc, jet_mul(a[j], b[k - j]))
             out.append(acc)
         return TJet(out)
 
@@ -570,6 +617,14 @@ class TJet:
 
     def __repr__(self):
         return f"TJet(order={self.order}, ctx={self.ctx!r})"
+
+
+def _cauchy_validity(a, b, k: int, js: range) -> int:
+    """Validity of the Cauchy sum over j in ``js`` of a_j b_{k-j}: the least
+    over its terms.  A t-coefficient whose validity is negative is
+    untrusted, so the t-series routines return it as a zero jet without
+    forming its products."""
+    return min(min(a[j].valid_degree, b[k - j].valid_degree) for j in js)
 
 
 def t_constant(ctx: JetContext, value: complex, order: int) -> TJet:
@@ -600,6 +655,10 @@ def t_reciprocal(a: TJet) -> TJet:
     b0 = jet_reciprocal(a.coeffs[0])
     out = [b0]
     for m in range(1, a.order + 1):
+        vd = min(b0.valid_degree, _cauchy_validity(a.coeffs, out, m, range(1, m + 1)))
+        if vd < 0:
+            out.append(a.ctx.zero(vd))
+            continue
         acc = jet_mul(a.coeffs[1], out[m - 1])
         for k in range(2, m + 1):
             acc = jet_add(acc, jet_mul(a.coeffs[k], out[m - k]))
@@ -612,12 +671,16 @@ def t_exp_coeff(a, e, m: int, sign: float = 1.0) -> Jet:
     via the linear recursion E' = sign a' E.  ``a`` is a sequence of jet
     coefficients; a_k reads as zero past its length, so a caller may leave
     the top coefficient of a out (it then drops out of the recursion)."""
+    ks = range(1, min(m, len(a) - 1) + 1)
+    if not ks:
+        return e[0].ctx.zero()
+    vd = _cauchy_validity(a, e, m, ks)
+    if vd < 0:
+        return e[0].ctx.zero(vd)
     acc = None
-    for k in range(1, min(m, len(a) - 1) + 1):
+    for k in ks:
         term = jet_scale(jet_mul(a[k], e[m - k]), sign * k)
         acc = term if acc is None else jet_add(acc, term)
-    if acc is None:
-        return e[0].ctx.zero()
     return jet_scale(acc, 1.0 / m)
 
 

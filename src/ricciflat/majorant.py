@@ -431,6 +431,12 @@ def _dom_row(name, m, r, observed, bound) -> DominationRow:
     return DominationRow(name, m, r, observed, bound, status)
 
 
+def require_radius_orders(m_max: int) -> None:
+    """Refuse a majorant sequence too short for ``radius_estimate``."""
+    if m_max < 4:
+        raise InvalidInputError("radius estimate needs at least 4 coefficients")
+
+
 def radius_estimate(C: list[float], R: float, r: float) -> tuple[float | None, str]:
     """Heuristic lower-bound estimate of the t-convergence radius: reciprocal
     of the largest observed m-th root of C_m/(R-r)^{2m-2}.
@@ -438,8 +444,7 @@ def radius_estimate(C: list[float], R: float, r: float) -> tuple[float | None, s
     Returns (None, note) when the tail coefficients vanish, which means the
     dominating series is polynomial at this order.
     """
-    if len(C) - 1 < 4:
-        raise InvalidInputError("radius estimate needs at least 4 coefficients")
+    require_radius_orders(len(C) - 1)
     xs = [
         (m, C[m] / (R - r) ** (2 * m - 2))
         for m in range(1, len(C))

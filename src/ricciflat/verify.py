@@ -22,8 +22,8 @@ from .closed_form import calibrate
 from .errors import DegeneracyError, InvalidInputError
 from .geometry import (
     HermitianJetMatrix,
-    adjugate,
     complex_mixed_hessian,
+    det_and_adjugate,
     dz,
     dzbar,
     jet_det,
@@ -226,13 +226,12 @@ def laplacian_moment(sol: Solution, tolerance: float = 1e-9) -> ResidualReport:
     Both terms are regular in t because w^{-1} is; the metric inverse is
     assembled from the adjugate and the reciprocal determinant series.
     """
-    det_g = jet_det(sol.g)
+    det_g, adj = det_and_adjugate(sol.g)
     if abs(det_g.coeffs[0].constant_term) < 1e-14:
         raise DegeneracyError("metric determinant vanishes at the base point")
     # g^{ij} = adj(g)_{ij} / det g; the scalar reciprocal factors out of the
     # trace, which keeps the series arithmetic quadratic instead of cubic.
     recip = t_reciprocal(det_g)
-    adj = adjugate(sol.g)
     n = sol.n
 
     adj_trace = None

@@ -21,13 +21,16 @@ import warnings
 from ricciflat import SolverConfig, builtin_metric, solve
 
 # (metric spec, t_order M, space degree D): the benchmark sizes of the
-# perturbed workloads at n = 1, 2, 4 plus the Fubini-Study chart.
+# perturbed workloads at n = 1, 2, 4, the Fubini-Study chart at n = 1 and
+# at n = 2 (complex coefficients), and a perturbed n = 3 metric.
 SCENARIOS = (
     ("perturbed_flat:1,0.1,7,2", 8, 12),
     ("perturbed_flat:2,0.1,0,2", 5, 12),
     ("perturbed_flat:2,0.1,0,2", 4, 10),
     ("perturbed_flat:4,0.1,0,2", 3, 4),
     ("fubini_study_chart:1,1", 8, 12),
+    ("fubini_study_chart:2,1", 4, 10),
+    ("perturbed_flat:3,0.1,1,2", 3, 8),
 )
 
 

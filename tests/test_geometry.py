@@ -12,6 +12,7 @@ from ricciflat.geometry import (
     adjugate,
     builtin_metric,
     complex_mixed_hessian,
+    det_and_adjugate,
     det_coefficient,
     flat,
     fubini_study_chart,
@@ -226,8 +227,10 @@ def _random_matrix(n, kind, seed):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_det_and_adjugate_match_plain_cofactor_recursion(n, kind):
     g = _random_matrix(n, kind, seed=10 + n)
+    det, adj = det_and_adjugate(g)
     assert _same_bits(jet_det(g), _reference_det(g.entries))
-    adj = adjugate(g)
+    assert _same_bits(det, _reference_det(g.entries))
+    assert all(map(_same_bits, sum(adjugate(g), []), sum(adj, [])))
     if n == 1:
         one = adj[0][0]
         first = one.coeffs[0] if kind == "tjet" else one
@@ -243,8 +246,7 @@ def test_det_and_adjugate_match_plain_cofactor_recursion(n, kind):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_adjugate_times_matrix_is_det_identity(n, kind):
     g = _random_matrix(n, kind, seed=20 + n)
-    det = jet_det(g)
-    adj = adjugate(g)
+    det, adj = det_and_adjugate(g)
     as_series = (lambda e: e.coeffs) if kind == "tjet" else (lambda e: (e,))
     scale = max(max_abs_coeff(d) for d in as_series(det))
     for i in range(n):

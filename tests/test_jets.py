@@ -27,6 +27,7 @@ from ricciflat.jets import (
     jet_truncate,
     max_coeff_diff,
     t_derive,
+    t_exp,
     t_integrate,
     t_reciprocal,
 )
@@ -304,3 +305,192 @@ def test_jets_close_uses_common_validity():
     assert jets_close(a, b, 1e-12)
     c = Jet(ctx, (2 * (x * x)).coeffs, 2)  # differs already at degree 2
     assert not jets_close(a, c, 1e-12)
+
+
+# -- row-fused product kernel ---------------------------------------------------
+
+# Reference: the per-(da, db) block loop that the row-fused kernel replaced,
+# with its own uncached pair tables.  jet_mul must reproduce it bit for bit.
+
+
+def _reference_block_pairs(ctx, da, db):
+    ia = np.arange(ctx.deg_start[da], ctx.deg_start[da + 1])
+    ib = np.arange(ctx.deg_start[db], ctx.deg_start[db + 1])
+    I = np.repeat(ia, len(ib))
+    J = np.tile(ib, len(ia))
+    K = ctx._lookup_keys(ctx._packed[I] + ctx._packed[J]) - ctx.deg_start[da + db]
+    order = np.argsort(K, kind="stable")
+    Ks = K[order]
+    seg_starts = np.flatnonzero(np.r_[True, Ks[1:] != Ks[:-1]])
+    return I[order], J[order], seg_starts, Ks[seg_starts]
+
+
+def _reference_mul(a, b):
+    ctx = a.ctx
+    vd = min(a.valid_degree, b.valid_degree)
+    out = np.zeros(ctx.size, dtype=np.complex128)
+    if vd < 0:
+        return out, vd
+    start = ctx.deg_start
+    av, bv = a.coeffs[: start[vd + 1]], b.coeffs[: start[vd + 1]]
+    nz_a = np.logical_or.reduceat(av != 0, start[: vd + 1])
+    nz_b = np.logical_or.reduceat(bv != 0, start[: vd + 1])
+    if not (nz_a.any() and nz_b.any()):
+        return out, vd
+    both_real = not (av.imag.any() or bv.imag.any())
+    if both_real:
+        av, bv = av.real.copy(), bv.real.copy()
+        out = np.zeros(ctx.size, dtype=np.float64)
+    for da in np.flatnonzero(nz_a):
+        for db in np.flatnonzero(nz_b[: vd - da + 1]):
+            I, J, seg_starts, out_idx = _reference_block_pairs(ctx, da, db)
+            prod = av[I]
+            prod *= bv[J]
+            seg = out[start[da + db] : start[da + db + 1]]
+            seg[out_idx] += np.add.reduceat(prod, seg_starts)
+    return out.astype(np.complex128), vd
+
+
+_KERNEL_CAPS = {1: 9, 2: 6, 3: 5, 4: 4}
+
+
+def _kernel_operand(ctx, rng, kind, valid_degree):
+    """Random jet with whole zero blocks, exact +-0.0 entries and mixed signs;
+    ``kind`` is "real", "complex" or "constant" (a real constant only)."""
+    c = rng.standard_normal(ctx.size) * 10.0 ** rng.integers(-2, 3)
+    if kind == "complex":
+        c = c + 1j * rng.standard_normal(ctx.size)
+    for d in range(ctx.cap + 1):
+        if rng.random() < 0.3:
+            c[ctx.deg_start[d] : ctx.deg_start[d + 1]] = 0.0
+    c[rng.random(ctx.size) < 0.1] = 0.0
+    c[rng.random(ctx.size) < 0.1] = -0.0
+    if kind == "constant":
+        c = np.zeros(ctx.size)
+        c[0] = rng.choice([-1.5, -0.0, 2.0])
+    return Jet(ctx, np.asarray(c, dtype=np.complex128), valid_degree)
+
+
+def _assert_matches_reference(a, b):
+    got = jet_mul(a, b)
+    want, vd = _reference_mul(a, b)
+    assert got.valid_degree == vd
+    assert got.coeffs.tobytes() == want.tobytes()
+
+
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 4),
+    st.sampled_from(["real", "complex", "constant"]),
+    st.sampled_from(["real", "complex", "constant"]),
+    st.integers(-1, 9),
+    st.integers(-1, 9),
+)
+@settings(max_examples=150, deadline=None)
+def test_row_fused_product_matches_block_loop_bitwise(seed, n, kind_a, kind_b, va, vb):
+    ctx = context(n, _KERNEL_CAPS[n])
+    rng = np.random.default_rng(seed)
+    a = _kernel_operand(ctx, rng, kind_a, min(va, ctx.cap))
+    b = _kernel_operand(ctx, rng, kind_b, min(vb, ctx.cap))
+    _assert_matches_reference(a, b)
+    _assert_matches_reference(b, a)
+
+
+@pytest.mark.parametrize("valid_degree", [0, 4])
+def test_product_summing_to_negative_zero_stays_positive_zero(valid_degree):
+    # (-1) * (+0.0) = -0.0 is the whole constant-term sum; the output starts
+    # at +0.0 and is only added to, so it stays +0.0 as the block loop had it
+    ctx = context(2, 4)
+    a = ctx.constant(-1.0, valid_degree)
+    for b in (ctx.x(0), jet_scale(ctx.y(1), 1j), ctx.constant(1.0) - 1.0):
+        for x, y in ((a, b), (b, a)):
+            _assert_matches_reference(x, y)
+            const = jet_mul(x, y).coeffs[0]
+            assert const == 0 and not np.signbit(const.real) and not np.signbit(const.imag)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_product_rows_grow_and_serve_smaller_requests_from_a_prefix(n):
+    from ricciflat.jets import JetContext
+
+    ctx = JetContext(n, _KERNEL_CAPS[n])  # private context: empty row cache
+    rng = np.random.default_rng(50 + n)
+    for vd in (1, ctx.cap, 0, 2, ctx.cap - 1):
+        for kind in ("real", "complex"):
+            a = Jet(ctx, rng.standard_normal(ctx.size) + (kind == "complex") * 1j, vd)
+            b = Jet(ctx, rng.standard_normal(ctx.size), ctx.cap)
+            _assert_matches_reference(a, b)
+    # after the full-validity product each row da reaches db = cap - da
+    for da, row in ctx._pair_cache.items():
+        assert len(row[4]) == ctx.cap - da + 1
+        pairs, segs = row[4][-1]
+        assert len(row[0]) == len(row[1]) == pairs and len(row[2]) == len(row[3]) == segs
+
+
+# -- untrusted Cauchy terms ---------------------------------------------------------
+
+# References: the plain Cauchy sums, which form every product whatever its
+# validity.  The library skips t-coefficients whose validity is negative.
+
+
+def _naive_tjet_mul(a, b):
+    out = []
+    for k in range(min(a.order, b.order) + 1):
+        acc = jet_mul(a.coeffs[0], b.coeffs[k])
+        for j in range(1, k + 1):
+            acc = jet_add(acc, jet_mul(a.coeffs[j], b.coeffs[k - j]))
+        out.append(acc)
+    return TJet(out)
+
+
+def _naive_t_reciprocal(a):
+    b0 = jet_reciprocal(a.coeffs[0])
+    out = [b0]
+    for m in range(1, a.order + 1):
+        acc = jet_mul(a.coeffs[1], out[m - 1])
+        for k in range(2, m + 1):
+            acc = jet_add(acc, jet_mul(a.coeffs[k], out[m - k]))
+        out.append(jet_scale(jet_mul(b0, acc), -1.0))
+    return TJet(out)
+
+
+def _naive_t_exp(a):
+    out = [jet_exp(a.coeffs[0])]
+    for m in range(1, a.order + 1):
+        acc = jet_scale(jet_mul(a.coeffs[1], out[m - 1]), 1.0)
+        for k in range(2, m + 1):
+            acc = jet_add(acc, jet_scale(jet_mul(a.coeffs[k], out[m - k]), float(k)))
+        out.append(jet_scale(acc, 1.0 / m))
+    return TJet(out)
+
+
+def _decreasing_series(ctx, rng, step, order=5):
+    coeffs = []
+    for m in range(order + 1):
+        c = (rng.standard_normal(ctx.size) + 1j * rng.standard_normal(ctx.size)) * 0.3
+        c[0] = 1.5 if m == 0 else c[0]
+        coeffs.append(Jet(ctx, c, ctx.cap - step * m))
+    return TJet(coeffs)
+
+
+def _assert_trusted_equal_and_untrusted_zero(got, want):
+    assert got.valid_degrees == want.valid_degrees
+    assert any(v < 0 for v in got.valid_degrees)
+    for g, w in zip(got.coeffs, want.coeffs):
+        if g.valid_degree < 0:
+            assert not g.coeffs.any()
+        else:
+            end = g.ctx.deg_start[g.valid_degree + 1]
+            assert g.coeffs[:end].tobytes() == w.coeffs[:end].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("steps", [(2, 2), (2, 3), (3, 2)])
+def test_untrusted_cauchy_terms_are_zero_and_trusted_ones_unchanged(n, steps):
+    ctx = context(n, 6)
+    rng = np.random.default_rng(60 + n + 7 * steps[0] + steps[1])
+    a = _decreasing_series(ctx, rng, steps[0])
+    b = _decreasing_series(ctx, rng, steps[1])
+    _assert_trusted_equal_and_untrusted_zero(a * b, _naive_tjet_mul(a, b))
+    _assert_trusted_equal_and_untrusted_zero(t_reciprocal(a), _naive_t_reciprocal(a))
+    _assert_trusted_equal_and_untrusted_zero(t_exp(b), _naive_t_exp(b))

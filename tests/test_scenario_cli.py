@@ -258,6 +258,38 @@ def test_cli_majorant_runs(tmp_path):
     assert rep["majorant"]["C"][1] == rep["majorant"]["A"]
 
 
+@pytest.mark.parametrize(
+    "size", [("--M", "3", "--D", "8"), ("--M", "4", "--D", "8", "--m-max", "3")]
+)
+def test_cli_majorant_refuses_short_sequences_before_the_bounds(
+    tmp_path, monkeypatch, capsys, size
+):
+    from ricciflat import majorant
+
+    def never(*args, **kwargs):
+        raise AssertionError("nonlinearity_bounds ran before the refusal")
+
+    monkeypatch.setattr(majorant, "nonlinearity_bounds", never)
+    code = run_cli(
+        "majorant", "--metric", "perturbed_flat:2,0.1,1,2", *size, "--R", "0.2",
+        "--out", str(tmp_path / "maj"), "--no-timestamp",
+    )
+    assert code == 2
+    assert "radius estimate needs at least 4 coefficients" in capsys.readouterr().err
+    assert not (tmp_path / "maj").exists()
+
+
+def test_cli_majorant_with_clamped_A_needs_no_radius_estimate(tmp_path):
+    out = tmp_path / "maj"
+    code = run_cli(
+        "majorant", "--metric", "flat:1", "--M", "3", "--D", "8", "--R", "0.2",
+        "--out", str(out), "--no-timestamp",
+    )
+    assert code == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["majorant"]["radius_estimate"] is None
+
+
 def test_cli_list_metrics(capsys):
     assert run_cli("list-metrics") == 0
     out = capsys.readouterr().out
