@@ -37,6 +37,7 @@ from .report import (
 from .scenario import ALL_CHECKS, Scenario, apply_overrides, load_scenario
 from .solver import solve
 from .verify import (
+    SolutionView,
     curvature_and_class,
     laplacian_moment,
     perturb_solution,
@@ -256,27 +257,29 @@ def _verify_one(sc: Scenario, out_dir: str, extra=None) -> int:
 
     checks = sc.checks or ALL_CHECKS
     tol = sc.tolerance
+    # What the selected checks read in common, formed once for this run.
+    view = SolutionView(sol, checks)
     residual_reports = []
     results = {}
     passed = True
 
     if "system" in checks:
-        rep = residual_system(sol, tol)
+        rep = residual_system(view, tol)
         residual_reports.append(rep)
         results["system"] = rep.as_dict()
         passed &= rep.passed
     if "consequence" in checks:
-        rep = residual_consequence(sol, tol)
+        rep = residual_consequence(view, tol)
         residual_reports.append(rep)
         results["consequence"] = rep.as_dict()
         passed &= rep.passed
     if "laplacian" in checks:
-        rep = laplacian_moment(sol, tol)
+        rep = laplacian_moment(view, tol)
         residual_reports.append(rep)
         results["laplacian"] = rep.as_dict()
         passed &= rep.passed
     if "curvature" in checks:
-        rep = curvature_and_class(sol, tol)
+        rep = curvature_and_class(view, tol)
         residual_reports.append(rep.closedness)
         results["curvature"] = {
             "closedness": rep.closedness.as_dict(),

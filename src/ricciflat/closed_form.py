@@ -26,10 +26,9 @@ import numpy as np
 
 from .conventions import CALIBRATION_CANDIDATES
 from .errors import InvalidInputError
-from .geometry import HermitianJetMatrix, InitialData, jet_det, ricci_form
+from .geometry import HermitianJetMatrix, InitialData, ricci_form
 from .jets import (
     Jet,
-    TJet,
     jet_eval_many,
     jet_scale,
     max_abs_coeff,
@@ -106,29 +105,6 @@ def w_inv_closed(P: np.ndarray) -> RationalT:
         raise InvalidInputError(f"P(0) must be 1, got {P[0]}")
     integral = np.concatenate([[0.0], P / np.arange(1, len(P) + 1)])
     return RationalT(tuple(integral), tuple(P))
-
-
-def omega_of_t(
-    Phi: HermitianJetMatrix, rho: HermitianJetMatrix, t_order: int
-) -> tuple[HermitianJetMatrix, TJet]:
-    """Affine family g(t) = Phi + t*rho as a t-series matrix, plus det g(t).
-
-    det g(t) equals P(t) * det Phi whenever rho has constant eigenvalues
-    relative to Phi; the returned determinant lets callers verify that.
-    """
-    n = Phi.n
-    ctx = Phi.entries[0][0].ctx
-    zeros = [ctx.zero() for _ in range(max(t_order - 1, 0))]
-    g = HermitianJetMatrix(
-        [
-            [
-                TJet([Phi.entries[i][j], rho.entries[i][j]] + list(zeros))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    )
-    return g, jet_det(g)
 
 
 def ricci_spectrum_of(initial: InitialData, sample_count: int = 24) -> tuple[RicciSpectrum, float]:

@@ -170,24 +170,31 @@ def minor_det(rows, R: tuple, C: tuple, memo: dict):
     return det
 
 
-def det_coefficient(g_orders, m: int) -> Jet:
+def det_coefficient(g_orders, m: int, memo: dict) -> Jet:
     """[t^m] det(sum_k g^(k) t^k) for matrices g^(k) of Jet entries.
 
     The determinant is multilinear in rows, so the coefficient is the sum,
     over order tuples (k_0, .., k_{n-1}) with sum m, of the determinant whose
     row r comes from g^(k_r).  With the orders stacked into one row list,
-    that row sits at index k_r n + r, and all tuples share one memo of minors.
+    that row sits at index k_r n + r, and all tuples share ``memo``.
+
+    A row index names the same row for every m, so one memo serves every
+    order of one solve: the caller keeps it from m = 0 up and drops it with
+    that solve (see ``solver``), and order m then expands only the minors
+    whose orders sum to m.  Each n-row minor is read by one tuple of one
+    order, so it is removed from the memo once read.
     """
     n = len(g_orders[0])
     rows = [row for g in g_orders for row in g]
     cols = tuple(range(n))
-    memo = {}
     acc = None
     orders = range(min(m, len(g_orders) - 1) + 1)
     for combo in iproduct(orders, repeat=n):
         if sum(combo) != m:
             continue
-        term = minor_det(rows, tuple(k * n + r for r, k in enumerate(combo)), cols, memo)
+        R = tuple(k * n + r for r, k in enumerate(combo))
+        term = minor_det(rows, R, cols, memo)
+        del memo[(R, cols)]
         acc = term if acc is None else acc + term
     return acc if acc is not None else g_orders[0][0][0].ctx.zero()
 

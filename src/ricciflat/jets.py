@@ -282,16 +282,25 @@ class Jet:
         )
 
 
+# The slot descriptors of Jet set its fields past the immutable __setattr__.
+_new_jet = object.__new__
+_set_ctx = Jet.ctx.__set__
+_set_coeffs = Jet.coeffs.__set__
+_set_valid = Jet.valid_degree.__set__
+_set_eff = Jet._eff.__set__
+
+
 def _fresh(ctx: JetContext, coeffs: np.ndarray, valid_degree: int) -> Jet:
     """Wrap a freshly allocated coefficient array without the defensive copy
-    of the public constructor.  Internal use only: the caller must not keep a
-    writable reference."""
-    jet = object.__new__(Jet)
+    and the checks of the public constructor.  Internal use only: the caller
+    must not keep a writable reference, and ``valid_degree`` is an int no
+    larger than the cap (the operands' validities bound it)."""
+    jet = _new_jet(Jet)
     coeffs.setflags(write=False)
-    object.__setattr__(jet, "ctx", ctx)
-    object.__setattr__(jet, "coeffs", coeffs)
-    object.__setattr__(jet, "valid_degree", min(int(valid_degree), ctx.cap))
-    object.__setattr__(jet, "_eff", None)
+    _set_ctx(jet, ctx)
+    _set_coeffs(jet, coeffs)
+    _set_valid(jet, valid_degree)
+    _set_eff(jet, None)
     return jet
 
 
@@ -436,12 +445,6 @@ def jet_derive(a: Jet, var: int, allow_exhausted: bool = False) -> Jet:
     return _fresh(a.ctx, out, a.valid_degree - 1)
 
 
-def jet_eval(a: Jet, point) -> complex:
-    """Evaluate the stored polynomial at one point of R^{2n} (complex
-    coordinates are accepted for holomorphic sampling)."""
-    return complex(jet_eval_many(a, np.asarray(point)[None, :])[0])
-
-
 def jet_eval_many(a: Jet, points: np.ndarray) -> np.ndarray:
     """Evaluate at a batch of points, shape (P, 2n); returns shape (P,)."""
     return jet_eval_grid([a], points)[0]
@@ -491,20 +494,14 @@ def jet_eval_grid(jets, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def jet_truncate(a: Jet, new_cap: int) -> Jet:
-    """Restrict to a lower degree cap.  Graded ordering makes this a prefix slice."""
-    if new_cap >= a.ctx.cap:
-        return a
-    ctx2 = context(a.ctx.n, new_cap)
-    return Jet(ctx2, a.coeffs[: ctx2.size], min(a.valid_degree, new_cap))
-
-
 def jet_restrict_validity(a: Jet, valid_degree: int) -> Jet:
-    jet = object.__new__(Jet)
-    object.__setattr__(jet, "ctx", a.ctx)
-    object.__setattr__(jet, "coeffs", a.coeffs)
-    object.__setattr__(jet, "valid_degree", min(a.valid_degree, valid_degree))
-    object.__setattr__(jet, "_eff", a._eff)
+    """The same (read-only, shared) coefficients trusted to at most
+    ``valid_degree``."""
+    jet = _new_jet(Jet)
+    _set_ctx(jet, a.ctx)
+    _set_coeffs(jet, a.coeffs)
+    _set_valid(jet, min(a.valid_degree, valid_degree))
+    _set_eff(jet, a._eff)
     return jet
 
 
@@ -527,10 +524,6 @@ def max_abs_coeff(a: Jet, through_degree: int | None = None) -> float:
         return 0.0
     end = a.ctx.deg_start[d + 1]
     return float(np.max(np.abs(a.coeffs[:end]))) if end else 0.0
-
-
-def jets_close(a: Jet, b: Jet, tol: float, through_degree: int | None = None) -> bool:
-    return max_coeff_diff(a, b, through_degree) <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,11 @@ ends with no trusted degree, ``solve`` warns and the checks skip it.
 The new coefficient [t^{m+1}] det g comes from ``geometry.det_coefficient``,
 the row-multilinear expansion over order tuples on top of the package's one
 memoised Laplace expansion; only that coefficient is formed per order, the
-lower ones are kept in the state.
+lower ones are kept in the state.  ``solve`` keeps one memo of minors for
+the whole run, from det h in ``init_state`` to the last ``step``: a minor
+whose rows come from orders summing to s is expanded once, at order s, and
+read again by every later order.  The n-row minors are read once and not
+kept, and the memo is cleared before ``solve`` assembles its outputs.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from .geometry import (
     InitialData,
     complex_mixed_hessian,
     det_coefficient,
-    jet_det,
 )
 from .jets import (
     Jet,
@@ -143,15 +146,19 @@ class Solution:
         return self.validity[m] if m < len(self.validity) else -1
 
 
-def init_state(initial: InitialData, config: SolverConfig) -> SolverState:
-    """Order-0 state: v_0 = log(c det h), g^(0) = h."""
+def init_state(
+    initial: InitialData, config: SolverConfig, minors: dict | None = None
+) -> SolverState:
+    """Order-0 state: v_0 = log(c det h), g^(0) = h.  ``minors`` is the memo
+    of minors that the later steps of the same solve share (a fresh one when
+    absent)."""
     ctx = initial.ctx
     if config.space_degree != ctx.cap:
         raise InvalidInputError(
             f"config space_degree {config.space_degree} does not match the "
             f"initial data degree cap {ctx.cap}"
         )
-    det_h = jet_det(initial.h)
+    det_h = det_coefficient((initial.h.entries,), 0, {} if minors is None else minors)
     scaled = jet_scale(det_h, config.c)
     if scaled.constant_term.real <= 0 or abs(scaled.constant_term.imag) > 1e-12:
         raise InvalidInputError(
@@ -170,14 +177,16 @@ def init_state(initial: InitialData, config: SolverConfig) -> SolverState:
     )
 
 
-def step(state: SolverState) -> SolverState:
-    """Advance one order: produce g^(m+1) and v_{m+1}."""
+def step(state: SolverState, minors: dict | None = None) -> SolverState:
+    """Advance one order: produce g^(m+1) and v_{m+1}.  ``minors`` is the
+    memo of minors of g^(0)..g^(m) that the earlier orders of this solve
+    filled (a fresh one when absent); it must not outlive that solve."""
     m = state.m
     c = state.config.c
     hess = complex_mixed_hessian(state.v[m], allow_exhausted=True)
     g_new = hess.map(lambda e: jet_scale(e, -1.0 / (c * (m + 1)))).entries
 
-    det_new = det_coefficient(state.g + (g_new,), m + 1)
+    det_new = det_coefficient(state.g + (g_new,), m + 1, {} if minors is None else minors)
 
     # [t^{m+1}] e^{-v} with v_{m+1} pinned to zero: the k = m+1 term of the
     # exponential recursion drops out.
@@ -203,7 +212,8 @@ def step(state: SolverState) -> SolverState:
 
 def solve(initial: InitialData, config: SolverConfig) -> Solution:
     """Run the recursion to the configured order and assemble the outputs."""
-    state = init_state(initial, config)
+    minors = {}
+    state = init_state(initial, config, minors)
 
     # The extraction divisor hard-codes the unit identity c e^{-v0} det h = 1.
     unit = jet_mul(jet_scale(state.exp_neg_v[0], config.c), state.det_g[0])
@@ -217,7 +227,8 @@ def solve(initial: InitialData, config: SolverConfig) -> Solution:
         )
 
     for _ in range(config.t_order):
-        state = step(state)
+        state = step(state, minors)
+    minors.clear()
 
     v = TJet(state.v)
     notes = []
@@ -262,24 +273,4 @@ def solve(initial: InitialData, config: SolverConfig) -> Solution:
         w_inv_crosscheck=cross,
         base_identity_margin=margin,
         warnings=tuple(notes),
-    )
-
-
-def truncate_solution(sol: Solution, t_order: int) -> Solution:
-    """Restrict a solution to a lower t-order (coefficients are unchanged:
-    the recursion at order m never looks ahead)."""
-    if t_order >= sol.config.t_order:
-        return sol
-    cfg = replace(sol.config, t_order=t_order)
-    return Solution(
-        config=cfg,
-        input=sol.input,
-        v=sol.v.truncate(t_order),
-        g=sol.g.map(lambda e: e.truncate(t_order)),
-        w_inv=sol.w_inv.truncate(t_order + 1),
-        exp_u=sol.exp_u.truncate(t_order + 1),
-        w_inv_crosscheck=sol.w_inv_crosscheck,
-        base_identity_margin=sol.base_identity_margin,
-        warnings=sol.warnings,
-        perturbations=sol.perturbations,
     )

@@ -8,13 +8,14 @@ fiber weight w are rewritten in the regular quantities (v, w_inv) first; the
 derivative and cancels explicitly elsewhere (see docs/conventions.md for the
 worked rewrites).  Coefficients beyond the recorded spatial validity are
 never read: orders without trusted coefficients appear as skipped rows, not
-as passes.
+as passes.  The checks of one run share one ``SolutionView``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .jets import (
     TJet,
     jet_add,
     jet_conj,
+    jet_restrict_validity,
     jet_scale,
     max_abs_coeff,
     max_coeff_diff,
@@ -85,17 +87,7 @@ class ResidualReport:
             "max_relative_residual": self.max_relative_residual,
             "tolerance": self.tolerance,
             "skipped_orders": list(self.skipped_orders),
-            "rows": [
-                {
-                    "identity": r.identity,
-                    "t_order": r.t_order,
-                    "valid_degree": r.valid_degree,
-                    "residual": r.residual,
-                    "scale": r.scale,
-                    "status": r.status,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
             "metadata": self.metadata,
         }
 
@@ -119,55 +111,128 @@ def _max(*values) -> float:
 # ---------------------------------------------------------------------------
 
 
-def residual_system(sol: Solution, tolerance: float = 1e-9) -> ResidualReport:
+class SolutionView:
+    """What several checks of one verify run read, derived from the
+    ``Solution`` alone and each formed once, on first read.  ``checks`` names
+    the run's checks: det g comes with adj g only for "laplacian", which
+    drops it, and one pass over the H(v_m) makes both flow identities' rows
+    when both are read."""
+
+    def __init__(self, sol: Solution, checks=()):
+        self.sol = sol
+        self.checks = frozenset(checks)
+        self._det = self._adj = None
+        self._g_t = {}
+        self._flow = {}
+
+    @cached_property
+    def v_t(self) -> TJet:
+        return t_derive(self.sol.v)
+
+    def g_t(self, i: int, j: int) -> TJet:
+        if (i, j) not in self._g_t:
+            self._g_t[i, j] = t_derive(self.sol.g.entries[i][j])
+        return self._g_t[i, j]
+
+    def det_g(self) -> TJet:
+        if self._det is None:
+            if "laplacian" in self.checks:
+                self._det, self._adj = det_and_adjugate(self.sol.g)
+            else:
+                self._det = jet_det(self.sol.g)
+        return self._det
+
+    def det_and_adjugate(self):
+        """(det g, adj g), after which the view holds no reference to adj g."""
+        if self._adj is None:
+            self._det, self._adj = det_and_adjugate(self.sol.g)
+        adj, self._adj = self._adj, None
+        return self._det, adj
+
+    def flow(self, kind: str) -> list:
+        """(t_order, valid_degree, residual, scale) per row of ``kind``."""
+        if kind not in self._flow:
+            both = "system" in self.checks and self.checks & {"consequence", "curvature"}
+            kinds = ("hessian_flow", "second_order_flow") if both else (kind,)
+            self._flow.update(_flow_residuals(self.sol, kinds))
+        return self._flow[kind]
+
+
+def _view(sol, check: str) -> SolutionView:
+    """The run's view, or a view of a bare Solution for one check."""
+    return sol if isinstance(sol, SolutionView) else SolutionView(sol, (check,))
+
+
+def _flow_residuals(sol: Solution, kinds) -> dict:
+    """Rows of the flow identities in ``kinds``, per t-order m:
+
+    * hessian_flow       H(v_m) + c (m+1) g^(m+1) = 0
+    * second_order_flow  (1/c) H(dv/dt) + d^2 g/dt^2 = 0, in the coefficient
+      form (m+1)/c H(v_{m+1}) + (m+1)(m+2) g^(m+2) = 0
+
+    Both rows that read H(v_m), hessian_flow m and second_order_flow m - 1,
+    are made from one H(v_m).
+    """
+    c = sol.config.c
+    out = {kind: [] for kind in kinds}
+    for m in range(0 if "hessian_flow" in kinds else 1, sol.t_order):
+        vm = sol.v.coeffs[m]
+        hess = [e for row in complex_mixed_hessian(vm, allow_exhausted=True).entries for e in row]
+        g_next = [e.coeffs[m + 1] for row in sol.g.entries for e in row]
+        valid = vm.valid_degree - 2
+        if "hessian_flow" in kinds:
+            terms = ((h, jet_scale(g, c * (m + 1))) for h, g in zip(hess, g_next))
+            out["hessian_flow"].append((m, valid, *_sum_residual(terms, valid)))
+        if m >= 1 and "second_order_flow" in kinds:
+            a, b = m / c, float(m * (m + 1))
+            terms = ((jet_scale(h, a), jet_scale(g, b)) for h, g in zip(hess, g_next))
+            out["second_order_flow"].append((m - 1, valid, *_sum_residual(terms, valid)))
+    return out
+
+
+def _sum_residual(terms, valid: int):
+    """Worst |a + b| over the term pairs (a, b), and the largest |a|, |b|,
+    all read through the trusted degree of a + b, at most ``valid``."""
+    worst, scale = 0.0, 0.0
+    for a, b in terms:
+        resid = jet_add(a, b)
+        v = min(resid.valid_degree, valid)
+        if v >= 0:
+            worst = _max(worst, max_abs_coeff(resid, v))
+            scale = _max(scale, max_abs_coeff(a, v), max_abs_coeff(b, v))
+    return worst, scale
+
+
+def _series_rows(identity, a: TJet, b: TJet, factor, scaled_by: TJet, tolerance):
+    """Rows of a + factor b = 0, one per t-order, each scaled by the
+    coefficient of ``scaled_by``."""
+    for m in range(min(a.order, b.order) + 1):
+        resid = jet_add(a.coeffs[m], jet_scale(b.coeffs[m], factor))
+        valid = min(a.coeffs[m].valid_degree, b.coeffs[m].valid_degree)
+        worst = max_abs_coeff(resid, valid) if valid >= 0 else 0.0
+        scale = max_abs_coeff(scaled_by.coeffs[m], valid) if valid >= 0 else 1.0
+        yield _row(identity, m, valid, worst, scale, tolerance)
+
+
+def residual_system(sol, tolerance: float = 1e-9) -> ResidualReport:
     """Residuals of the defining system on the assembled series:
 
     * hessian flow      H(v_m) + c (m+1) g^(m+1) = 0
     * volume growth     e^v (1 + t dv/dt) - c det g = 0
     * weight consistency  w_inv * det g - c * integral(det g) = 0
     """
+    d = _view(sol, "system")
+    sol = d.sol
     c = sol.config.c
-    rows = []
+    rows = [_row("hessian_flow", *r, tolerance) for r in d.flow("hessian_flow")]
 
-    for m in range(sol.t_order):
-        vm = sol.v.coeffs[m]
-        hess = complex_mixed_hessian(vm, allow_exhausted=True)
-        scale = 0.0
-        worst = 0.0
-        valid = vm.valid_degree - 2
-        for i in range(sol.n):
-            for j in range(sol.n):
-                g_next = sol.g.entries[i][j].coeffs[m + 1]
-                term = jet_scale(g_next, c * (m + 1))
-                resid = jet_add(hess.entries[i][j], term)
-                v = min(resid.valid_degree, valid)
-                if v >= 0:
-                    worst = _max(worst, max_abs_coeff(resid, v))
-                    scale = _max(
-                        scale, max_abs_coeff(hess.entries[i][j], v), max_abs_coeff(term, v)
-                    )
-        rows.append(_row("hessian_flow", m, valid, worst, scale, tolerance))
-
-    exp_v = t_exp(sol.v)
-    one_plus = TJet((sol.input.ctx.constant(1.0),) + t_derive(sol.v).coeffs)
-    lhs = exp_v * one_plus
-    det_g = jet_det(sol.g)
-    for m in range(min(lhs.order, det_g.order) + 1):
-        resid = jet_add(lhs.coeffs[m], jet_scale(det_g.coeffs[m], -c))
-        valid = min(lhs.coeffs[m].valid_degree, det_g.coeffs[m].valid_degree)
-        worst = max_abs_coeff(resid, valid) if valid >= 0 else 0.0
-        scale = max_abs_coeff(lhs.coeffs[m], valid) if valid >= 0 else 1.0
-        rows.append(_row("volume_growth", m, valid, worst, scale, tolerance))
-
-    wd = sol.w_inv * det_g
+    lhs = t_exp(sol.v) * TJet((sol.input.ctx.constant(1.0),) + d.v_t.coeffs)
+    det_g = d.det_g()
+    rows.extend(_series_rows("volume_growth", lhs, det_g, -c, lhs, tolerance))
     target = t_integrate(det_g) * c
-    for m in range(min(wd.order, target.order) + 1):
-        resid = jet_add(wd.coeffs[m], jet_scale(target.coeffs[m], -1.0))
-        valid = min(wd.coeffs[m].valid_degree, target.coeffs[m].valid_degree)
-        worst = max_abs_coeff(resid, valid) if valid >= 0 else 0.0
-        scale = max_abs_coeff(target.coeffs[m], valid) if valid >= 0 else 1.0
-        rows.append(_row("weight_consistency", m, valid, worst, scale, tolerance))
-
+    rows.extend(
+        _series_rows("weight_consistency", sol.w_inv * det_g, target, -1.0, target, tolerance)
+    )
     return ResidualReport(
         name="residual_system",
         rows=tuple(rows),
@@ -176,7 +241,7 @@ def residual_system(sol: Solution, tolerance: float = 1e-9) -> ResidualReport:
     )
 
 
-def residual_consequence(sol: Solution, tolerance: float = 1e-9) -> ResidualReport:
+def residual_consequence(sol, tolerance: float = 1e-9) -> ResidualReport:
     """The second-order flow identity 4 w_{z_i zbar_j} + (g_ij)_tt = 0,
     rewritten pole-free as (1/c) H(dv/dt) + d^2 g/dt^2 = 0.
 
@@ -185,40 +250,18 @@ def residual_consequence(sol: Solution, tolerance: float = 1e-9) -> ResidualRepo
     is redundant given the other two whenever c is nonzero; the check
     confirms that on every constructed solution.
     """
-    if sol.t_order < 3:
+    d = _view(sol, "consequence")
+    if d.sol.t_order < 3:
         raise InvalidInputError("consequence residual needs t_order >= 3")
     return ResidualReport(
         name="residual_consequence",
-        rows=tuple(_second_order_flow_rows(sol, "second_order_flow", tolerance)),
+        rows=tuple(_row("second_order_flow", *r, tolerance) for r in d.flow("second_order_flow")),
         tolerance=tolerance,
-        metadata={"c": sol.config.c, "orders_checked": sol.t_order - 1},
+        metadata={"c": d.sol.config.c, "orders_checked": d.sol.t_order - 1},
     )
 
 
-def _second_order_flow_rows(sol: Solution, identity: str, tolerance: float):
-    """Rows of (1/c) H(dv/dt) + d^2 g/dt^2 = 0, one per t-order m, in the
-    coefficient form (m+1)/c H(v_{m+1}) + (m+1)(m+2) g^(m+2) = 0."""
-    c = sol.config.c
-    for m in range(sol.t_order - 1):
-        vnext = sol.v.coeffs[m + 1]
-        hess = complex_mixed_hessian(vnext, allow_exhausted=True)
-        valid = vnext.valid_degree - 2
-        worst, scale = 0.0, 0.0
-        for i in range(sol.n):
-            for j in range(sol.n):
-                a = jet_scale(hess.entries[i][j], (m + 1) / c)
-                b = jet_scale(
-                    sol.g.entries[i][j].coeffs[m + 2], float((m + 1) * (m + 2))
-                )
-                resid = jet_add(a, b)
-                v = min(resid.valid_degree, valid)
-                if v >= 0:
-                    worst = _max(worst, max_abs_coeff(resid, v))
-                    scale = _max(scale, max_abs_coeff(a, v), max_abs_coeff(b, v))
-        yield _row(identity, m, valid, worst, scale, tolerance)
-
-
-def laplacian_moment(sol: Solution, tolerance: float = 1e-9) -> ResidualReport:
+def laplacian_moment(sol, tolerance: float = 1e-9) -> ResidualReport:
     """The moment map has constant metric Laplacian equal to c:
 
         g^{ij} w^{-1} (g_ij)_t + (w^{-1})_t = c.
@@ -226,22 +269,24 @@ def laplacian_moment(sol: Solution, tolerance: float = 1e-9) -> ResidualReport:
     Both terms are regular in t because w^{-1} is; the metric inverse is
     assembled from the adjugate and the reciprocal determinant series.
     """
-    det_g, adj = det_and_adjugate(sol.g)
+    d = _view(sol, "laplacian")
+    sol = d.sol
+    det_g, adj = d.det_and_adjugate()
     if abs(det_g.coeffs[0].constant_term) < 1e-14:
         raise DegeneracyError("metric determinant vanishes at the base point")
     # g^{ij} = adj(g)_{ij} / det g; the scalar reciprocal factors out of the
     # trace, which keeps the series arithmetic quadratic instead of cubic.
-    recip = t_reciprocal(det_g)
     n = sol.n
-
     adj_trace = None
     for i in range(n):
         for k in range(n):
-            gt_ki = t_derive(sol.g.entries[k][i])
-            term = adj[i][k] * gt_ki
+            term = adj[i][k] * d.g_t(k, i)
+            # This is the cofactor's last read: free it before (g_t)_ki of
+            # the next term is formed, so adj g and g_t are never both whole.
+            adj[i][k] = None
             adj_trace = term if adj_trace is None else adj_trace + term
 
-    delta = (sol.w_inv * recip) * adj_trace + t_derive(sol.w_inv)
+    delta = (sol.w_inv * t_reciprocal(det_g)) * adj_trace + t_derive(sol.w_inv)
     c = sol.config.c
     rows = []
     for m in range(delta.order + 1):
@@ -296,7 +341,7 @@ class CurvatureReport:
 
 
 def curvature_and_class(
-    sol: Solution,
+    sol,
     tolerance: float = 1e-9,
     min_quadrature_points: int = 256,
 ) -> CurvatureReport:
@@ -310,13 +355,12 @@ def curvature_and_class(
     zero) and the dimension-1 projective chart, integrated with its global
     closed-form profile.
     """
+    d = _view(sol, "curvature")
+    sol = d.sol
     c = sol.config.c
-    vt = t_derive(sol.v)
+    vt = d.v_t
     n = sol.n
-
-    g_t = HermitianJetMatrix(
-        [[t_derive(sol.g.entries[i][j]) for j in range(n)] for i in range(n)]
-    )
+    g_t = HermitianJetMatrix([[d.g_t(i, j) for j in range(n)] for i in range(n)])
     w_z = tuple(
         TJet([jet_scale(dz(cj, i, allow_exhausted=True), 1.0 / c) for cj in vt.coeffs])
         for i in range(n)
@@ -333,10 +377,9 @@ def curvature_and_class(
             if min(a.valid_degree, b.valid_degree) >= 0:
                 realness = _max(realness, max_coeff_diff(jet_conj(a), b))
 
-    rows = list(_closedness_rows(sol, g_t, tolerance))
     closed = ResidualReport(
         name="curvature_closedness",
-        rows=tuple(rows),
+        rows=tuple(_closedness_rows(d, g_t, tolerance)),
         tolerance=tolerance,
         metadata={"realness_defect": realness},
     )
@@ -378,30 +421,30 @@ def curvature_and_class(
     )
 
 
-def _closedness_rows(sol: Solution, g_t, tolerance):
+def _closedness_rows(d: SolutionView, g_t, tolerance):
     """dF = 0 splits into the second-order flow identity (dt dz dzbar part)
     and the symmetry of spatial gradients of (g_ij)_t (dz dz dzbar part)."""
-    n = sol.n
-    yield from _second_order_flow_rows(sol, "dF_dt_dz_dzbar", tolerance)
+    n = d.sol.n
+    for r in d.flow("second_order_flow"):
+        yield _row("dF_dt_dz_dzbar", *r, tolerance)
 
     if n >= 2:
         for m in range(g_t.entries[0][0].order + 1):
-            worst, scale = 0.0, 0.0
             valid = min(
                 g_t.entries[i][j].coeffs[m].valid_degree - 1
                 for i in range(n)
                 for j in range(n)
             )
-            for j in range(n):
-                for k in range(n):
-                    for i in range(k + 1, n):
-                        a = dz(g_t.entries[i][j].coeffs[m], k, allow_exhausted=True)
-                        b = dz(g_t.entries[k][j].coeffs[m], i, allow_exhausted=True)
-                        resid = jet_add(a, jet_scale(b, -1.0))
-                        v = min(resid.valid_degree, valid)
-                        if v >= 0:
-                            worst = _max(worst, max_abs_coeff(resid, v))
-                            scale = _max(scale, max_abs_coeff(a, v), max_abs_coeff(b, v))
+            terms = (
+                (
+                    dz(g_t.entries[i][j].coeffs[m], k, allow_exhausted=True),
+                    jet_scale(dz(g_t.entries[k][j].coeffs[m], i, allow_exhausted=True), -1.0),
+                )
+                for j in range(n)
+                for k in range(n)
+                for i in range(k + 1, n)
+            )
+            worst, scale = _sum_residual(terms, valid)
             yield _row("dF_dz_dz_dzbar", m, valid, worst, scale, tolerance)
 
 
@@ -472,14 +515,7 @@ class SmoothnessReport:
     tolerance: float
 
     def as_dict(self) -> dict:
-        return {
-            "a_base": self.a_base,
-            "a_expected": self.a_expected,
-            "a_deviation": self.a_deviation,
-            "w_inv_linear": self.w_inv_linear,
-            "is_smooth": self.is_smooth,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
 
 def smoothness_check(sol: Solution, tolerance: float = 1e-9) -> SmoothnessReport:
@@ -493,7 +529,8 @@ def smoothness_check(sol: Solution, tolerance: float = 1e-9) -> SmoothnessReport
     """
     a_jet = sol.exp_u.coeffs[1]
     a_base = a_jet.constant_term.real
-    det_h = jet_det(sol.input.h)
+    # The constant term of det h reads only the constant terms of h.
+    det_h = jet_det(sol.input.h.map(lambda e: jet_restrict_validity(e, 0)))
     expected = sol.config.c * det_h.constant_term.real
     w_lin = sol.w_inv.coeffs[1].constant_term.real
     return SmoothnessReport(
@@ -520,48 +557,23 @@ def perturb_solution(sol: Solution, target: str, order: int, eps: float) -> Solu
     coefficient of w_inv.  Derived series are left untouched: the point is to
     hand the verifier an inconsistent object.
     """
+    series = {"v": sol.v, "g": sol.g.entries[0][0], "w": sol.w_inv}.get(target)
+    if series is None:
+        raise InvalidInputError(f"unknown perturbation target {target!r} (use v, g or w)")
+    if order > series.order:
+        name = "w_inv" if target == "w" else target
+        raise InvalidInputError(f"{name} has no order-{order} coefficient")
     ctx = sol.input.ctx
-    bump_exp = tuple([2] + [0] * (ctx.nvars - 1))
-
-    def bumped(jet: Jet) -> Jet:
-        c = jet.coeffs.copy()
-        c[0] += eps
-        c[ctx.rank_of(bump_exp)] += eps
-        return Jet(ctx, c, jet.valid_degree)
-
-    if target == "v":
-        if order > sol.v.order:
-            raise InvalidInputError(f"v has no order-{order} coefficient")
-        coeffs = list(sol.v.coeffs)
-        coeffs[order] = bumped(coeffs[order])
-        return replace(
-            sol,
-            v=TJet(coeffs),
-            perturbations=sol.perturbations + (f"v:{order}:{eps}",),
-        )
+    coeffs = list(series.coeffs)
+    c = coeffs[order].coeffs.copy()
+    c[0] += eps
+    if target != "w":
+        c[ctx.rank_of((2,) + (0,) * (ctx.nvars - 1))] += eps
+    coeffs[order] = Jet(ctx, c, coeffs[order].valid_degree)
     if target == "g":
-        if order > sol.g.entries[0][0].order:
-            raise InvalidInputError(f"g has no order-{order} coefficient")
-        n = sol.n
-        rows = [[sol.g.entries[i][j] for j in range(n)] for i in range(n)]
-        coeffs = list(rows[0][0].coeffs)
-        coeffs[order] = bumped(coeffs[order])
+        rows = [list(row) for row in sol.g.entries]
         rows[0][0] = TJet(coeffs)
-        return replace(
-            sol,
-            g=HermitianJetMatrix(rows),
-            perturbations=sol.perturbations + (f"g:{order}:{eps}",),
-        )
-    if target == "w":
-        if order > sol.w_inv.order:
-            raise InvalidInputError(f"w_inv has no order-{order} coefficient")
-        coeffs = list(sol.w_inv.coeffs)
-        c = coeffs[order].coeffs.copy()
-        c[0] += eps
-        coeffs[order] = Jet(ctx, c, coeffs[order].valid_degree)
-        return replace(
-            sol,
-            w_inv=TJet(coeffs),
-            perturbations=sol.perturbations + (f"w:{order}:{eps}",),
-        )
-    raise InvalidInputError(f"unknown perturbation target {target!r} (use v, g or w)")
+        changed = {"g": HermitianJetMatrix(rows)}
+    else:
+        changed = {"v" if target == "v" else "w_inv": TJet(coeffs)}
+    return replace(sol, perturbations=sol.perturbations + (f"{target}:{order}:{eps}",), **changed)

@@ -1,10 +1,34 @@
 import time
 import warnings
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from ricciflat import geometry as geo
-from ricciflat.solver import SolverConfig, solve
+from ricciflat.jets import jet_eval_many
+from ricciflat.solver import Solution, SolverConfig, solve
+
+
+def jet_eval(a, point) -> complex:
+    """Evaluate one jet at one point of R^{2n} (complex coordinates are
+    accepted for holomorphic sampling)."""
+    return complex(jet_eval_many(a, np.asarray(point)[None, :])[0])
+
+
+def truncate_solution(sol: Solution, t_order: int) -> Solution:
+    """Restrict a solution to a lower t-order (coefficients are unchanged:
+    the recursion at order m never looks ahead)."""
+    if t_order >= sol.config.t_order:
+        return sol
+    return replace(
+        sol,
+        config=replace(sol.config, t_order=t_order),
+        v=sol.v.truncate(t_order),
+        g=sol.g.map(lambda e: e.truncate(t_order)),
+        w_inv=sol.w_inv.truncate(t_order + 1),
+        exp_u=sol.exp_u.truncate(t_order + 1),
+    )
 
 # Seeded perturbed scenarios shared by the consequence / Laplacian / majorant
 # acceptance checks.  Solving the two-dimensional members is the expensive

@@ -9,14 +9,13 @@ from ricciflat.closed_form import (
     RationalT,
     RicciSpectrum,
     calibrate,
-    omega_of_t,
     p_of_t,
     ricci_spectrum_of,
     w_inv_closed,
 )
 from ricciflat.errors import InvalidInputError
-from ricciflat.geometry import ricci_form
-from ricciflat.jets import max_abs_coeff, max_coeff_diff
+from ricciflat.geometry import HermitianJetMatrix, jet_det, ricci_form
+from ricciflat.jets import TJet, max_abs_coeff, max_coeff_diff
 from ricciflat.solver import SolverConfig, solve
 
 
@@ -92,6 +91,20 @@ def test_rational_requires_nonzero_denominator_at_origin():
 
 
 # -- affine metric family ----------------------------------------------------------
+
+
+def omega_of_t(Phi, rho, t_order):
+    """Affine family g(t) = Phi + t*rho as a t-series matrix, plus det g(t).
+
+    det g(t) equals P(t) * det Phi whenever rho has constant eigenvalues
+    relative to Phi.
+    """
+    n = Phi.n
+    zeros = [Phi.entries[0][0].ctx.zero() for _ in range(max(t_order - 1, 0))]
+    g = HermitianJetMatrix(
+        [[TJet([Phi.entries[i][j], rho.entries[i][j]] + zeros) for j in range(n)] for i in range(n)]
+    )
+    return g, jet_det(g)
 
 
 def test_omega_constant_when_ricci_flat():

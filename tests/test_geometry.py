@@ -292,7 +292,7 @@ def test_det_coefficient_matches_leibniz_expansion(n):
         for k in range(4)
     )
     for m in range(4):
-        got = det_coefficient(g_orders[: m + 1], m)
+        got = det_coefficient(g_orders[: m + 1], m, {})
         want = _leibniz_det_coefficient(g_orders[: m + 1], m)
         if n == 1:
             assert _same_bits(got, want)
@@ -332,7 +332,7 @@ def test_ricci_block_diagonal_product():
     da = rho[0, 0]
     ra = rho_a[0, 0]
     pts = np.random.default_rng(0).uniform(-0.1, 0.1, size=(10, 2))
-    from ricciflat.jets import jet_eval
+    from conftest import jet_eval
 
     for p in pts:
         pa = [p[0], p[1]]

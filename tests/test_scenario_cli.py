@@ -3,9 +3,10 @@ import os
 
 import pytest
 
+from conftest import jet_eval
 from ricciflat.cli import main
 from ricciflat.errors import InvalidInputError
-from ricciflat.jets import context, jet_eval
+from ricciflat.jets import context
 from ricciflat.scenario import (
     Scenario,
     inline_metric,

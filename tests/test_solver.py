@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import truncate_solution
 from ricciflat import geometry as geo
 from ricciflat.errors import InvalidInputError
 from ricciflat.geometry import HermitianJetMatrix, InitialData, complex_mixed_hessian
@@ -21,7 +22,6 @@ from ricciflat.solver import (
     init_state,
     solve,
     step,
-    truncate_solution,
 )
 
 

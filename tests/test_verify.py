@@ -101,7 +101,7 @@ def test_consequence_with_nonunit_c():
 
 
 def test_consequence_needs_three_orders(flat_solutions):
-    from ricciflat.solver import truncate_solution
+    from conftest import truncate_solution
 
     short = truncate_solution(flat_solutions[1], 2)
     with pytest.raises(InvalidInputError):

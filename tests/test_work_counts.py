@@ -1,0 +1,106 @@
+"""Work counts: a solve expands each minor of its determinant once, and a
+verify run forms det g, each H(v_m) and the flow residual rows once, and
+nothing its check selection does not read."""
+
+import warnings
+from collections import Counter
+
+import pytest
+
+from ricciflat import geometry, verify
+from ricciflat.cli import main
+from ricciflat.jets import TJet
+from ricciflat.scenario import ALL_CHECKS
+from ricciflat.solver import SolverConfig, solve
+
+N4 = ("perturbed_flat:4,0.1,0,2", "3", "4")
+
+
+def _record(monkeypatch, module, name):
+    """Replace module.name by a wrapper that logs each call's arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def _verify(tmp_path, spec, *checks):
+    metric, M, D = spec
+    argv = ["verify", "--metric", metric, "--M", M, "--D", D, "--no-timestamp"]
+    argv += ["--out", str(tmp_path)] + [f"--{c}" for c in checks]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(argv) == 0
+
+
+def test_full_verify_forms_det_g_once(tmp_path, monkeypatch):
+    det_adj = _record(monkeypatch, verify, "det_and_adjugate")
+    dets = _record(monkeypatch, verify, "jet_det")
+    _verify(tmp_path, N4)
+    assert len(det_adj) == 1
+    assert not [g for (g,) in dets if isinstance(g.entries[0][0], TJet)]
+
+
+def test_full_verify_forms_each_hessian_once(tmp_path, monkeypatch):
+    hessians = _record(monkeypatch, verify, "complex_mixed_hessian")
+    _verify(tmp_path, N4)
+    per_jet = Counter(id(args[0]) for args in hessians)
+    assert len(per_jet) == int(N4[1])  # v_0 .. v_{M-1}
+    assert set(per_jet.values()) == {1}
+
+
+def test_full_verify_generates_each_flow_identity_once(tmp_path, monkeypatch):
+    passes = _record(monkeypatch, verify, "_flow_residuals")
+    _verify(tmp_path, N4)
+    kinds = Counter(kind for _, wanted in passes for kind in wanted)
+    assert kinds == {"hessian_flow": 1, "second_order_flow": 1}
+
+
+def test_system_check_alone_forms_no_adjugate(tmp_path, monkeypatch):
+    det_adj = _record(monkeypatch, verify, "det_and_adjugate")
+    passes = _record(monkeypatch, verify, "_flow_residuals")
+    _verify(tmp_path, N4, "system")
+    assert det_adj == []
+    assert [set(wanted) for _, wanted in passes] == [{"hessian_flow"}]
+
+
+def test_solve_expands_each_minor_once_and_keeps_no_memo(monkeypatch):
+    memos, expanded = [], []
+    original = geometry.minor_det
+
+    def recording(rows, R, C, memo):
+        if not any(m is memo for m in memos):
+            memos.append(memo)
+        if (R, C) not in memo:
+            expanded.append((R, C))
+        return original(rows, R, C, memo)
+
+    monkeypatch.setattr(geometry, "minor_det", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        solve(geometry.perturbed_flat(3, 0.1, 1, 2, 8), SolverConfig(t_order=4, space_degree=8))
+    assert len(memos) == 1
+    assert memos[0] == {}
+    assert len(expanded) == len(set(expanded))
+
+
+@pytest.mark.parametrize("checks", [ALL_CHECKS, ("laplacian",), ("curvature", "system")])
+def test_shared_view_gives_the_reports_of_bare_solutions(checks):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sol = solve(geometry.perturbed_flat(2, 0.1, 0, 2, 10), SolverConfig(t_order=4, space_degree=10))
+    view = verify.SolutionView(sol, checks)
+    for check in (
+        verify.residual_system,
+        verify.residual_consequence,
+        verify.laplacian_moment,
+    ):
+        assert check(view).as_dict() == check(sol).as_dict()
+    shared, bare = verify.curvature_and_class(view), verify.curvature_and_class(sol)
+    assert shared.closedness.as_dict() == bare.closedness.as_dict()
+    assert shared.form.realness_defect == bare.form.realness_defect
