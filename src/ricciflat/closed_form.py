@@ -28,7 +28,6 @@ from .conventions import CALIBRATION_CANDIDATES
 from .errors import InvalidInputError
 from .geometry import HermitianJetMatrix, InitialData, ricci_form
 from .jets import (
-    Jet,
     jet_eval_many,
     jet_scale,
     max_abs_coeff,
@@ -48,11 +47,6 @@ class RicciSpectrum:
             raise InvalidInputError("need one eigenvalue per complex dimension")
         if not all(np.isfinite(self.eigenvalues)):
             raise InvalidInputError("eigenvalues must be finite")
-
-    @property
-    def is_einstein(self) -> bool:
-        lam = self.eigenvalues
-        return max(lam) - min(lam) <= 1e-9 * max(1.0, abs(lam[0]))
 
 
 @dataclass(frozen=True)
@@ -107,9 +101,10 @@ def w_inv_closed(P: np.ndarray) -> RationalT:
     return RationalT(tuple(integral), tuple(P))
 
 
-def ricci_spectrum_of(initial: InitialData, sample_count: int = 24) -> tuple[RicciSpectrum, float]:
+def ricci_spectrum_of(initial: InitialData) -> tuple[RicciSpectrum, float]:
     """Eigenvalues of the Ricci matrix relative to h at the base point, plus
-    the worst eigenvalue drift over nearby sample points (constancy measure)."""
+    the worst eigenvalue drift over 24 nearby sample points (constancy
+    measure)."""
     rho = ricci_form(initial.h)
     h0 = initial.h.base_matrix()
     r0 = rho.base_matrix()
@@ -117,7 +112,7 @@ def ricci_spectrum_of(initial: InitialData, sample_count: int = 24) -> tuple[Ric
 
     rng = np.random.default_rng(20240817)
     radius = 0.05 * min(1.0, initial.polydisc_radius)
-    pts = rng.uniform(-radius, radius, size=(sample_count, 2 * initial.n))
+    pts = rng.uniform(-radius, radius, size=(24, 2 * initial.n))
     drift = 0.0
     for p in pts:
         hp = _matrix_at(initial.h, p)
@@ -156,19 +151,20 @@ class CalibrationReport:
         return self.kappa is not None
 
 
-def calibrate(solution, tolerance: float = 1e-9, drift_tolerance: float = 1e-6) -> CalibrationReport:
+def calibrate(solution, tolerance: float = 1e-9) -> CalibrationReport:
     """Match solver output against Phi + (kappa t) rho for kappa in the
     documented candidate set; the fiber weight must then satisfy
     w_inv_solver(t) = (c/kappa) * w_inv_closed(kappa t).
 
-    Raises on bases whose principal Ricci curvatures are not constant.
+    Raises on bases whose principal Ricci curvatures drift by more than 1e-6
+    over the sample points, i.e. are not constant.
     """
     initial = solution.input
     spectrum, drift = ricci_spectrum_of(initial)
-    if drift > drift_tolerance:
+    if drift > 1e-6:
         raise InvalidInputError(
             f"principal Ricci curvatures are not constant over the sample "
-            f"points (drift {drift:.3e} > {drift_tolerance:.0e})"
+            f"points (drift {drift:.3e} > 1e-06)"
         )
     rho = ricci_form(initial.h)
     P = p_of_t(spectrum)

@@ -35,9 +35,8 @@ from .jets import (
 class HermitianJetMatrix:
     """n x n matrix of Jet (or TJet) entries with conjugate-transpose symmetry.
 
-    Symmetry is structural where construction allows it (``from_upper``
-    mirrors the strict upper triangle through conjugation); independently
-    computed matrices can be audited with ``hermitian_defect``.
+    Symmetry is not enforced on construction; computed matrices can be
+    audited with ``hermitian_defect``.
     """
 
     __slots__ = ("n", "entries")
@@ -52,20 +51,6 @@ class HermitianJetMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianJetMatrix is immutable")
-
-    @classmethod
-    def from_upper(cls, upper):
-        """Build from entries given for i <= j; the lower triangle is the
-        coefficientwise conjugate of the upper one."""
-        n = len(upper)
-        rows = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                e = upper[i][j] if isinstance(upper[i], (list, tuple)) else upper[(i, j)]
-                rows[i][j] = e
-                if i != j:
-                    rows[j][i] = _conj_entry(e)
-        return cls(rows)
 
     def __getitem__(self, ij):
         i, j = ij

@@ -22,9 +22,10 @@ pair tables of that block against all blocks of the second factor up to the
 largest degree asked for so far; smaller requests use a prefix.
 
 A TJet is a truncated power series in the moment-map variable t whose
-coefficients are jets, each with its own validity.  The Cauchy sums of the
-series product, reciprocal and exponential form no products for a
-t-coefficient whose validity is negative: it is returned as a zero jet.
+coefficients are jets, each with its own validity.  The series product,
+reciprocal and exponential, and the solver's order step, take their
+t-coefficients from one Cauchy sum, ``cauchy_sum``, which forms no products
+for a t-coefficient whose validity is negative: it is returned as a zero jet.
 """
 
 from __future__ import annotations
@@ -388,7 +389,7 @@ def _nilpotent_series(a: Jet, term_coeffs) -> Jet:
         if power.effective_degree < 0:
             break
         acc = jet_add(acc, jet_scale(power, term_coeffs(k)))
-    return jet_restrict_validity(acc, a.valid_degree)
+    return acc
 
 
 def jet_exp(a: Jet) -> Jet:
@@ -494,17 +495,6 @@ def jet_eval_grid(jets, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def jet_restrict_validity(a: Jet, valid_degree: int) -> Jet:
-    """The same (read-only, shared) coefficients trusted to at most
-    ``valid_degree``."""
-    jet = _new_jet(Jet)
-    _set_ctx(jet, a.ctx)
-    _set_coeffs(jet, a.coeffs)
-    _set_valid(jet, min(a.valid_degree, valid_degree))
-    _set_eff(jet, a._eff)
-    return jet
-
-
 def max_coeff_diff(a: Jet, b: Jet, through_degree: int | None = None) -> float:
     """Largest |coefficient difference| through the common trusted degree."""
     _require_same_ctx(a, b)
@@ -589,17 +579,9 @@ class TJet:
         if isinstance(other, Jet):
             return TJet([jet_mul(c, other) for c in self.coeffs])
         a, b = self.coeffs, other.coeffs
-        out = []
-        for k in range(min(self.order, other.order) + 1):
-            vd = _cauchy_validity(a, b, k, range(k + 1))
-            if vd < 0:
-                out.append(self.ctx.zero(vd))
-                continue
-            acc = jet_mul(a[0], b[k])
-            for j in range(1, k + 1):
-                acc = jet_add(acc, jet_mul(a[j], b[k - j]))
-            out.append(acc)
-        return TJet(out)
+        return TJet(
+            [cauchy_sum(a, b, k, range(k + 1)) for k in range(min(self.order, other.order) + 1)]
+        )
 
     __rmul__ = __mul__
 
@@ -612,12 +594,22 @@ class TJet:
         return f"TJet(order={self.order}, ctx={self.ctx!r})"
 
 
-def _cauchy_validity(a, b, k: int, js: range) -> int:
-    """Validity of the Cauchy sum over j in ``js`` of a_j b_{k-j}: the least
-    over its terms.  A t-coefficient whose validity is negative is
-    untrusted, so the t-series routines return it as a zero jet without
-    forming its products."""
-    return min(min(a[j].valid_degree, b[k - j].valid_degree) for j in js)
+def cauchy_sum(a, b, k: int, js: range, weight=None) -> Jet:
+    """sum over j in ``js`` of a_j b_{k-j}, each term scaled by ``weight(j)``
+    when a weight is given, for jet sequences ``a`` and ``b``.  The terms are
+    added in ascending j.  The sum is trusted to the least validity of its
+    terms; when that is negative the sum is untrusted, and it is returned as
+    a zero jet without forming its products."""
+    vd = min(min(a[j].valid_degree, b[k - j].valid_degree) for j in js)
+    if vd < 0:
+        return a[js[0]].ctx.zero(vd)
+    acc = None
+    for j in js:
+        term = jet_mul(a[j], b[k - j])
+        if weight is not None:
+            term = jet_scale(term, weight(j))
+        acc = term if acc is None else jet_add(acc, term)
+    return acc
 
 
 def t_constant(ctx: JetContext, value: complex, order: int) -> TJet:
@@ -648,13 +640,7 @@ def t_reciprocal(a: TJet) -> TJet:
     b0 = jet_reciprocal(a.coeffs[0])
     out = [b0]
     for m in range(1, a.order + 1):
-        vd = min(b0.valid_degree, _cauchy_validity(a.coeffs, out, m, range(1, m + 1)))
-        if vd < 0:
-            out.append(a.ctx.zero(vd))
-            continue
-        acc = jet_mul(a.coeffs[1], out[m - 1])
-        for k in range(2, m + 1):
-            acc = jet_add(acc, jet_mul(a.coeffs[k], out[m - k]))
+        acc = cauchy_sum(a.coeffs, out, m, range(1, m + 1))
         out.append(jet_scale(jet_mul(b0, acc), -1.0))
     return TJet(out)
 
@@ -667,14 +653,7 @@ def t_exp_coeff(a, e, m: int, sign: float = 1.0) -> Jet:
     ks = range(1, min(m, len(a) - 1) + 1)
     if not ks:
         return e[0].ctx.zero()
-    vd = _cauchy_validity(a, e, m, ks)
-    if vd < 0:
-        return e[0].ctx.zero(vd)
-    acc = None
-    for k in ks:
-        term = jet_scale(jet_mul(a[k], e[m - k]), sign * k)
-        acc = term if acc is None else jet_add(acc, term)
-    return jet_scale(acc, 1.0 / m)
+    return jet_scale(cauchy_sum(a, e, m, ks, lambda k: sign * k), 1.0 / m)
 
 
 def t_exp(a: TJet, e0: Jet | None = None) -> TJet:

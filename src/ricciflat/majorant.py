@@ -46,27 +46,33 @@ _GRID_SEED = 120221
 # A is clamped up to this floor when the first-order data vanish identically.
 _A_FLOOR = 1e-8
 
+# Every sampled supremum of a nonlinearity coefficient is inflated by this
+# factor before it enters the bounds, a margin for the points the grid misses.
+SUP_INFLATION = 1.25
+
+# Sample points per radius of the bound estimates and the domination checks.
+GRID_POINTS = 128
+
 
 @dataclass(frozen=True)
 class MajorantParams:
-    """Constants of the domination scheme.
+    """Constants of the domination scheme that depend on the solution.
 
     A bounds the first-order data (|v_1|, its gradient, and the operator
-    images L(v_1)) on the polydisc of radius R < 1; sigma is the uniform
-    resonance gap, which is exactly 1 here because the linearized equation
-    has constant symbol -1 (the gap |m + 1| >= m never degrades); M_const
-    is the operator coefficient bound; euler_e is Euler's number, entering
-    through the derivative growth lemma.
+    images L(v_1)) on the polydisc of radius R < 1; M_const is the operator
+    coefficient bound 4/|c|.  The constants shared by every solution are
+    fixed here: the resonance gap sigma is exactly 1, because the unit
+    identity c e^{-v_0} det h = 1 makes the linearized symbol the constant
+    -1, so the gap |m + 1| >= m never degrades (docs/conventions.md);
+    Euler's number e enters through the derivative growth lemma; sampled
+    suprema are inflated by ``SUP_INFLATION`` and taken over
+    ``GRID_POINTS`` points per radius.
     """
 
     R: float
     A: float
-    sigma: float
     M_const: float
-    euler_e: float = math.e
     A_clamped: bool = False
-    sup_inflation: float = 1.25
-    grid_points: int = 128
     notes: tuple[str, ...] = ()
 
 
@@ -99,9 +105,10 @@ def _operator_images(v1: Jet, c: float) -> list[Jet]:
     ]
 
 
-def estimate_params(sol: Solution, R: float, grid_points: int = 128) -> MajorantParams:
+def estimate_params(sol: Solution, R: float) -> MajorantParams:
     """Sample |v_1|, its coordinate gradient and the operator images over the
-    polydisc to produce A; sigma and the operator bound are structural.
+    polydisc, ``GRID_POINTS`` points per radius, to produce A; the operator
+    bound is structural.
 
     The sample set is the union of the domination grids (all three check
     radii) plus a near-boundary shell, so the first-order inequality holds on
@@ -124,7 +131,7 @@ def estimate_params(sol: Solution, R: float, grid_points: int = 128) -> Majorant
 
     radii = list(domination_radii(R)) + [0.999 * R]
     sups = [
-        np.max(np.abs(jet_eval_grid(jets, polydisc_grid(ctx.nvars, r, grid_points))))
+        np.max(np.abs(jet_eval_grid(jets, polydisc_grid(ctx.nvars, r, GRID_POINTS))))
         for r in radii
     ]
     A = float(np.max(sups))  # np.max keeps a NaN sample, so the checks fail
@@ -137,10 +144,8 @@ def estimate_params(sol: Solution, R: float, grid_points: int = 128) -> Majorant
     return MajorantParams(
         R=R,
         A=A,
-        sigma=1.0,
         M_const=4.0 / abs(c),
         A_clamped=clamped,
-        grid_points=grid_points,
         notes=tuple(notes),
     )
 
@@ -163,7 +168,8 @@ def nonlinearity_bounds(sol: Solution, params: MajorantParams, m_max: int) -> di
     determinant is the signed complementary minor of A on the remaining rows
     and columns, and all minors come from one memo.  The e^{-Z} factor
     contributes the exact scalar (-1)^q / q!.  Each jet coefficient is
-    bounded by its polydisc supremum times the inflation factor.
+    bounded by its supremum over ``GRID_POINTS`` points of the polydisc of
+    radius R, times ``SUP_INFLATION``.
 
     Returns {(p, q, s, alpha_total, beta_total): bound} with s = alpha = 0
     (the concrete nonlinearity involves neither t dv/dt nor the gradient),
@@ -195,11 +201,11 @@ def nonlinearity_bounds(sol: Solution, params: MajorantParams, m_max: int) -> di
                 series = _pattern_series(A, rows, cols, memo)
                 for p, coeff in enumerate(series.coeffs):
                     keyed.append(((p, k), jet_mul(coeff, recip_det_h)))
-    pts = polydisc_grid(ctx.nvars, params.R, params.grid_points)
+    pts = polydisc_grid(ctx.nvars, params.R, GRID_POINTS)
     sups = np.max(np.abs(jet_eval_grid([d for _, d in keyed], pts)), axis=1)
     agg: dict[tuple[int, int], float] = {}
     for (key, _), sup in zip(keyed, sups.tolist()):
-        val = sup * params.sup_inflation
+        val = sup * SUP_INFLATION
         if val != 0.0:  # a NaN bound is kept, so the checks built on it fail
             agg[key] = agg.get(key, 0.0) + val
 
@@ -244,7 +250,8 @@ def majorant_sequence(params: MajorantParams, bounds: dict, m_max: int) -> list[
         A_{p,q,s,alpha,beta} (2e)^{|alpha|} (4 e^2 M)^{|beta|} R^{w-2}
             * sum over compositions k_1+..+k_Q = m - p - |beta| of prod C_k,
 
-    with Q = q+s+|alpha|+|beta| factors and weight w = p+q+s+|alpha|+2|beta|.
+    with Q = q+s+|alpha|+|beta| factors and weight w = p+q+s+|alpha|+2|beta|,
+    divided by the resonance gap sigma = 1 (a no-op, so not written out).
     The residual power (R-r)^{w-2} of each term is replaced by its supremum
     R^{w-2} <= 1 over 0 < r < R so the C_m stay r-independent; that keeps
     C_m/(R-r)^{2m-2} an upper bound for the exact order-m majorant at every
@@ -252,7 +259,7 @@ def majorant_sequence(params: MajorantParams, bounds: dict, m_max: int) -> list[
     """
     if m_max < 1:
         raise InvalidInputError("m_max must be >= 1")
-    e = params.euler_e
+    e = math.e
     M = params.M_const
     C = [0.0, params.A]
     for m in range(2, m_max + 1):
@@ -273,7 +280,7 @@ def majorant_sequence(params: MajorantParams, bounds: dict, m_max: int) -> list[
             if S == 0.0:
                 continue
             total += aval * (2 * e) ** at * (4 * e * e * M) ** bt * params.R ** (w - 2) * S
-        C.append(total / params.sigma)
+        C.append(total)
     return C
 
 
@@ -327,7 +334,7 @@ class MajorantReport:
         return {
             "R": self.params.R,
             "A": self.params.A,
-            "sigma": self.params.sigma,
+            "sigma": 1.0,
             "M_const": self.params.M_const,
             "C": list(self.C),
             "passed": self.passed,
@@ -349,14 +356,9 @@ class MajorantReport:
         }
 
 
-def check_domination(
-    sol: Solution,
-    params: MajorantParams,
-    C: list[float] | None = None,
-    points_per_radius: int = 128,
-) -> MajorantReport:
-    """Verify the three domination inequalities on deterministic grids at the
-    radii R/4, R/2, 3R/4:
+def check_domination(sol: Solution, params: MajorantParams, C: list[float]) -> MajorantReport:
+    """Verify the three domination inequalities on deterministic grids of
+    ``GRID_POINTS`` points at the radii R/4, R/2, 3R/4:
 
         m |v_m|        <= Y_m(r)
         |d_i v_m|      <= 2 e Y_m(r)
@@ -367,10 +369,7 @@ def check_domination(
     marked skipped.  Every jet is sampled through its trusted degree only,
     all jets of one radius in one grid evaluation.
     """
-    if C is None:
-        bounds = nonlinearity_bounds(sol, params, sol.t_order)
-        C = majorant_sequence(params, bounds, sol.t_order)
-    e = params.euler_e
+    e = math.e
     ctx = sol.input.ctx
     orders = range(1, min(sol.t_order, len(C) - 1) + 1)
     # Per order: the jets behind the value, gradient and operator rows, each
@@ -388,7 +387,7 @@ def check_domination(
     rows = []
     for r in domination_radii(params.R):
         if sampled:
-            pts = polydisc_grid(ctx.nvars, r, points_per_radius)
+            pts = polydisc_grid(ctx.nvars, r, GRID_POINTS)
             sups = np.max(np.abs(jet_eval_grid(sampled, pts)), axis=1)
         pos = 0
         for m in orders:
@@ -470,25 +469,19 @@ class CauchyEstimateRow:
     status: str
 
 
-def cauchy_estimate_check(
-    p: int,
-    C: float,
-    R: float,
-    radii: tuple[float, ...] | None = None,
-    points: int = 64,
-    cap: int = 40,
-) -> list[CauchyEstimateRow]:
+def cauchy_estimate_check(p: int, C: float, R: float) -> list[CauchyEstimateRow]:
     """Derivative growth on the documented test family f = C/(R - x1)^p:
     from |f| <= C/(R-r)^p the bound |df| <= C e (p+1)/(R-r)^{p+1} follows.
 
-    The family is expanded as a one-variable jet and both sides are evaluated
-    on deterministic grids in each sub-polydisc.
+    The family is expanded as a one-variable jet of degree 40 and both sides
+    are evaluated on deterministic grids of 64 points at the domination
+    radii.
     """
     if p < 0 or not (0.0 < R < 1.0):
         raise InvalidInputError("need p >= 0 and 0 < R < 1")
     from .jets import context
 
-    ctx = context(1, cap)
+    ctx = context(1, 40)
     if p == 0:
         f = ctx.constant(C)
     else:
@@ -501,8 +494,8 @@ def cauchy_estimate_check(
 
     rows = []
     e = math.e
-    for r in radii or domination_radii(R):
-        pts = polydisc_grid(ctx.nvars, r, points)
+    for r in domination_radii(R):
+        pts = polydisc_grid(ctx.nvars, r, 64)
         observed = float(np.max(np.abs(jet_eval_many(df, pts))))
         bound = C * e * (p + 1) / (R - r) ** (p + 1)
         rows.append(

@@ -13,7 +13,6 @@ the conjugate of its mirror.
 from __future__ import annotations
 
 import configparser
-import io
 import re
 from dataclasses import dataclass, field, fields
 

@@ -51,6 +51,7 @@ from .geometry import (
 from .jets import (
     Jet,
     TJet,
+    cauchy_sum,
     jet_add,
     jet_log,
     jet_mul,
@@ -192,10 +193,10 @@ def step(state: SolverState, minors: dict | None = None) -> SolverState:
     # exponential recursion drops out.
     x_partial = t_exp_coeff(state.v, state.exp_neg_v, m + 1, sign=-1.0)
 
-    e_coeff = jet_mul(state.exp_neg_v[0], det_new)
-    for j in range(1, m + 1):
-        e_coeff = jet_add(e_coeff, jet_mul(state.exp_neg_v[j], state.det_g[m + 1 - j]))
-    e_coeff = jet_add(e_coeff, jet_mul(x_partial, state.det_g[0]))
+    # [t^{m+1}] e^{-v} det g, with x_partial as the t^{m+1} coefficient of e^{-v}.
+    e_coeff = cauchy_sum(
+        state.exp_neg_v + (x_partial,), state.det_g + (det_new,), m + 1, range(m + 2)
+    )
     v_new = jet_scale(e_coeff, c / (m + 2))
 
     x_new = jet_add(x_partial, jet_scale(jet_mul(v_new, state.exp_neg_v[0]), -1.0))

@@ -28,13 +28,13 @@ from .geometry import (
     dz,
     dzbar,
     jet_det,
+    minor_det,
 )
 from .jets import (
     Jet,
     TJet,
     jet_add,
     jet_conj,
-    jet_restrict_validity,
     jet_scale,
     max_abs_coeff,
     max_coeff_diff,
@@ -340,11 +340,7 @@ class CurvatureReport:
         return self.closedness.passed
 
 
-def curvature_and_class(
-    sol,
-    tolerance: float = 1e-9,
-    min_quadrature_points: int = 256,
-) -> CurvatureReport:
+def curvature_and_class(sol, tolerance: float = 1e-9) -> CurvatureReport:
     """Assemble the curvature blocks, check dF = 0 coefficientwise, and for
     supported bases integrate F/(2 pi) over the base at t = 0.
 
@@ -395,7 +391,7 @@ def curvature_and_class(
         notes.append("flat chart: curvature blocks vanish identically, integral 0")
     elif kind == "fubini_study" and chart.get("n") == 1:
         integral, nearest, deviation, npts, kappa, prop_defect, extra = (
-            _projective_line_integral(sol, chart["scale"], min_quadrature_points)
+            _projective_line_integral(sol, chart["scale"])
         )
         notes.extend(extra)
         notes.append(
@@ -448,14 +444,15 @@ def _closedness_rows(d: SolutionView, g_t, tolerance):
             yield _row("dF_dz_dz_dzbar", m, valid, worst, scale, tolerance)
 
 
-def _projective_line_integral(sol: Solution, scale: float, min_points: int):
+def _projective_line_integral(sol: Solution, scale: float):
     """Integrate F/(2 pi) over the projective line at t = 0.
 
     The t = 0 slice of the calibrated form is -(i/kappa) g^(1) dz^dzbar.
     On this chart g^(1) is a constant multiple gamma of the metric itself
     (verified, not assumed), and the metric has the global closed-form
     profile scale/(1+|z|^2)^2, so the quadrature integrates that profile in
-    polar coordinates with refinement until the value settles.
+    polar coordinates, from 32 radial by 16 angular nodes, doubling the
+    radial nodes until the value settles.
     """
     notes = []
     cal = calibrate(sol)
@@ -476,7 +473,7 @@ def _projective_line_integral(sol: Solution, scale: float, min_points: int):
         return scale / (1.0 + r * r) ** 2
 
     n_theta = 16
-    n_r = max(32, min_points // n_theta)
+    n_r = 32
     prev = None
     value = None
     npts = 0
@@ -529,9 +526,10 @@ def smoothness_check(sol: Solution, tolerance: float = 1e-9) -> SmoothnessReport
     """
     a_jet = sol.exp_u.coeffs[1]
     a_base = a_jet.constant_term.real
-    # The constant term of det h reads only the constant terms of h.
-    det_h = jet_det(sol.input.h.map(lambda e: jet_restrict_validity(e, 0)))
-    expected = sol.config.c * det_h.constant_term.real
+    # The constant term of det h is the determinant of the constant terms.
+    full = tuple(range(sol.n))
+    det_h0 = minor_det(sol.input.h.base_matrix().tolist(), full, full, {})
+    expected = sol.config.c * det_h0.real
     w_lin = sol.w_inv.coeffs[1].constant_term.real
     return SmoothnessReport(
         a_base=a_base,

@@ -7,6 +7,7 @@ import pytest
 
 from ricciflat import geometry as geo
 from ricciflat.jets import jet_eval_many
+from ricciflat.majorant import majorant_sequence, nonlinearity_bounds
 from ricciflat.solver import Solution, SolverConfig, solve
 
 
@@ -14,6 +15,13 @@ def jet_eval(a, point) -> complex:
     """Evaluate one jet at one point of R^{2n} (complex coordinates are
     accepted for holomorphic sampling)."""
     return complex(jet_eval_many(a, np.asarray(point)[None, :])[0])
+
+
+def dominating_sequence(sol: Solution, params) -> list[float]:
+    """Majorant coefficients C_1..C_M through the solution's t-order, as the
+    ``majorant`` command builds them when no ``--m-max`` is given."""
+    bounds = nonlinearity_bounds(sol, params, sol.t_order)
+    return majorant_sequence(params, bounds, sol.t_order)
 
 
 def truncate_solution(sol: Solution, t_order: int) -> Solution:

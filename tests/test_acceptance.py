@@ -11,12 +11,12 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import CORPUS_M, corpus_keys
+from conftest import CORPUS_M, corpus_keys, dominating_sequence
 from ricciflat import geometry as geo
 from ricciflat.cli import main as cli_main
 from ricciflat.closed_form import calibrate
-from ricciflat.jets import max_abs_coeff
 from ricciflat.majorant import (
+    GRID_POINTS,
     cauchy_estimate_check,
     check_domination,
     domination_radii,
@@ -118,17 +118,16 @@ def test_a4_moment_laplacian_is_constant(corpus_solutions, corpus_solutions_c2):
 
 
 def test_a5_majorant_domination(corpus_solutions):
-    grid_points = 128
     for key in corpus_keys():
         sol = corpus_solutions[key]
-        params = estimate_params(sol, 0.2, grid_points=grid_points)
-        rep = check_domination(sol, params, points_per_radius=grid_points)
+        params = estimate_params(sol, 0.2)
+        rep = check_domination(sol, params, dominating_sequence(sol, params))
         assert rep.C[1] == params.A, "C_1 must equal A exactly"
         assert rep.passed, f"domination failed for {key}"
         checked = {r.m for r in rep.rows if r.status == "pass"}
         assert checked == set(range(1, 9))
         assert len(domination_radii(params.R)) == 3
-        assert grid_points >= 100
+        assert GRID_POINTS >= 100
     lemma_rows = [
         row
         for p in (0, 1, 2, 3)

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import dominating_sequence
 from ricciflat import geometry as geo
 from ricciflat.cli import main
 from ricciflat.errors import InvalidInputError
@@ -81,7 +82,7 @@ def test_nan_coefficient_fails_the_majorant(small_solution, position):
     bad = _with_nan_in_v1(small_solution, position)
     params = estimate_params(bad, 0.2)
     assert math.isnan(params.A)
-    assert not check_domination(bad, params).passed
+    assert not check_domination(bad, params, dominating_sequence(bad, params)).passed
 
 
 def test_write_json_encodes_non_finite_values(tmp_path):

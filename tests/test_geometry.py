@@ -25,9 +25,9 @@ from ricciflat.jets import (
     Jet,
     TJet,
     context,
+    jet_conj,
     jet_derive,
     jet_mul,
-    jet_restrict_validity,
     jet_scale,
     max_abs_coeff,
     max_coeff_diff,
@@ -52,7 +52,20 @@ def random_hermitian(ctx, rng, scale=0.2, max_degree=None):
             if max_degree is not None:
                 coeffs[ctx.deg_start[max_degree + 1] :] = 0
             upper[i][j] = Jet(ctx, coeffs, ctx.cap)
-    return HermitianJetMatrix.from_upper(upper)
+    return hermitian_from_upper(upper)
+
+
+def hermitian_from_upper(upper):
+    """Hermitian matrix from the entries given for i <= j; the lower
+    triangle is the coefficientwise conjugate of the upper one."""
+    n = len(upper)
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = upper[i][j]
+            if i != j:
+                rows[j][i] = jet_conj(upper[i][j])
+    return HermitianJetMatrix(rows)
 
 
 # -- mixed Hessian -------------------------------------------------------------
@@ -213,7 +226,7 @@ def _random_matrix(n, kind, seed):
         [
             [
                 TJet(
-                    jet_restrict_validity(h[i, j], ctx.cap - 2 * k)
+                    Jet(ctx, h[i, j].coeffs, ctx.cap - 2 * k)
                     for k, h in enumerate(orders)
                 )
                 for j in range(n)
@@ -287,7 +300,7 @@ def test_det_coefficient_matches_leibniz_expansion(n):
     rng = np.random.default_rng(30 + n)
     g_orders = tuple(
         random_hermitian(ctx, rng, scale=0.2 / (k + 1))
-        .map(lambda e, k=k: jet_restrict_validity(e, ctx.cap - k))
+        .map(lambda e, k=k: Jet(ctx, e.coeffs, ctx.cap - k))
         .entries
         for k in range(4)
     )

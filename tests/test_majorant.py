@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import solve_corpus_member
+from conftest import dominating_sequence, solve_corpus_member
 from ricciflat import geometry as geo
 from ricciflat.errors import InvalidInputError
 from ricciflat import majorant
@@ -14,6 +14,7 @@ from ricciflat.geometry import HermitianJetMatrix, InitialData, complex_mixed_he
 from ricciflat.jets import TJet, context, jet_log, jet_scale
 from ricciflat.majorant import (
     MajorantParams,
+    MajorantReport,
     cauchy_estimate_check,
     check_domination,
     estimate_params,
@@ -26,7 +27,13 @@ from ricciflat.solver import SolverConfig, solve
 
 
 def simple_params(A=1.0, R=0.5, M=4.0):
-    return MajorantParams(R=R, A=A, sigma=1.0, M_const=M)
+    return MajorantParams(R=R, A=A, M_const=M)
+
+
+def reported_sigma(params) -> float:
+    """The resonance gap as the majorant report records it."""
+    rep = MajorantReport(params, (0.0, params.A), (), None, "")
+    return rep.as_dict()["sigma"]
 
 
 # -- parameter estimation -----------------------------------------------------------
@@ -40,7 +47,7 @@ def test_estimate_params_linear_metric_lower_bound():
     sol = solve(init, SolverConfig(c=1.0, t_order=3, space_degree=12))
     params = estimate_params(sol, 0.2)
     assert params.A >= 0.5
-    assert params.sigma == 1.0
+    assert reported_sigma(params) == 1.0
     assert params.M_const == 4.0
     assert not params.A_clamped
 
@@ -56,7 +63,7 @@ def test_resonance_gap_is_one():
     for m in range(1, 20):
         assert abs(m - (-1)) >= 1 * m
     params = simple_params()
-    assert params.sigma == 1.0
+    assert reported_sigma(params) == 1.0
 
 
 def test_operator_bound_convention_scales_with_c():
@@ -145,8 +152,8 @@ def test_nonlinearity_bounds_exponential_tail():
     params = estimate_params(sol, 0.2)
     bounds = nonlinearity_bounds(sol, params, 5)
     got = bounds[(0, 2, 0, 0, 0)]
-    assert got == pytest.approx(params.sup_inflation / 2.0)
-    assert bounds[(0, 3, 0, 0, 0)] == pytest.approx(params.sup_inflation / 6.0)
+    assert got == pytest.approx(majorant.SUP_INFLATION / 2.0)
+    assert bounds[(0, 3, 0, 0, 0)] == pytest.approx(majorant.SUP_INFLATION / 6.0)
 
 
 def test_nonlinearity_bounds_weight_filter():
@@ -224,7 +231,7 @@ def test_nonlinearity_bounds_unchanged_by_the_shared_minors(n, D, monkeypatch):
 def test_domination_on_flat_includes_margin(flat_solutions):
     sol = flat_solutions[1]
     params = estimate_params(sol, 0.2)
-    rep = check_domination(sol, params)
+    rep = check_domination(sol, params, dominating_sequence(sol, params))
     assert rep.passed
     for row in rep.rows:
         if row.status == "pass":
@@ -234,7 +241,7 @@ def test_domination_on_flat_includes_margin(flat_solutions):
 def test_domination_on_perturbed_member():
     sol = solve_corpus_member(1, 0)
     params = estimate_params(sol, 0.2)
-    rep = check_domination(sol, params)
+    rep = check_domination(sol, params, dominating_sequence(sol, params))
     assert rep.passed
     assert rep.C[1] == params.A
     orders = {r.m for r in rep.rows}
@@ -244,7 +251,7 @@ def test_domination_on_perturbed_member():
 def test_domination_first_order_tight_by_construction():
     sol = solve_corpus_member(1, 1)
     params = estimate_params(sol, 0.2)
-    rep = check_domination(sol, params)
+    rep = check_domination(sol, params, dominating_sequence(sol, params))
     first = [r for r in rep.rows if r.m == 1 and r.inequality == "value"]
     assert all(r.observed <= params.A for r in first)
 
@@ -278,7 +285,7 @@ def test_radius_estimate_entire_cases():
 def test_flat_pipeline_reports_entire(flat_solutions):
     sol = flat_solutions[1]
     params = estimate_params(sol, 0.2)
-    rep = check_domination(sol, params)
+    rep = check_domination(sol, params, dominating_sequence(sol, params))
     assert rep.radius_estimate is None
     assert "entire" in rep.radius_note
 

@@ -5,6 +5,7 @@ import pytest
 
 from ricciflat import geometry as geo
 from ricciflat.errors import InvalidInputError
+from ricciflat.jets import Jet
 from ricciflat.solver import SolverConfig, solve
 from ricciflat.verify import (
     curvature_and_class,
@@ -217,3 +218,13 @@ def test_smoothness_projective_leading_coefficient(fs_solution):
     assert rep.a_base == pytest.approx(det_h0, abs=1e-12)
     assert rep.a_deviation <= 1e-12
     assert rep.is_smooth
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_smoothness_expected_matches_restricted_jet_det_bitwise(n):
+    # Reference route: the cofactor expansion of the jets of h trusted to
+    # degree 0, whose constant term is det h(0).
+    sol = solve_quiet(geo.perturbed_flat(n, 0.1, n, 2, 4), t_order=1, space_degree=4)
+    restricted = sol.input.h.map(lambda e: Jet(e.ctx, e.coeffs, 0))
+    want = sol.config.c * geo.jet_det(restricted).constant_term.real
+    assert smoothness_check(sol).a_expected.hex() == want.hex()
