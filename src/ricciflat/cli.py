@@ -26,8 +26,8 @@ from .conventions import CONVENTIONS
 from .errors import DegeneracyError, InvalidInputError, RicciflatError
 from .geometry import BUILTIN_METRICS
 from .report import (
-    matrix_rows,
-    series_rows,
+    matrix_entries,
+    series_entries,
     solution_summary,
     write_csv,
     write_json,
@@ -217,14 +217,14 @@ def _solve_one(sc: Scenario, out_dir: str, extra=None) -> int:
     sol = _solve_scenario(sc)
     os.makedirs(out_dir, exist_ok=True)
     write_series_csv(
-        os.path.join(out_dir, "v.csv"), [series_rows("v", sol.v)]
+        os.path.join(out_dir, "v.csv"), [series_entries("v", sol.v)]
     )
-    write_series_csv(os.path.join(out_dir, "g.csv"), [matrix_rows("g", sol.g)])
+    write_series_csv(os.path.join(out_dir, "g.csv"), [matrix_entries("g", sol.g)])
     write_series_csv(
-        os.path.join(out_dir, "w_inv.csv"), [series_rows("w_inv", sol.w_inv)]
+        os.path.join(out_dir, "w_inv.csv"), [series_entries("w_inv", sol.w_inv)]
     )
     write_series_csv(
-        os.path.join(out_dir, "exp_u.csv"), [series_rows("exp_u", sol.exp_u)]
+        os.path.join(out_dir, "exp_u.csv"), [series_entries("exp_u", sol.exp_u)]
     )
     write_json(
         os.path.join(out_dir, "report.json"),
@@ -393,20 +393,17 @@ def cmd_majorant(args) -> int:
 
 def _majorant_one(sc: Scenario, out_dir: str, m_max_arg=None) -> int:
     sol = _solve_scenario(sc)
-    params = majorant.estimate_params(sol, sc.radius)
-    m_max = m_max_arg or sol.t_order
+    m_max = sol.t_order if m_max_arg is None else m_max_arg
+    run = majorant.MajorantRun(sol, m_max)
+    params = majorant.estimate_params(run, sc.radius)
     if not params.A_clamped:
         # Refuse before the bounds are built: a clamped A needs no radius
         # estimate, any other needs C_1..C_4.
         majorant.require_radius_orders(m_max)
     bounds = majorant.nonlinearity_bounds(sol, params, m_max)
     C = majorant.majorant_sequence(params, bounds, m_max)
-    rep = majorant.check_domination(sol, params, C)
-    lemma = [
-        row
-        for p in (0, 1, 2, 3)
-        for row in majorant.cauchy_estimate_check(p, 1.0, sc.radius)
-    ]
+    rep = majorant.check_domination(run, params, C)
+    lemma = majorant.cauchy_estimate_check(1.0, sc.radius)
     os.makedirs(out_dir, exist_ok=True)
     write_csv(
         os.path.join(out_dir, "majorant.csv"),

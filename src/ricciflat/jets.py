@@ -109,45 +109,40 @@ class JetContext:
         pos = np.searchsorted(self._sorted_keys, keys)
         return self._order[pos]
 
-    def block_pairs(self, da: int, db: int):
-        """Gather tables multiplying the degree-da block against the degree-db
-        block: (I, J, segment starts, global target ranks).  Pairs are sorted
-        by target monomial, stably, so one segmented reduction accumulates
-        each product coefficient.  Built on demand by ``row_pairs``; not
-        cached."""
-        ia = np.arange(self.deg_start[da], self.deg_start[da + 1])
-        ib = np.arange(self.deg_start[db], self.deg_start[db + 1])
-        I = np.repeat(ia, len(ib))
-        J = np.tile(ib, len(ia))
-        K = self._lookup_keys(self._packed[I] + self._packed[J])
-        order = np.argsort(K, kind="stable")
-        Ks = K[order]
-        seg_starts = np.flatnonzero(np.r_[True, Ks[1:] != Ks[:-1]])
-        return I[order], J[order], seg_starts, Ks[seg_starts]
-
     def row_pairs(self, da: int, db_max: int):
         """Gather tables of the degree-da block against every degree-db block
         with db <= db_max, concatenated in db order: (I, J, segment starts,
         global target ranks, ends), where ``ends[k]`` is the (pair count,
-        segment count) of the blocks db <= k.
+        segment count) of the blocks db <= k.  Pairs are sorted by target
+        monomial, stably, so one segmented reduction accumulates each product
+        coefficient.
 
         Targets of degree da + db fill their own block, so the row is sorted
         by target and the tables for any smaller bound are a prefix of it.  A
-        cached row grows, by appending blocks, only when a larger db_max is
-        asked for.
+        cached row grows only when a larger db_max is asked for; the missing
+        blocks are built in one pass, whose stable sort by target orders them
+        by db first and keeps each block's own pair order.
         """
         row = self._pair_cache.get(da)
         have = -1 if row is None else len(row[4]) - 1
         if db_max > have:
-            parts = [] if row is None else [row[:4]]
             ends = [] if row is None else list(row[4])
             pairs, segs = ends[-1] if ends else (0, 0)
+            start = self.deg_start
+            ia = np.arange(start[da], start[da + 1])
+            ib = np.arange(start[have + 1], start[db_max + 1])
+            I = np.repeat(ia, len(ib))
+            J = np.tile(ib, len(ia))
+            K = self._lookup_keys(self._packed[I] + self._packed[J])
+            order = np.argsort(K, kind="stable")
+            Ks = K[order]
+            seg_starts = np.flatnonzero(np.r_[True, Ks[1:] != Ks[:-1]])
+            targets = Ks[seg_starts]
+            parts = [] if row is None else [row[:4]]
+            parts.append((I[order], J[order], seg_starts + pairs, targets))
             for db in range(have + 1, db_max + 1):
-                I, J, seg_starts, targets = self.block_pairs(da, db)
-                parts.append((I, J, seg_starts + pairs, targets))
-                pairs += len(I)
-                segs += len(seg_starts)
-                ends.append((pairs, segs))
+                pairs += len(ia) * int(start[db + 1] - start[db])
+                ends.append((pairs, segs + int(np.searchsorted(targets, start[da + db + 1]))))
             row = tuple(
                 np.ascontiguousarray(np.concatenate(col), dtype=np.intp)
                 for col in zip(*parts)
@@ -453,46 +448,73 @@ def jet_eval_many(a: Jet, points: np.ndarray) -> np.ndarray:
 
 def jet_eval_grid(jets, points: np.ndarray) -> np.ndarray:
     """Evaluate jets of one context at a batch of points, shape (P, 2n);
-    returns shape (len(jets), P).
+    returns shape (len(jets), P).  One list of ``jet_eval_lists``."""
+    return jet_eval_lists([jets], points)[0]
+
+
+def jet_eval_lists(lists, points: np.ndarray) -> list[np.ndarray]:
+    """Evaluate lists of jets of one context at a batch of points, shape
+    (P, 2n); returns one array of shape (len(jets), P) per list.
 
     Each jet is read only through its own ``valid_degree`` (a jet with no
-    trusted degree evaluates to zero).  The monomial matrix of the points is
-    built once, through the highest trusted degree among the jets, in chunks
-    of at most 4M entries, and all jets are evaluated against it with one
-    matrix product per chunk.
+    trusted degree evaluates to zero).  A list is evaluated against the
+    monomial matrix of the points through its highest trusted degree, built
+    in chunks of at most 4M entries, with one matrix product per chunk, so
+    its values are bitwise those of the list evaluated alone.  Lists with
+    the same highest trusted degree share each chunk's matrix.
     """
-    jets = list(jets)
-    ctx = jets[0].ctx
-    for jet in jets[1:]:
-        _require_same_ctx(jets[0], jet)
+    lists = [list(jets) for jets in lists]
+    every = [jet for jets in lists for jet in jets]
     pts = np.asarray(points, dtype=np.complex128)
+    outs = [np.zeros((len(jets), pts.shape[0]), dtype=np.complex128) for jets in lists]
+    if not every:
+        return outs
+    ctx = every[0].ctx
+    for jet in every[1:]:
+        _require_same_ctx(every[0], jet)
     if pts.ndim != 2 or pts.shape[1] != ctx.nvars:
         raise InvalidInputError(
             f"points must have shape (P, {ctx.nvars}), got {pts.shape}"
         )
-    out = np.zeros((len(jets), pts.shape[0]), dtype=np.complex128)
-    top = max(jet.valid_degree for jet in jets)
-    if top < 0:
-        return out
-    width = int(ctx.deg_start[top + 1])
+    by_top: dict[int, list[int]] = {}
+    for k, jets in enumerate(lists):
+        top = max((jet.valid_degree for jet in jets), default=-1)
+        if top >= 0:
+            by_top.setdefault(top, []).append(k)
+    for top, ks in by_top.items():
+        width = int(ctx.deg_start[top + 1])
+        coeffs = {k: _trusted_columns(lists[k], width) for k in ks}
+        chunk = max(1, 4_000_000 // width)
+        for lo in range(0, pts.shape[0], chunk):
+            mono = _monomial_matrix(ctx, pts[lo : lo + chunk], top)
+            for k in ks:
+                outs[k][:, lo : lo + chunk] = (mono @ coeffs[k]).T
+    return outs
+
+
+def _trusted_columns(jets, width: int) -> np.ndarray:
+    """The jets' coefficients through their own valid_degree, one column
+    each, zero-padded to ``width`` rows."""
     coeffs = np.zeros((width, len(jets)), dtype=np.complex128)
     for k, jet in enumerate(jets):
         if jet.valid_degree >= 0:
-            end = ctx.deg_start[jet.valid_degree + 1]
+            end = jet.ctx.deg_start[jet.valid_degree + 1]
             coeffs[:end, k] = jet.coeffs[:end]
+    return coeffs
+
+
+def _monomial_matrix(ctx: JetContext, pts: np.ndarray, top: int) -> np.ndarray:
+    """Every monomial of degree <= top at each point, shape (P, width)."""
+    width = int(ctx.deg_start[top + 1])
     exponents = ctx.exponents[:width]
-    chunk = max(1, 4_000_000 // width)
-    for lo in range(0, pts.shape[0], chunk):
-        sub = pts[lo : lo + chunk]
-        mono = np.ones((sub.shape[0], width), dtype=np.complex128)
-        for v in range(ctx.nvars):
-            powers = np.empty((sub.shape[0], top + 1), dtype=np.complex128)
-            powers[:, 0] = 1.0
-            for d in range(1, top + 1):
-                powers[:, d] = powers[:, d - 1] * sub[:, v]
-            mono *= powers[:, exponents[:, v]]
-        out[:, lo : lo + chunk] = (mono @ coeffs).T
-    return out
+    mono = np.ones((pts.shape[0], width), dtype=np.complex128)
+    for v in range(ctx.nvars):
+        powers = np.empty((pts.shape[0], top + 1), dtype=np.complex128)
+        powers[:, 0] = 1.0
+        for d in range(1, top + 1):
+            powers[:, d] = powers[:, d - 1] * pts[:, v]
+        mono *= powers[:, exponents[:, v]]
+    return mono
 
 
 def max_coeff_diff(a: Jet, b: Jet, through_degree: int | None = None) -> float:

@@ -32,9 +32,10 @@ from .geometry import complex_mixed_hessian, jet_det, minor_det
 from .jets import (
     Jet,
     TJet,
+    context,
     jet_derive,
     jet_eval_grid,
-    jet_eval_many,
+    jet_eval_lists,
     jet_mul,
     jet_reciprocal,
     jet_scale,
@@ -105,15 +106,51 @@ def _operator_images(v1: Jet, c: float) -> list[Jet]:
     ]
 
 
-def estimate_params(sol: Solution, R: float) -> MajorantParams:
+class MajorantRun:
+    """What the stages of one majorant run share, passed to them in place of
+    the ``Solution`` as ``verify.SolutionView`` is to the checks of a verify
+    run.  It holds the jets behind the domination rows of the orders
+    1..min(t_order, m_max) and, once ``estimate_params`` has sampled them in
+    its own pass over the domination grids, their suprema per radius: the
+    floats that ``check_domination`` reads once C is known."""
+
+    def __init__(self, sol: Solution, m_max: int):
+        self.sol = sol
+        self.m_max = m_max
+        self.groups = _domination_groups(sol, m_max)
+        self.sampled = [jet for groups in self.groups.values() for g in groups for jet in g]
+        self.sups: dict[float, list[np.ndarray]] = {}  # R -> per-radius suprema
+
+
+def _domination_groups(sol: Solution, m_max: int) -> dict:
+    """Per order m <= min(t_order, m_max): the jets behind the value,
+    gradient and operator rows, each group empty when v_m lacks the
+    validity to support it."""
+    nvars = sol.input.ctx.nvars
+    groups = {}
+    for m in range(1, min(sol.t_order, m_max) + 1):
+        vm = sol.v.coeffs[m]
+        groups[m] = (
+            [vm] if vm.valid_degree >= 0 else [],
+            [jet_derive(vm, v) for v in range(nvars)] if vm.valid_degree >= 1 else [],
+            _operator_images(vm, sol.config.c) if vm.valid_degree >= 2 else [],
+        )
+    return groups
+
+
+def estimate_params(sol: Solution | MajorantRun, R: float) -> MajorantParams:
     """Sample |v_1|, its coordinate gradient and the operator images over the
     polydisc, ``GRID_POINTS`` points per radius, to produce A; the operator
     bound is structural.
 
     The sample set is the union of the domination grids (all three check
     radii) plus a near-boundary shell, so the first-order inequality holds on
-    the check grids by construction of A.
+    the check grids by construction of A.  Given a ``MajorantRun``, the same
+    pass samples the run's domination jets on those grids, against the same
+    monomial matrices, and keeps their suprema for ``check_domination``.
     """
+    run = sol if isinstance(sol, MajorantRun) else None
+    sol = sol.sol if run else sol
     if not (0.0 < R < 1.0) or R >= sol.input.polydisc_radius:
         raise InvalidInputError(
             f"majorant radius must satisfy 0 < R < min(1, input radius "
@@ -129,11 +166,17 @@ def estimate_params(sol: Solution, R: float) -> MajorantParams:
     jets.extend(jet_derive(v1, var, allow_exhausted=True) for var in range(ctx.nvars))
     jets.extend(_operator_images(v1, c))
 
-    radii = list(domination_radii(R)) + [0.999 * R]
-    sups = [
-        np.max(np.abs(jet_eval_grid(jets, polydisc_grid(ctx.nvars, r, GRID_POINTS))))
-        for r in radii
-    ]
+    sups, dominated = [], []
+    for r in domination_radii(R):
+        pts = polydisc_grid(ctx.nvars, r, GRID_POINTS)
+        values = jet_eval_lists([jets, run.sampled] if run else [jets], pts)
+        sups.append(np.max(np.abs(values[0])))
+        if run:
+            dominated.append(np.max(np.abs(values[1]), axis=1))
+    shell = polydisc_grid(ctx.nvars, 0.999 * R, GRID_POINTS)
+    sups.append(np.max(np.abs(jet_eval_grid(jets, shell))))
+    if run:
+        run.sups[R] = dominated
     A = float(np.max(sups))  # np.max keeps a NaN sample, so the checks fail
 
     notes = []
@@ -356,7 +399,9 @@ class MajorantReport:
         }
 
 
-def check_domination(sol: Solution, params: MajorantParams, C: list[float]) -> MajorantReport:
+def check_domination(
+    sol: Solution | MajorantRun, params: MajorantParams, C: list[float]
+) -> MajorantReport:
     """Verify the three domination inequalities on deterministic grids of
     ``GRID_POINTS`` points at the radii R/4, R/2, 3R/4:
 
@@ -367,34 +412,28 @@ def check_domination(sol: Solution, params: MajorantParams, C: list[float]) -> M
     with Y_m(r) = C_m / (R - r)^{2m-2}.  Failures are recorded as rows, not
     raised; orders whose spatial validity cannot support the evaluation are
     marked skipped.  Every jet is sampled through its trusted degree only,
-    all jets of one radius in one grid evaluation.
+    all jets of one radius in one grid evaluation.  A ``MajorantRun`` whose
+    ``estimate_params`` pass sampled them at this R lends its suprema.
     """
     e = math.e
-    ctx = sol.input.ctx
-    orders = range(1, min(sol.t_order, len(C) - 1) + 1)
-    # Per order: the jets behind the value, gradient and operator rows, each
-    # group empty when v_m lacks the validity to support it.
-    groups = {}
-    for m in orders:
-        vm = sol.v.coeffs[m]
-        groups[m] = (
-            [vm] if vm.valid_degree >= 0 else [],
-            [jet_derive(vm, v) for v in range(ctx.nvars)] if vm.valid_degree >= 1 else [],
-            _operator_images(vm, sol.config.c) if vm.valid_degree >= 2 else [],
-        )
-    sampled = [jet for m in orders for group in groups[m] for jet in group]
+    run = sol if isinstance(sol, MajorantRun) else MajorantRun(sol, len(C) - 1)
+    if run.m_max != len(C) - 1:
+        raise InvalidInputError(f"C has {len(C) - 1} orders, the run {run.m_max}")
+    if params.R not in run.sups:
+        nvars = run.sol.input.ctx.nvars
+        run.sups[params.R] = [
+            np.max(np.abs(jet_eval_grid(run.sampled, polydisc_grid(nvars, r, GRID_POINTS))), axis=1)
+            for r in domination_radii(params.R)
+        ]
 
     rows = []
-    for r in domination_radii(params.R):
-        if sampled:
-            pts = polydisc_grid(ctx.nvars, r, GRID_POINTS)
-            sups = np.max(np.abs(jet_eval_grid(sampled, pts)), axis=1)
+    for r, sups in zip(domination_radii(params.R), run.sups[params.R]):
         pos = 0
-        for m in orders:
+        for m, groups in run.groups.items():
             Y = C[m] / (params.R - r) ** (2 * m - 2)
             limits = (Y, 2 * e * Y, 4 * e * e * (m + 1) * params.M_const * Y)
             for name, group, weight, bound in zip(
-                ("value", "gradient", "operator"), groups[m], (m, 1, 1), limits
+                ("value", "gradient", "operator"), groups, (m, 1, 1), limits
             ):
                 if not group:
                     rows.append(DominationRow(name, m, r, 0.0, bound, "skipped"))
@@ -469,38 +508,44 @@ class CauchyEstimateRow:
     status: str
 
 
-def cauchy_estimate_check(p: int, C: float, R: float) -> list[CauchyEstimateRow]:
-    """Derivative growth on the documented test family f = C/(R - x1)^p:
-    from |f| <= C/(R-r)^p the bound |df| <= C e (p+1)/(R-r)^{p+1} follows.
+# The powers p of the lemma's test family.
+LEMMA_POWERS = range(4)
 
-    The family is expanded as a one-variable jet of degree 40 and both sides
-    are evaluated on deterministic grids of 64 points at the domination
-    radii.
+
+def cauchy_estimate_check(C: float, R: float) -> list[CauchyEstimateRow]:
+    """Derivative growth on the documented test family f_p = C/(R - x1)^p,
+    p in ``LEMMA_POWERS``: from |f_p| <= C/(R-r)^p the bound
+    |df_p| <= C e (p+1)/(R-r)^{p+1} follows.  Rows come p by p, each p at
+    the domination radii.
+
+    The family is expanded as one-variable jets of degree 40, f_p = f_{p-1}
+    times the one reciprocal of R - x1.  Both sides are evaluated on
+    deterministic grids of 64 points at the domination radii, every df_p
+    against one monomial matrix per radius.
     """
-    if p < 0 or not (0.0 < R < 1.0):
-        raise InvalidInputError("need p >= 0 and 0 < R < 1")
-    from .jets import context
-
+    if not (0.0 < R < 1.0):
+        raise InvalidInputError("need 0 < R < 1")
     ctx = context(1, 40)
-    if p == 0:
-        f = ctx.constant(C)
-    else:
-        base = jet_scale(ctx.x(0), -1.0) + R
-        rec = jet_reciprocal(base)
-        f = ctx.constant(C)
-        for _ in range(p):
+    rec = jet_reciprocal(jet_scale(ctx.x(0), -1.0) + R)
+    f = ctx.constant(C)
+    dfs = []
+    for p in LEMMA_POWERS:
+        if p:
             f = jet_mul(f, rec)
-    df = jet_derive(f, 0)
+        dfs.append(jet_derive(f, 0))
 
+    radii = domination_radii(R)
+    observed = [
+        jet_eval_lists([[df] for df in dfs], polydisc_grid(ctx.nvars, r, 64))
+        for r in radii
+    ]
     rows = []
     e = math.e
-    for r in domination_radii(R):
-        pts = polydisc_grid(ctx.nvars, r, 64)
-        observed = float(np.max(np.abs(jet_eval_many(df, pts))))
-        bound = C * e * (p + 1) / (R - r) ** (p + 1)
-        rows.append(
-            CauchyEstimateRow(
-                p, r, observed, bound, "pass" if observed <= bound else "fail"
+    for p in LEMMA_POWERS:
+        for r, values in zip(radii, observed):
+            obs = float(np.max(np.abs(values[p])))
+            bound = C * e * (p + 1) / (R - r) ** (p + 1)
+            rows.append(
+                CauchyEstimateRow(p, r, obs, bound, "pass" if obs <= bound else "fail")
             )
-        )
     return rows

@@ -18,6 +18,8 @@ import math
 import os
 from datetime import datetime, timezone
 
+import numpy as np
+
 from .jets import Jet, JetContext, TJet
 
 SERIES_COLUMNS = ("series", "i", "j", "t_order", "monomial", "exponents", "re", "im", "valid_degree")
@@ -37,40 +39,40 @@ def monomial_label(ctx: JetContext, idx: int) -> str:
     return "*".join(parts)
 
 
-def _jet_rows(series: str, i, j, m: int, jet: Jet, include_zero: bool = False):
-    """Rows for the monomials through the jet's valid_degree; none when it
-    has no trusted degree."""
+def _jet_rows(series: str, i, j, m: int, jet: Jet, labels: dict):
+    """Rows for the nonzero monomials through the jet's valid_degree; none
+    when it has no trusted degree.  ``labels`` holds, per context, the
+    (monomial label, exponent string) of each index formed so far."""
     ctx = jet.ctx
     end = int(ctx.deg_start[jet.valid_degree + 1]) if jet.valid_degree >= 0 else 0
-    for idx in range(end):
-        val = jet.coeffs[idx]
-        if not include_zero and val == 0:
-            continue
-        yield (
-            series,
-            "" if i is None else i + 1,
-            "" if j is None else j + 1,
-            m,
-            monomial_label(ctx, idx),
-            " ".join(str(e) for e in ctx.exponents[idx]),
-            repr(float(val.real)),
-            repr(float(val.imag)),
-            jet.valid_degree,
-        )
+    known = labels.setdefault(ctx, [])
+    known.extend(
+        (monomial_label(ctx, idx), " ".join(str(e) for e in ctx.exponents[idx]))
+        for idx in range(len(known), end)
+    )
+    idx = np.flatnonzero(jet.coeffs[:end])
+    vals = jet.coeffs[idx]
+    i = "" if i is None else i + 1
+    j = "" if j is None else j + 1
+    for k, re, im in zip(idx.tolist(), vals.real.tolist(), vals.imag.tolist()):
+        label, exponents = known[k]
+        yield (series, i, j, m, label, exponents, repr(re), repr(im), jet.valid_degree)
 
 
-def series_rows(name: str, obj, i=None, j=None):
+def series_entries(name: str, obj, i=None, j=None):
+    """(series, i, j, t_order, jet) for each t-coefficient of ``obj``, or
+    for the jet itself."""
     if isinstance(obj, TJet):
         for m, cj in enumerate(obj.coeffs):
-            yield from _jet_rows(name, i, j, m, cj)
+            yield name, i, j, m, cj
     else:
-        yield from _jet_rows(name, i, j, 0, obj)
+        yield name, i, j, 0, obj
 
 
-def matrix_rows(name: str, matrix):
+def matrix_entries(name: str, matrix):
     for i in range(matrix.n):
         for j in range(matrix.n):
-            yield from series_rows(name, matrix.entries[i][j], i, j)
+            yield from series_entries(name, matrix.entries[i][j], i, j)
 
 
 def write_csv(path: str, header, rows) -> None:
@@ -82,8 +84,15 @@ def write_csv(path: str, header, rows) -> None:
 
 
 def write_series_csv(path: str, blocks) -> None:
-    """blocks: iterable of row iterables (from series_rows / matrix_rows)."""
-    write_csv(path, SERIES_COLUMNS, (row for block in blocks for row in block))
+    """blocks: iterable of entry iterables (from series_entries /
+    matrix_entries), one row per trusted nonzero coefficient.  The monomial
+    labels are formed once per index within the call."""
+    labels: dict = {}
+    write_csv(
+        path,
+        SERIES_COLUMNS,
+        (row for block in blocks for entry in block for row in _jet_rows(*entry, labels)),
+    )
 
 
 def residual_rows(report) -> list[tuple]:

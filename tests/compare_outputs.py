@@ -55,6 +55,8 @@ SCENARIOS = (
     "majorant --metric fubini_study_chart:1,1 --M 6 --D 12 --R 0.2",
     "majorant --metric perturbed_flat:3,0.1,1,2 --M 4 --D 8 --R 0.2",
     "majorant --metric perturbed_flat:4,0.1,0,2 --M 4 --D 6 --R 0.2",
+    "majorant --metric perturbed_flat:2,0.1,0,2 --M 4 --D 10 --R 0.35",
+    "majorant --metric perturbed_flat:1,0.1,7,2 --M 6 --D 12 --R 0.2 --m-max 6",
     "compare --metric fubini_study_chart:1,1 --M 8 --D 12",
     "compare --metric fubini_study_chart:2,1 --M 4 --D 10",
     "compare --metric perturbed_flat:1,0.1,7,2 --M 6 --D 12",

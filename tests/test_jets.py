@@ -430,6 +430,39 @@ def test_product_rows_grow_and_serve_smaller_requests_from_a_prefix(n):
         assert len(row[0]) == len(row[1]) == pairs and len(row[2]) == len(row[3]) == segs
 
 
+def _reference_row(ctx, da, db_max):
+    """The row tables of ``JetContext.row_pairs`` from one reference block
+    per db: segment starts offset by the pairs before, global target ranks."""
+    parts, ends, pairs, segs = [], [], 0, 0
+    for db in range(db_max + 1):
+        I, J, seg_starts, local = _reference_block_pairs(ctx, da, db)
+        parts.append((I, J, seg_starts + pairs, local + ctx.deg_start[da + db]))
+        pairs += len(I)
+        segs += len(seg_starts)
+        ends.append((pairs, segs))
+    return tuple(np.concatenate(col) for col in zip(*parts)) + (tuple(ends),)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_row_tables_equal_the_concatenated_reference_blocks(n):
+    from ricciflat.jets import JetContext
+
+    cap = _KERNEL_CAPS[n]
+    # private contexts: a row asked for whole, grown block by block, and
+    # grown by a jump of several blocks
+    whole, stepped, jumped = (JetContext(n, cap) for _ in range(3))
+    for da in range(cap + 1):
+        top = cap - da
+        requests = [(whole, top)] + [(stepped, db) for db in range(top + 1)]
+        requests += [(jumped, top // 3), (jumped, top)]
+        for ctx, db_max in requests:
+            got = ctx.row_pairs(da, db_max)
+            want = _reference_row(ctx, da, db_max)
+            assert got[4] == want[4]
+            for g, w in zip(got[:4], want[:4]):
+                assert g.dtype == np.intp and np.array_equal(g, w)
+
+
 # -- untrusted Cauchy terms ---------------------------------------------------------
 
 # References: the plain Cauchy sums, which form every product whatever its

@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import combinations, permutations
 
 import numpy as np
@@ -11,14 +12,26 @@ from ricciflat import geometry as geo
 from ricciflat.errors import InvalidInputError
 from ricciflat import majorant
 from ricciflat.geometry import HermitianJetMatrix, InitialData, complex_mixed_hessian, jet_det
-from ricciflat.jets import TJet, context, jet_log, jet_scale
+from ricciflat.jets import (
+    TJet,
+    context,
+    jet_derive,
+    jet_eval_many,
+    jet_log,
+    jet_mul,
+    jet_reciprocal,
+    jet_scale,
+)
 from ricciflat.majorant import (
+    CauchyEstimateRow,
     MajorantParams,
     MajorantReport,
+    MajorantRun,
     cauchy_estimate_check,
     check_domination,
     estimate_params,
     majorant_sequence,
+    domination_radii,
     nonlinearity_bounds,
     polydisc_grid,
     radius_estimate,
@@ -256,6 +269,28 @@ def test_domination_first_order_tight_by_construction():
     assert all(r.observed <= params.A for r in first)
 
 
+@pytest.mark.parametrize("extra", [-1, 0, 2])
+def test_run_lends_the_samples_of_its_estimate_pass(extra):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sol = solve(geo.perturbed_flat(2, 0.1, 0, 2, 12), SolverConfig(t_order=5, space_degree=12))
+    m_max = sol.t_order + extra
+    run = MajorantRun(sol, m_max)
+    params = estimate_params(run, 0.2)
+    assert params == estimate_params(sol, 0.2)
+    assert list(run.sups) == [0.2]
+    C = majorant_sequence(params, nonlinearity_bounds(sol, params, m_max), m_max)
+    assert check_domination(run, params, C) == check_domination(sol, params, C)
+
+
+def test_run_refuses_a_sequence_of_another_length():
+    sol = solve_corpus_member(1, 0)
+    run = MajorantRun(sol, sol.t_order)
+    params = estimate_params(run, 0.2)
+    with pytest.raises(InvalidInputError):
+        check_domination(run, params, dominating_sequence(sol, params)[:-1])
+
+
 # -- radius heuristics -----------------------------------------------------------------
 
 
@@ -293,15 +328,19 @@ def test_flat_pipeline_reports_entire(flat_solutions):
 # -- derivative growth lemma ------------------------------------------------------------
 
 
+def lemma_rows(p, C, R):
+    return [r for r in cauchy_estimate_check(C, R) if r.p == p]
+
+
 def test_cauchy_estimate_constant_case():
-    rows = cauchy_estimate_check(0, 1.0, 0.3)
+    rows = lemma_rows(0, 1.0, 0.3)
     assert all(r.status == "pass" for r in rows)
     assert all(r.observed == 0.0 for r in rows)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_cauchy_estimate_pole_family(p):
-    rows = cauchy_estimate_check(p, 2.0, 0.3)
+    rows = lemma_rows(p, 2.0, 0.3)
     assert all(r.status == "pass" for r in rows)
     # observed is within the analytic prediction Cp/(R-r)^{p+1} (+ tail slop)
     for r in rows:
@@ -310,11 +349,38 @@ def test_cauchy_estimate_pole_family(p):
 
 
 def test_cauchy_estimate_scaling_ratio_invariance():
-    a = cauchy_estimate_check(2, 1.0, 0.3)
-    b = cauchy_estimate_check(2, 2.0, 0.3)
+    a = lemma_rows(2, 1.0, 0.3)
+    b = lemma_rows(2, 2.0, 0.3)
     for ra, rb in zip(a, b):
         assert rb.observed == pytest.approx(2 * ra.observed, rel=1e-12)
         assert rb.bound == pytest.approx(2 * ra.bound, rel=1e-12)
+
+
+def _one_power_lemma(p, C, R):
+    """The lemma rows of one power p as they were formed before the family
+    was built in one pass: a reciprocal and a grid evaluation of its own."""
+    ctx = context(1, 40)
+    f = ctx.constant(C)
+    if p:
+        rec = jet_reciprocal(jet_scale(ctx.x(0), -1.0) + R)
+        for _ in range(p):
+            f = jet_mul(f, rec)
+    df = jet_derive(f, 0)
+    rows = []
+    for r in domination_radii(R):
+        observed = float(np.max(np.abs(jet_eval_many(df, polydisc_grid(ctx.nvars, r, 64)))))
+        bound = C * math.e * (p + 1) / (R - r) ** (p + 1)
+        rows.append(
+            CauchyEstimateRow(p, r, observed, bound, "pass" if observed <= bound else "fail")
+        )
+    return rows
+
+
+@pytest.mark.parametrize("R", [0.1, 0.2, 0.3, 0.35])
+@pytest.mark.parametrize("C", [1.0, 2.5])
+def test_lemma_family_equals_one_power_at_a_time(C, R):
+    expected = [row for p in range(4) for row in _one_power_lemma(p, C, R)]
+    assert cauchy_estimate_check(C, R) == expected
 
 
 def test_grid_is_deterministic():

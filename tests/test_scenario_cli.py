@@ -260,7 +260,12 @@ def test_cli_majorant_runs(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "size", [("--M", "3", "--D", "8"), ("--M", "4", "--D", "8", "--m-max", "3")]
+    "size",
+    [
+        ("--M", "3", "--D", "8"),
+        ("--M", "4", "--D", "8", "--m-max", "3"),
+        ("--M", "4", "--D", "8", "--m-max", "0"),
+    ],
 )
 def test_cli_majorant_refuses_short_sequences_before_the_bounds(
     tmp_path, monkeypatch, capsys, size

@@ -24,6 +24,7 @@ from ricciflat.jets import (
     context,
     jet_derive,
     jet_eval_grid,
+    jet_eval_lists,
     jet_eval_many,
     jet_exp,
     jet_log,
@@ -151,6 +152,21 @@ def test_grid_evaluates_each_jet_through_its_own_validity():
         )
         assert np.allclose(row, want, rtol=1e-12, atol=1e-14)
         assert np.allclose(row, jet_eval_many(jet, pts), rtol=1e-13, atol=1e-15)
+
+
+def test_lists_sharing_a_monomial_matrix_evaluate_as_alone():
+    ctx = context(2, 6)
+    rng = np.random.default_rng(44)
+    lists = [
+        [random_jet(ctx, rng, vd) for vd in vds]
+        for vds in ((6, 2), (4,), (), (-1, 0), (6, 6, 5), (4, 1))
+    ]
+    shape = (9, ctx.nvars)
+    pts = rng.uniform(-0.3, 0.3, size=shape) + 1j * rng.uniform(-0.3, 0.3, size=shape)
+    for jets, got in zip(lists, jet_eval_lists(lists, pts)):
+        assert got.shape == (len(jets), len(pts))
+        if jets:
+            assert got.tobytes() == jet_eval_grid(jets, pts).tobytes()
 
 
 # -- golden capture ------------------------------------------------------------------

@@ -1,15 +1,16 @@
-"""Work counts: a solve expands each minor of its determinant once, and a
+"""Work counts: a solve expands each minor of its determinant once, a
 verify run forms det g, each H(v_m) and the flow residual rows once, and
-nothing its check selection does not read."""
+nothing its check selection does not read, and a majorant run forms the
+derivative lemma's reciprocal and each sample grid's monomial matrix once."""
 
 import warnings
 from collections import Counter
 
 import pytest
 
-from ricciflat import geometry, verify
+from ricciflat import geometry, jets, majorant, verify
 from ricciflat.cli import main
-from ricciflat.jets import TJet
+from ricciflat.jets import TJet, context
 from ricciflat.scenario import ALL_CHECKS
 from ricciflat.solver import SolverConfig, solve
 
@@ -104,3 +105,21 @@ def test_shared_view_gives_the_reports_of_bare_solutions(checks):
     shared, bare = verify.curvature_and_class(view), verify.curvature_and_class(sol)
     assert shared.closedness.as_dict() == bare.closedness.as_dict()
     assert shared.form.realness_defect == bare.form.realness_defect
+
+
+def test_majorant_run_forms_the_lemma_reciprocal_and_each_monomial_matrix_once(
+    tmp_path, monkeypatch
+):
+    reciprocals = _record(monkeypatch, majorant, "jet_reciprocal")
+    matrices = _record(monkeypatch, jets, "_monomial_matrix")
+    argv = ["majorant", "--metric", "perturbed_flat:2,0.1,0,2", "--M", "4", "--D", "10"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(argv + ["--R", "0.2", "--out", str(tmp_path), "--no-timestamp"]) == 0
+    lemma_ctx = context(1, 40)
+    assert sum(a.ctx is lemma_ctx for (a,) in reciprocals) == 1
+    built = Counter((id(ctx), pts.tobytes(), top) for ctx, pts, top in matrices)
+    assert set(built.values()) == {1}
+    # three domination radii shared by A and the domination rows, the shell
+    # at 0.999 R, the nonlinearity grid at R and the lemma's three radii
+    assert len(built) == 8
