@@ -24,7 +24,7 @@ from . import __version__, majorant
 from .closed_form import RicciSpectrum, calibrate, p_of_t, ricci_spectrum_of, w_inv_closed
 from .conventions import CONVENTIONS
 from .errors import DegeneracyError, InvalidInputError, RicciflatError
-from .geometry import BUILTIN_METRICS
+from .geometry import BUILTIN_METRICS, ricci_form
 from .report import (
     matrix_entries,
     series_entries,
@@ -80,7 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--c", type=float, dest="c", help="moment-map Laplacian constant")
     common.add_argument("--R", type=float, dest="radius", help="majorant polydisc radius")
     common.add_argument("--tol", type=float, dest="tolerance", help="relative tolerance")
-    common.add_argument("--seed", type=int, dest="seed", help="scenario seed")
     common.add_argument("--out", default=None, help="output directory")
     common.add_argument(
         "--no-timestamp", action="store_true", help="omit the timestamp field"
@@ -140,18 +139,22 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _collect_scenarios(args) -> list[Scenario]:
-    overrides = {
+def _overrides(args) -> dict:
+    """The scenario fields set on the command line (None when not set)."""
+    return {
         "c": getattr(args, "c", None),
         "t_order": getattr(args, "t_order", None),
         "space_degree": getattr(args, "space_degree", None),
         "radius": getattr(args, "radius", None),
         "tolerance": getattr(args, "tolerance", None),
-        "seed": getattr(args, "seed", None),
         "out_dir": getattr(args, "out", None),
         "no_timestamp": True if getattr(args, "no_timestamp", False) else None,
         "perturb": getattr(args, "perturb", None),
     }
+
+
+def _collect_scenarios(args) -> list[Scenario]:
+    overrides = _overrides(args)
     files = list(args.scenarios or [])
     if getattr(args, "metric_file", None):
         files.append(args.metric_file)
@@ -256,51 +259,25 @@ def _verify_one(sc: Scenario, out_dir: str, extra=None) -> int:
         sol = perturb_solution(sol, target, order, eps)
 
     checks = sc.checks or ALL_CHECKS
-    tol = sc.tolerance
+    # Looked up per run, so that a check rebound on this module is the one run.
+    runners = {
+        "system": residual_system,
+        "consequence": residual_consequence,
+        "laplacian": laplacian_moment,
+        "curvature": curvature_and_class,
+        "smoothness": smoothness_check,
+    }
     # What the selected checks read in common, formed once for this run.
     view = SolutionView(sol, checks)
-    residual_reports = []
-    results = {}
-    passed = True
-
-    if "system" in checks:
-        rep = residual_system(view, tol)
-        residual_reports.append(rep)
-        results["system"] = rep.as_dict()
-        passed &= rep.passed
-    if "consequence" in checks:
-        rep = residual_consequence(view, tol)
-        residual_reports.append(rep)
-        results["consequence"] = rep.as_dict()
-        passed &= rep.passed
-    if "laplacian" in checks:
-        rep = laplacian_moment(view, tol)
-        residual_reports.append(rep)
-        results["laplacian"] = rep.as_dict()
-        passed &= rep.passed
-    if "curvature" in checks:
-        rep = curvature_and_class(view, tol)
-        residual_reports.append(rep.closedness)
-        results["curvature"] = {
-            "closedness": rep.closedness.as_dict(),
-            "class_integral": rep.class_integral,
-            "nearest_integer": rep.nearest_integer,
-            "integral_deviation": rep.integral_deviation,
-            "quadrature_points": rep.quadrature_points,
-            "kappa": rep.kappa,
-            "proportionality_defect": rep.proportionality_defect,
-            "realness_defect": rep.form.realness_defect,
-            "notes": list(rep.notes),
-        }
-        passed &= rep.passed
-    if "smoothness" in checks:
-        rep = smoothness_check(sol, tol)
-        results["smoothness"] = rep.as_dict()
-        expected_smooth = abs(sc.c - 1.0) <= 1e-12
-        agreement = rep.is_smooth == expected_smooth
-        results["smoothness"]["verdict_matches_c"] = agreement
-        passed &= rep.a_deviation <= 1e-10 * max(1.0, abs(rep.a_expected))
-        passed &= agreement
+    reports = {
+        name: runners[name](view, sc.tolerance) for name in ALL_CHECKS if name in checks
+    }
+    residual_reports = [
+        rep.closedness if name == "curvature" else rep
+        for name, rep in reports.items()
+        if name != "smoothness"
+    ]
+    passed = all(rep.passed for rep in reports.values())
 
     os.makedirs(out_dir, exist_ok=True)
     write_residuals_csv(os.path.join(out_dir, "residuals.csv"), residual_reports)
@@ -311,18 +288,13 @@ def _verify_one(sc: Scenario, out_dir: str, extra=None) -> int:
             "scenario": sc.as_dict(),
             "conventions": CONVENTIONS,
             "solution": solution_summary(sol),
-            "checks": results,
+            "checks": {name: rep.as_dict() for name, rep in reports.items()},
             "passed": passed,
         },
         no_timestamp=sc.no_timestamp,
     )
-    for name, res in sorted(results.items()):
-        verdict = res.get("passed")
-        if name == "curvature":
-            verdict = res["closedness"]["passed"]
-        if name == "smoothness":
-            verdict = res["verdict_matches_c"]
-        print(f"verify[{name}]: {'pass' if verdict else 'FAIL'}")
+    for name in sorted(reports):
+        print(f"verify[{name}]: {'pass' if reports[name].passed else 'FAIL'}")
     print(f"verify: {'pass' if passed else 'FAIL'} -> {out_dir}/report.json")
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
@@ -339,9 +311,8 @@ def _parse_perturb(spec: str):
 
 
 def cmd_closed_form(args) -> int:
-    out_dir = args.out or "ricciflat-out"
-    t_order = args.t_order or 8
     if args.eigenvalues:
+        sc = apply_overrides(Scenario(), _overrides(args))
         values = tuple(float(t) for t in args.eigenvalues.split(",") if t.strip())
         n = args.n or len(values)
         if len(values) == 1 and n > 1:
@@ -352,16 +323,16 @@ def cmd_closed_form(args) -> int:
         scenarios = _collect_scenarios(args)
         if len(scenarios) != 1:
             raise InvalidInputError("closed-form takes one metric source")
-        initial = scenarios[0].initial_data()
-        spectrum, drift = ricci_spectrum_of(initial)
-        t_order = scenarios[0].t_order
+        sc = scenarios[0]
+        initial = sc.initial_data()
+        spectrum, drift = ricci_spectrum_of(initial, ricci_form(initial.h))
 
     P = p_of_t(spectrum)
     w = w_inv_closed(P)
-    series = w.series(t_order)
+    series = w.series(sc.t_order)
 
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "closed_form.csv")
+    os.makedirs(sc.out_dir, exist_ok=True)
+    csv_path = os.path.join(sc.out_dir, "closed_form.csv")
     write_csv(
         csv_path,
         ("series", "t_order", "value"),
@@ -369,7 +340,7 @@ def cmd_closed_form(args) -> int:
         + [("w_inv", k, repr(float(val))) for k, val in enumerate(series)],
     )
     write_json(
-        os.path.join(out_dir, "report.json"),
+        os.path.join(sc.out_dir, "report.json"),
         {
             "command": "closed-form",
             "eigenvalues": list(spectrum.eigenvalues),
@@ -379,7 +350,7 @@ def cmd_closed_form(args) -> int:
             "w_inv_denominator": list(w.denominator),
             "w_inv_series": [float(v) for v in series],
         },
-        no_timestamp=bool(args.no_timestamp),
+        no_timestamp=sc.no_timestamp,
     )
     print(f"closed-form: P degree {len(P) - 1}, wrote {csv_path}")
     return EXIT_OK

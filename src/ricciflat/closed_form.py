@@ -28,7 +28,7 @@ from .conventions import CALIBRATION_CANDIDATES
 from .errors import InvalidInputError
 from .geometry import HermitianJetMatrix, InitialData, ricci_form
 from .jets import (
-    jet_eval_many,
+    jet_eval_lists,
     jet_scale,
     max_abs_coeff,
     max_coeff_diff,
@@ -65,6 +65,8 @@ class RationalT:
 
     def series(self, order: int) -> np.ndarray:
         """Taylor coefficients through t^order."""
+        if order < 0:
+            raise InvalidInputError(f"series order must be >= 0, got {order}")
         num = np.zeros(order + 1)
         num[: min(len(self.numerator), order + 1)] = self.numerator[: order + 1]
         den = np.zeros(order + 1)
@@ -101,11 +103,12 @@ def w_inv_closed(P: np.ndarray) -> RationalT:
     return RationalT(tuple(integral), tuple(P))
 
 
-def ricci_spectrum_of(initial: InitialData) -> tuple[RicciSpectrum, float]:
-    """Eigenvalues of the Ricci matrix relative to h at the base point, plus
-    the worst eigenvalue drift over 24 nearby sample points (constancy
-    measure)."""
-    rho = ricci_form(initial.h)
+def ricci_spectrum_of(
+    initial: InitialData, rho: HermitianJetMatrix
+) -> tuple[RicciSpectrum, float]:
+    """Eigenvalues of the Ricci matrix ``rho = ricci_form(initial.h)``
+    relative to h at the base point, plus the worst eigenvalue drift over 24
+    nearby sample points (constancy measure)."""
     h0 = initial.h.base_matrix()
     r0 = rho.base_matrix()
     eig0 = np.sort(np.linalg.eigvals(np.linalg.solve(h0, r0)).real)
@@ -113,22 +116,16 @@ def ricci_spectrum_of(initial: InitialData) -> tuple[RicciSpectrum, float]:
     rng = np.random.default_rng(20240817)
     radius = 0.05 * min(1.0, initial.polydisc_radius)
     pts = rng.uniform(-radius, radius, size=(24, 2 * initial.n))
+    # Each entry is its own list, so it keeps its own matrix product and its
+    # values are bitwise those of the entry evaluated alone.
+    entries = [[e] for mat in (initial.h, rho) for row in mat.entries for e in row]
+    shape = (2, initial.n, initial.n)
     drift = 0.0
     for p in pts:
-        hp = _matrix_at(initial.h, p)
-        rp = _matrix_at(rho, p)
+        hp, rp = np.reshape(jet_eval_lists(entries, p[None, :]), shape)
         eig = np.sort(np.linalg.eigvals(np.linalg.solve(hp, rp)).real)
         drift = max(drift, float(np.max(np.abs(eig - eig0))))
     return RicciSpectrum(initial.n, tuple(eig0)), drift
-
-
-def _matrix_at(mat: HermitianJetMatrix, point) -> np.ndarray:
-    pts = np.asarray(point, dtype=float)[None, :]
-    out = np.empty((mat.n, mat.n), dtype=np.complex128)
-    for i in range(mat.n):
-        for j in range(mat.n):
-            out[i, j] = jet_eval_many(mat.entries[i][j], pts)[0]
-    return out
 
 
 @dataclass(frozen=True)
@@ -142,7 +139,6 @@ class CalibrationReport:
     eigenvalues: tuple[float, ...]
     eigenvalue_drift: float
     P: tuple[float, ...]
-    orders_compared: int
     candidates: tuple[float, ...] = CALIBRATION_CANDIDATES
     per_candidate: dict = field(default_factory=dict)
 
@@ -160,13 +156,13 @@ def calibrate(solution, tolerance: float = 1e-9) -> CalibrationReport:
     over the sample points, i.e. are not constant.
     """
     initial = solution.input
-    spectrum, drift = ricci_spectrum_of(initial)
+    rho = ricci_form(initial.h)
+    spectrum, drift = ricci_spectrum_of(initial, rho)
     if drift > 1e-6:
         raise InvalidInputError(
             f"principal Ricci curvatures are not constant over the sample "
             f"points (drift {drift:.3e} > 1e-06)"
         )
-    rho = ricci_form(initial.h)
     P = p_of_t(spectrum)
     closed_w = w_inv_closed(P)
     c = solution.config.c
@@ -192,7 +188,6 @@ def calibrate(solution, tolerance: float = 1e-9) -> CalibrationReport:
         eigenvalues=spectrum.eigenvalues,
         eigenvalue_drift=drift,
         P=tuple(P),
-        orders_compared=solution.t_order,
         per_candidate=per_candidate,
     )
 
@@ -202,9 +197,8 @@ def _solution_scale(solution) -> float:
     scale = 1.0
     for i in range(solution.n):
         for j in range(solution.n):
-            for m, cj in enumerate(solution.g.entries[i][j].coeffs):
-                if solution.order_validity(m) >= 0:
-                    scale = max(scale, max_abs_coeff(cj))
+            for cj in solution.g.entries[i][j].coeffs:
+                scale = max(scale, max_abs_coeff(cj))
     return scale
 
 
@@ -215,7 +209,7 @@ def _metric_deviation(solution, Phi, rho, kappa) -> float:
         for j in range(n):
             series = solution.g.entries[i][j]
             for m, cj in enumerate(series.coeffs):
-                valid = min(solution.order_validity(m), cj.valid_degree)
+                valid = cj.valid_degree
                 if valid < 0:
                     continue
                 if m == 0:

@@ -76,15 +76,12 @@ class HermitianJetMatrix:
         return float(np.max(diffs))
 
     def base_matrix(self) -> np.ndarray:
-        """Constant terms at the base point as a plain complex matrix (order 0
-        in t when entries are TJets)."""
+        """Constant terms of Jet entries at the base point as a plain complex
+        matrix."""
         out = np.empty((self.n, self.n), dtype=np.complex128)
         for i in range(self.n):
             for j in range(self.n):
-                e = self.entries[i][j]
-                if isinstance(e, TJet):
-                    e = e.coeffs[0]
-                out[i, j] = e.constant_term
+                out[i, j] = self.entries[i][j].constant_term
         return out
 
     def __repr__(self):
@@ -184,15 +181,13 @@ def det_coefficient(g_orders, m: int, memo: dict) -> Jet:
     return acc if acc is not None else g_orders[0][0][0].ctx.zero()
 
 
-def complex_mixed_hessian(f: Jet | TJet, allow_exhausted: bool = False) -> HermitianJetMatrix:
+def complex_mixed_hessian(f: Jet, allow_exhausted: bool = False) -> HermitianJetMatrix:
     """Matrix H_ij = 4 d^2 f / dz_i dzbar_j, computed through real partials.
 
     Diagonal entries are assembled directly as f_{x_i x_i} + f_{y_i y_i} so
     they agree with the real Laplacian exactly; the lower triangle mirrors
     the upper one through conjugation.  Validity drops by two.
     """
-    if isinstance(f, TJet):
-        return _mixed_hessian_t(f, allow_exhausted)
     if f.valid_degree < 2 and not allow_exhausted:
         raise ValidityError(
             f"mixed Hessian needs valid_degree >= 2, have {f.valid_degree}"
@@ -214,16 +209,6 @@ def complex_mixed_hessian(f: Jet | TJet, allow_exhausted: bool = False) -> Hermi
             rows[i][j] = h
             if i != j:
                 rows[j][i] = jet_conj(h)
-    return HermitianJetMatrix(rows)
-
-
-def _mixed_hessian_t(f: TJet, allow_exhausted: bool) -> HermitianJetMatrix:
-    per_order = [complex_mixed_hessian(c, allow_exhausted) for c in f.coeffs]
-    n = f.ctx.n
-    rows = [
-        [TJet([h.entries[i][j] for h in per_order]) for j in range(n)]
-        for i in range(n)
-    ]
     return HermitianJetMatrix(rows)
 
 
@@ -262,21 +247,17 @@ def ricci_form(g: HermitianJetMatrix) -> HermitianJetMatrix:
 class InitialData:
     """Real-analytic Hermitian metric data at the origin of a chart.
 
-    ``h`` holds order-0 jets; ``base_point`` is the jet origin (kept for
-    report metadata); ``polydisc_radius`` bounds the region where the jets
-    are meant to represent the metric.
+    ``h`` holds order-0 jets; ``polydisc_radius`` bounds the region where
+    the jets are meant to represent the metric.
     """
 
     n: int
     h: HermitianJetMatrix
-    base_point: np.ndarray = field(default=None)
     polydisc_radius: float = 1.0
     name: str = "custom"
     chart_info: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.base_point is None:
-            object.__setattr__(self, "base_point", np.zeros(2 * self.n))
         base = self.h.base_matrix()
         if not np.isfinite(base).all():
             raise InvalidInputError("initial metric is not finite at the base point")

@@ -226,10 +226,6 @@ class Jet:
         raise AttributeError("Jet is immutable")
 
     @property
-    def n(self) -> int:
-        return self.ctx.n
-
-    @property
     def constant_term(self) -> complex:
         return complex(self.coeffs[0])
 
@@ -577,29 +573,22 @@ class TJet:
     def valid_degrees(self) -> tuple[int, ...]:
         return tuple(c.valid_degree for c in self.coeffs)
 
-    def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = t_constant(self.ctx, other, self.order)
+    def __add__(self, other: "TJet") -> "TJet":
         m = min(self.order, other.order)
         return TJet(
             [jet_add(self.coeffs[k], other.coeffs[k]) for k in range(m + 1)]
         )
 
-    __radd__ = __add__
-
     def __neg__(self):
         return TJet([jet_scale(c, -1.0) for c in self.coeffs])
 
-    def __sub__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = t_constant(self.ctx, other, self.order)
+    def __sub__(self, other: "TJet") -> "TJet":
         return self + (-other)
 
     def __mul__(self, other):
+        """Series product with a TJet, or scaling by a number."""
         if isinstance(other, (int, float, complex)):
             return TJet([jet_scale(c, other) for c in self.coeffs])
-        if isinstance(other, Jet):
-            return TJet([jet_mul(c, other) for c in self.coeffs])
         a, b = self.coeffs, other.coeffs
         return TJet(
             [cauchy_sum(a, b, k, range(k + 1)) for k in range(min(self.order, other.order) + 1)]
@@ -632,10 +621,6 @@ def cauchy_sum(a, b, k: int, js: range, weight=None) -> Jet:
             term = jet_scale(term, weight(j))
         acc = term if acc is None else jet_add(acc, term)
     return acc
-
-
-def t_constant(ctx: JetContext, value: complex, order: int) -> TJet:
-    return TJet([ctx.constant(value)] + [ctx.zero() for _ in range(order)])
 
 
 def t_integrate(a: TJet) -> TJet:

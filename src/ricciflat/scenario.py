@@ -35,7 +35,6 @@ class Scenario:
     space_degree: int = 12
     radius: float = 0.2
     tolerance: float = 1e-9
-    seed: int = 0
     checks: tuple[str, ...] = ()
     perturb: str | None = None
     out_dir: str = "ricciflat-out"
@@ -73,7 +72,6 @@ class Scenario:
             "space_degree": self.space_degree,
             "radius": self.radius,
             "tolerance": self.tolerance,
-            "seed": self.seed,
             "checks": list(self.checks),
             "perturb": self.perturb,
         }
@@ -164,7 +162,6 @@ def parse_scenario_text(text: str, label: str = "inline") -> Scenario:
             ("D", "space_degree", int),
             ("R", "radius", float),
             ("tol", "tolerance", float),
-            ("seed", "seed", int),
         ):
             if opt in sec:
                 kw[attr] = conv(sec[opt])

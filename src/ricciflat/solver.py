@@ -143,9 +143,6 @@ class Solution:
     def validity(self) -> tuple[int, ...]:
         return self.v.valid_degrees
 
-    def order_validity(self, m: int) -> int:
-        return self.validity[m] if m < len(self.validity) else -1
-
 
 def init_state(
     initial: InitialData, config: SolverConfig, minors: dict | None = None

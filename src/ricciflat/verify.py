@@ -339,6 +339,19 @@ class CurvatureReport:
     def passed(self) -> bool:
         return self.closedness.passed
 
+    def as_dict(self) -> dict:
+        return {
+            "closedness": self.closedness.as_dict(),
+            "class_integral": self.class_integral,
+            "nearest_integer": self.nearest_integer,
+            "integral_deviation": self.integral_deviation,
+            "quadrature_points": self.quadrature_points,
+            "kappa": self.kappa,
+            "proportionality_defect": self.proportionality_defect,
+            "realness_defect": self.form.realness_defect,
+            "notes": list(self.notes),
+        }
+
 
 def curvature_and_class(sol, tolerance: float = 1e-9) -> CurvatureReport:
     """Assemble the curvature blocks, check dF = 0 coefficientwise, and for
@@ -510,34 +523,46 @@ class SmoothnessReport:
     w_inv_linear: float
     is_smooth: bool
     tolerance: float
+    verdict_matches_c: bool  # is_smooth exactly when c = 1
+
+    @property
+    def passed(self) -> bool:
+        """a_base equals c det h(0), and the verdict agrees with c."""
+        base_ok = self.a_deviation <= 1e-10 * max(1.0, abs(self.a_expected))
+        return base_ok and self.verdict_matches_c
 
     def as_dict(self) -> dict:
         return asdict(self)
 
 
-def smoothness_check(sol: Solution, tolerance: float = 1e-9) -> SmoothnessReport:
+def smoothness_check(sol, tolerance: float = 1e-9) -> SmoothnessReport:
     """Leading fiber behavior at t = 0.
 
     e^u = t(a + b t + ...) with a = c det h nonzero, and w^{-1} = a_w t +
     O(t^2).  Substituting t = r^2 turns the fiber metric into
     (4/a_w)(dr^2 + (a_w/2)^2 r^2 phi^2): the angular factor closes up
     smoothly exactly when a_w = 1, so the verdict reads the computed linear
-    coefficient rather than echoing the configured c.
+    coefficient rather than echoing the configured c; it is then compared
+    with the c the solve was configured with.
     """
+    sol = _view(sol, "smoothness").sol
     a_jet = sol.exp_u.coeffs[1]
     a_base = a_jet.constant_term.real
     # The constant term of det h is the determinant of the constant terms.
     full = tuple(range(sol.n))
     det_h0 = minor_det(sol.input.h.base_matrix().tolist(), full, full, {})
-    expected = sol.config.c * det_h0.real
+    c = sol.config.c
+    expected = c * det_h0.real
     w_lin = sol.w_inv.coeffs[1].constant_term.real
+    is_smooth = abs(w_lin - 1.0) <= 1e-6
     return SmoothnessReport(
         a_base=a_base,
         a_expected=expected,
         a_deviation=abs(a_base - expected),
         w_inv_linear=w_lin,
-        is_smooth=abs(w_lin - 1.0) <= 1e-6,
+        is_smooth=is_smooth,
         tolerance=tolerance,
+        verdict_matches_c=is_smooth == (abs(c - 1.0) <= 1e-12),
     )
 
 

@@ -25,7 +25,8 @@ import tempfile
 from pathlib import Path
 
 # verify, solve, majorant, compare and closed-form on n = 1..4, the
-# Fubini-Study chart, fault injection and c = 2; some exit nonzero on purpose.
+# Fubini-Study chart, a product metric, fault injection and c = 2; some exit
+# nonzero on purpose.
 SCENARIOS = (
     "verify --metric perturbed_flat:1,0.1,7,2 --M 8 --D 12",
     "verify --metric perturbed_flat:2,0.1,0,2 --M 5 --D 12",
@@ -44,6 +45,7 @@ SCENARIOS = (
     "verify --metric perturbed_flat:2,0.1,0,2 --M 5 --D 12 --consequence --curvature",
     "verify --metric perturbed_flat:2,0.1,0,2 --M 5 --D 12 --laplacian --smoothness",
     "verify --metric perturbed_flat:2,0.1,0,2 --M 2 --D 8",
+    "verify --metric product:fubini_study_chart:1,1.0|flat:1 --M 4 --D 10",
     "solve --metric perturbed_flat:1,0.1,7,2 --M 8 --D 12",
     "solve --metric perturbed_flat:2,0.1,0,2 --M 5 --D 12",
     "solve --metric perturbed_flat:3,0.1,1,2 --M 3 --D 8",
@@ -60,6 +62,7 @@ SCENARIOS = (
     "compare --metric fubini_study_chart:1,1 --M 8 --D 12",
     "compare --metric fubini_study_chart:2,1 --M 4 --D 10",
     "compare --metric perturbed_flat:1,0.1,7,2 --M 6 --D 12",
+    "compare --metric fubini_study_chart:3,1 --M 3 --D 8",
     "closed-form --metric fubini_study_chart:1,1 --M 8 --D 12",
     "closed-form --metric fubini_study_chart:2,1 --M 4 --D 10",
     "closed-form --eigenvalues 1,2 --M 6",

@@ -15,7 +15,7 @@ from ricciflat.closed_form import (
 )
 from ricciflat.errors import InvalidInputError
 from ricciflat.geometry import HermitianJetMatrix, jet_det, ricci_form
-from ricciflat.jets import TJet, max_abs_coeff, max_coeff_diff
+from ricciflat.jets import TJet, jet_eval_many, max_abs_coeff, max_coeff_diff
 from ricciflat.solver import SolverConfig, solve
 
 
@@ -120,7 +120,7 @@ def test_omega_constant_when_ricci_flat():
 def test_omega_determinant_matches_volume_polynomial():
     init = geo.fubini_study_chart(1, 1.0, 10)
     rho = ricci_form(init.h)
-    spectrum, drift = ricci_spectrum_of(init)
+    spectrum, drift = ricci_spectrum_of(init, rho)
     assert drift < 1e-9
     assert spectrum.eigenvalues[0] == pytest.approx(2.0, abs=1e-10)
 
@@ -134,6 +134,48 @@ def test_omega_determinant_matches_volume_polynomial():
             max_coeff_diff(det.coeffs[m], want, det.coeffs[m].valid_degree - 2)
             < 1e-9 * scale
         )
+
+
+def _spectrum_per_entry(initial, rho):
+    """ricci_spectrum_of as it was when each matrix entry at each sample
+    point had its own one-point evaluation."""
+    def matrix_at(mat, point):
+        pts = np.asarray(point, dtype=float)[None, :]
+        out = np.empty((mat.n, mat.n), dtype=np.complex128)
+        for i in range(mat.n):
+            for j in range(mat.n):
+                out[i, j] = jet_eval_many(mat.entries[i][j], pts)[0]
+        return out
+
+    def eigenvalues(h, r):
+        return np.sort(np.linalg.eigvals(np.linalg.solve(h, r)).real)
+
+    eig0 = eigenvalues(initial.h.base_matrix(), rho.base_matrix())
+    rng = np.random.default_rng(20240817)
+    radius = 0.05 * min(1.0, initial.polydisc_radius)
+    drift = 0.0
+    for p in rng.uniform(-radius, radius, size=(24, 2 * initial.n)):
+        eig = eigenvalues(matrix_at(initial.h, p), matrix_at(rho, p))
+        drift = max(drift, float(np.max(np.abs(eig - eig0))))
+    return tuple(eig0), drift
+
+
+@pytest.mark.parametrize(
+    "name, params, cap",
+    [
+        ("fubini_study_chart", [1, 1.0], 10),
+        ("fubini_study_chart", [2, 1.0], 10),
+        ("fubini_study_chart", [3, 1.0], 8),
+        ("perturbed_flat", [2, 0.1, 0, 2], 10),
+    ],
+)
+def test_spectrum_bitwise_equals_per_entry_evaluation(name, params, cap):
+    initial = geo.builtin_metric(name, params, cap)
+    rho = ricci_form(initial.h)
+    spectrum, drift = ricci_spectrum_of(initial, rho)
+    want_eig, want_drift = _spectrum_per_entry(initial, rho)
+    assert [float(e).hex() for e in spectrum.eigenvalues] == [float(e).hex() for e in want_eig]
+    assert drift.hex() == want_drift.hex()
 
 
 def test_synthetic_einstein_block_determinant():

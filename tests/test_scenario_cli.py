@@ -82,6 +82,16 @@ def test_parse_scenario_text():
     assert init.n == 1
 
 
+def test_scenario_file_seed_line_is_ignored(tmp_path):
+    path = tmp_path / "fs.scn"
+    path.write_text(SCENARIO_TEXT)
+    out = tmp_path / "out"
+    assert main(["solve", "--metric-file", str(path), "--out", str(out), "--no-timestamp"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["scenario"]["t_order"] == 4
+    assert "seed" not in report["scenario"]
+
+
 def test_metric_spec_parsing():
     name, params = parse_metric_spec("perturbed_flat:2,0.1,7,2")
     assert name == "perturbed_flat"
@@ -188,6 +198,37 @@ def test_cli_exit_codes_for_bad_input(tmp_path):
     assert run_cli("solve", "missing_file.scn", "--out", str(tmp_path)) == 2
 
 
+def test_cli_seed_option_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("solve", "--metric", "flat:1", "--seed", "3", "--out", str(tmp_path))
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_cli_smoothness_verdict_includes_the_base_coefficient(tmp_path, monkeypatch, capsys):
+    from dataclasses import replace
+
+    from ricciflat import cli
+
+    original = cli.smoothness_check
+
+    def off_base(*args, **kwargs):
+        rep = original(*args, **kwargs)
+        return replace(rep, a_deviation=1e-3 * max(1.0, abs(rep.a_expected)))
+
+    monkeypatch.setattr(cli, "smoothness_check", off_base)
+    out = tmp_path / "smooth"
+    code = run_cli(
+        "verify", "--metric", "flat:1", "--M", "4", "--D", "10", "--smoothness",
+        "--out", str(out), "--no-timestamp",
+    )
+    assert code == 1
+    assert "verify[smoothness]: FAIL" in capsys.readouterr().out
+    report = json.loads((out / "report.json").read_text())
+    assert report["checks"]["smoothness"]["verdict_matches_c"] is True
+    assert report["passed"] is False
+
+
 def test_cli_byte_identical_reports(tmp_path):
     args = [
         "verify", "--metric", "fubini_study_chart:1,1", "--M", "4", "--D", "10",
@@ -245,6 +286,29 @@ def test_cli_closed_form_eigenvalues(tmp_path):
     rep = json.loads((out / "report.json").read_text())
     assert rep["P"] == [1.0]
     assert rep["w_inv_series"][:3] == [0.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [("--eigenvalues", "1,2"), ("--metric", "fubini_study_chart:1,1", "--D", "8")],
+    ids=["eigenvalues", "metric"],
+)
+def test_cli_closed_form_takes_its_order_from_the_scenario(tmp_path, source):
+    def run(*extra):
+        out = tmp_path / "_".join(extra or ("default",))
+        code = run_cli("closed-form", *source, *extra, "--out", str(out), "--no-timestamp")
+        return code, out
+
+    code, out = run()
+    assert code == 0
+    assert len(json.loads((out / "report.json").read_text())["w_inv_series"]) == 9
+    code, out = run("--M", "0")
+    assert code == 0
+    assert json.loads((out / "report.json").read_text())["w_inv_series"] == [0.0]
+    for bad in ("-1", "-2"):
+        code, out = run("--M", bad)
+        assert code == 2
+        assert not out.exists()
 
 
 def test_cli_majorant_runs(tmp_path):

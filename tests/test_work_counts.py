@@ -1,14 +1,15 @@
 """Work counts: a solve expands each minor of its determinant once, a
 verify run forms det g, each H(v_m) and the flow residual rows once, and
-nothing its check selection does not read, and a majorant run forms the
-derivative lemma's reciprocal and each sample grid's monomial matrix once."""
+nothing its check selection does not read, a majorant run forms the
+derivative lemma's reciprocal and each sample grid's monomial matrix once,
+and a calibration forms the Ricci form once."""
 
 import warnings
 from collections import Counter
 
 import pytest
 
-from ricciflat import geometry, jets, majorant, verify
+from ricciflat import closed_form, geometry, jets, majorant, verify
 from ricciflat.cli import main
 from ricciflat.jets import TJet, context
 from ricciflat.scenario import ALL_CHECKS
@@ -123,3 +124,17 @@ def test_majorant_run_forms_the_lemma_reciprocal_and_each_monomial_matrix_once(
     # three domination radii shared by A and the domination rows, the shell
     # at 0.999 R, the nonlinearity grid at R and the lemma's three radii
     assert len(built) == 8
+
+
+def test_calibrate_forms_the_ricci_form_once_and_two_matrices_per_sample_point(monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sol = solve(geometry.fubini_study_chart(2, 1.0, 10), SolverConfig(t_order=4, space_degree=10))
+    forms = _record(monkeypatch, closed_form, "ricci_form")
+    matrices = _record(monkeypatch, jets, "_monomial_matrix")
+    assert closed_form.calibrate(sol).matched
+    assert len(forms) == 1
+    # h is trusted to D, its Ricci form to D - 2: one matrix per degree
+    per_point = Counter(pts.tobytes() for _, pts, _ in matrices)
+    assert len(per_point) == 24
+    assert max(per_point.values()) <= 2
