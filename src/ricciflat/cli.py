@@ -312,8 +312,13 @@ def _parse_perturb(spec: str):
 
 def cmd_closed_form(args) -> int:
     if args.eigenvalues:
+        if args.metric or args.metric_file or args.scenarios:
+            raise InvalidInputError("--eigenvalues takes no metric source")
         sc = apply_overrides(Scenario(), _overrides(args))
-        values = tuple(float(t) for t in args.eigenvalues.split(",") if t.strip())
+        try:
+            values = tuple(float(t) for t in args.eigenvalues.split(",") if t.strip())
+        except ValueError as exc:
+            raise InvalidInputError(f"bad --eigenvalues {args.eigenvalues!r}") from exc
         n = args.n or len(values)
         if len(values) == 1 and n > 1:
             values = values * n

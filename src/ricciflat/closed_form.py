@@ -32,6 +32,7 @@ from .jets import (
     jet_scale,
     max_abs_coeff,
     max_coeff_diff,
+    nan_max,
 )
 
 
@@ -124,7 +125,7 @@ def ricci_spectrum_of(
     for p in pts:
         hp, rp = np.reshape(jet_eval_lists(entries, p[None, :]), shape)
         eig = np.sort(np.linalg.eigvals(np.linalg.solve(hp, rp)).real)
-        drift = max(drift, float(np.max(np.abs(eig - eig0))))
+        drift = nan_max(drift, float(np.max(np.abs(eig - eig0))))
     return RicciSpectrum(initial.n, tuple(eig0)), drift
 
 
@@ -153,12 +154,13 @@ def calibrate(solution, tolerance: float = 1e-9) -> CalibrationReport:
     w_inv_solver(t) = (c/kappa) * w_inv_closed(kappa t).
 
     Raises on bases whose principal Ricci curvatures drift by more than 1e-6
-    over the sample points, i.e. are not constant.
+    over the sample points, i.e. are not constant.  Every maximum here keeps
+    a NaN, so a solution with a NaN coefficient matches no factor.
     """
     initial = solution.input
     rho = ricci_form(initial.h)
     spectrum, drift = ricci_spectrum_of(initial, rho)
-    if drift > 1e-6:
+    if not drift <= 1e-6:
         raise InvalidInputError(
             f"principal Ricci curvatures are not constant over the sample "
             f"points (drift {drift:.3e} > 1e-06)"
@@ -172,14 +174,17 @@ def calibrate(solution, tolerance: float = 1e-9) -> CalibrationReport:
     for kappa in CALIBRATION_CANDIDATES:
         gdev = _metric_deviation(solution, initial.h, rho, kappa)
         wdev = _w_inv_deviation(solution, closed_w, kappa, c)
-        dev = max(gdev, wdev)
+        dev = nan_max(gdev, wdev)
         per_candidate[kappa] = dev
         if dev < best[1]:
             best = (kappa, dev, gdev, wdev)
 
     kappa, dev, gdev, wdev = best
     scale = _solution_scale(solution)
-    matched = dev <= tolerance * scale
+    # v is not compared with the closed form, but a potential that is not
+    # finite matches no convention factor either.
+    v_finite = np.isfinite(nan_max(*map(max_abs_coeff, solution.v.coeffs)))
+    matched = bool(v_finite and dev <= tolerance * scale)
     return CalibrationReport(
         kappa=kappa if matched else None,
         max_deviation=dev / scale,
@@ -198,7 +203,7 @@ def _solution_scale(solution) -> float:
     for i in range(solution.n):
         for j in range(solution.n):
             for cj in solution.g.entries[i][j].coeffs:
-                scale = max(scale, max_abs_coeff(cj))
+                scale = nan_max(scale, max_abs_coeff(cj))
     return scale
 
 
@@ -209,16 +214,13 @@ def _metric_deviation(solution, Phi, rho, kappa) -> float:
         for j in range(n):
             series = solution.g.entries[i][j]
             for m, cj in enumerate(series.coeffs):
-                valid = cj.valid_degree
-                if valid < 0:
-                    continue
                 if m == 0:
                     target = Phi.entries[i][j]
                 elif m == 1:
                     target = jet_scale(rho.entries[i][j], kappa)
                 else:
                     target = cj.ctx.zero()
-                worst = max(worst, max_coeff_diff(cj, target, valid))
+                worst = nan_max(worst, max_coeff_diff(cj, target))
     return worst
 
 
@@ -228,9 +230,5 @@ def _w_inv_deviation(solution, closed_w: RationalT, kappa: float, c: float) -> f
     target *= kappa ** np.arange(order + 1)
     worst = 0.0
     for m, cj in enumerate(solution.w_inv.coeffs):
-        ref = cj.ctx.constant(target[m])
-        valid = cj.valid_degree
-        if valid < 0:
-            continue
-        worst = max(worst, max_coeff_diff(cj, ref, valid))
+        worst = nan_max(worst, max_coeff_diff(cj, cj.ctx.constant(target[m])))
     return worst

@@ -23,7 +23,7 @@ class DegeneracyError(RicciflatError):
 
 
 class ValidityError(DegeneracyError):
-    """A derivative was requested beyond the trusted spatial degree."""
+    """A coefficient was read beyond the trusted spatial degree."""
 
 
 class SingularInputError(DegeneracyError):

@@ -14,7 +14,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from .conventions import MIXED_HESSIAN_FACTOR
-from .errors import InvalidInputError, ValidityError
+from .errors import InvalidInputError
 from .jets import (
     Jet,
     JetContext,
@@ -181,30 +181,27 @@ def det_coefficient(g_orders, m: int, memo: dict) -> Jet:
     return acc if acc is not None else g_orders[0][0][0].ctx.zero()
 
 
-def complex_mixed_hessian(f: Jet, allow_exhausted: bool = False) -> HermitianJetMatrix:
+def complex_mixed_hessian(f: Jet) -> HermitianJetMatrix:
     """Matrix H_ij = 4 d^2 f / dz_i dzbar_j, computed through real partials.
 
     Diagonal entries are assembled directly as f_{x_i x_i} + f_{y_i y_i} so
     they agree with the real Laplacian exactly; the lower triangle mirrors
-    the upper one through conjugation.  Validity drops by two.
+    the upper one through conjugation.  Validity drops by two, below zero
+    when f is trusted to degree 1 or less.
     """
-    if f.valid_degree < 2 and not allow_exhausted:
-        raise ValidityError(
-            f"mixed Hessian needs valid_degree >= 2, have {f.valid_degree}"
-        )
     n = f.ctx.n
-    dx = [jet_derive(f, 2 * i, allow_exhausted=True) for i in range(n)]
-    dy = [jet_derive(f, 2 * i + 1, allow_exhausted=True) for i in range(n)]
+    dx = [jet_derive(f, 2 * i) for i in range(n)]
+    dy = [jet_derive(f, 2 * i + 1) for i in range(n)]
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            xx = jet_derive(dx[j], 2 * i, allow_exhausted=True)
-            yy = jet_derive(dy[j], 2 * i + 1, allow_exhausted=True)
+            xx = jet_derive(dx[j], 2 * i)
+            yy = jet_derive(dy[j], 2 * i + 1)
             h = jet_add(xx, yy)
             if i != j:
                 # 4 dz_i dzbar_j = dx_i dx_j + dy_i dy_j + i(dx_i dy_j - dy_i dx_j)
-                xy = jet_derive(dy[j], 2 * i, allow_exhausted=True)
-                yx = jet_derive(dx[j], 2 * i + 1, allow_exhausted=True)
+                xy = jet_derive(dy[j], 2 * i)
+                yx = jet_derive(dx[j], 2 * i + 1)
                 h = jet_add(h, jet_scale(jet_add(xy, jet_scale(yx, -1.0)), 1j))
             rows[i][j] = h
             if i != j:
@@ -212,17 +209,17 @@ def complex_mixed_hessian(f: Jet, allow_exhausted: bool = False) -> HermitianJet
     return HermitianJetMatrix(rows)
 
 
-def dz(f: Jet, i: int, allow_exhausted: bool = False) -> Jet:
+def dz(f: Jet, i: int) -> Jet:
     """d/dz_i = (d/dx_i - i d/dy_i)/2."""
-    a = jet_derive(f, 2 * i, allow_exhausted)
-    b = jet_derive(f, 2 * i + 1, allow_exhausted)
+    a = jet_derive(f, 2 * i)
+    b = jet_derive(f, 2 * i + 1)
     return jet_scale(jet_add(a, jet_scale(b, -1j)), 0.5)
 
 
-def dzbar(f: Jet, i: int, allow_exhausted: bool = False) -> Jet:
+def dzbar(f: Jet, i: int) -> Jet:
     """d/dzbar_i = (d/dx_i + i d/dy_i)/2."""
-    a = jet_derive(f, 2 * i, allow_exhausted)
-    b = jet_derive(f, 2 * i + 1, allow_exhausted)
+    a = jet_derive(f, 2 * i)
+    b = jet_derive(f, 2 * i + 1)
     return jet_scale(jet_add(a, jet_scale(b, 1j)), 0.5)
 
 

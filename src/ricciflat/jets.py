@@ -9,12 +9,13 @@ lexicographically).  That ordering is part of the serialization contract.
 
 Every jet carries a ``valid_degree``: the total degree through which its
 coefficients are trusted.  Ring operations take the minimum of the operands'
-validity, differentiation lowers it by one.  Reading a derivative past the
-trusted degree is an error rather than silent garbage, because the solver
-spends two spatial degrees per t-order and corrupted tails would poison the
-residual checks downstream.  For the same reason products form only the
-degree blocks through the result's trusted degree (their tails are zero),
-and evaluation reads each jet only through its own ``valid_degree``.
+validity, differentiation lowers it by one, below zero if need be.  Reading
+a coefficient past the trusted degree (``constant_term``, ``coefficient``)
+is an error rather than silent garbage, because the solver spends two
+spatial degrees per t-order and corrupted tails would poison the residual
+checks downstream.  For the same reason products form only the degree
+blocks through the result's trusted degree (their tails are zero), and
+evaluation and the norms read each jet only through its own ``valid_degree``.
 
 A product runs one gather, multiply, segmented sum and scatter-add per
 nonzero degree row of its first factor.  The context caches, per row, the
@@ -227,7 +228,8 @@ class Jet:
 
     @property
     def constant_term(self) -> complex:
-        return complex(self.coeffs[0])
+        """The degree-0 coefficient; ``ValidityError`` when it is untrusted."""
+        return self._read(0)
 
     @property
     def effective_degree(self) -> int:
@@ -240,7 +242,16 @@ class Jet:
         return eff
 
     def coefficient(self, exponents) -> complex:
-        return complex(self.coeffs[self.ctx.rank_of(exponents)])
+        """One monomial's coefficient; ``ValidityError`` past the trusted degree."""
+        return self._read(self.ctx.rank_of(exponents))
+
+    def _read(self, rank: int) -> complex:
+        degree = int(self.ctx.degrees[rank])
+        if degree > self.valid_degree:
+            raise ValidityError(
+                f"degree-{degree} coefficient read on a jet with valid_degree {self.valid_degree}"
+            )
+        return complex(self.coeffs[rank])
 
     def __add__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -372,7 +383,7 @@ def jet_conj(a: Jet) -> Jet:
 def _nilpotent_series(a: Jet, term_coeffs) -> Jet:
     """Sum c_k * (a - a0)^k for k = 0.. until powers vanish or the cap is hit."""
     ctx = a.ctx
-    n0 = a - a.constant_term
+    n0 = a - complex(a.coeffs[0])
     acc = ctx.constant(term_coeffs(0), valid_degree=a.valid_degree)
     power = None
     for k in range(1, ctx.cap + 1):
@@ -385,14 +396,14 @@ def _nilpotent_series(a: Jet, term_coeffs) -> Jet:
 
 def jet_exp(a: Jet) -> Jet:
     """exp(a0) times the truncated exponential series of the nilpotent part."""
-    e0 = cmath.exp(a.constant_term)
+    e0 = cmath.exp(complex(a.coeffs[0]))
     out = _nilpotent_series(a, lambda k: 1.0 / math.factorial(k))
     return jet_scale(out, e0)
 
 
 def jet_log(a: Jet) -> Jet:
     """Truncated logarithm; requires a nonzero constant term."""
-    a0 = a.constant_term
+    a0 = complex(a.coeffs[0])
     if a0 == 0:
         raise SingularInputError("jet_log of a jet with zero constant term")
     scaled = jet_scale(a, 1.0 / a0)
@@ -406,7 +417,7 @@ def jet_log(a: Jet) -> Jet:
 
 def jet_reciprocal(a: Jet) -> Jet:
     """Truncated 1/a; requires a nonzero constant term."""
-    a0 = a.constant_term
+    a0 = complex(a.coeffs[0])
     if a0 == 0:
         raise SingularInputError("jet_reciprocal of a jet with zero constant term")
     scaled = jet_scale(a, 1.0 / a0)
@@ -414,19 +425,12 @@ def jet_reciprocal(a: Jet) -> Jet:
     return jet_scale(out, 1.0 / a0)
 
 
-def jet_derive(a: Jet, var: int, allow_exhausted: bool = False) -> Jet:
-    """Formal partial derivative along real coordinate ``var``; validity drops by 1.
-
-    With ``allow_exhausted`` the derivative of an untrusted jet is still
-    computed (validity goes negative); callers that opt in must mask the
-    result by validity themselves.
-    """
+def jet_derive(a: Jet, var: int) -> Jet:
+    """Formal partial derivative along real coordinate ``var``; validity
+    drops by 1, below zero for a jet with no trusted degree past the
+    constant (the result is then untrusted, not an error)."""
     if var < 0 or var >= a.ctx.nvars:
         raise InvalidInputError(f"coordinate index {var} out of range")
-    if a.valid_degree < 1 and not allow_exhausted:
-        raise ValidityError(
-            f"derivative requested on a jet with valid_degree {a.valid_degree}"
-        )
     if a.effective_degree < 1:
         return _fresh(
             a.ctx, np.zeros(a.ctx.size, dtype=np.complex128), a.valid_degree - 1
@@ -438,14 +442,10 @@ def jet_derive(a: Jet, var: int, allow_exhausted: bool = False) -> Jet:
 
 
 def jet_eval_many(a: Jet, points: np.ndarray) -> np.ndarray:
-    """Evaluate at a batch of points, shape (P, 2n); returns shape (P,)."""
-    return jet_eval_grid([a], points)[0]
-
-
-def jet_eval_grid(jets, points: np.ndarray) -> np.ndarray:
-    """Evaluate jets of one context at a batch of points, shape (P, 2n);
-    returns shape (len(jets), P).  One list of ``jet_eval_lists``."""
-    return jet_eval_lists([jets], points)[0]
+    """Evaluate one jet at a batch of points, shape (P, 2n); returns shape
+    (P,).  The one-jet form of ``jet_eval_lists``, kept as a name because
+    the benchmark tracer (``perfbench/tracer.py``) times it."""
+    return jet_eval_lists([[a]], points)[0][0]
 
 
 def jet_eval_lists(lists, points: np.ndarray) -> list[np.ndarray]:
@@ -524,6 +524,12 @@ def max_coeff_diff(a: Jet, b: Jet, through_degree: int | None = None) -> float:
     end = a.ctx.deg_start[d + 1]
     diff = a.coeffs[:end] - b.coeffs[:end]
     return float(np.max(np.abs(diff))) if end else 0.0
+
+
+def nan_max(*values) -> float:
+    """Largest value, NaN as soon as one value is NaN (Python's ``max``
+    drops a NaN that is not its first argument)."""
+    return float(np.max(values))
 
 
 def max_abs_coeff(a: Jet, through_degree: int | None = None) -> float:

@@ -34,7 +34,6 @@ from .jets import (
     TJet,
     context,
     jet_derive,
-    jet_eval_grid,
     jet_eval_lists,
     jet_mul,
     jet_reciprocal,
@@ -99,7 +98,7 @@ def domination_radii(R: float) -> tuple[float, float, float]:
 
 
 def _operator_images(v1: Jet, c: float) -> list[Jet]:
-    hess = complex_mixed_hessian(v1, allow_exhausted=True)
+    hess = complex_mixed_hessian(v1)
     n = v1.ctx.n
     return [
         jet_scale(hess.entries[i][j], -1.0 / c) for i in range(n) for j in range(n)
@@ -111,15 +110,16 @@ class MajorantRun:
     the ``Solution`` as ``verify.SolutionView`` is to the checks of a verify
     run.  It holds the jets behind the domination rows of the orders
     1..min(t_order, m_max) and, once ``estimate_params`` has sampled them in
-    its own pass over the domination grids, their suprema per radius: the
-    floats that ``check_domination`` reads once C is known."""
+    its own pass over the domination grids, the radius R of that pass and
+    their suprema per check radius: the floats that ``check_domination``
+    reads once C is known."""
 
     def __init__(self, sol: Solution, m_max: int):
         self.sol = sol
         self.m_max = m_max
         self.groups = _domination_groups(sol, m_max)
         self.sampled = [jet for groups in self.groups.values() for g in groups for jet in g]
-        self.sups: dict[float, list[np.ndarray]] = {}  # R -> per-radius suprema
+        self.sups: tuple[float, list[np.ndarray]] | None = None  # (R, per-radius suprema)
 
 
 def _domination_groups(sol: Solution, m_max: int) -> dict:
@@ -138,19 +138,18 @@ def _domination_groups(sol: Solution, m_max: int) -> dict:
     return groups
 
 
-def estimate_params(sol: Solution | MajorantRun, R: float) -> MajorantParams:
+def estimate_params(run: MajorantRun, R: float) -> MajorantParams:
     """Sample |v_1|, its coordinate gradient and the operator images over the
     polydisc, ``GRID_POINTS`` points per radius, to produce A; the operator
     bound is structural.
 
     The sample set is the union of the domination grids (all three check
     radii) plus a near-boundary shell, so the first-order inequality holds on
-    the check grids by construction of A.  Given a ``MajorantRun``, the same
-    pass samples the run's domination jets on those grids, against the same
-    monomial matrices, and keeps their suprema for ``check_domination``.
+    the check grids by construction of A.  The same pass samples the run's
+    domination jets on those grids, against the same monomial matrices, and
+    keeps their suprema at this R for ``check_domination``.
     """
-    run = sol if isinstance(sol, MajorantRun) else None
-    sol = sol.sol if run else sol
+    sol = run.sol
     if not (0.0 < R < 1.0) or R >= sol.input.polydisc_radius:
         raise InvalidInputError(
             f"majorant radius must satisfy 0 < R < min(1, input radius "
@@ -163,20 +162,18 @@ def estimate_params(sol: Solution | MajorantRun, R: float) -> MajorantParams:
     v1 = sol.v.coeffs[1]
 
     jets = [v1]
-    jets.extend(jet_derive(v1, var, allow_exhausted=True) for var in range(ctx.nvars))
+    jets.extend(jet_derive(v1, var) for var in range(ctx.nvars))
     jets.extend(_operator_images(v1, c))
 
     sups, dominated = [], []
     for r in domination_radii(R):
         pts = polydisc_grid(ctx.nvars, r, GRID_POINTS)
-        values = jet_eval_lists([jets, run.sampled] if run else [jets], pts)
-        sups.append(np.max(np.abs(values[0])))
-        if run:
-            dominated.append(np.max(np.abs(values[1]), axis=1))
+        first, sampled = jet_eval_lists([jets, run.sampled], pts)
+        sups.append(np.max(np.abs(first)))
+        dominated.append(np.max(np.abs(sampled), axis=1))
     shell = polydisc_grid(ctx.nvars, 0.999 * R, GRID_POINTS)
-    sups.append(np.max(np.abs(jet_eval_grid(jets, shell))))
-    if run:
-        run.sups[R] = dominated
+    sups.append(np.max(np.abs(jet_eval_lists([jets], shell)[0])))
+    run.sups = (R, dominated)
     A = float(np.max(sups))  # np.max keeps a NaN sample, so the checks fail
 
     notes = []
@@ -224,7 +221,7 @@ def nonlinearity_bounds(sol: Solution, params: MajorantParams, m_max: int) -> di
     c = sol.config.c
     h = sol.input.h
     v0 = sol.v.coeffs[0]
-    hess = complex_mixed_hessian(v0, allow_exhausted=True)
+    hess = complex_mixed_hessian(v0)
     Lv0 = hess.map(lambda e: jet_scale(e, -1.0 / c))
     recip_det_h = jet_reciprocal(jet_det(h))
 
@@ -245,7 +242,7 @@ def nonlinearity_bounds(sol: Solution, params: MajorantParams, m_max: int) -> di
                 for p, coeff in enumerate(series.coeffs):
                     keyed.append(((p, k), jet_mul(coeff, recip_det_h)))
     pts = polydisc_grid(ctx.nvars, params.R, GRID_POINTS)
-    sups = np.max(np.abs(jet_eval_grid([d for _, d in keyed], pts)), axis=1)
+    sups = np.max(np.abs(jet_eval_lists([[d for _, d in keyed]], pts)[0]), axis=1)
     agg: dict[tuple[int, int], float] = {}
     for (key, _), sup in zip(keyed, sups.tolist()):
         val = sup * SUP_INFLATION
@@ -399,9 +396,7 @@ class MajorantReport:
         }
 
 
-def check_domination(
-    sol: Solution | MajorantRun, params: MajorantParams, C: list[float]
-) -> MajorantReport:
+def check_domination(run: MajorantRun, params: MajorantParams, C: list[float]) -> MajorantReport:
     """Verify the three domination inequalities on deterministic grids of
     ``GRID_POINTS`` points at the radii R/4, R/2, 3R/4:
 
@@ -411,23 +406,20 @@ def check_domination(
 
     with Y_m(r) = C_m / (R - r)^{2m-2}.  Failures are recorded as rows, not
     raised; orders whose spatial validity cannot support the evaluation are
-    marked skipped.  Every jet is sampled through its trusted degree only,
-    all jets of one radius in one grid evaluation.  A ``MajorantRun`` whose
-    ``estimate_params`` pass sampled them at this R lends its suprema.
+    marked skipped.  The observed sides are the suprema that the run's
+    ``estimate_params`` pass sampled, each jet through its trusted degree
+    only; params from any other R are refused.
     """
     e = math.e
-    run = sol if isinstance(sol, MajorantRun) else MajorantRun(sol, len(C) - 1)
     if run.m_max != len(C) - 1:
         raise InvalidInputError(f"C has {len(C) - 1} orders, the run {run.m_max}")
-    if params.R not in run.sups:
-        nvars = run.sol.input.ctx.nvars
-        run.sups[params.R] = [
-            np.max(np.abs(jet_eval_grid(run.sampled, polydisc_grid(nvars, r, GRID_POINTS))), axis=1)
-            for r in domination_radii(params.R)
-        ]
+    if run.sups is None or run.sups[0] != params.R:
+        raise InvalidInputError(
+            f"params at R = {params.R} were not estimated on this majorant run"
+        )
 
     rows = []
-    for r, sups in zip(domination_radii(params.R), run.sups[params.R]):
+    for r, sups in zip(domination_radii(params.R), run.sups[1]):
         pos = 0
         for m, groups in run.groups.items():
             Y = C[m] / (params.R - r) ** (2 * m - 2)

@@ -181,7 +181,7 @@ def step(state: SolverState, minors: dict | None = None) -> SolverState:
     filled (a fresh one when absent); it must not outlive that solve."""
     m = state.m
     c = state.config.c
-    hess = complex_mixed_hessian(state.v[m], allow_exhausted=True)
+    hess = complex_mixed_hessian(state.v[m])
     g_new = hess.map(lambda e: jet_scale(e, -1.0 / (c * (m + 1)))).entries
 
     det_new = det_coefficient(state.g + (g_new,), m + 1, {} if minors is None else minors)

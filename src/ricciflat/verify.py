@@ -38,6 +38,7 @@ from .jets import (
     jet_scale,
     max_abs_coeff,
     max_coeff_diff,
+    nan_max,
     t_derive,
     t_exp,
     t_integrate,
@@ -98,12 +99,6 @@ def _row(identity, m, valid, resid, scale, tol) -> ResidualRow:
         return ResidualRow(identity, m, valid, 0.0, max(scale, 1.0), "skipped")
     ok = math.isfinite(resid) and math.isfinite(scale) and resid <= tol * max(scale, 1.0)
     return ResidualRow(identity, m, valid, resid, max(scale, 1.0), "pass" if ok else "fail")
-
-
-def _max(*values) -> float:
-    """Largest value, NaN as soon as one value is NaN (Python's ``max``
-    drops a NaN that is not its first argument)."""
-    return float(np.max(values))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +172,7 @@ def _flow_residuals(sol: Solution, kinds) -> dict:
     out = {kind: [] for kind in kinds}
     for m in range(0 if "hessian_flow" in kinds else 1, sol.t_order):
         vm = sol.v.coeffs[m]
-        hess = [e for row in complex_mixed_hessian(vm, allow_exhausted=True).entries for e in row]
+        hess = [e for row in complex_mixed_hessian(vm).entries for e in row]
         g_next = [e.coeffs[m + 1] for row in sol.g.entries for e in row]
         valid = vm.valid_degree - 2
         if "hessian_flow" in kinds:
@@ -198,8 +193,8 @@ def _sum_residual(terms, valid: int):
         resid = jet_add(a, b)
         v = min(resid.valid_degree, valid)
         if v >= 0:
-            worst = _max(worst, max_abs_coeff(resid, v))
-            scale = _max(scale, max_abs_coeff(a, v), max_abs_coeff(b, v))
+            worst = nan_max(worst, max_abs_coeff(resid, v))
+            scale = nan_max(scale, max_abs_coeff(a, v), max_abs_coeff(b, v))
     return worst, scale
 
 
@@ -371,11 +366,11 @@ def curvature_and_class(sol, tolerance: float = 1e-9) -> CurvatureReport:
     n = sol.n
     g_t = HermitianJetMatrix([[d.g_t(i, j) for j in range(n)] for i in range(n)])
     w_z = tuple(
-        TJet([jet_scale(dz(cj, i, allow_exhausted=True), 1.0 / c) for cj in vt.coeffs])
+        TJet([jet_scale(dz(cj, i), 1.0 / c) for cj in vt.coeffs])
         for i in range(n)
     )
     w_zbar = tuple(
-        TJet([jet_scale(dzbar(cj, j, allow_exhausted=True), 1.0 / c) for cj in vt.coeffs])
+        TJet([jet_scale(dzbar(cj, j), 1.0 / c) for cj in vt.coeffs])
         for j in range(n)
     )
 
@@ -384,7 +379,7 @@ def curvature_and_class(sol, tolerance: float = 1e-9) -> CurvatureReport:
         for k in range(min(w_z[i].order, w_zbar[i].order) + 1):
             a, b = w_z[i].coeffs[k], w_zbar[i].coeffs[k]
             if min(a.valid_degree, b.valid_degree) >= 0:
-                realness = _max(realness, max_coeff_diff(jet_conj(a), b))
+                realness = nan_max(realness, max_coeff_diff(jet_conj(a), b))
 
     closed = ResidualReport(
         name="curvature_closedness",
@@ -446,8 +441,8 @@ def _closedness_rows(d: SolutionView, g_t, tolerance):
             )
             terms = (
                 (
-                    dz(g_t.entries[i][j].coeffs[m], k, allow_exhausted=True),
-                    jet_scale(dz(g_t.entries[k][j].coeffs[m], i, allow_exhausted=True), -1.0),
+                    dz(g_t.entries[i][j].coeffs[m], k),
+                    jet_scale(dz(g_t.entries[k][j].coeffs[m], i), -1.0),
                 )
                 for j in range(n)
                 for k in range(n)

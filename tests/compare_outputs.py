@@ -25,8 +25,8 @@ import tempfile
 from pathlib import Path
 
 # verify, solve, majorant, compare and closed-form on n = 1..4, the
-# Fubini-Study chart, a product metric, fault injection and c = 2; some exit
-# nonzero on purpose.
+# Fubini-Study chart, a product metric, fault injection (a NaN one too), c = 2
+# and refused input; some exit nonzero on purpose.
 SCENARIOS = (
     "verify --metric perturbed_flat:1,0.1,7,2 --M 8 --D 12",
     "verify --metric perturbed_flat:2,0.1,0,2 --M 5 --D 12",
@@ -66,6 +66,9 @@ SCENARIOS = (
     "closed-form --metric fubini_study_chart:1,1 --M 8 --D 12",
     "closed-form --metric fubini_study_chart:2,1 --M 4 --D 10",
     "closed-form --eigenvalues 1,2 --M 6",
+    "verify --metric fubini_study_chart:1,1 --M 8 --D 12 --perturb g:1:nan",
+    "closed-form --eigenvalues 1,2 --metric flat:1",
+    "closed-form --metric perturbed_flat:1,0.1,7,2 --D 3",
 )
 
 

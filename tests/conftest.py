@@ -7,7 +7,7 @@ import pytest
 
 from ricciflat import geometry as geo
 from ricciflat.jets import jet_eval_many
-from ricciflat.majorant import majorant_sequence, nonlinearity_bounds
+from ricciflat.majorant import MajorantRun, majorant_sequence, nonlinearity_bounds
 from ricciflat.solver import Solution, SolverConfig, solve
 
 
@@ -15,6 +15,12 @@ def jet_eval(a, point) -> complex:
     """Evaluate one jet at one point of R^{2n} (complex coordinates are
     accepted for holomorphic sampling)."""
     return complex(jet_eval_many(a, np.asarray(point)[None, :])[0])
+
+
+def majorant_run(sol: Solution) -> MajorantRun:
+    """The majorant run of the ``majorant`` command when no ``--m-max`` is
+    given: orders 1..t_order."""
+    return MajorantRun(sol, sol.t_order)
 
 
 def dominating_sequence(sol: Solution, params) -> list[float]:

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import CORPUS_M, corpus_keys, dominating_sequence
+from conftest import CORPUS_M, corpus_keys, dominating_sequence, majorant_run
 from ricciflat import geometry as geo
 from ricciflat.cli import main as cli_main
 from ricciflat.closed_form import calibrate
@@ -120,8 +120,9 @@ def test_a4_moment_laplacian_is_constant(corpus_solutions, corpus_solutions_c2):
 def test_a5_majorant_domination(corpus_solutions):
     for key in corpus_keys():
         sol = corpus_solutions[key]
-        params = estimate_params(sol, 0.2)
-        rep = check_domination(sol, params, dominating_sequence(sol, params))
+        run = majorant_run(sol)
+        params = estimate_params(run, 0.2)
+        rep = check_domination(run, params, dominating_sequence(sol, params))
         assert rep.C[1] == params.A, "C_1 must equal A exactly"
         assert rep.passed, f"domination failed for {key}"
         checked = {r.m for r in rep.rows if r.status == "pass"}

@@ -8,16 +8,17 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import dominating_sequence
+from conftest import dominating_sequence, majorant_run
 from ricciflat import geometry as geo
 from ricciflat.cli import main
+from ricciflat.closed_form import calibrate
 from ricciflat.errors import InvalidInputError
 from ricciflat.geometry import HermitianJetMatrix, InitialData
 from ricciflat.jets import Jet, TJet, context
 from ricciflat.majorant import _dom_row, check_domination, estimate_params
 from ricciflat.report import write_json
 from ricciflat.solver import SolverConfig, solve
-from ricciflat.verify import ResidualReport, ResidualRow, _row, residual_system
+from ricciflat.verify import ResidualReport, ResidualRow, _row, perturb_solution, residual_system
 
 
 def _strict_load(path):
@@ -80,9 +81,10 @@ def test_nan_coefficient_fails_the_system_check(small_solution, position):
 @pytest.mark.parametrize("position", ["first", "last"])
 def test_nan_coefficient_fails_the_majorant(small_solution, position):
     bad = _with_nan_in_v1(small_solution, position)
-    params = estimate_params(bad, 0.2)
+    run = majorant_run(bad)
+    params = estimate_params(run, 0.2)
     assert math.isnan(params.A)
-    assert not check_domination(bad, params, dominating_sequence(bad, params)).passed
+    assert not check_domination(run, params, dominating_sequence(bad, params)).passed
 
 
 def test_write_json_encodes_non_finite_values(tmp_path):
@@ -108,6 +110,25 @@ def test_cli_verify_with_nan_perturbation_fails_with_strict_json(tmp_path):
     report = _strict_load(out / "report.json")
     assert report["passed"] is False
     assert report["checks"]["system"]["max_relative_residual"] == "NaN"
+
+
+@pytest.mark.parametrize("target, order", [("g", 1), ("g", 3), ("w", 2), ("v", 1)])
+def test_calibrate_matches_no_factor_on_a_nan_series(fs_solution, target, order):
+    assert calibrate(fs_solution).matched
+    assert not calibrate(perturb_solution(fs_solution, target, order, math.nan)).matched
+
+
+@pytest.mark.parametrize("perturb", ["g:1:nan", "g:3:nan", "w:2:nan", "v:1:nan"])
+def test_cli_nan_perturbation_skips_the_class_integral(tmp_path, perturb):
+    out = tmp_path / "out"
+    code = main(
+        ["verify", "--metric", "fubini_study_chart:1,1", "--M", "8", "--D", "12",
+         "--perturb", perturb, "--no-timestamp", "--out", str(out)]
+    )
+    assert code == 1
+    curvature = _strict_load(out / "report.json")["checks"]["curvature"]
+    assert curvature["class_integral"] is None and curvature["kappa"] is None
+    assert "class integral skipped: calibration found no matching convention factor" in curvature["notes"]
 
 
 def _flat_with_nan(i, j, idx):

@@ -19,6 +19,7 @@ from ricciflat.jets import (
     jet_add,
     jet_conj,
     jet_derive,
+    jet_eval_lists,
     jet_exp,
     jet_log,
     jet_mul,
@@ -204,11 +205,44 @@ def test_derivative_validity_bookkeeping():
     a = Jet(ctx, ctx.x(0).coeffs, 1)
     d = jet_derive(a, 0)
     assert d.valid_degree == 0
-    with pytest.raises(ValidityError):
-        jet_derive(d, 0)
-    # opt-in continuation still lowers the metadata
-    d2 = jet_derive(d, 0, allow_exhausted=True)
+    assert d.constant_term == 1
+    # deriving past the trusted degree still lowers the metadata; the guard
+    # sits at the read
+    d2 = jet_derive(d, 0)
     assert d2.valid_degree == -1
+    with pytest.raises(ValidityError):
+        d2.constant_term
+
+
+def test_reads_past_the_trusted_degree_raise():
+    ctx = context(1, 4)
+    x, y = ctx.x(0), ctx.y(0)
+    a = Jet(ctx, (1 + x + x * x * y).coeffs, 2)
+    assert a.constant_term == 1
+    assert a.coefficient((1, 0)) == 1
+    assert a.coefficient((1, 1)) == 0
+    with pytest.raises(ValidityError):
+        a.coefficient((2, 1))
+    untrusted = Jet(ctx, a.coeffs, -1)
+    with pytest.raises(ValidityError):
+        untrusted.constant_term
+    with pytest.raises(ValidityError):
+        untrusted.coefficient((0, 0))
+    # ring operations read the stored constant themselves: the result of an
+    # untrusted jet is untrusted, not an error
+    assert jet_exp(untrusted).valid_degree == -1
+    assert jet_reciprocal(untrusted).valid_degree == -1
+
+
+def test_twice_derived_jet_is_untrusted_and_evaluates_to_zero():
+    ctx = context(2, 6)
+    rng = np.random.default_rng(19)
+    a = Jet(ctx, random_jet(ctx, rng).coeffs, 1)
+    d2 = jet_derive(jet_derive(a, 0), 3)
+    assert d2.valid_degree == -1
+    assert d2.coeffs.any()
+    pts = rng.uniform(-0.3, 0.3, size=(5, ctx.nvars))
+    assert not jet_eval_lists([[d2]], pts)[0].any()
 
 
 def test_eval_examples():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dominating_sequence, solve_corpus_member
+from conftest import dominating_sequence, majorant_run, solve_corpus_member
 from ricciflat import geometry as geo
 from ricciflat.errors import InvalidInputError
 from ricciflat import majorant
@@ -16,6 +16,7 @@ from ricciflat.jets import (
     TJet,
     context,
     jet_derive,
+    jet_eval_lists,
     jet_eval_many,
     jet_log,
     jet_mul,
@@ -23,6 +24,7 @@ from ricciflat.jets import (
     jet_scale,
 )
 from ricciflat.majorant import (
+    GRID_POINTS,
     CauchyEstimateRow,
     MajorantParams,
     MajorantReport,
@@ -58,7 +60,7 @@ def test_estimate_params_linear_metric_lower_bound():
     ctx = context(1, 12)
     init = InitialData(n=1, h=HermitianJetMatrix([[1 + ctx.x(0)]]))
     sol = solve(init, SolverConfig(c=1.0, t_order=3, space_degree=12))
-    params = estimate_params(sol, 0.2)
+    params = estimate_params(majorant_run(sol), 0.2)
     assert params.A >= 0.5
     assert reported_sigma(params) == 1.0
     assert params.M_const == 4.0
@@ -66,7 +68,7 @@ def test_estimate_params_linear_metric_lower_bound():
 
 
 def test_estimate_params_flat_clamps_to_floor(flat_solutions):
-    params = estimate_params(flat_solutions[1], 0.2)
+    params = estimate_params(majorant_run(flat_solutions[1]), 0.2)
     assert params.A == pytest.approx(1e-8)
     assert params.A_clamped
 
@@ -82,12 +84,12 @@ def test_resonance_gap_is_one():
 def test_operator_bound_convention_scales_with_c():
     init = geo.perturbed_flat(1, 0.1, 0, 2, 12)
     sol = solve(init, SolverConfig(c=2.0, t_order=3, space_degree=12))
-    assert estimate_params(sol, 0.2).M_const == pytest.approx(2.0)
+    assert estimate_params(majorant_run(sol), 0.2).M_const == pytest.approx(2.0)
 
 
 def test_estimate_params_rejects_bad_radius(flat_solutions):
     with pytest.raises(InvalidInputError):
-        estimate_params(flat_solutions[1], 1.5)
+        estimate_params(majorant_run(flat_solutions[1]), 1.5)
 
 
 # -- coefficient recursion -----------------------------------------------------------
@@ -162,7 +164,7 @@ def test_nonlinearity_bounds_exponential_tail():
     # with the flat determinant the (0, q, 0) entries are 1/q! inflated by
     # the documented sampling margin
     sol = solve(geo.flat(1, 10), SolverConfig(c=1.0, t_order=3, space_degree=10))
-    params = estimate_params(sol, 0.2)
+    params = estimate_params(majorant_run(sol), 0.2)
     bounds = nonlinearity_bounds(sol, params, 5)
     got = bounds[(0, 2, 0, 0, 0)]
     assert got == pytest.approx(majorant.SUP_INFLATION / 2.0)
@@ -171,7 +173,7 @@ def test_nonlinearity_bounds_exponential_tail():
 
 def test_nonlinearity_bounds_weight_filter():
     sol = solve(geo.flat(1, 10), SolverConfig(c=1.0, t_order=3, space_degree=10))
-    params = estimate_params(sol, 0.2)
+    params = estimate_params(majorant_run(sol), 0.2)
     bounds = nonlinearity_bounds(sol, params, 5)
     for (p, q, s, at, bt) in bounds:
         assert p + q + s + at + 2 * bt >= 2
@@ -210,7 +212,7 @@ _PATTERN_CAPS = {1: 8, 2: 6, 3: 4, 4: 4}
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_signed_minors_equal_the_full_pattern_determinants(n):
     h = geo.perturbed_flat(n, 0.1, n, 2, _PATTERN_CAPS[n]).h
-    hess = complex_mixed_hessian(jet_log(jet_det(h)), allow_exhausted=True)
+    hess = complex_mixed_hessian(jet_log(jet_det(h)))
     zero = h.entries[0][0].ctx.zero()
     A = [
         [TJet([h[i, j], jet_scale(hess[i, j], -1.0)] + [zero] * (n - 1)) for j in range(n)]
@@ -243,8 +245,9 @@ def test_nonlinearity_bounds_unchanged_by_the_shared_minors(n, D, monkeypatch):
 
 def test_domination_on_flat_includes_margin(flat_solutions):
     sol = flat_solutions[1]
-    params = estimate_params(sol, 0.2)
-    rep = check_domination(sol, params, dominating_sequence(sol, params))
+    run = majorant_run(sol)
+    params = estimate_params(run, 0.2)
+    rep = check_domination(run, params, dominating_sequence(sol, params))
     assert rep.passed
     for row in rep.rows:
         if row.status == "pass":
@@ -253,8 +256,9 @@ def test_domination_on_flat_includes_margin(flat_solutions):
 
 def test_domination_on_perturbed_member():
     sol = solve_corpus_member(1, 0)
-    params = estimate_params(sol, 0.2)
-    rep = check_domination(sol, params, dominating_sequence(sol, params))
+    run = majorant_run(sol)
+    params = estimate_params(run, 0.2)
+    rep = check_domination(run, params, dominating_sequence(sol, params))
     assert rep.passed
     assert rep.C[1] == params.A
     orders = {r.m for r in rep.rows}
@@ -263,10 +267,22 @@ def test_domination_on_perturbed_member():
 
 def test_domination_first_order_tight_by_construction():
     sol = solve_corpus_member(1, 1)
-    params = estimate_params(sol, 0.2)
-    rep = check_domination(sol, params, dominating_sequence(sol, params))
+    run = majorant_run(sol)
+    params = estimate_params(run, 0.2)
+    rep = check_domination(run, params, dominating_sequence(sol, params))
     first = [r for r in rep.rows if r.m == 1 and r.inequality == "value"]
     assert all(r.observed <= params.A for r in first)
+
+
+def _resampled_sups(run, R):
+    """The suprema of the run's domination jets per check radius, sampled
+    on their own grid evaluation, as ``check_domination`` once re-sampled
+    them when no estimate pass had."""
+    nvars = run.sol.input.ctx.nvars
+    return [
+        np.max(np.abs(jet_eval_lists([run.sampled], polydisc_grid(nvars, r, GRID_POINTS))[0]), axis=1)
+        for r in domination_radii(R)
+    ]
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 2])
@@ -277,10 +293,26 @@ def test_run_lends_the_samples_of_its_estimate_pass(extra):
     m_max = sol.t_order + extra
     run = MajorantRun(sol, m_max)
     params = estimate_params(run, 0.2)
-    assert params == estimate_params(sol, 0.2)
-    assert list(run.sups) == [0.2]
+    R, sups = run.sups
+    want = _resampled_sups(run, 0.2)
+    assert R == 0.2
+    assert [s.tobytes() for s in sups] == [w.tobytes() for w in want]
     C = majorant_sequence(params, nonlinearity_bounds(sol, params, m_max), m_max)
-    assert check_domination(run, params, C) == check_domination(sol, params, C)
+    resampled = MajorantRun(sol, m_max)
+    resampled.sups = (0.2, want)
+    assert check_domination(run, params, C) == check_domination(resampled, params, C)
+
+
+def test_run_refuses_params_of_another_radius():
+    sol = solve_corpus_member(1, 0)
+    run = majorant_run(sol)
+    with pytest.raises(InvalidInputError):
+        check_domination(run, simple_params(R=0.2), [0.0] * (sol.t_order + 1))
+    params = estimate_params(run, 0.2)
+    other = estimate_params(majorant_run(sol), 0.3)
+    with pytest.raises(InvalidInputError):
+        check_domination(run, other, dominating_sequence(sol, other))
+    assert check_domination(run, params, dominating_sequence(sol, params)).passed
 
 
 def test_run_refuses_a_sequence_of_another_length():
@@ -319,8 +351,9 @@ def test_radius_estimate_entire_cases():
 
 def test_flat_pipeline_reports_entire(flat_solutions):
     sol = flat_solutions[1]
-    params = estimate_params(sol, 0.2)
-    rep = check_domination(sol, params, dominating_sequence(sol, params))
+    run = majorant_run(sol)
+    params = estimate_params(run, 0.2)
+    rep = check_domination(run, params, dominating_sequence(sol, params))
     assert rep.radius_estimate is None
     assert "entire" in rep.radius_note
 

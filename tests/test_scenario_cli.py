@@ -311,6 +311,45 @@ def test_cli_closed_form_takes_its_order_from_the_scenario(tmp_path, source):
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--eigenvalues", "1,2", "--metric", "nope:3"),
+        ("--eigenvalues", "1,2", "--metric", "flat:1"),
+        ("--eigenvalues", "1,2", "--metric-file", "missing.scn"),
+        ("--eigenvalues", "1,2", "missing.scn"),
+        ("--eigenvalues", "1,x"),
+    ],
+    ids=["unknown-metric", "metric", "metric-file", "scenario", "not-a-number"],
+)
+def test_cli_closed_form_eigenvalues_refuses_bad_input(tmp_path, capsys, extra):
+    out = tmp_path / "cf"
+    assert run_cli("closed-form", *extra, "--out", str(out), "--no-timestamp") == 2
+    assert capsys.readouterr().err.startswith("error: invalid input:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--metric", "perturbed_flat:1,0.1,7,2", "--D", "1"),
+        ("closed-form", "--metric", "perturbed_flat:2,0.1,7,2", "--D", "2"),
+        ("compare", "--metric", "perturbed_flat:1,0.1,7,2", "--M", "1", "--D", "3"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_untrusted_reads_exit_three(tmp_path, capsys, argv):
+    # each run reads a constant term that the requested degree cap leaves
+    # untrusted: the initial metric at D = 1, the Ricci form at D = 2 and 3
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out), "--no-timestamp") == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith(
+        "error: numerical degeneracy: degree-0 coefficient read on a jet with valid_degree -"
+    )
+    assert not (out / "report.json").exists()
+
+
 def test_cli_majorant_runs(tmp_path):
     out = tmp_path / "maj"
     code = run_cli(

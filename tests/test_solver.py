@@ -213,7 +213,7 @@ def test_shifted_variable_recursion_agrees():
     xs = [ctx.constant(1.0)]  # e^{-(v - v0)} coefficients
     for m in range(cfg.t_order):
         base = vt[m] if m else v0
-        hess = complex_mixed_hessian(base, allow_exhausted=True)
+        hess = complex_mixed_hessian(base)
         g_new = jet_scale(hess.entries[0][0], -1.0 / (c * (m + 1)))
         gt.append(g_new)
 
