@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import math
 import os
 import sys
 import warnings
@@ -179,7 +180,6 @@ def _run_batch(scenarios, worker, jobs: int, extra=None) -> int:
     if len(scenarios) == 1:
         return worker(scenarios[0], scenarios[0].out_dir, extra)
 
-    codes = []
     tagged = [
         (sc, os.path.join(sc.out_dir, f"{i:02d}_{_safe(sc.label)}"))
         for i, sc in enumerate(scenarios)
@@ -219,16 +219,9 @@ def cmd_solve(args) -> int:
 def _solve_one(sc: Scenario, out_dir: str, extra=None) -> int:
     sol = _solve_scenario(sc)
     os.makedirs(out_dir, exist_ok=True)
-    write_series_csv(
-        os.path.join(out_dir, "v.csv"), [series_entries("v", sol.v)]
-    )
-    write_series_csv(os.path.join(out_dir, "g.csv"), [matrix_entries("g", sol.g)])
-    write_series_csv(
-        os.path.join(out_dir, "w_inv.csv"), [series_entries("w_inv", sol.w_inv)]
-    )
-    write_series_csv(
-        os.path.join(out_dir, "exp_u.csv"), [series_entries("exp_u", sol.exp_u)]
-    )
+    for name, obj in (("v", sol.v), ("g", sol.g), ("w_inv", sol.w_inv), ("exp_u", sol.exp_u)):
+        entries = matrix_entries(name, obj) if name == "g" else series_entries(name, obj)
+        write_series_csv(os.path.join(out_dir, f"{name}.csv"), [entries])
     write_json(
         os.path.join(out_dir, "report.json"),
         {
@@ -319,7 +312,9 @@ def cmd_closed_form(args) -> int:
             values = tuple(float(t) for t in args.eigenvalues.split(",") if t.strip())
         except ValueError as exc:
             raise InvalidInputError(f"bad --eigenvalues {args.eigenvalues!r}") from exc
-        n = args.n or len(values)
+        n = len(values) if args.n is None else args.n
+        if not values or n < 1:
+            raise InvalidInputError(f"--eigenvalues needs a value and --n >= 1, got n = {n}")
         if len(values) == 1 and n > 1:
             values = values * n
         spectrum = RicciSpectrum(n, values)
@@ -334,7 +329,11 @@ def cmd_closed_form(args) -> int:
 
     P = p_of_t(spectrum)
     w = w_inv_closed(P)
-    series = w.series(sc.t_order)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # refused below
+        series = w.series(sc.t_order)
+    if not all(map(math.isfinite, (*P, *series))):
+        raise InvalidInputError("P(t) or its w_inv series overflows to a non-finite value")
 
     os.makedirs(sc.out_dir, exist_ok=True)
     csv_path = os.path.join(sc.out_dir, "closed_form.csv")

@@ -20,7 +20,10 @@ evaluation and the norms read each jet only through its own ``valid_degree``.
 A product runs one gather, multiply, segmented sum and scatter-add per
 nonzero degree row of its first factor.  The context caches, per row, the
 pair tables of that block against all blocks of the second factor up to the
-largest degree asked for so far; smaller requests use a prefix.
+largest degree asked for so far; smaller requests use a prefix.  The
+exponential, logarithm and reciprocal of a jet form each degree block from
+the blocks below it by one recurrence over slices of the same tables
+(Griewank & Walther, *Evaluating Derivatives*, ch. 13): one product's work.
 
 A TJet is a truncated power series in the moment-map variable t whose
 coefficients are jets, each with its own validity.  The series product,
@@ -32,7 +35,6 @@ for a t-coefficient whose validity is negative: it is returned as a zero jet.
 from __future__ import annotations
 
 import cmath
-import math
 from bisect import bisect_right
 from itertools import combinations_with_replacement
 
@@ -87,8 +89,8 @@ class JetContext:
         self.size = len(rows)
         self.degrees = np.repeat(np.arange(cap + 1), np.diff(self.deg_start))
 
-        shifts = 8 * np.arange(self.nvars - 1, -1, -1, dtype=np.uint64)
-        self._packed = (self.exponents.astype(np.uint64) << shifts).sum(axis=1)
+        self._shifts = 8 * np.arange(self.nvars - 1, -1, -1, dtype=np.uint64)
+        self._packed = (self.exponents.astype(np.uint64) << self._shifts).sum(axis=1)
         self._order = np.argsort(self._packed, kind="stable")
         self._sorted_keys = self._packed[self._order]
 
@@ -99,8 +101,7 @@ class JetContext:
 
     def rank_of(self, exponents) -> int:
         exp = np.asarray(exponents, dtype=np.uint64)
-        shifts = 8 * np.arange(self.nvars - 1, -1, -1, dtype=np.uint64)
-        key = int((exp << shifts).sum())
+        key = int((exp << self._shifts).sum())
         pos = np.searchsorted(self._sorted_keys, key)
         if pos >= self.size or self._sorted_keys[pos] != key:
             raise InvalidInputError(f"monomial {tuple(exponents)} outside context")
@@ -157,8 +158,7 @@ class JetContext:
             src = np.flatnonzero(self.exponents[:, var] > 0)
             shifted = self.exponents[src].copy()
             shifted[:, var] -= 1
-            shifts = 8 * np.arange(self.nvars - 1, -1, -1, dtype=np.uint64)
-            keys = (shifted.astype(np.uint64) << shifts).sum(axis=1)
+            keys = (shifted.astype(np.uint64) << self._shifts).sum(axis=1)
             dst = self._lookup_keys(keys)
             factor = self.exponents[src, var].astype(np.float64)
             tab = (src, dst, factor)
@@ -380,49 +380,72 @@ def jet_conj(a: Jet) -> Jet:
     return _fresh(a.ctx, np.conj(a.coeffs), a.valid_degree)
 
 
-def _nilpotent_series(a: Jet, term_coeffs) -> Jet:
-    """Sum c_k * (a - a0)^k for k = 0.. until powers vanish or the cap is hit."""
-    ctx = a.ctx
-    n0 = a - complex(a.coeffs[0])
-    acc = ctx.constant(term_coeffs(0), valid_degree=a.valid_degree)
-    power = None
-    for k in range(1, ctx.cap + 1):
-        power = n0 if power is None else jet_mul(power, n0)
-        if power.effective_degree < 0:
-            break
-        acc = jet_add(acc, jet_scale(power, term_coeffs(k)))
-    return acc
+def _graded_series(a: Jet, kind: str) -> Jet:
+    """exp, log or reciprocal (``kind``) of a jet by one recurrence in the
+    spatial degree.  With x_d the degree-d block of x, (E x)_d = d x_d the
+    Euler operator, and p = a - a_0 (exp) or a / a_0 - 1, the series s solves
+
+        exp:        E s = (E p) s    s_0 = 1, d s_d = sum_{j=1..d} j p_j s_{d-j}
+        reciprocal: (1 + p) s = 1    s_0 = 1, s_d = -sum_{j=1..d} p_j s_{d-j}
+        log:        (1 + p) s = E p  s_0 = 0, s_d = d p_d - sum_{j=1..d} p_j s_{d-j}
+
+    and gives exp(a_0) s, s / a_0 or log a_0 + E^{-1} s.  Each block pair is
+    multiplied once, the work of one ``jet_mul``, with its real path:
+    p_j s_{d-j} is the db = d - j slice of the row ``row_pairs(j, vd - j)``
+    of a product with first factor p.  The result is trusted as far as a and
+    zero past that; for an untrusted a it is a zero jet, a_0 left unread."""
+    ctx, vd, start = a.ctx, a.valid_degree, a.ctx.deg_start
+    if vd < 0:
+        return ctx.zero(vd)
+    a0 = complex(a.coeffs[0])
+    if kind != "exp" and a0 == 0:
+        raise SingularInputError(f"jet_{kind} of a jet with zero constant term")
+    p = a.coeffs[: start[vd + 1]] * (1.0 if kind == "exp" else 1.0 / a0)
+    p[0] = 0
+    if not p.imag.any():
+        p = p.real.copy()
+    first = p * ctx.degrees[: len(p)] if kind == "exp" else p
+    rows = np.logical_or.reduceat(first != 0, start[: vd + 1]).nonzero()[0].tolist()
+    tables = [(j, ctx.row_pairs(j, vd - j)) for j in rows]
+    s = np.zeros_like(p)
+    s[0] = 0.0 if kind == "log" else 1.0
+    for d in range(1, vd + 1):
+        block = slice(start[d], start[d + 1])  # each block product's targets, in order
+        for j, (I, J, seg_starts, _, ends) in tables:
+            if j > d:
+                break
+            p0, s0 = ends[d - j - 1] if d > j else (0, 0)
+            p1, s1 = ends[d - j]
+            prod = first[I[p0:p1]]
+            prod *= s[J[p0:p1]]
+            s[block] += np.add.reduceat(prod, seg_starts[s0:s1] - p0)
+        if kind == "exp":
+            s[block] /= d
+        elif kind == "log":
+            s[block] = d * p[block] - s[block]
+        else:
+            s[block] = -s[block]
+    out = np.zeros(ctx.size, dtype=np.complex128)
+    if kind == "log":
+        out[0], out[1 : len(s)] = cmath.log(a0), s[1:] / ctx.degrees[1 : len(s)]
+    else:
+        out[: len(s)] = s * (cmath.exp(a0) if kind == "exp" else 1.0 / a0)
+    return _fresh(ctx, out, vd)
 
 
 def jet_exp(a: Jet) -> Jet:
-    """exp(a0) times the truncated exponential series of the nilpotent part."""
-    e0 = cmath.exp(complex(a.coeffs[0]))
-    out = _nilpotent_series(a, lambda k: 1.0 / math.factorial(k))
-    return jet_scale(out, e0)
+    """Truncated exponential, by the degree recurrence of ``_graded_series``."""
+    return _graded_series(a, "exp")
 
 
 def jet_log(a: Jet) -> Jet:
     """Truncated logarithm; requires a nonzero constant term."""
-    a0 = complex(a.coeffs[0])
-    if a0 == 0:
-        raise SingularInputError("jet_log of a jet with zero constant term")
-    scaled = jet_scale(a, 1.0 / a0)
-
-    def coeff(k: int) -> float:
-        return 0.0 if k == 0 else (-1.0) ** (k + 1) / k
-
-    out = _nilpotent_series(scaled, coeff)
-    return jet_add(out, a.ctx.constant(cmath.log(a0), valid_degree=a.valid_degree))
+    return _graded_series(a, "log")
 
 
 def jet_reciprocal(a: Jet) -> Jet:
     """Truncated 1/a; requires a nonzero constant term."""
-    a0 = complex(a.coeffs[0])
-    if a0 == 0:
-        raise SingularInputError("jet_reciprocal of a jet with zero constant term")
-    scaled = jet_scale(a, 1.0 / a0)
-    out = _nilpotent_series(scaled, lambda k: (-1.0) ** k)
-    return jet_scale(out, 1.0 / a0)
+    return _graded_series(a, "reciprocal")
 
 
 def jet_derive(a: Jet, var: int) -> Jet:

@@ -22,7 +22,7 @@ shared operator bound and recorded in the report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations, permutations
 
 import numpy as np
@@ -381,18 +381,7 @@ class MajorantReport:
             "radius_estimate": self.radius_estimate,
             "radius_note": self.radius_note,
             "notes": list(self.notes) + list(self.params.notes),
-            "rows": [
-                {
-                    "inequality": r.inequality,
-                    "m": r.m,
-                    "radius": r.radius,
-                    "observed": r.observed,
-                    "bound": r.bound,
-                    "margin": r.margin,
-                    "status": r.status,
-                }
-                for r in self.rows
-            ],
+            "rows": [{**asdict(r), "margin": r.margin} for r in self.rows],
         }
 
 

@@ -95,24 +95,13 @@ def write_series_csv(path: str, blocks) -> None:
     )
 
 
-def residual_rows(report) -> list[tuple]:
-    rows = []
-    for r in report.rows:
-        rows.append(
-            (
-                r.identity,
-                r.t_order,
-                r.valid_degree,
-                repr(r.residual),
-                repr(report.tolerance * r.scale),
-                r.status,
-            )
-        )
-    return rows
-
-
 def write_residuals_csv(path: str, reports) -> None:
-    write_csv(path, RESIDUAL_COLUMNS, (row for rep in reports for row in residual_rows(rep)))
+    rows = (
+        (r.identity, r.t_order, r.valid_degree, repr(r.residual), repr(rep.tolerance * r.scale), r.status)
+        for rep in reports
+        for r in rep.rows
+    )
+    write_csv(path, RESIDUAL_COLUMNS, rows)
 
 
 def _strict_json(obj):

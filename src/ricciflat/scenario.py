@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import configparser
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import InvalidInputError
 from .geometry import (
@@ -92,8 +92,6 @@ def parse_metric_spec(spec: str) -> tuple[str, list]:
         for part in spec[len("product:") :].split("|"):
             name, params = parse_metric_spec(part)
             factors.append({"name": name, "params": params})
-        if not factors:
-            raise InvalidInputError("product needs at least one factor")
         return "product", factors
     if ":" in spec:
         name, rest = spec.split(":", 1)
@@ -186,8 +184,6 @@ def apply_overrides(sc: Scenario, overrides: dict) -> Scenario:
     bad = set(clean) - valid
     if bad:
         raise InvalidInputError(f"unknown scenario fields {sorted(bad)}")
-    from dataclasses import replace
-
     return replace(sc, **clean)
 
 

@@ -1,10 +1,13 @@
-"""Independent symbolic oracles used by the tests.
+"""Independent oracles used by the tests.
 
 Jets are converted to sympy polynomials and the operation under test is
 redone symbolically; results come back as coefficient dictionaries so the
-comparison never routes through the code being tested.
+comparison never routes through the code being tested.  The exponential,
+logarithm and reciprocal of a jet are redone as power series in extended
+precision, with products formed from the exponent tuples alone.
 """
 
+import numpy as np
 import sympy as sp
 
 from ricciflat.jets import Jet
@@ -68,3 +71,72 @@ def jet_vs_expr(jet: Jet, expr, max_degree: int | None = None) -> float:
     d = jet.valid_degree if max_degree is None else min(max_degree, jet.valid_degree)
     _, syms = jet_to_expr(jet)
     return coeff_dict_distance(jet_coeffs(jet, d), expr_coeffs(expr, syms, d))
+
+
+# -- power-series oracle for exp, log and reciprocal ----------------------------
+
+_PAIR_TABLES: dict = {}
+
+
+def _pair_table(ctx):
+    """(I, J, T): every pair of monomials whose product has total degree
+    <= cap, and the rank of that product, from the exponent tuples alone."""
+    table = _PAIR_TABLES.get((ctx.n, ctx.cap))
+    if table is None:
+        exps = [tuple(int(e) for e in row) for row in ctx.exponents]
+        rank = {e: i for i, e in enumerate(exps)}
+        I, J, T = [], [], []
+        for i, ei in enumerate(exps):
+            for j in range(ctx.deg_start[ctx.cap - ctx.degrees[i] + 1]):
+                t = rank.get(tuple(x + y for x, y in zip(ei, exps[j])))
+                if t is not None:
+                    I.append(i)
+                    J.append(j)
+                    T.append(t)
+        table = tuple(np.array(col, dtype=np.intp) for col in (I, J, T))
+        _PAIR_TABLES[(ctx.n, ctx.cap)] = table
+    return table
+
+
+def series_oracle(jet: Jet, kind: str, majorant: bool = False) -> np.ndarray:
+    """exp, log or reciprocal (``kind`` "exp", "log", "reciprocal") of a jet
+    through its valid_degree (>= 0), as a power series in its nilpotent part,
+    summed power by power in extended precision (numpy long double):
+
+        exp a = e^{a_0} sum_k q^k / k!,         q = a - a_0,
+        log a = log a_0 + sum_k (-1)^(k+1) q^k / k,   q = a / a_0 - 1,
+        1 / a = (1 / a_0) sum_k (-q)^k,          q = a / a_0 - 1.
+
+    With ``majorant`` every series coefficient, every coefficient of q and
+    the leading factor or term are replaced by their absolute values.  The
+    result bounds, coefficient by coefficient, the terms that any evaluation
+    of the series sums, which is the scale of its rounding error.  Returns
+    the complex long double coefficients through the valid_degree."""
+    vd = jet.valid_degree
+    end = int(jet.ctx.deg_start[vd + 1])
+    I, J, T = _pair_table(jet.ctx)
+    I, J, T = I[T < end], J[T < end], T[T < end]
+    a = jet.coeffs[:end].astype(np.clongdouble)
+    a0 = a[0]
+    q = a - a0 * (np.arange(end) == 0)
+    if kind == "exp":
+        lead, terms = np.exp(a0), [1 / np.prod(np.arange(1, k + 1, dtype=np.longdouble)) for k in range(vd + 1)]
+    elif kind == "log":
+        q /= a0
+        lead, terms = np.log(a0), [0] + [(-1) ** (k + 1) / np.longdouble(k) for k in range(1, vd + 1)]
+    else:
+        q /= a0
+        lead, terms = 1 / a0, [(-1) ** k for k in range(vd + 1)]
+    if majorant:
+        q, lead, terms = np.abs(q).astype(np.clongdouble), abs(lead), [abs(c) for c in terms]
+    power = (np.arange(end) == 0).astype(np.clongdouble)
+    total = terms[0] * power
+    for k in range(1, vd + 1):
+        nxt = np.zeros(end, dtype=np.clongdouble)
+        np.add.at(nxt, T, power[I] * q[J])
+        power = nxt
+        total += terms[k] * power
+    if kind == "log":
+        total[0] = lead
+        return total
+    return lead * total

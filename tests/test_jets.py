@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import jet_eval
-from oracles import jet_to_expr, jet_vs_expr
+from oracles import jet_to_expr, jet_vs_expr, series_oracle
 from ricciflat.errors import (
     DimensionMismatchError,
     SingularInputError,
@@ -25,6 +25,7 @@ from ricciflat.jets import (
     jet_mul,
     jet_reciprocal,
     jet_scale,
+    max_abs_coeff,
     max_coeff_diff,
     t_derive,
     t_exp,
@@ -180,6 +181,102 @@ def test_log_det_diagonal_example():
     assert l.coefficient((2, 0)) == pytest.approx(-1.0)
 
 
+# -- exp, log and reciprocal by the degree recurrence ---------------------------
+
+_SERIES = {"exp": jet_exp, "log": jet_log, "reciprocal": jet_reciprocal}
+
+
+def test_series_of_an_untrusted_jet_are_untrusted_zero_jets():
+    # the stored constant is 0, which log and reciprocal would refuse, but it
+    # is not trusted, so it is not read
+    ctx = context(1, 4)
+    untrusted = Jet(ctx, ctx.x(0).coeffs, -1)
+    for f in _SERIES.values():
+        out = f(untrusted)
+        assert out.valid_degree == -1
+        assert not out.coeffs.any()
+
+
+def test_series_leave_the_tail_past_the_trusted_degree_zero():
+    ctx = context(1, 4)
+    x = ctx.x(0)
+    a = Jet(ctx, (2 + x * x).coeffs, 0)
+    rec = jet_reciprocal(a)
+    assert rec.valid_degree == 0 and rec.constant_term == 0.5
+    assert not rec.coeffs[1:].any()
+    for f in _SERIES.values():
+        assert not f(a).coeffs[1:].any()
+
+
+def _series_operand(ctx, rng, real, valid_degree):
+    """Random jet with nilpotent part of scale 0.3, some whole zero degree
+    blocks, and a constant of modulus at least 1 and either sign."""
+    c = rng.standard_normal(ctx.size) * 0.3
+    if not real:
+        c = c + 1j * rng.standard_normal(ctx.size) * 0.3
+    for d in range(1, ctx.cap + 1):
+        if rng.random() < 0.2:
+            c[ctx.deg_start[d] : ctx.deg_start[d + 1]] = 0.0
+    c[0] = rng.choice([-1.0, 1.0]) * (1.0 + 0.5 * rng.random())
+    if not real:
+        c[0] += 0.3j * rng.standard_normal()
+    return Jet(ctx, np.asarray(c, dtype=np.complex128), valid_degree)
+
+
+_series_cases = given(
+    st.integers(0, 10**6),
+    st.integers(1, 4),
+    st.booleans(),
+    st.integers(0, 9),
+)
+
+
+@_series_cases
+@settings(max_examples=60, deadline=None)
+def test_series_match_the_power_series_oracle(seed, n, real, vd):
+    # Tolerance relative to the majorant series (every term taken in absolute
+    # value): a block's rounding error scales with the terms its sum adds,
+    # which cancellation can make larger than the result.
+    ctx = context(n, _KERNEL_CAPS[n])
+    a = _series_operand(ctx, np.random.default_rng(seed), real, min(vd, ctx.cap))
+    end = ctx.deg_start[a.valid_degree + 1]
+    for kind, f in _SERIES.items():
+        got = f(a)
+        want = series_oracle(a, kind)
+        scale = max(1.0, float(np.max(np.abs(series_oracle(a, kind, majorant=True)))))
+        assert got.valid_degree == a.valid_degree
+        assert float(np.max(np.abs(got.coeffs[:end] - want))) <= 1e-15 * scale
+        assert not got.coeffs[end:].any()
+
+
+@_series_cases
+@settings(max_examples=60, deadline=None)
+def test_series_are_inverse_pairs(seed, n, real, vd):
+    ctx = context(n, _KERNEL_CAPS[n])
+    a = _series_operand(ctx, np.random.default_rng(seed), real, min(vd, ctx.cap))
+    back = jet_exp(jet_log(a))
+    assert max_coeff_diff(back, a) <= 1e-13 * max(1.0, max_abs_coeff(a))
+    rec = jet_reciprocal(a)
+    one = jet_mul(a, rec)
+    assert one.valid_degree == a.valid_degree
+    scale = max(1.0, max_abs_coeff(a) * max_abs_coeff(rec))
+    assert max_coeff_diff(one, ctx.constant(1.0)) <= 1e-13 * scale
+
+
+@_series_cases
+@settings(max_examples=40, deadline=None)
+def test_series_ignore_noise_in_the_untrusted_tail(seed, n, real, vd):
+    ctx = context(n, _KERNEL_CAPS[n])
+    rng = np.random.default_rng(seed)
+    a = _series_operand(ctx, rng, real, min(vd, ctx.cap - 1))
+    end = ctx.deg_start[a.valid_degree + 1]
+    noisy = a.coeffs.copy()
+    noisy[end:] = rng.standard_normal(ctx.size - end) + 1j * rng.standard_normal(ctx.size - end)
+    for f in _SERIES.values():
+        clean, dirty = f(a), f(Jet(ctx, noisy, a.valid_degree))
+        assert clean.coeffs.tobytes() == dirty.coeffs.tobytes()
+
+
 # -- derivatives and evaluation ----------------------------------------------
 
 
@@ -228,8 +325,7 @@ def test_reads_past_the_trusted_degree_raise():
         untrusted.constant_term
     with pytest.raises(ValidityError):
         untrusted.coefficient((0, 0))
-    # ring operations read the stored constant themselves: the result of an
-    # untrusted jet is untrusted, not an error
+    # ring operations on an untrusted jet give an untrusted result, not an error
     assert jet_exp(untrusted).valid_degree == -1
     assert jet_reciprocal(untrusted).valid_degree == -1
 

@@ -319,12 +319,31 @@ def test_cli_closed_form_takes_its_order_from_the_scenario(tmp_path, source):
         ("--eigenvalues", "1,2", "--metric-file", "missing.scn"),
         ("--eigenvalues", "1,2", "missing.scn"),
         ("--eigenvalues", "1,x"),
+        ("--eigenvalues", ","),
+        ("--eigenvalues", "1", "--n", "0"),
+        ("--eigenvalues", "1,2", "--n", "-1"),
     ],
-    ids=["unknown-metric", "metric", "metric-file", "scenario", "not-a-number"],
+    ids=[
+        "unknown-metric", "metric", "metric-file", "scenario", "not-a-number",
+        "empty", "n-zero", "n-negative",
+    ],
 )
 def test_cli_closed_form_eigenvalues_refuses_bad_input(tmp_path, capsys, extra):
     out = tmp_path / "cf"
     assert run_cli("closed-form", *extra, "--out", str(out), "--no-timestamp") == 2
+    assert capsys.readouterr().err.startswith("error: invalid input:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "values",
+    ["nan,1", "1,inf", "2,-inf", "1e308,1e308", "1e150,1e150"],
+    ids=["nan", "inf", "minus-inf", "P-overflows", "w_inv-overflows"],
+)
+def test_cli_closed_form_fails_closed_on_non_finite_values(tmp_path, capsys, values):
+    out = tmp_path / "cf"
+    argv = ("closed-form", "--eigenvalues", values, "--M", "4")
+    assert run_cli(*argv, "--out", str(out), "--no-timestamp") == 2
     assert capsys.readouterr().err.startswith("error: invalid input:")
     assert not out.exists()
 

@@ -2,7 +2,8 @@
 verify run forms det g, each H(v_m) and the flow residual rows once, and
 nothing its check selection does not read, a majorant run forms the
 derivative lemma's reciprocal and each sample grid's monomial matrix once,
-and a calibration forms the Ricci form once."""
+a calibration forms the Ricci form once, and the exponential, logarithm and
+reciprocal of a jet form no jet product."""
 
 import warnings
 from collections import Counter
@@ -138,3 +139,16 @@ def test_calibrate_forms_the_ricci_form_once_and_two_matrices_per_sample_point(m
     per_point = Counter(pts.tobytes() for _, pts, _ in matrices)
     assert len(per_point) == 24
     assert max(per_point.values()) <= 2
+
+
+def test_series_functions_form_no_jet_product(monkeypatch):
+    products = _record(monkeypatch, jets, "jet_mul")
+    h = geometry.perturbed_flat(3, 0.1, 1, 2, 8).h
+    a = jets.jet_scale(geometry.jet_det(h), 1.0 + 0.5j)
+    products.clear()
+    for f in (jets.jet_exp, jets.jet_log, jets.jet_reciprocal):
+        assert f(a).valid_degree == a.valid_degree
+    assert products == []
+    # the recorder sees the products formed inside the module
+    TJet([a]) * TJet([a])
+    assert len(products) == 1
