@@ -369,15 +369,14 @@ def cmd_majorant(args) -> int:
 def _majorant_one(sc: Scenario, out_dir: str, m_max_arg=None) -> int:
     sol = _solve_scenario(sc)
     m_max = sol.t_order if m_max_arg is None else m_max_arg
-    run = majorant.MajorantRun(sol, m_max)
-    params = majorant.estimate_params(run, sc.radius)
+    params = majorant.estimate_params(sol, sc.radius)
     if not params.A_clamped:
         # Refuse before the bounds are built: a clamped A needs no radius
         # estimate, any other needs C_1..C_4.
         majorant.require_radius_orders(m_max)
     bounds = majorant.nonlinearity_bounds(sol, params, m_max)
     C = majorant.majorant_sequence(params, bounds, m_max)
-    rep = majorant.check_domination(run, params, C)
+    rep = majorant.check_domination(sol, params, C)
     lemma = majorant.cauchy_estimate_check(1.0, sc.radius)
     os.makedirs(out_dir, exist_ok=True)
     write_csv(

@@ -477,10 +477,10 @@ def jet_eval_lists(lists, points: np.ndarray) -> list[np.ndarray]:
 
     Each jet is read only through its own ``valid_degree`` (a jet with no
     trusted degree evaluates to zero).  A list is evaluated against the
-    monomial matrix of the points through its highest trusted degree, built
-    in chunks of at most 4M entries, with one matrix product per chunk, so
-    its values are bitwise those of the list evaluated alone.  Lists with
-    the same highest trusted degree share each chunk's matrix.
+    monomial matrix of the points through its highest trusted degree, with
+    one matrix product, so its values are bitwise those of the list
+    evaluated alone.  Lists with the same highest trusted degree share the
+    matrix.
     """
     lists = [list(jets) for jets in lists]
     every = [jet for jets in lists for jet in jets]
@@ -495,19 +495,13 @@ def jet_eval_lists(lists, points: np.ndarray) -> list[np.ndarray]:
         raise InvalidInputError(
             f"points must have shape (P, {ctx.nvars}), got {pts.shape}"
         )
-    by_top: dict[int, list[int]] = {}
+    mono = {}
     for k, jets in enumerate(lists):
         top = max((jet.valid_degree for jet in jets), default=-1)
         if top >= 0:
-            by_top.setdefault(top, []).append(k)
-    for top, ks in by_top.items():
-        width = int(ctx.deg_start[top + 1])
-        coeffs = {k: _trusted_columns(lists[k], width) for k in ks}
-        chunk = max(1, 4_000_000 // width)
-        for lo in range(0, pts.shape[0], chunk):
-            mono = _monomial_matrix(ctx, pts[lo : lo + chunk], top)
-            for k in ks:
-                outs[k][:, lo : lo + chunk] = (mono @ coeffs[k]).T
+            if top not in mono:
+                mono[top] = _monomial_matrix(ctx, pts, top)
+            outs[k] = (mono[top] @ _trusted_columns(jets, mono[top].shape[1])).T
     return outs
 
 

@@ -1,4 +1,4 @@
-"""Empirical majorant machinery for the series construction.
+"""Majorant machinery for the series construction.
 
 The solved potential series sum v_m t^m is dominated, order by order, by the
 solution Y = sum Y_m t^m of a scalar analytic equation whose coefficients
@@ -7,11 +7,14 @@ C_m / (R - r)^{2m-2} on the polydisc of radius r < R < 1, with C_1 = A and
 the remaining C_m produced by a positive recursion; domination then follows
 from three inequalities per order plus a derivative growth lemma.
 
-Everything here is an empirical validation, not a proof: the bounds A and
-A_{p,q,beta} are estimated by sampling the relevant holomorphic data on the
-polydisc (with a documented inflation factor), and the inequalities are
-checked on deterministic grids.  A failure therefore signals a defect in the
-solver or in the bound estimation, never a rounding of the theory.
+Every bound here is the weighted l1 norm ||f||_r = sum_alpha |f_alpha|
+r^{|alpha|} of a jet's trusted prefix, which bounds |f| on the whole
+polydisc of radius r and is an algebra norm (||fg||_r <= ||f||_r ||g||_r):
+A, the A_{p,q,beta}, the observed sides of the domination inequalities and
+those of the lemma rows.  The norms are computed in floating point, without
+outward rounding and without a bound on the tail past ``valid_degree``, so
+a pass is a validation, not a proof; a failure signals a defect in the
+solver or in the bounds, never a rounding of the theory.
 
 Operator accounting convention: the integral operators feeding the
 nonlinearity are L_ij = -(4/c) d^2/dz_i dzbar_j, whose real-coordinate
@@ -34,39 +37,28 @@ from .jets import (
     TJet,
     context,
     jet_derive,
-    jet_eval_lists,
     jet_mul,
     jet_reciprocal,
     jet_scale,
 )
 from .solver import Solution
 
-_GRID_SEED = 120221
-
 # A is clamped up to this floor when the first-order data vanish identically.
 _A_FLOOR = 1e-8
-
-# Every sampled supremum of a nonlinearity coefficient is inflated by this
-# factor before it enters the bounds, a margin for the points the grid misses.
-SUP_INFLATION = 1.25
-
-# Sample points per radius of the bound estimates and the domination checks.
-GRID_POINTS = 128
 
 
 @dataclass(frozen=True)
 class MajorantParams:
     """Constants of the domination scheme that depend on the solution.
 
-    A bounds the first-order data (|v_1|, its gradient, and the operator
-    images L(v_1)) on the polydisc of radius R < 1; M_const is the operator
-    coefficient bound 4/|c|.  The constants shared by every solution are
-    fixed here: the resonance gap sigma is exactly 1, because the unit
-    identity c e^{-v_0} det h = 1 makes the linearized symbol the constant
-    -1, so the gap |m + 1| >= m never degrades (docs/conventions.md);
-    Euler's number e enters through the derivative growth lemma; sampled
-    suprema are inflated by ``SUP_INFLATION`` and taken over
-    ``GRID_POINTS`` points per radius.
+    A is the largest weighted l1 norm at R < 1 of the first-order data
+    (v_1, its gradient, and the operator images L(v_1)); M_const is the
+    operator coefficient bound 4/|c|.  The constants shared by every
+    solution are fixed here: the resonance gap sigma is exactly 1, because
+    the unit identity c e^{-v_0} det h = 1 makes the linearized symbol the
+    constant -1, so the gap |m + 1| >= m never degrades
+    (docs/conventions.md); Euler's number e enters through the derivative
+    growth lemma.
     """
 
     R: float
@@ -76,21 +68,16 @@ class MajorantParams:
     notes: tuple[str, ...] = ()
 
 
-def polydisc_grid(nvars: int, radius: float, count: int) -> np.ndarray:
-    """Deterministic complex sample points with every coordinate of modulus
-    <= radius: real axis extremes per coordinate plus a seeded fill."""
-    pts = []
-    for v in range(nvars):
-        for sign in (1.0, -1.0):
-            p = np.zeros(nvars, dtype=np.complex128)
-            p[v] = sign * radius
-            pts.append(p)
-    rng = np.random.default_rng(_GRID_SEED)
-    need = max(count - len(pts), 0)
-    rho = radius * rng.uniform(0.2, 1.0, size=(need, nvars))
-    theta = rng.uniform(0.0, 2.0 * math.pi, size=(need, nvars))
-    pts.extend(rho * np.exp(1j * theta))
-    return np.array(pts[: max(count, len(pts))])
+def _norm(jet: Jet, r):
+    """Weighted l1 norm sum_alpha |f_alpha| r^{|alpha|} of the jet through
+    its ``valid_degree`` (0 for a jet with no trusted degree), at a radius
+    or an array of radii: one sum of |coefficients| per degree, evaluated
+    as a polynomial in r.  A NaN coefficient gives a NaN norm."""
+    vd, start = jet.valid_degree, jet.ctx.deg_start
+    if vd < 0:
+        return np.zeros_like(np.asarray(r, dtype=float))
+    sums = np.add.reduceat(np.abs(jet.coeffs[: start[vd + 1]]), start[: vd + 1])
+    return np.polyval(sums[::-1], r)
 
 
 def domination_radii(R: float) -> tuple[float, float, float]:
@@ -105,51 +92,12 @@ def _operator_images(v1: Jet, c: float) -> list[Jet]:
     ]
 
 
-class MajorantRun:
-    """What the stages of one majorant run share, passed to them in place of
-    the ``Solution`` as ``verify.SolutionView`` is to the checks of a verify
-    run.  It holds the jets behind the domination rows of the orders
-    1..min(t_order, m_max) and, once ``estimate_params`` has sampled them in
-    its own pass over the domination grids, the radius R of that pass and
-    their suprema per check radius: the floats that ``check_domination``
-    reads once C is known."""
-
-    def __init__(self, sol: Solution, m_max: int):
-        self.sol = sol
-        self.m_max = m_max
-        self.groups = _domination_groups(sol, m_max)
-        self.sampled = [jet for groups in self.groups.values() for g in groups for jet in g]
-        self.sups: tuple[float, list[np.ndarray]] | None = None  # (R, per-radius suprema)
-
-
-def _domination_groups(sol: Solution, m_max: int) -> dict:
-    """Per order m <= min(t_order, m_max): the jets behind the value,
-    gradient and operator rows, each group empty when v_m lacks the
-    validity to support it."""
-    nvars = sol.input.ctx.nvars
-    groups = {}
-    for m in range(1, min(sol.t_order, m_max) + 1):
-        vm = sol.v.coeffs[m]
-        groups[m] = (
-            [vm] if vm.valid_degree >= 0 else [],
-            [jet_derive(vm, v) for v in range(nvars)] if vm.valid_degree >= 1 else [],
-            _operator_images(vm, sol.config.c) if vm.valid_degree >= 2 else [],
-        )
-    return groups
-
-
-def estimate_params(run: MajorantRun, R: float) -> MajorantParams:
-    """Sample |v_1|, its coordinate gradient and the operator images over the
-    polydisc, ``GRID_POINTS`` points per radius, to produce A; the operator
-    bound is structural.
-
-    The sample set is the union of the domination grids (all three check
-    radii) plus a near-boundary shell, so the first-order inequality holds on
-    the check grids by construction of A.  The same pass samples the run's
-    domination jets on those grids, against the same monomial matrices, and
-    keeps their suprema at this R for ``check_domination``.
+def estimate_params(sol: Solution, R: float) -> MajorantParams:
+    """A as the largest norm at R of v_1, its coordinate gradient and the
+    operator images; the operator bound is structural.  The norms grow with
+    the radius, so the first-order inequalities hold at every check radius
+    r < R by construction of A.
     """
-    sol = run.sol
     if not (0.0 < R < 1.0) or R >= sol.input.polydisc_radius:
         raise InvalidInputError(
             f"majorant radius must satisfy 0 < R < min(1, input radius "
@@ -158,23 +106,10 @@ def estimate_params(run: MajorantRun, R: float) -> MajorantParams:
     if sol.t_order < 1:
         raise InvalidInputError("need at least one solved order")
     c = sol.config.c
-    ctx = sol.input.ctx
     v1 = sol.v.coeffs[1]
-
-    jets = [v1]
-    jets.extend(jet_derive(v1, var) for var in range(ctx.nvars))
+    jets = [v1, *(jet_derive(v1, var) for var in range(sol.input.ctx.nvars))]
     jets.extend(_operator_images(v1, c))
-
-    sups, dominated = [], []
-    for r in domination_radii(R):
-        pts = polydisc_grid(ctx.nvars, r, GRID_POINTS)
-        first, sampled = jet_eval_lists([jets, run.sampled], pts)
-        sups.append(np.max(np.abs(first)))
-        dominated.append(np.max(np.abs(sampled), axis=1))
-    shell = polydisc_grid(ctx.nvars, 0.999 * R, GRID_POINTS)
-    sups.append(np.max(np.abs(jet_eval_lists([jets], shell)[0])))
-    run.sups = (R, dominated)
-    A = float(np.max(sups))  # np.max keeps a NaN sample, so the checks fail
+    A = float(np.max([_norm(jet, R) for jet in jets]))  # np.max keeps a NaN, so the checks fail
 
     notes = []
     clamped = A < _A_FLOOR
@@ -208,8 +143,7 @@ def nonlinearity_bounds(sol: Solution, params: MajorantParams, m_max: int) -> di
     determinant is the signed complementary minor of A on the remaining rows
     and columns, and all minors come from one memo.  The e^{-Z} factor
     contributes the exact scalar (-1)^q / q!.  Each jet coefficient is
-    bounded by its supremum over ``GRID_POINTS`` points of the polydisc of
-    radius R, times ``SUP_INFLATION``.
+    bounded by its weighted l1 norm at R.
 
     Returns {(p, q, s, alpha_total, beta_total): bound} with s = alpha = 0
     (the concrete nonlinearity involves neither t dv/dt nor the gradient),
@@ -233,21 +167,16 @@ def nonlinearity_bounds(sol: Solution, params: MajorantParams, m_max: int) -> di
     ]
     memo = {}
 
-    # sup |[t^p Y^beta] det(...) / det h| aggregated over patterns by |beta|
-    keyed = []
+    # ||[t^p Y^beta] det(...) / det h||_R aggregated over patterns by |beta|
+    agg: dict[tuple[int, int], float] = {}
     for k in range(n + 1):
         for cols in combinations(range(n), k):
             for rows in permutations(range(n), k):
                 series = _pattern_series(A, rows, cols, memo)
                 for p, coeff in enumerate(series.coeffs):
-                    keyed.append(((p, k), jet_mul(coeff, recip_det_h)))
-    pts = polydisc_grid(ctx.nvars, params.R, GRID_POINTS)
-    sups = np.max(np.abs(jet_eval_lists([[d for _, d in keyed]], pts)[0]), axis=1)
-    agg: dict[tuple[int, int], float] = {}
-    for (key, _), sup in zip(keyed, sups.tolist()):
-        val = sup * SUP_INFLATION
-        if val != 0.0:  # a NaN bound is kept, so the checks built on it fail
-            agg[key] = agg.get(key, 0.0) + val
+                    val = float(_norm(jet_mul(coeff, recip_det_h), params.R))
+                    if val != 0.0:  # a NaN bound is kept, so the checks built on it fail
+                        agg[(p, k)] = agg.get((p, k), 0.0) + val
 
     bounds: dict[tuple[int, int, int, int, int], float] = {}
     for (p, btot), ahat in agg.items():
@@ -385,43 +314,49 @@ class MajorantReport:
         }
 
 
-def check_domination(run: MajorantRun, params: MajorantParams, C: list[float]) -> MajorantReport:
-    """Verify the three domination inequalities on deterministic grids of
-    ``GRID_POINTS`` points at the radii R/4, R/2, 3R/4:
+def check_domination(sol: Solution, params: MajorantParams, C: list[float]) -> MajorantReport:
+    """Verify the three domination inequalities at the radii R/4, R/2, 3R/4
+    for the orders 1..min(t_order, len(C) - 1):
 
-        m |v_m|        <= Y_m(r)
-        |d_i v_m|      <= 2 e Y_m(r)
-        |L(v_m)|       <= 4 e^2 (m+1) M Y_m(r)
+        m ||v_m||_r        <= Y_m(r)
+        ||d_i v_m||_r      <= 2 e Y_m(r)
+        ||L(v_m)||_r       <= 4 e^2 (m+1) M Y_m(r)
 
-    with Y_m(r) = C_m / (R - r)^{2m-2}.  Failures are recorded as rows, not
-    raised; orders whose spatial validity cannot support the evaluation are
-    marked skipped.  The observed sides are the suprema that the run's
-    ``estimate_params`` pass sampled, each jet through its trusted degree
-    only; params from any other R are refused.
+    with Y_m(r) = C_m / (R - r)^{2m-2}; each observed side is the largest
+    weighted l1 norm of its jets.  Failures are recorded as rows, not
+    raised; a group whose jet lacks the validity to support it (v_m below
+    degree 0, 1 or 2) is marked skipped.
     """
     e = math.e
-    if run.m_max != len(C) - 1:
-        raise InvalidInputError(f"C has {len(C) - 1} orders, the run {run.m_max}")
-    if run.sups is None or run.sups[0] != params.R:
-        raise InvalidInputError(
-            f"params at R = {params.R} were not estimated on this majorant run"
+    nvars = sol.input.ctx.nvars
+    radii = domination_radii(params.R)
+    # Per order m: the largest norm per radius of the value, gradient and
+    # operator jets, None for a group v_m cannot support.
+    largest = {}
+    for m in range(1, min(sol.t_order, len(C) - 1) + 1):
+        vm = sol.v.coeffs[m]
+        groups = (
+            [vm] if vm.valid_degree >= 0 else [],
+            [jet_derive(vm, v) for v in range(nvars)] if vm.valid_degree >= 1 else [],
+            _operator_images(vm, sol.config.c) if vm.valid_degree >= 2 else [],
         )
+        largest[m] = [
+            np.max([_norm(jet, radii) for jet in group], axis=0) if group else None
+            for group in groups
+        ]
 
     rows = []
-    for r, sups in zip(domination_radii(params.R), run.sups[1]):
-        pos = 0
-        for m, groups in run.groups.items():
+    for k, r in enumerate(radii):
+        for m, maxima in largest.items():
             Y = C[m] / (params.R - r) ** (2 * m - 2)
             limits = (Y, 2 * e * Y, 4 * e * e * (m + 1) * params.M_const * Y)
-            for name, group, weight, bound in zip(
-                ("value", "gradient", "operator"), groups, (m, 1, 1), limits
+            for name, norms, weight, bound in zip(
+                ("value", "gradient", "operator"), maxima, (m, 1, 1), limits
             ):
-                if not group:
+                if norms is None:
                     rows.append(DominationRow(name, m, r, 0.0, bound, "skipped"))
-                    continue
-                observed = weight * float(np.max(sups[pos : pos + len(group)]))
-                pos += len(group)
-                rows.append(_dom_row(name, m, r, observed, bound))
+                else:
+                    rows.append(_dom_row(name, m, r, weight * float(norms[k]), bound))
 
     if params.A_clamped:
         # First-order data vanished identically: the true dominating series
@@ -436,7 +371,9 @@ def check_domination(run: MajorantRun, params: MajorantParams, C: list[float]) -
         radius_estimate=est,
         radius_note=note,
         notes=(
-            "empirical validation from sampled bounds, not a proof",
+            "bounds are weighted l1 norms of the truncated jets, computed in "
+            "floating point with no outward rounding and no bound on the tail "
+            "past valid_degree: not a proof",
             "operator bound convention: sum of |real second-order coefficients| "
             f"of each L_ij, = 4/|c| = {params.M_const}",
             "C_m recursion caps the residual (R-r)^(w-2) factor at R^(w-2)",
@@ -500,31 +437,23 @@ def cauchy_estimate_check(C: float, R: float) -> list[CauchyEstimateRow]:
     the domination radii.
 
     The family is expanded as one-variable jets of degree 40, f_p = f_{p-1}
-    times the one reciprocal of R - x1.  Both sides are evaluated on
-    deterministic grids of 64 points at the domination radii, every df_p
-    against one monomial matrix per radius.
+    times the one reciprocal of R - x1.  Each observed side is the weighted
+    l1 norm of df_p at the radius; the family has positive coefficients, so
+    that is the truncated df_p evaluated at x1 = r.
     """
     if not (0.0 < R < 1.0):
         raise InvalidInputError("need 0 < R < 1")
     ctx = context(1, 40)
     rec = jet_reciprocal(jet_scale(ctx.x(0), -1.0) + R)
     f = ctx.constant(C)
-    dfs = []
-    for p in LEMMA_POWERS:
-        if p:
-            f = jet_mul(f, rec)
-        dfs.append(jet_derive(f, 0))
-
     radii = domination_radii(R)
-    observed = [
-        jet_eval_lists([[df] for df in dfs], polydisc_grid(ctx.nvars, r, 64))
-        for r in radii
-    ]
     rows = []
     e = math.e
     for p in LEMMA_POWERS:
-        for r, values in zip(radii, observed):
-            obs = float(np.max(np.abs(values[p])))
+        if p:
+            f = jet_mul(f, rec)
+        observed = _norm(jet_derive(f, 0), radii)
+        for r, obs in zip(radii, observed.tolist()):
             bound = C * e * (p + 1) / (R - r) ** (p + 1)
             rows.append(
                 CauchyEstimateRow(p, r, obs, bound, "pass" if obs <= bound else "fail")

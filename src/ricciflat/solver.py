@@ -58,6 +58,7 @@ from .jets import (
     jet_reciprocal,
     jet_scale,
     max_abs_coeff,
+    nan_max,
     t_derive,
     t_exp,
     t_exp_coeff,
@@ -215,11 +216,11 @@ def solve(initial: InitialData, config: SolverConfig) -> Solution:
 
     # The extraction divisor hard-codes the unit identity c e^{-v0} det h = 1.
     unit = jet_mul(jet_scale(state.exp_neg_v[0], config.c), state.det_g[0])
-    margin = max(
+    margin = nan_max(
         abs(unit.constant_term - 1.0),
         max_abs_coeff(jet_add(unit, unit.ctx.constant(-1.0))),
     )
-    if margin > max(config.tolerance, 1e-8):
+    if not margin <= max(config.tolerance, 1e-8):  # a NaN margin fails too
         raise DegeneracyError(
             f"normalization identity c e^(-v0) det h = 1 fails by {margin:.3e}"
         )
@@ -259,7 +260,7 @@ def solve(initial: InitialData, config: SolverConfig) -> Solution:
     # Cross-multiplied form of w^{-1} = c * integral(det g) / det g.
     det_g = TJet(state.det_g)
     resid = w_inv * det_g - t_integrate(det_g) * config.c
-    cross = max(max_abs_coeff(c) for c in resid.coeffs)
+    cross = nan_max(*(max_abs_coeff(c) for c in resid.coeffs))
 
     return Solution(
         config=config,

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import dominating_sequence, majorant_run
+from conftest import dominating_sequence
 from ricciflat import geometry as geo
 from ricciflat.cli import main
 from ricciflat.closed_form import calibrate
@@ -81,10 +81,9 @@ def test_nan_coefficient_fails_the_system_check(small_solution, position):
 @pytest.mark.parametrize("position", ["first", "last"])
 def test_nan_coefficient_fails_the_majorant(small_solution, position):
     bad = _with_nan_in_v1(small_solution, position)
-    run = majorant_run(bad)
-    params = estimate_params(run, 0.2)
+    params = estimate_params(bad, 0.2)
     assert math.isnan(params.A)
-    assert not check_domination(run, params, dominating_sequence(bad, params)).passed
+    assert not check_domination(bad, params, dominating_sequence(bad, params)).passed
 
 
 def test_write_json_encodes_non_finite_values(tmp_path):
@@ -165,3 +164,14 @@ def test_cli_verify_rejects_non_finite_input_with_exit_two(tmp_path, extra):
     out = tmp_path / "out"
     code = main(["verify", *extra, "--M", "4", "--D", "10", "--no-timestamp", "--out", str(out)])
     assert code == 2
+
+
+def test_cli_solve_refuses_an_overflowed_series_before_writing(tmp_path):
+    # 10^200 x1^2 overflows the series of det h; the margins that should
+    # catch it are NaN, and a NaN must not be dropped by a max
+    scenario = tmp_path / "overflow.ini"
+    scenario.write_text("[metric]\nn = 1\nh_1_1 = 1 + 10^200*x1^2\n[solver]\nM = 3\nD = 8\n")
+    out = tmp_path / "out"
+    code = main(["solve", "--metric-file", str(scenario), "--no-timestamp", "--out", str(out)])
+    assert code == 3
+    assert not out.exists()

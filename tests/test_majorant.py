@@ -1,5 +1,4 @@
 import math
-import warnings
 from itertools import combinations, permutations
 
 import numpy as np
@@ -7,38 +6,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dominating_sequence, majorant_run, solve_corpus_member
+from conftest import dominating_sequence, solve_corpus_member
 from ricciflat import geometry as geo
 from ricciflat.errors import InvalidInputError
 from ricciflat import majorant
 from ricciflat.geometry import HermitianJetMatrix, InitialData, complex_mixed_hessian, jet_det
 from ricciflat.jets import (
+    Jet,
     TJet,
     context,
-    jet_derive,
-    jet_eval_lists,
     jet_eval_many,
     jet_log,
-    jet_mul,
-    jet_reciprocal,
     jet_scale,
 )
 from ricciflat.majorant import (
-    GRID_POINTS,
     CauchyEstimateRow,
     MajorantParams,
     MajorantReport,
-    MajorantRun,
     cauchy_estimate_check,
     check_domination,
     estimate_params,
     majorant_sequence,
     domination_radii,
     nonlinearity_bounds,
-    polydisc_grid,
     radius_estimate,
 )
 from ricciflat.solver import SolverConfig, solve
+from ricciflat.verify import perturb_solution
 
 
 def simple_params(A=1.0, R=0.5, M=4.0):
@@ -55,12 +49,12 @@ def reported_sigma(params) -> float:
 
 
 def test_estimate_params_linear_metric_lower_bound():
-    # for h = 1 + x the first series coefficient is (1+x)^{-3}/2, so the
-    # sampled bound is at least its base value 1/2
+    # for h = 1 + x the first series coefficient is (1+x)^{-3}/2, so its
+    # norm is at least its base value 1/2
     ctx = context(1, 12)
     init = InitialData(n=1, h=HermitianJetMatrix([[1 + ctx.x(0)]]))
     sol = solve(init, SolverConfig(c=1.0, t_order=3, space_degree=12))
-    params = estimate_params(majorant_run(sol), 0.2)
+    params = estimate_params(sol, 0.2)
     assert params.A >= 0.5
     assert reported_sigma(params) == 1.0
     assert params.M_const == 4.0
@@ -68,7 +62,7 @@ def test_estimate_params_linear_metric_lower_bound():
 
 
 def test_estimate_params_flat_clamps_to_floor(flat_solutions):
-    params = estimate_params(majorant_run(flat_solutions[1]), 0.2)
+    params = estimate_params(flat_solutions[1], 0.2)
     assert params.A == pytest.approx(1e-8)
     assert params.A_clamped
 
@@ -84,12 +78,12 @@ def test_resonance_gap_is_one():
 def test_operator_bound_convention_scales_with_c():
     init = geo.perturbed_flat(1, 0.1, 0, 2, 12)
     sol = solve(init, SolverConfig(c=2.0, t_order=3, space_degree=12))
-    assert estimate_params(majorant_run(sol), 0.2).M_const == pytest.approx(2.0)
+    assert estimate_params(sol, 0.2).M_const == pytest.approx(2.0)
 
 
 def test_estimate_params_rejects_bad_radius(flat_solutions):
     with pytest.raises(InvalidInputError):
-        estimate_params(majorant_run(flat_solutions[1]), 1.5)
+        estimate_params(flat_solutions[1], 1.5)
 
 
 # -- coefficient recursion -----------------------------------------------------------
@@ -161,19 +155,18 @@ def test_monotonicity_in_bounds(factor, a):
 
 def test_nonlinearity_bounds_exponential_tail():
     # the e^{-Z} factor contributes exactly 1/q! times the determinant bound;
-    # with the flat determinant the (0, q, 0) entries are 1/q! inflated by
-    # the documented sampling margin
+    # the flat determinant is the constant 1, whose norm is its modulus, so
+    # the (0, q, 0) entries are exactly 1/q!
     sol = solve(geo.flat(1, 10), SolverConfig(c=1.0, t_order=3, space_degree=10))
-    params = estimate_params(majorant_run(sol), 0.2)
+    params = estimate_params(sol, 0.2)
     bounds = nonlinearity_bounds(sol, params, 5)
-    got = bounds[(0, 2, 0, 0, 0)]
-    assert got == pytest.approx(majorant.SUP_INFLATION / 2.0)
-    assert bounds[(0, 3, 0, 0, 0)] == pytest.approx(majorant.SUP_INFLATION / 6.0)
+    assert bounds[(0, 2, 0, 0, 0)] == 0.5
+    assert bounds[(0, 3, 0, 0, 0)] == 1.0 / 6.0
 
 
 def test_nonlinearity_bounds_weight_filter():
     sol = solve(geo.flat(1, 10), SolverConfig(c=1.0, t_order=3, space_degree=10))
-    params = estimate_params(majorant_run(sol), 0.2)
+    params = estimate_params(sol, 0.2)
     bounds = nonlinearity_bounds(sol, params, 5)
     for (p, q, s, at, bt) in bounds:
         assert p + q + s + at + 2 * bt >= 2
@@ -245,9 +238,8 @@ def test_nonlinearity_bounds_unchanged_by_the_shared_minors(n, D, monkeypatch):
 
 def test_domination_on_flat_includes_margin(flat_solutions):
     sol = flat_solutions[1]
-    run = majorant_run(sol)
-    params = estimate_params(run, 0.2)
-    rep = check_domination(run, params, dominating_sequence(sol, params))
+    params = estimate_params(sol, 0.2)
+    rep = check_domination(sol, params, dominating_sequence(sol, params))
     assert rep.passed
     for row in rep.rows:
         if row.status == "pass":
@@ -256,9 +248,8 @@ def test_domination_on_flat_includes_margin(flat_solutions):
 
 def test_domination_on_perturbed_member():
     sol = solve_corpus_member(1, 0)
-    run = majorant_run(sol)
-    params = estimate_params(run, 0.2)
-    rep = check_domination(run, params, dominating_sequence(sol, params))
+    params = estimate_params(sol, 0.2)
+    rep = check_domination(sol, params, dominating_sequence(sol, params))
     assert rep.passed
     assert rep.C[1] == params.A
     orders = {r.m for r in rep.rows}
@@ -267,60 +258,36 @@ def test_domination_on_perturbed_member():
 
 def test_domination_first_order_tight_by_construction():
     sol = solve_corpus_member(1, 1)
-    run = majorant_run(sol)
-    params = estimate_params(run, 0.2)
-    rep = check_domination(run, params, dominating_sequence(sol, params))
+    params = estimate_params(sol, 0.2)
+    rep = check_domination(sol, params, dominating_sequence(sol, params))
     first = [r for r in rep.rows if r.m == 1 and r.inequality == "value"]
     assert all(r.observed <= params.A for r in first)
 
 
-def _resampled_sups(run, R):
-    """The suprema of the run's domination jets per check radius, sampled
-    on their own grid evaluation, as ``check_domination`` once re-sampled
-    them when no estimate pass had."""
-    nvars = run.sol.input.ctx.nvars
-    return [
-        np.max(np.abs(jet_eval_lists([run.sampled], polydisc_grid(nvars, r, GRID_POINTS))[0]), axis=1)
-        for r in domination_radii(R)
-    ]
+@pytest.fixture(scope="module")
+def bumped_scenario():
+    """perturbed_flat:2,0.1,0,2 at M4 D10 with the params and C of its clean
+    solution, as the ``majorant`` command builds them at R = 0.2."""
+    sol = solve(geo.perturbed_flat(2, 0.1, 0, 2, 10), SolverConfig(t_order=4, space_degree=10))
+    params = estimate_params(sol, 0.2)
+    return sol, params, dominating_sequence(sol, params)
 
 
-@pytest.mark.parametrize("extra", [-1, 0, 2])
-def test_run_lends_the_samples_of_its_estimate_pass(extra):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        sol = solve(geo.perturbed_flat(2, 0.1, 0, 2, 12), SolverConfig(t_order=5, space_degree=12))
-    m_max = sol.t_order + extra
-    run = MajorantRun(sol, m_max)
-    params = estimate_params(run, 0.2)
-    R, sups = run.sups
-    want = _resampled_sups(run, 0.2)
-    assert R == 0.2
-    assert [s.tobytes() for s in sups] == [w.tobytes() for w in want]
-    C = majorant_sequence(params, nonlinearity_bounds(sol, params, m_max), m_max)
-    resampled = MajorantRun(sol, m_max)
-    resampled.sups = (0.2, want)
-    assert check_domination(run, params, C) == check_domination(resampled, params, C)
+def test_domination_fails_on_a_bumped_first_order_potential(bumped_scenario):
+    # negative control: bump v_1 (constant and x1^2) by 2 and keep the
+    # clean bounds; the value rows of m = 1 must fail at all three radii
+    sol, params, C = bumped_scenario
+    assert check_domination(sol, params, C).passed
+    rep = check_domination(perturb_solution(sol, "v", 1, 2.0), params, C)
+    failed = [(r.inequality, r.m, r.radius) for r in rep.rows if r.status == "fail"]
+    assert failed == [("value", 1, r) for r in domination_radii(params.R)]
 
 
-def test_run_refuses_params_of_another_radius():
-    sol = solve_corpus_member(1, 0)
-    run = majorant_run(sol)
-    with pytest.raises(InvalidInputError):
-        check_domination(run, simple_params(R=0.2), [0.0] * (sol.t_order + 1))
-    params = estimate_params(run, 0.2)
-    other = estimate_params(majorant_run(sol), 0.3)
-    with pytest.raises(InvalidInputError):
-        check_domination(run, other, dominating_sequence(sol, other))
-    assert check_domination(run, params, dominating_sequence(sol, params)).passed
-
-
-def test_run_refuses_a_sequence_of_another_length():
-    sol = solve_corpus_member(1, 0)
-    run = MajorantRun(sol, sol.t_order)
-    params = estimate_params(run, 0.2)
-    with pytest.raises(InvalidInputError):
-        check_domination(run, params, dominating_sequence(sol, params)[:-1])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_domination_misses_bumps_within_its_slack(bumped_scenario, order):
+    # how loose the majorant is: a bump of 1 at orders 1-3 still passes
+    sol, params, C = bumped_scenario
+    assert check_domination(perturb_solution(sol, "v", order, 1.0), params, C).passed
 
 
 # -- radius heuristics -----------------------------------------------------------------
@@ -351,9 +318,8 @@ def test_radius_estimate_entire_cases():
 
 def test_flat_pipeline_reports_entire(flat_solutions):
     sol = flat_solutions[1]
-    run = majorant_run(sol)
-    params = estimate_params(run, 0.2)
-    rep = check_domination(run, params, dominating_sequence(sol, params))
+    params = estimate_params(sol, 0.2)
+    rep = check_domination(sol, params, dominating_sequence(sol, params))
     assert rep.radius_estimate is None
     assert "entire" in rep.radius_note
 
@@ -390,22 +356,17 @@ def test_cauchy_estimate_scaling_ratio_invariance():
 
 
 def _one_power_lemma(p, C, R):
-    """The lemma rows of one power p as they were formed before the family
-    was built in one pass: a reciprocal and a grid evaluation of its own."""
-    ctx = context(1, 40)
-    f = ctx.constant(C)
-    if p:
-        rec = jet_reciprocal(jet_scale(ctx.x(0), -1.0) + R)
-        for _ in range(p):
-            f = jet_mul(f, rec)
-    df = jet_derive(f, 0)
+    """The lemma rows of one power p in closed form.  f_p = C/(R - x1)^p has
+    the positive coefficients C binom(p+k-1, k) / R^{p+k}, so the norm of
+    its derivative at r is that derivative, truncated at degree 39 like the
+    degree-40 jet of f_p, evaluated at x1 = r."""
     rows = []
     for r in domination_radii(R):
-        observed = float(np.max(np.abs(jet_eval_many(df, polydisc_grid(ctx.nvars, r, 64)))))
-        bound = C * math.e * (p + 1) / (R - r) ** (p + 1)
-        rows.append(
-            CauchyEstimateRow(p, r, observed, bound, "pass" if observed <= bound else "fail")
+        observed = sum(
+            k * C * math.comb(p + k - 1, k) * r ** (k - 1) / R ** (p + k) for k in range(1, 41)
         )
+        bound = C * math.e * (p + 1) / (R - r) ** (p + 1)
+        rows.append(CauchyEstimateRow(p, r, observed, bound, "pass" if observed <= bound else "fail"))
     return rows
 
 
@@ -413,11 +374,57 @@ def _one_power_lemma(p, C, R):
 @pytest.mark.parametrize("C", [1.0, 2.5])
 def test_lemma_family_equals_one_power_at_a_time(C, R):
     expected = [row for p in range(4) for row in _one_power_lemma(p, C, R)]
-    assert cauchy_estimate_check(C, R) == expected
+    got = cauchy_estimate_check(C, R)
+    assert [(r.p, r.radius, r.bound, r.status) for r in got] == [
+        (r.p, r.radius, r.bound, r.status) for r in expected
+    ]
+    for g, e in zip(got, expected):
+        assert g.observed == pytest.approx(e.observed, rel=1e-13, abs=0.0)
 
 
-def test_grid_is_deterministic():
-    a = polydisc_grid(2, 0.2, 64)
-    b = polydisc_grid(2, 0.2, 64)
-    assert np.array_equal(a, b)
-    assert np.max(np.abs(a)) <= 0.2 + 1e-15
+# -- the weighted l1 norm -------------------------------------------------------------
+
+_NORM_CAPS = {1: 10, 2: 8, 3: 6, 4: 4}
+
+
+def _polydisc_sample(nvars, r, rng, count=128):
+    """``count`` complex points with every coordinate of modulus <= r: the
+    corner (r, .., r), the coordinate extremes +-r e_v, and a random fill."""
+    pts = [np.full(nvars, r, dtype=complex)]
+    for v in range(nvars):
+        for sign in (1.0, -1.0):
+            p = np.zeros(nvars, dtype=complex)
+            p[v] = sign * r
+            pts.append(p)
+    need = count - len(pts)
+    rho = r * rng.uniform(0.0, 1.0, size=(need, nvars))
+    pts.extend(rho * np.exp(2j * np.pi * rng.uniform(size=(need, nvars))))
+    return np.array(pts)
+
+
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 4),
+    st.booleans(),
+    st.floats(0.05, 0.95),
+)
+@settings(max_examples=60, deadline=None)
+def test_norm_bounds_the_jet_on_the_polydisc(seed, n, real, r):
+    ctx = context(n, _NORM_CAPS[n])
+    rng = np.random.default_rng(seed)
+    vd = int(rng.integers(-1, ctx.cap + 1))
+    c = rng.standard_normal(ctx.size)
+    if not real:
+        c = c + 1j * rng.standard_normal(ctx.size)
+    jet = Jet(ctx, c, vd)
+    norm = float(majorant._norm(jet, r))
+    values = jet_eval_many(jet, _polydisc_sample(ctx.nvars, r, rng))
+    assert np.all(np.abs(values) <= norm * (1.0 + 1e-12))
+    # tight: with |coefficients| the norm is the value at the corner (r, .., r)
+    corner = jet_eval_many(Jet(ctx, np.abs(c), vd), np.full((1, ctx.nvars), r))[0]
+    assert norm == pytest.approx(corner.real, rel=1e-12, abs=0.0)
+    # noise past valid_degree leaves the norm unchanged
+    end = int(ctx.deg_start[vd + 1]) if vd >= 0 else 0
+    noisy = c.astype(complex)
+    noisy[end:] = rng.standard_normal(ctx.size - end) * 1e6
+    assert majorant._norm(Jet(ctx, noisy, vd), r) == norm
