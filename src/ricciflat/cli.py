@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import warnings
+from dataclasses import replace
 
 from . import __version__, majorant
 from .closed_form import RicciSpectrum, calibrate, p_of_t, ricci_spectrum_of, w_inv_closed
@@ -27,8 +28,6 @@ from .conventions import CONVENTIONS
 from .errors import DegeneracyError, InvalidInputError, RicciflatError
 from .geometry import BUILTIN_METRICS, ricci_form
 from .report import (
-    matrix_entries,
-    series_entries,
     solution_summary,
     write_csv,
     write_json,
@@ -74,16 +73,19 @@ def main(argv=None) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--metric", help="builtin metric spec, e.g. flat:2")
+    # Options that set a Scenario field take the field's name as dest, so
+    # apply_overrides reads them off the namespace; --metric, --metric-file
+    # and the positional files are sources, not fields.
+    common.add_argument("--metric", dest="metric_spec", help="builtin metric spec, e.g. flat:2")
     common.add_argument("--metric-file", help="scenario file supplying the metric")
     common.add_argument("--M", type=int, dest="t_order", help="t truncation order")
     common.add_argument("--D", type=int, dest="space_degree", help="spatial degree cap")
     common.add_argument("--c", type=float, dest="c", help="moment-map Laplacian constant")
     common.add_argument("--R", type=float, dest="radius", help="majorant polydisc radius")
     common.add_argument("--tol", type=float, dest="tolerance", help="relative tolerance")
-    common.add_argument("--out", default=None, help="output directory")
+    common.add_argument("--out", dest="out_dir", help="output directory")
     common.add_argument(
-        "--no-timestamp", action="store_true", help="omit the timestamp field"
+        "--no-timestamp", action="store_true", default=None, help="omit the timestamp field"
     )
     common.add_argument(
         "--jobs", type=int, default=1, help="parallel workers for scenario batches"
@@ -106,12 +108,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run residual checks")
     for check in ALL_CHECKS:
-        p.add_argument(f"--{check}", action="append_const", const=check, dest="selected")
+        p.add_argument(f"--{check}", action="append_const", const=check, dest="checks")
     p.add_argument(
         "--perturb",
         help="inject a fault TARGET:ORDER:EPS (targets v, g, w) before checking",
     )
-    p.set_defaults(func=cmd_verify, selected=None)
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
         "closed-form", parents=[common], help="exact constant-curvature solutions"
@@ -140,33 +142,18 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _overrides(args) -> dict:
-    """The scenario fields set on the command line (None when not set)."""
-    return {
-        "c": getattr(args, "c", None),
-        "t_order": getattr(args, "t_order", None),
-        "space_degree": getattr(args, "space_degree", None),
-        "radius": getattr(args, "radius", None),
-        "tolerance": getattr(args, "tolerance", None),
-        "out_dir": getattr(args, "out", None),
-        "no_timestamp": True if getattr(args, "no_timestamp", False) else None,
-        "perturb": getattr(args, "perturb", None),
-    }
-
-
 def _collect_scenarios(args) -> list[Scenario]:
-    overrides = _overrides(args)
-    files = list(args.scenarios or [])
-    if getattr(args, "metric_file", None):
+    files = list(args.scenarios)
+    if args.metric_file:
         files.append(args.metric_file)
     scenarios = []
     for path in files:
         if not os.path.exists(path):
             raise InvalidInputError(f"scenario file not found: {path}")
-        scenarios.append(load_scenario(path, overrides))
-    if getattr(args, "metric", None):
-        base = Scenario(metric=args.metric, label=args.metric.replace(":", "_"))
-        scenarios.append(apply_overrides(base, overrides))
+        scenarios.append(load_scenario(path, args))
+    if args.metric_spec:
+        base = Scenario(metric=args.metric_spec, label=args.metric_spec.replace(":", "_"))
+        scenarios.append(apply_overrides(base, args))
     if not scenarios:
         raise InvalidInputError(
             "no scenario given: pass --metric, --metric-file or scenario files"
@@ -219,9 +206,8 @@ def cmd_solve(args) -> int:
 def _solve_one(sc: Scenario, out_dir: str, extra=None) -> int:
     sol = _solve_scenario(sc)
     os.makedirs(out_dir, exist_ok=True)
-    for name, obj in (("v", sol.v), ("g", sol.g), ("w_inv", sol.w_inv), ("exp_u", sol.exp_u)):
-        entries = matrix_entries(name, obj) if name == "g" else series_entries(name, obj)
-        write_series_csv(os.path.join(out_dir, f"{name}.csv"), [entries])
+    for name, series in (("v", sol.v), ("g", sol.g), ("w_inv", sol.w_inv), ("exp_u", sol.exp_u)):
+        write_series_csv(os.path.join(out_dir, f"{name}.csv"), name, series)
     write_json(
         os.path.join(out_dir, "report.json"),
         {
@@ -237,21 +223,17 @@ def _solve_one(sc: Scenario, out_dir: str, extra=None) -> int:
 
 
 def cmd_verify(args) -> int:
-    selected = tuple(args.selected or ALL_CHECKS)
-    scenarios = [
-        apply_overrides(sc, {"checks": sc.checks or selected})
-        for sc in _collect_scenarios(args)
-    ]
-    return _run_batch(scenarios, _verify_one, args.jobs)
+    return _run_batch(_collect_scenarios(args), _verify_one, args.jobs)
 
 
 def _verify_one(sc: Scenario, out_dir: str, extra=None) -> int:
+    # No selection from flags or file runs, and reports, every check.
+    sc = replace(sc, checks=tuple(sc.checks or ALL_CHECKS))
     sol = _solve_scenario(sc)
     if sc.perturb:
         target, order, eps = _parse_perturb(sc.perturb)
         sol = perturb_solution(sol, target, order, eps)
 
-    checks = sc.checks or ALL_CHECKS
     # Looked up per run, so that a check rebound on this module is the one run.
     runners = {
         "system": residual_system,
@@ -261,9 +243,9 @@ def _verify_one(sc: Scenario, out_dir: str, extra=None) -> int:
         "smoothness": smoothness_check,
     }
     # What the selected checks read in common, formed once for this run.
-    view = SolutionView(sol, checks)
+    view = SolutionView(sol, sc.checks)
     reports = {
-        name: runners[name](view, sc.tolerance) for name in ALL_CHECKS if name in checks
+        name: runners[name](view, sc.tolerance) for name in ALL_CHECKS if name in sc.checks
     }
     residual_reports = [
         rep.closedness if name == "curvature" else rep
@@ -305,9 +287,9 @@ def _parse_perturb(spec: str):
 
 def cmd_closed_form(args) -> int:
     if args.eigenvalues:
-        if args.metric or args.metric_file or args.scenarios:
+        if args.metric_spec or args.metric_file or args.scenarios:
             raise InvalidInputError("--eigenvalues takes no metric source")
-        sc = apply_overrides(Scenario(), _overrides(args))
+        sc = apply_overrides(Scenario(), args)
         try:
             values = tuple(float(t) for t in args.eigenvalues.split(",") if t.strip())
         except ValueError as exc:
@@ -443,7 +425,8 @@ def _compare_one(sc: Scenario, out_dir: str, extra=None) -> int:
 
 def cmd_list_metrics(args) -> int:
     for name in sorted(BUILTIN_METRICS):
-        print(f"{name:22s} {BUILTIN_METRICS[name][1]}")
+        _, params, text = BUILTIN_METRICS[name]
+        print(f"{name:22s} {name}:{','.join(params)}  {text}")
     return EXIT_OK
 
 

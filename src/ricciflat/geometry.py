@@ -364,6 +364,10 @@ def perturbed_flat(n: int, eps: float, seed: int, degree: int, cap: int) -> Init
     """
     if eps < 0:
         raise InvalidInputError("perturbation size must be nonnegative")
+    if seed < 0 or degree < 0:
+        raise InvalidInputError(
+            f"perturbed_flat seed and degree must be nonnegative, got {seed} and {degree}"
+        )
     ctx = context(n, cap)
     base = flat(n, cap)
     if eps == 0:
@@ -395,37 +399,40 @@ def perturbed_flat(n: int, eps: float, seed: int, degree: int, cap: int) -> Init
     )
 
 
+# name -> (constructor, {parameter: type}, help).  A product's parameters
+# are its factor specs, which ``builtin_metric`` reads itself.
 BUILTIN_METRICS = {
-    "flat": (flat, "flat:n  identity metric on C^n"),
+    "flat": (flat, {"n": int}, "identity metric on C^n"),
     "fubini_study_chart": (
         fubini_study_chart,
-        "fubini_study_chart:n,scale  projective-space chart metric times scale",
+        {"n": int, "scale": float},
+        "projective-space chart metric times scale",
     ),
     "perturbed_flat": (
         perturbed_flat,
-        "perturbed_flat:n,eps,seed,degree  flat plus seeded random Kahler bump",
+        {"n": int, "eps": float, "seed": int, "degree": int},
+        "flat plus seeded random Kahler bump",
     ),
-    "product": (product, "product:spec1|spec2|...  block-diagonal product"),
+    "product": (product, {"spec1|spec2|...": None}, "block-diagonal product"),
 }
 
 
 def builtin_metric(name: str, params: list, cap: int) -> InitialData:
-    """Instantiate a built-in metric by name and positional parameters."""
-    if name == "flat":
-        (n,) = params
-        return flat(int(n), cap)
-    if name == "fubini_study_chart":
-        n, scale = params
-        return fubini_study_chart(int(n), float(scale), cap)
-    if name == "perturbed_flat":
-        n, eps, seed, degree = params
-        return perturbed_flat(int(n), float(eps), int(seed), int(degree), cap)
+    """Instantiate a built-in metric by name and positional parameters,
+    checked for count and type against its ``BUILTIN_METRICS`` row: an
+    integer parameter takes an int, a real one an int or a float."""
     if name == "product":
-        parts = [
-            builtin_metric(p["name"], p["params"], cap) if isinstance(p, dict) else p
-            for p in params
-        ]
-        return product(parts, cap)
-    raise InvalidInputError(
-        f"unknown metric {name!r}; known: {sorted(BUILTIN_METRICS)}"
-    )
+        return product([builtin_metric(p["name"], p["params"], cap) for p in params], cap)
+    if name not in BUILTIN_METRICS:
+        raise InvalidInputError(
+            f"unknown metric {name!r}; known: {sorted(BUILTIN_METRICS)}"
+        )
+    make, kinds, _ = BUILTIN_METRICS[name]
+    usage = f"{name}:{','.join(kinds)}"
+    if len(params) != len(kinds):
+        raise InvalidInputError(f"{usage} takes {len(kinds)} parameter(s), got {len(params)}")
+    for (param, kind), value in zip(kinds.items(), params):
+        if not isinstance(value, int if kind is int else (int, float)):
+            what = "an integer" if kind is int else "a number"
+            raise InvalidInputError(f"{usage}: {param} must be {what}, got {value!r}")
+    return make(*(kind(v) for kind, v in zip(kinds.values(), params)), cap)

@@ -540,7 +540,7 @@ def max_coeff_diff(a: Jet, b: Jet, through_degree: int | None = None) -> float:
         return 0.0
     end = a.ctx.deg_start[d + 1]
     diff = a.coeffs[:end] - b.coeffs[:end]
-    return float(np.max(np.abs(diff))) if end else 0.0
+    return float(np.max(np.abs(diff)))
 
 
 def nan_max(*values) -> float:
@@ -554,7 +554,7 @@ def max_abs_coeff(a: Jet, through_degree: int | None = None) -> float:
     if d < 0:
         return 0.0
     end = a.ctx.deg_start[d + 1]
-    return float(np.max(np.abs(a.coeffs[:end]))) if end else 0.0
+    return float(np.max(np.abs(a.coeffs[:end])))
 
 
 # ---------------------------------------------------------------------------

@@ -59,22 +59,6 @@ def _jet_rows(series: str, i, j, m: int, jet: Jet, labels: dict):
         yield (series, i, j, m, label, exponents, repr(re), repr(im), jet.valid_degree)
 
 
-def series_entries(name: str, obj, i=None, j=None):
-    """(series, i, j, t_order, jet) for each t-coefficient of ``obj``, or
-    for the jet itself."""
-    if isinstance(obj, TJet):
-        for m, cj in enumerate(obj.coeffs):
-            yield name, i, j, m, cj
-    else:
-        yield name, i, j, 0, obj
-
-
-def matrix_entries(name: str, matrix):
-    for i in range(matrix.n):
-        for j in range(matrix.n):
-            yield from series_entries(name, matrix.entries[i][j], i, j)
-
-
 def write_csv(path: str, header, rows) -> None:
     """One CSV table: the header, then ``rows``, each line ended by "\\n"."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -83,15 +67,24 @@ def write_csv(path: str, header, rows) -> None:
         w.writerows(rows)
 
 
-def write_series_csv(path: str, blocks) -> None:
-    """blocks: iterable of entry iterables (from series_entries /
-    matrix_entries), one row per trusted nonzero coefficient.  The monomial
-    labels are formed once per index within the call."""
+def write_series_csv(path: str, name: str, series) -> None:
+    """One row per trusted nonzero coefficient of ``series``: a TJet, or a
+    HermitianJetMatrix of TJets taken entry by entry, row-major.  The
+    monomial labels are formed once per index within the call."""
+    if isinstance(series, TJet):
+        entries = [(None, None, series)]
+    else:
+        entries = [(i, j, series.entries[i][j]) for i in range(series.n) for j in range(series.n)]
     labels: dict = {}
     write_csv(
         path,
         SERIES_COLUMNS,
-        (row for block in blocks for entry in block for row in _jet_rows(*entry, labels)),
+        (
+            row
+            for i, j, tjet in entries
+            for m, jet in enumerate(tjet.coeffs)
+            for row in _jet_rows(name, i, j, m, jet, labels)
+        ),
     )
 
 

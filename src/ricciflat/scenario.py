@@ -1,8 +1,15 @@
 """Scenario definitions: what to solve, at which orders, with which checks.
 
-A scenario comes from CLI flags, from a sectioned key=value file, or both
-(flags win).  Metric sources are either a built-in name with positional
-parameters (``fubini_study_chart:1,1.0``) or inline polynomial entries in
+A scenario comes from CLI flags, from a sectioned key=value file, or both.
+One precedence rule joins them, ``apply_overrides``: every field that a flag
+sets wins over the file, the check selection included.  Each file key is one
+row of ``FILE_KEYS`` (section, key, field, converter); a value its converter
+refuses, like ``M = abc`` or ``no_timestamp = maybe``, raises
+``InvalidInputError`` naming the key.
+
+Metric sources are either a built-in name with positional parameters
+(``fubini_study_chart:1,1.0``), checked for count and type by
+``geometry.builtin_metric``, or inline polynomial entries in
 the real coordinates x1..xn, y1..yn, parsed by a small expression grammar:
 sums, differences, products, integer powers, decimal literals and the
 imaginary unit ``i``.  Entries are given for i <= j; the lower triangle is
@@ -23,6 +30,7 @@ from .geometry import (
     builtin_metric,
 )
 from .jets import Jet, context, jet_conj, max_coeff_diff
+from .solver import SolverConfig
 
 
 @dataclass(frozen=True)
@@ -51,9 +59,7 @@ class Scenario:
             )
         raise InvalidInputError("scenario has no metric source")
 
-    def solver_config(self):
-        from .solver import SolverConfig
-
+    def solver_config(self) -> SolverConfig:
         return SolverConfig(
             c=self.c,
             t_order=self.t_order,
@@ -118,13 +124,40 @@ def _number(tok: str):
 _ENTRY_RE = re.compile(r"h_(\d+)_(\d+)$")
 
 
-def load_scenario(path: str, overrides: dict | None = None) -> Scenario:
+def _check_names(text: str) -> tuple[str, ...]:
+    names = tuple(t.strip() for t in text.split(",") if t.strip())
+    bad = [t for t in names if t not in ALL_CHECKS]
+    if bad:
+        raise ValueError(f"unknown checks {bad}; valid: {ALL_CHECKS}")
+    return names
+
+
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError("not a boolean") from None
+
+
+# (section, key, Scenario field, converter): every fixed key a file may set.
+FILE_KEYS = (
+    ("metric", "builtin", "metric", str.strip),
+    ("metric", "n", "metric_n", int),
+    ("solver", "c", "c", float),
+    ("solver", "M", "t_order", int),
+    ("solver", "D", "space_degree", int),
+    ("solver", "R", "radius", float),
+    ("solver", "tol", "tolerance", float),
+    ("checks", "run", "checks", _check_names),
+    ("output", "dir", "out_dir", str.strip),
+    ("output", "no_timestamp", "no_timestamp", _boolean),
+)
+
+
+def load_scenario(path: str, flags=None) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    sc = parse_scenario_text(text, label=path)
-    if overrides:
-        sc = apply_overrides(sc, overrides)
-    return sc
+    return apply_overrides(parse_scenario_text(text, label=path), flags)
 
 
 def parse_scenario_text(text: str, label: str = "inline") -> Scenario:
@@ -136,14 +169,16 @@ def parse_scenario_text(text: str, label: str = "inline") -> Scenario:
         raise InvalidInputError(f"unparseable scenario file: {exc}") from exc
 
     kw: dict = {"label": label}
+    for section, key, name, conv in FILE_KEYS:
+        if cp.has_option(section, key):
+            value = cp[section][key]
+            try:
+                kw[name] = conv(value)
+            except ValueError as exc:
+                raise InvalidInputError(f"[{section}] {key} = {value!r}: {exc}") from exc
     if cp.has_section("metric"):
-        sec = cp["metric"]
-        if "builtin" in sec:
-            kw["metric"] = sec["builtin"].strip()
-        if "n" in sec:
-            kw["metric_n"] = int(sec["n"])
         entries = {}
-        for key, value in sec.items():
+        for key, value in cp["metric"].items():
             m = _ENTRY_RE.match(key)
             if m:
                 i, j = int(m.group(1)) - 1, int(m.group(2)) - 1
@@ -152,39 +187,15 @@ def parse_scenario_text(text: str, label: str = "inline") -> Scenario:
                 entries[(i, j)] = value.strip()
         if entries:
             kw["metric_entries"] = entries
-    if cp.has_section("solver"):
-        sec = cp["solver"]
-        for opt, attr, conv in (
-            ("c", "c", float),
-            ("M", "t_order", int),
-            ("D", "space_degree", int),
-            ("R", "radius", float),
-            ("tol", "tolerance", float),
-        ):
-            if opt in sec:
-                kw[attr] = conv(sec[opt])
-    if cp.has_section("checks") and "run" in cp["checks"]:
-        toks = [t.strip() for t in cp["checks"]["run"].split(",") if t.strip()]
-        bad = [t for t in toks if t not in ALL_CHECKS]
-        if bad:
-            raise InvalidInputError(f"unknown checks {bad}; valid: {ALL_CHECKS}")
-        kw["checks"] = tuple(toks)
-    if cp.has_section("output"):
-        sec = cp["output"]
-        if "dir" in sec:
-            kw["out_dir"] = sec["dir"].strip()
-        if "no_timestamp" in sec:
-            kw["no_timestamp"] = sec.getboolean("no_timestamp")
     return Scenario(**kw)
 
 
-def apply_overrides(sc: Scenario, overrides: dict) -> Scenario:
-    valid = {f.name for f in fields(Scenario)}
-    clean = {k: v for k, v in overrides.items() if v is not None}
-    bad = set(clean) - valid
-    if bad:
-        raise InvalidInputError(f"unknown scenario fields {sorted(bad)}")
-    return replace(sc, **clean)
+def apply_overrides(sc: Scenario, flags) -> Scenario:
+    """The one precedence rule: each Scenario field that ``flags`` (an
+    argparse namespace whose option dests are field names) sets to a value
+    other than None replaces the scenario's own."""
+    given = {f.name: getattr(flags, f.name, None) for f in fields(Scenario)}
+    return replace(sc, **{k: v for k, v in given.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------

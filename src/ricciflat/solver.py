@@ -93,6 +93,10 @@ class SolverConfig:
             raise InvalidInputError("t_order must be >= 1")
         if self.space_degree < 2:
             raise InvalidInputError("space_degree must be >= 2")
+        if not 0 < self.tolerance < math.inf:
+            raise InvalidInputError(
+                f"tolerance must be finite and positive, got {self.tolerance}"
+            )
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,11 @@ their outputs byte for byte.
 
 Each scenario runs once per tree, in a fresh process with ``--no-timestamp``
 and the same relative ``--out`` directory, so that identical code writes
-identical bytes.  The report gives, per scenario, the two exit codes and
-every output file (plus stdout and stderr) whose bytes differ.  The exit
-status is 0 when every scenario agrees.
+identical bytes.  Every run directory first receives the fixed scenario
+files of ``SCENARIO_FILES``, which the file-path scenarios name.  The report
+gives, per scenario, the two exit codes and every output file (plus stdout
+and stderr) whose bytes differ.  The exit status is 0 when every scenario
+agrees.
 
     python tests/compare_outputs.py OLD_SRC NEW_SRC [--work DIR]
 
@@ -24,9 +26,23 @@ import sys
 import tempfile
 from pathlib import Path
 
+# The README's scenario file at D = 12, and one with inline metric entries.
+SCENARIO_FILES = {
+    "sc.ini": (
+        "[metric]\nbuiltin = perturbed_flat:2,0.1,7,2\n\n"
+        "[solver]\nc = 1.0\nM = 8\nD = 12\nR = 0.2\ntol = 1e-9\n\n"
+        "[checks]\nrun = system,consequence,laplacian\n"
+    ),
+    "inline.ini": (
+        "[metric]\nn = 2\nh_1_1 = 1 + 0.1*x1^2 + 0.1*y1^2\nh_1_2 = 0.05*x1 - i*0.05*y1\n"
+        "h_2_2 = 1\n\n[solver]\nM = 4\nD = 10\n"
+    ),
+}
+
 # verify, solve, majorant, compare and closed-form on n = 1..4, the
-# Fubini-Study chart, a product metric, fault injection (a NaN one too), c = 2
-# and refused input; some exit nonzero on purpose.
+# Fubini-Study chart, a product metric, fault injection (a NaN one too), c = 2,
+# refused input and scenario files; some exit nonzero on purpose.  No run
+# joins a file's [checks] with check flags: there the flags win.
 SCENARIOS = (
     "verify --metric perturbed_flat:1,0.1,7,2 --M 8 --D 12",
     "verify --metric perturbed_flat:2,0.1,0,2 --M 5 --D 12",
@@ -69,12 +85,17 @@ SCENARIOS = (
     "verify --metric fubini_study_chart:1,1 --M 8 --D 12 --perturb g:1:nan",
     "closed-form --eigenvalues 1,2 --metric flat:1",
     "closed-form --metric perturbed_flat:1,0.1,7,2 --D 3",
+    "verify sc.ini",
+    "solve --metric-file sc.ini --M 4",
+    "verify inline.ini",
 )
 
 
 def run(src: Path, argv: list[str], cwd: Path) -> tuple[int, dict[str, bytes]]:
     """Exit code and {relative path: bytes} of one CLI run in ``cwd``."""
     cwd.mkdir(parents=True)
+    for name, text in SCENARIO_FILES.items():
+        (cwd / name).write_text(text)
     env = dict(os.environ, PYTHONPATH=str(src))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"

@@ -198,6 +198,55 @@ def test_cli_exit_codes_for_bad_input(tmp_path):
     assert run_cli("solve", "missing_file.scn", "--out", str(tmp_path)) == 2
 
 
+@pytest.mark.parametrize(
+    "file_text, argv, named",
+    [
+        ("[solver]\nM = abc\n", (), "[solver] M = 'abc'"),
+        ("[output]\nno_timestamp = maybe\n", (), "[output] no_timestamp = 'maybe'"),
+        (None, ("--metric", "flat:1,2"), "flat:n takes 1 parameter(s), got 2"),
+        (None, ("--metric", "fubini_study_chart:1"), "fubini_study_chart:n,scale takes 2"),
+        (None, ("--metric", "fubini_study_chart:1.7,1"), "n must be an integer, got 1.7"),
+        (None, ("--metric", "perturbed_flat:1,0.1,0.5,2"), "seed must be an integer, got 0.5"),
+        (None, ("--metric", "perturbed_flat:1,0.1,-3,2"), "seed and degree must be nonnegative"),
+        (None, ("--metric", "flat:1", "--tol", "-1"), "tolerance must be finite and positive"),
+        (None, ("--metric", "flat:1", "--tol", "nan"), "tolerance must be finite and positive"),
+    ],
+    ids=[
+        "file-M", "file-no_timestamp", "flat-arity", "fs-arity", "fs-float-n",
+        "perturbed-float-seed", "perturbed-negative-seed", "tol-negative", "tol-nan",
+    ],
+)
+def test_cli_refuses_malformed_input_with_exit_two(tmp_path, capsys, file_text, argv, named):
+    if file_text is not None:
+        path = tmp_path / "sc.ini"
+        path.write_text("[metric]\nbuiltin = flat:1\n" + file_text)
+        argv = (str(path), *argv)
+    out = tmp_path / "out"
+    code = run_cli("verify", *argv, "--M", "3", "--D", "8", "--out", str(out), "--no-timestamp")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: invalid input:") and named in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, field, want",
+    [(("--laplacian",), "checks", ["laplacian"]), (("--M", "3"), "t_order", 3)],
+    ids=["checks", "M"],
+)
+def test_cli_flags_win_over_the_scenario_file(tmp_path, flags, field, want):
+    path = tmp_path / "sc.ini"
+    path.write_text(
+        "[metric]\nbuiltin = flat:1\n[solver]\nM = 4\nD = 8\n[checks]\nrun = system\n"
+    )
+    out = tmp_path / "out"
+    assert run_cli("verify", str(path), *flags, "--out", str(out), "--no-timestamp") == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["scenario"][field] == want
+    assert sorted(report["checks"]) == sorted(report["scenario"]["checks"])
+
+
 def test_cli_seed_option_is_gone(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("solve", "--metric", "flat:1", "--seed", "3", "--out", str(tmp_path))
