@@ -27,6 +27,7 @@ from .jets import (
     jet_mul,
     jet_reciprocal,
     jet_scale,
+    jet_through,
     max_coeff_diff,
     t_conj,
 )
@@ -133,18 +134,20 @@ def adjugate(g: HermitianJetMatrix):
     return det_and_adjugate(g)[1]
 
 
-def minor_det(rows, R: tuple, C: tuple, memo: dict):
+def minor_det(rows, R: tuple, C: tuple, memo: dict, cap: int | None = None):
     """Determinant of the minor on row tuple R and column tuple C by
     Laplace expansion along its first row; ``memo`` maps (R, C) to the
     minors already expanded within the caller's call.  This division-free
-    cofactor expansion is the one determinant routine of the package."""
+    cofactor expansion is the one determinant routine of the package.
+    Each product is formed only through ``cap`` when one is given."""
     det = memo.get((R, C))
     if det is None:
         if len(R) == 1:
             det = rows[R[0]][C[0]]
         else:
+            first = rows[R[0]] if cap is None else [jet_through(e, cap) for e in rows[R[0]]]
             for k, j in enumerate(C):
-                term = rows[R[0]][j] * minor_det(rows, R[1:], C[:k] + C[k + 1 :], memo)
+                term = first[j] * minor_det(rows, R[1:], C[:k] + C[k + 1 :], memo, cap)
                 if k % 2 == 1:
                     term = -term
                 det = term if det is None else det + term
@@ -164,10 +167,13 @@ def det_coefficient(g_orders, m: int, memo: dict) -> Jet:
     order of one solve: the caller keeps it from m = 0 up and drops it with
     that solve (see ``solver``), and order m then expands only the minors
     whose orders sum to m.  Each n-row minor is read by one tuple of one
-    order, so it is removed from the memo once read.
+    order, so it is removed from the memo once read.  A term is formed only
+    through its sum's validity, the least in g^(0)..g^(m); a minor whose
+    orders sum to s is expanded at order s, and later orders trust no further.
     """
     n = len(g_orders[0])
     rows = [row for g in g_orders for row in g]
+    cap = min(e.valid_degree for g in g_orders[: m + 1] for row in g for e in row)
     cols = tuple(range(n))
     acc = None
     orders = range(min(m, len(g_orders) - 1) + 1)
@@ -175,7 +181,7 @@ def det_coefficient(g_orders, m: int, memo: dict) -> Jet:
         if sum(combo) != m:
             continue
         R = tuple(k * n + r for r, k in enumerate(combo))
-        term = minor_det(rows, R, cols, memo)
+        term = minor_det(rows, R, cols, memo, cap)
         del memo[(R, cols)]
         acc = term if acc is None else acc + term
     return acc if acc is not None else g_orders[0][0][0].ctx.zero()

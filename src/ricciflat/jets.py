@@ -30,6 +30,8 @@ coefficients are jets, each with its own validity.  The series product,
 reciprocal and exponential, and the solver's order step, take their
 t-coefficients from one Cauchy sum, ``cauchy_sum``, which forms no products
 for a t-coefficient whose validity is negative: it is returned as a zero jet.
+A term is formed only through its sum's validity (``jet_through``), in
+``cauchy_sum`` and in the determinant orders of ``geometry.det_coefficient``.
 """
 
 from __future__ import annotations
@@ -322,6 +324,11 @@ def jet_add(a: Jet, b: Jet) -> Jet:
 
 def jet_scale(a: Jet, s: complex) -> Jet:
     return _fresh(a.ctx, a.coeffs * s, a.valid_degree)
+
+
+def jet_through(a: Jet, degree: int) -> Jet:
+    """``a`` read no further than ``degree``: its coefficients, a lower validity."""
+    return a if a.valid_degree <= degree else _fresh(a.ctx, a.coeffs, degree)
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
@@ -633,13 +640,14 @@ def cauchy_sum(a, b, k: int, js: range, weight=None) -> Jet:
     when a weight is given, for jet sequences ``a`` and ``b``.  The terms are
     added in ascending j.  The sum is trusted to the least validity of its
     terms; when that is negative the sum is untrusted, and it is returned as
-    a zero jet without forming its products."""
+    a zero jet without forming its products.  A term is formed only through
+    the sum's validity."""
     vd = min(min(a[j].valid_degree, b[k - j].valid_degree) for j in js)
     if vd < 0:
         return a[js[0]].ctx.zero(vd)
     acc = None
     for j in js:
-        term = jet_mul(a[j], b[k - j])
+        term = jet_mul(jet_through(a[j], vd), b[k - j])
         if weight is not None:
             term = jet_scale(term, weight(j))
         acc = term if acc is None else jet_add(acc, term)

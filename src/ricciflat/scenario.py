@@ -14,7 +14,7 @@ the real coordinates x1..xn, y1..yn, parsed by a small expression grammar:
 sums, differences, products, integer powers, decimal literals and the
 imaginary unit ``i``.  Entries are given for i <= j; the lower triangle is
 filled by conjugation, and an explicitly given lower entry must agree with
-the conjugate of its mirror.
+the conjugate of its mirror.  A file that gives both sources is refused.
 """
 
 from __future__ import annotations
@@ -185,6 +185,9 @@ def parse_scenario_text(text: str, label: str = "inline") -> Scenario:
                 if i < 0 or j < 0:
                     raise InvalidInputError(f"metric entry indices start at 1: {key}")
                 entries[(i, j)] = value.strip()
+        if entries and kw.get("metric"):
+            keys = ", ".join(f"h_{i + 1}_{j + 1}" for i, j in entries)
+            raise InvalidInputError(f"[metric] builtin and {keys} are two metric sources: give one")
         if entries:
             kw["metric_entries"] = entries
     return Scenario(**kw)

@@ -39,10 +39,11 @@ SCENARIO_FILES = {
     ),
 }
 
-# verify, solve, majorant, compare and closed-form on n = 1..4, the
-# Fubini-Study chart, a product metric, fault injection (a NaN one too), c = 2,
-# refused input and scenario files; some exit nonzero on purpose.  No run
-# joins a file's [checks] with check flags: there the flags win.
+# verify, solve, majorant, compare and closed-form on n = 1..4, the n = 2
+# stretch run at D = 20, the Fubini-Study chart, a product metric, fault
+# injection (a NaN one too), c = 2, refused input and scenario files; some
+# exit nonzero on purpose.  No run joins a file's [checks] with check flags:
+# there the flags win.
 SCENARIOS = (
     "verify --metric perturbed_flat:1,0.1,7,2 --M 8 --D 12",
     "verify --metric perturbed_flat:2,0.1,0,2 --M 5 --D 12",
@@ -61,6 +62,7 @@ SCENARIOS = (
     "verify --metric perturbed_flat:2,0.1,0,2 --M 5 --D 12 --consequence --curvature",
     "verify --metric perturbed_flat:2,0.1,0,2 --M 5 --D 12 --laplacian --smoothness",
     "verify --metric perturbed_flat:2,0.1,0,2 --M 2 --D 8",
+    "verify --metric perturbed_flat:2,0.1,0,2 --M 8 --D 20",
     "verify --metric product:fubini_study_chart:1,1.0|flat:1 --M 4 --D 10",
     "solve --metric perturbed_flat:1,0.1,7,2 --M 8 --D 12",
     "solve --metric perturbed_flat:2,0.1,0,2 --M 5 --D 12",

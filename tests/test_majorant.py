@@ -15,8 +15,11 @@ from ricciflat.jets import (
     Jet,
     TJet,
     context,
+    jet_derive,
     jet_eval_many,
     jet_log,
+    jet_mul,
+    jet_reciprocal,
     jet_scale,
 )
 from ricciflat.majorant import (
@@ -380,6 +383,24 @@ def test_lemma_family_equals_one_power_at_a_time(C, R):
     ]
     for g, e in zip(got, expected):
         assert g.observed == pytest.approx(e.observed, rel=1e-13, abs=0.0)
+
+
+# The lemma family as the jets of one variable that the arrays replace: the
+# reciprocal of R - x1 and the products f_p = f_{p-1} rec at degree 40.
+@pytest.mark.parametrize("R", [0.1, 0.2, 0.3, 0.35])
+@pytest.mark.parametrize("C", [1.0, 2.5, 3.7, 123.456])
+def test_lemma_arrays_equal_the_jet_path_bitwise(C, R):
+    ctx = context(1, 40)
+    rec = jet_reciprocal(jet_scale(ctx.x(0), -1.0) + R)
+    f = ctx.constant(C)
+    x1_powers = [ctx.rank_of((k, 0)) for k in range(40)]
+    for p, got in zip(majorant.LEMMA_POWERS, majorant._lemma_derivatives(C, R), strict=True):
+        if p:
+            f = jet_mul(f, rec)
+        want = jet_derive(f, 0).coeffs
+        assert not want.imag.any()
+        assert not np.delete(want, x1_powers).any()
+        assert got.tobytes() == want[x1_powers].real.tobytes()
 
 
 # -- the weighted l1 norm -------------------------------------------------------------

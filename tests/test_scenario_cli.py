@@ -210,10 +210,12 @@ def test_cli_exit_codes_for_bad_input(tmp_path):
         (None, ("--metric", "perturbed_flat:1,0.1,-3,2"), "seed and degree must be nonnegative"),
         (None, ("--metric", "flat:1", "--tol", "-1"), "tolerance must be finite and positive"),
         (None, ("--metric", "flat:1", "--tol", "nan"), "tolerance must be finite and positive"),
+        ("n = 2\nh_1_1 = 1 + x1^2\nh_2_2 = 1\n", (), "[metric] builtin and h_1_1, h_2_2"),
     ],
     ids=[
         "file-M", "file-no_timestamp", "flat-arity", "fs-arity", "fs-float-n",
         "perturbed-float-seed", "perturbed-negative-seed", "tol-negative", "tol-nan",
+        "file-two-sources",
     ],
 )
 def test_cli_refuses_malformed_input_with_exit_two(tmp_path, capsys, file_text, argv, named):

@@ -1,8 +1,10 @@
 """The valid_degree contract: trusted outputs depend on trusted inputs only.
 
 Products form no block past the trusted degree of the result, evaluation
-reads each jet only through its own valid_degree, and the trusted
-coefficients of solved scenarios stay bitwise equal to a golden capture.
+reads each jet only through its own valid_degree, the terms of a Cauchy sum
+or a determinant order formed only through the sum's validity give the
+full terms' trusted coefficients, and the trusted coefficients of solved
+scenarios stay bitwise equal to a golden capture.
 """
 
 import csv
@@ -10,6 +12,7 @@ import json
 import os
 import warnings
 from dataclasses import replace
+from itertools import product as iproduct
 
 import numpy as np
 import pytest
@@ -21,7 +24,9 @@ from ricciflat import geometry as geo
 from ricciflat.cli import main
 from ricciflat.jets import (
     Jet,
+    cauchy_sum,
     context,
+    jet_add,
     jet_derive,
     jet_eval_lists,
     jet_eval_many,
@@ -29,6 +34,7 @@ from ricciflat.jets import (
     jet_log,
     jet_mul,
     jet_reciprocal,
+    jet_scale,
 )
 from ricciflat.solver import SolverConfig, init_state, step
 
@@ -118,6 +124,119 @@ def test_tail_noise_leaves_solver_step_unchanged(seed):
     for c, d in zip(jets_clean, jets_dirty):
         assert c.valid_degree == d.valid_degree
         assert trusted_bytes(c) == trusted_bytes(d)
+
+
+# -- terms formed only through their sum's validity -----------------------------
+#
+# The claim is bitwise for operands that are real, or complex, through their
+# whole validity, which is what the kernel's real/complex switch sees on both
+# paths.  An operand real only through the sum's validity but complex past it
+# takes the float kernel capped and the complex one in full, and numpy sums a
+# float segment of eight or more pairs in another association than a complex
+# one, so there the trusted prefix agrees only to rounding (the last test).
+
+
+def assert_same_trusted(got, want):
+    assert got.valid_degree == want.valid_degree
+    assert trusted_bytes(got) == trusted_bytes(want)
+
+
+def full_terms_sum(a, b, k, js, weight):
+    """cauchy_sum's reference: every term a full product, added in ascending j."""
+    acc = None
+    for j in js:
+        term = jet_mul(a[j], b[k - j])
+        if weight is not None:
+            term = jet_scale(term, weight(j))
+        acc = term if acc is None else jet_add(acc, term)
+    return acc
+
+
+def sums_of(a, b):
+    """(k, js) of every t-coefficient of the series product of a and b."""
+    for k in range(len(a) + len(b) - 1):
+        yield k, range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1)
+
+
+_jet_args = st.tuples(st.integers(-1, 6), st.booleans())
+
+
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 2),
+    st.lists(_jet_args, min_size=1, max_size=5),
+    st.lists(_jet_args, min_size=1, max_size=5),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_capped_cauchy_sum_equals_the_sum_of_full_terms(seed, n, a_args, b_args, weighted):
+    ctx = context(n, 6)
+    rng = np.random.default_rng(seed)
+    a = [random_jet(ctx, rng, *args) for args in a_args]
+    b = [random_jet(ctx, rng, *args) for args in b_args]
+    weight = (lambda j: 0.5 - j) if weighted else None
+    for k, js in sums_of(a, b):
+        got = cauchy_sum(a, b, k, js, weight)
+        assert_same_trusted(got, full_terms_sum(a, b, k, js, weight))
+        assert not got.coeffs[trusted_end(got) :].any()
+
+
+def uncapped_det_coefficient(g_orders, m):
+    """[t^m] det(sum_k g^(k) t^k) from full minors: the same expansion, with
+    no memo kept across tuples and no term formed short of its own
+    validity."""
+    n = len(g_orders[0])
+    rows = [row for g in g_orders for row in g]
+    cols = tuple(range(n))
+    acc = None
+    for combo in iproduct(range(m + 1), repeat=n):
+        if sum(combo) == m:
+            R = tuple(k * n + r for r, k in enumerate(combo))
+            term = geo.minor_det(rows, R, cols, {})
+            acc = term if acc is None else jet_add(acc, term)
+    return acc
+
+
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 3),
+    st.lists(st.integers(0, 2), min_size=4, max_size=4),
+)
+@settings(max_examples=25, deadline=None)
+def test_capped_det_coefficient_equals_full_minors(seed, n, drops):
+    ctx = context(n, 6)
+    rng = np.random.default_rng(seed)
+    g_orders, vd = [], ctx.cap
+    for drop in drops:  # validities fall with the order, staggered within one
+        vd -= drop
+        g_orders.append(
+            [[random_jet(ctx, rng, vd - int(rng.integers(0, 2)), bool(rng.integers(0, 2)))
+              for _ in range(n)] for _ in range(n)]
+        )
+    memo = {}  # shared by every order from 0 up, as in a solve
+    for m in range(len(g_orders)):
+        want = uncapped_det_coefficient(g_orders[: m + 1], m)
+        assert_same_trusted(geo.det_coefficient(g_orders[: m + 1], m, memo), want)
+        assert_same_trusted(geo.det_coefficient(g_orders[: m + 1], m, {}), want)
+
+
+@given(st.integers(0, 10**6), st.integers(1, 3), st.lists(st.integers(0, 6), min_size=4, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_capped_sum_of_operands_real_only_through_the_cap_agrees_to_rounding(seed, n, degrees):
+    ctx = context(n, 6)
+    rng = np.random.default_rng(seed)
+    a, b = [], []
+    for vd, real_through in zip(degrees[::2], degrees[1::2]):
+        for seq in (a, b):
+            jet = random_jet(ctx, rng, vd)
+            c = jet.coeffs.copy()
+            c[: ctx.deg_start[real_through + 1]] = c[: ctx.deg_start[real_through + 1]].real
+            seq.append(Jet(ctx, c, vd))
+    for k, js in sums_of(a, b):
+        got, want = cauchy_sum(a, b, k, js), full_terms_sum(a, b, k, js, None)
+        assert got.valid_degree == want.valid_degree
+        end = trusted_end(got)
+        assert np.allclose(got.coeffs[:end], want.coeffs[:end], rtol=1e-14, atol=1e-14)
 
 
 # -- kernels -------------------------------------------------------------------

@@ -1,17 +1,18 @@
 """Work counts: a solve expands each minor of its determinant once, a
 verify run forms det g, each H(v_m) and the flow residual rows once, and
-nothing its check selection does not read, a majorant run forms the
-derivative lemma's reciprocal once and no monomial matrix, a calibration forms the Ricci form once, and the exponential, logarithm and
-reciprocal of a jet form no jet product."""
+nothing its check selection does not read, a majorant run builds no jet
+context for the derivative lemma and no monomial matrix, a calibration
+forms the Ricci form once, and the exponential, logarithm and reciprocal of
+a jet form no jet product."""
 
 import warnings
 from collections import Counter
 
 import pytest
 
-from ricciflat import closed_form, geometry, jets, majorant, verify
+from ricciflat import closed_form, geometry, jets, solver, verify
 from ricciflat.cli import main
-from ricciflat.jets import TJet, context
+from ricciflat.jets import TJet
 from ricciflat.scenario import ALL_CHECKS
 from ricciflat.solver import SolverConfig, solve
 
@@ -75,12 +76,12 @@ def test_solve_expands_each_minor_once_and_keeps_no_memo(monkeypatch):
     memos, expanded = [], []
     original = geometry.minor_det
 
-    def recording(rows, R, C, memo):
+    def recording(rows, R, C, memo, cap=None):
         if not any(m is memo for m in memos):
             memos.append(memo)
         if (R, C) not in memo:
             expanded.append((R, C))
-        return original(rows, R, C, memo)
+        return original(rows, R, C, memo, cap)
 
     monkeypatch.setattr(geometry, "minor_det", recording)
     with warnings.catch_warnings():
@@ -89,6 +90,35 @@ def test_solve_expands_each_minor_once_and_keeps_no_memo(monkeypatch):
     assert len(memos) == 1
     assert memos[0] == {}
     assert len(expanded) == len(set(expanded))
+
+
+def test_cauchy_sum_forms_each_term_through_the_sums_validity(tmp_path, monkeypatch):
+    sums, open_sums = [], []
+    original_sum, original_mul = jets.cauchy_sum, jets.jet_mul
+
+    def recording_sum(a, b, k, js, weight=None):
+        open_sums.append([])
+        out = original_sum(a, b, k, js, weight)
+        full = [min(a[j].valid_degree, b[k - j].valid_degree) for j in js]
+        sums.append((out.valid_degree, full, open_sums.pop()))
+        return out
+
+    def recording_mul(a, b):
+        if open_sums:
+            open_sums[-1].append(min(a.valid_degree, b.valid_degree))
+        return original_mul(a, b)
+
+    for module in (jets, solver):
+        monkeypatch.setattr(module, "cauchy_sum", recording_sum)
+    monkeypatch.setattr(jets, "jet_mul", recording_mul)
+    _verify(tmp_path, ("perturbed_flat:2,0.1,0,2", "5", "12"))
+    formed = [(vd, full, terms) for vd, full, terms in sums if vd >= 0]
+    assert formed
+    for vd, full, terms in formed:
+        assert terms == [vd] * len(full)
+    assert all(not terms for vd, _, terms in sums if vd < 0)
+    # the rule bites: many terms are trusted further than their sum
+    assert sum(f > vd for vd, full, _ in formed for f in full) > 100
 
 
 @pytest.mark.parametrize("checks", [ALL_CHECKS, ("laplacian",), ("curvature", "system")])
@@ -108,17 +138,15 @@ def test_shared_view_gives_the_reports_of_bare_solutions(checks):
     assert shared.form.realness_defect == bare.form.realness_defect
 
 
-def test_majorant_run_forms_the_lemma_reciprocal_once_and_no_monomial_matrix(
-    tmp_path, monkeypatch
-):
-    reciprocals = _record(monkeypatch, majorant, "jet_reciprocal")
+def test_majorant_run_builds_no_lemma_context_and_no_monomial_matrix(tmp_path, monkeypatch):
+    monkeypatch.setattr(jets, "_CTX_CACHE", {})
     matrices = _record(monkeypatch, jets, "_monomial_matrix")
     argv = ["majorant", "--metric", "perturbed_flat:2,0.1,0,2", "--M", "4", "--D", "10"]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert main(argv + ["--R", "0.2", "--out", str(tmp_path), "--no-timestamp"]) == 0
-    lemma_ctx = context(1, 40)
-    assert sum(a.ctx is lemma_ctx for (a,) in reciprocals) == 1
+    # the derivative lemma runs on plain arrays, not on jets of one variable
+    assert (1, 40) not in jets._CTX_CACHE
     # every bound is a norm read off the coefficients: nothing is evaluated
     assert matrices == []
 
