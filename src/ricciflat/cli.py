@@ -15,7 +15,7 @@ Exit codes: 0 success, 1 a selected check failed, 2 invalid input,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import functools
 import math
 import os
 import sys
@@ -59,6 +59,8 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_INVALID
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise InvalidInputError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except InvalidInputError as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
@@ -71,7 +73,10 @@ def main(argv=None) -> int:
         return EXIT_INVALID
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it unchanged, and each
+    call fills a new namespace."""
     common = argparse.ArgumentParser(add_help=False)
     # Options that set a Scenario field take the field's name as dest, so
     # apply_overrides reads them off the namespace; --metric, --metric-file
@@ -163,7 +168,8 @@ def _collect_scenarios(args) -> list[Scenario]:
 
 def _run_batch(scenarios, worker, jobs: int, extra=None) -> int:
     """Run a module-level worker(scenario, out_dir, extra) over the batch;
-    workers must be picklable for the process pool."""
+    workers must be picklable for the process pool, which has at most one
+    worker per scenario."""
     if len(scenarios) == 1:
         return worker(scenarios[0], scenarios[0].out_dir, extra)
 
@@ -172,7 +178,10 @@ def _run_batch(scenarios, worker, jobs: int, extra=None) -> int:
         for i, sc in enumerate(scenarios)
     ]
     if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        import concurrent.futures  # only here: it also imports logging
+
+        workers = min(jobs, len(tagged))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(worker, sc, out, extra) for sc, out in tagged]
             codes = [f.result() for f in futures]
     else:

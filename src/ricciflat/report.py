@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import os
+import weakref
 from datetime import datetime, timezone
 
 import numpy as np
@@ -26,37 +27,53 @@ SERIES_COLUMNS = ("series", "i", "j", "t_order", "monomial", "exponents", "re", 
 RESIDUAL_COLUMNS = ("identity", "t_order", "degree", "residual", "tolerance", "verdict")
 
 
-def monomial_label(ctx: JetContext, idx: int) -> str:
-    exps = ctx.exponents[idx]
-    if not exps.any():
-        return "1"
-    parts = []
-    for v, e in enumerate(exps):
-        if e == 0:
-            continue
-        name = f"x{v // 2 + 1}" if v % 2 == 0 else f"y{v // 2 + 1}"
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
+# Per context, the "monomial,exponents" cell of each index formed so far; an
+# entry lives as long as its context.
+_CELLS = weakref.WeakKeyDictionary()
 
 
-def _jet_rows(series: str, i, j, m: int, jet: Jet, labels: dict):
-    """Rows for the nonzero monomials through the jet's valid_degree; none
-    when it has no trusted degree.  ``labels`` holds, per context, the
-    (monomial label, exponent string) of each index formed so far."""
+def _form_cells(ctx: JetContext, lo: int, hi: int) -> list[str]:
+    """The cells of indices lo..hi-1.  A label joins, with "*", the pieces
+    of the variables x1, y1, x2, ... that occur: the name at exponent 1,
+    name^e above; the constant monomial is "1".  The exponents follow,
+    space-separated."""
+    pieces = []
+    for v in range(ctx.nvars):
+        name = f"{'xy'[v % 2]}{v // 2 + 1}"
+        pieces.append(["", name, *(f"{name}^{e}" for e in range(2, ctx.cap + 1))])
+    digits = [str(e) for e in range(ctx.cap + 1)]
+    cells = []
+    for row in ctx.exponents[lo:hi].tolist():
+        label = "*".join(filter(None, map(list.__getitem__, pieces, row))) or "1"
+        cells.append(f"{label},{' '.join(map(digits.__getitem__, row))}")
+    return cells
+
+
+def monomial_cells(ctx: JetContext, end: int) -> list[str]:
+    """The context's cached cells, formed through at least index ``end``;
+    indices past the highest one asked for are never formed."""
+    cells = _CELLS.get(ctx)
+    if cells is None:
+        cells = _CELLS[ctx] = []
+    if len(cells) < end:
+        cells.extend(_form_cells(ctx, len(cells), end))
+    return cells
+
+
+def _jet_lines(series: str, i, j, m: int, jet: Jet) -> list[str]:
+    """Lines for the nonzero monomials through the jet's valid_degree; none
+    when it has no trusted degree."""
     ctx = jet.ctx
     end = int(ctx.deg_start[jet.valid_degree + 1]) if jet.valid_degree >= 0 else 0
-    known = labels.setdefault(ctx, [])
-    known.extend(
-        (monomial_label(ctx, idx), " ".join(str(e) for e in ctx.exponents[idx]))
-        for idx in range(len(known), end)
-    )
+    cells = monomial_cells(ctx, end)
     idx = np.flatnonzero(jet.coeffs[:end])
     vals = jet.coeffs[idx]
-    i = "" if i is None else i + 1
-    j = "" if j is None else j + 1
-    for k, re, im in zip(idx.tolist(), vals.real.tolist(), vals.imag.tolist()):
-        label, exponents = known[k]
-        yield (series, i, j, m, label, exponents, repr(re), repr(im), jet.valid_degree)
+    head = f"{series},{'' if i is None else i + 1},{'' if j is None else j + 1},{m},"
+    tail = f",{jet.valid_degree}\n"
+    return [
+        f"{head}{cells[k]},{re!r},{im!r}{tail}"
+        for k, re, im in zip(idx.tolist(), vals.real.tolist(), vals.imag.tolist())
+    ]
 
 
 def write_csv(path: str, header, rows) -> None:
@@ -68,24 +85,20 @@ def write_csv(path: str, header, rows) -> None:
 
 
 def write_series_csv(path: str, name: str, series) -> None:
-    """One row per trusted nonzero coefficient of ``series``: a TJet, or a
-    HermitianJetMatrix of TJets taken entry by entry, row-major.  The
-    monomial labels are formed once per index within the call."""
+    """One line per trusted nonzero coefficient of ``series``: a TJet, or a
+    HermitianJetMatrix of TJets taken entry by entry, row-major.  No field
+    of these tables needs CSV quoting, so the lines are joined by hand and
+    the file is written at once."""
     if isinstance(series, TJet):
         entries = [(None, None, series)]
     else:
         entries = [(i, j, series.entries[i][j]) for i in range(series.n) for j in range(series.n)]
-    labels: dict = {}
-    write_csv(
-        path,
-        SERIES_COLUMNS,
-        (
-            row
-            for i, j, tjet in entries
-            for m, jet in enumerate(tjet.coeffs)
-            for row in _jet_rows(name, i, j, m, jet, labels)
-        ),
-    )
+    lines = [",".join(SERIES_COLUMNS) + "\n"]
+    for i, j, tjet in entries:
+        for m, jet in enumerate(tjet.coeffs):
+            lines += _jet_lines(name, i, j, m, jet)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("".join(lines))
 
 
 def write_residuals_csv(path: str, reports) -> None:
@@ -113,9 +126,9 @@ def write_json(path: str, payload: dict, no_timestamp: bool = False) -> None:
     if not no_timestamp:
         doc["timestamp"] = datetime.now(timezone.utc).isoformat()
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def solution_summary(sol) -> dict:

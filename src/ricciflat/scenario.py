@@ -19,7 +19,6 @@ the conjugate of its mirror.  A file that gives both sources is refused.
 
 from __future__ import annotations
 
-import configparser
 import re
 from dataclasses import dataclass, field, fields, replace
 
@@ -133,6 +132,8 @@ def _check_names(text: str) -> tuple[str, ...]:
 
 
 def _boolean(text: str) -> bool:
+    import configparser
+
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
     except KeyError:
@@ -161,6 +162,8 @@ def load_scenario(path: str, flags=None) -> Scenario:
 
 
 def parse_scenario_text(text: str, label: str = "inline") -> Scenario:
+    import configparser  # here, not at module level: most runs read no file
+
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     cp.optionxform = str
     try:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 
@@ -211,11 +212,13 @@ def test_cli_exit_codes_for_bad_input(tmp_path):
         (None, ("--metric", "flat:1", "--tol", "-1"), "tolerance must be finite and positive"),
         (None, ("--metric", "flat:1", "--tol", "nan"), "tolerance must be finite and positive"),
         ("n = 2\nh_1_1 = 1 + x1^2\nh_2_2 = 1\n", (), "[metric] builtin and h_1_1, h_2_2"),
+        (None, ("--metric", "flat:1", "--jobs", "0"), "--jobs must be at least 1, got 0"),
+        ("", ("--metric", "flat:1", "--jobs", "-2"), "--jobs must be at least 1, got -2"),
     ],
     ids=[
         "file-M", "file-no_timestamp", "flat-arity", "fs-arity", "fs-float-n",
         "perturbed-float-seed", "perturbed-negative-seed", "tol-negative", "tol-nan",
-        "file-two-sources",
+        "file-two-sources", "jobs-zero", "jobs-negative-batch",
     ],
 )
 def test_cli_refuses_malformed_input_with_exit_two(tmp_path, capsys, file_text, argv, named):
@@ -228,7 +231,7 @@ def test_cli_refuses_malformed_input_with_exit_two(tmp_path, capsys, file_text, 
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: invalid input:") and named in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
     assert not out.exists()
 
 
@@ -314,6 +317,73 @@ def test_cli_batch_jobs_deterministic(tmp_path):
         a = (serial / sub / "report.json").read_bytes()
         b = (parallel / sub / "report.json").read_bytes()
         assert a == b
+
+
+def test_cli_jobs_pool_has_at_most_one_worker_per_scenario(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        """Records the pool size asked for and runs each task in this
+        process: no worker process is started."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    files = []
+    for seed in range(3):
+        path = tmp_path / f"s{seed}.ini"
+        path.write_text(
+            f"[metric]\nbuiltin = perturbed_flat:1,0.1,{seed},2\n[solver]\nM = 2\nD = 6\n"
+        )
+        files.append(str(path))
+    for jobs in ("5000", "2", "1"):
+        out = tmp_path / f"jobs{jobs}"
+        assert run_cli("solve", *files, "--jobs", jobs, "--out", str(out), "--no-timestamp") == 0
+        assert len(os.listdir(out)) == 3
+    assert sizes == [3, 2]
+
+
+def test_cli_calls_in_one_process_share_the_parser_and_nothing_else(tmp_path):
+    from ricciflat import cli
+    from ricciflat.scenario import ALL_CHECKS
+
+    assert cli._build_parser() is cli._build_parser()
+    metric = ("--metric", "perturbed_flat:1,0.1,7,2", "--M", "5", "--D", "12", "--no-timestamp")
+    runs = itertools.count()
+
+    def run(command, *flags):
+        out = tmp_path / f"{next(runs):02d}"
+        code = run_cli(command, *metric, *flags, "--out", str(out))
+        return code, json.loads((out / "report.json").read_text())
+
+    code, rep = run("verify", "--system")
+    assert code == 0 and sorted(rep["checks"]) == ["system"]
+    code, rep = run("verify")
+    assert code == 0 and sorted(rep["checks"]) == sorted(ALL_CHECKS)
+
+    code, rep = run("verify", "--perturb", "v:2:1e-3")
+    assert code == 1 and rep["passed"] is False
+    code, rep = run("verify")
+    assert code == 0 and rep["passed"] is True and rep["scenario"]["perturb"] is None
+
+    code, rep = run("majorant", "--R", "0.2", "--m-max", "6")
+    assert code == 0 and len(rep["majorant"]["C"]) == 7
+    code, rep = run("majorant", "--R", "0.2")
+    assert code == 0 and len(rep["majorant"]["C"]) == 6  # the default: C_0..C_M
 
 
 def test_cli_compare_projective(tmp_path):
