@@ -170,10 +170,14 @@ def det_coefficient(g_orders, m: int, memo: dict) -> Jet:
     order, so it is removed from the memo once read.  A term is formed only
     through its sum's validity, the least in g^(0)..g^(m); a minor whose
     orders sum to s is expanded at order s, and later orders trust no further.
+    So once that validity is negative (n > 1) the coefficient is the shared
+    untrusted jet, and no minor of this or any later order is expanded.
     """
     n = len(g_orders[0])
-    rows = [row for g in g_orders for row in g]
     cap = min(e.valid_degree for g in g_orders[: m + 1] for row in g for e in row)
+    if cap < 0 and n > 1:
+        return g_orders[0][0][0].ctx.zero(cap)
+    rows = [row for g in g_orders for row in g]
     cols = tuple(range(n))
     acc = None
     orders = range(min(m, len(g_orders) - 1) + 1)

@@ -17,6 +17,12 @@ checks downstream.  For the same reason products form only the degree
 blocks through the result's trusted degree (their tails are zero), and
 evaluation and the norms read each jet only through its own ``valid_degree``.
 
+An untrusted jet is its context's shared zero jet; no operation computes
+one; a degree-0 product is a scalar product.  Every operation whose result
+has negative validity returns ``ctx.zero(vd)``, one read-only full-size jet
+per context and validity, without allocating or computing anything, and a
+product trusted only at degree 0 multiplies the two constant terms alone.
+
 A product runs one gather, multiply, segmented sum and scatter-add per
 nonzero degree row of its first factor.  The context caches, per row, the
 pair tables of that block against all blocks of the second factor up to the
@@ -29,7 +35,7 @@ A TJet is a truncated power series in the moment-map variable t whose
 coefficients are jets, each with its own validity.  The series product,
 reciprocal and exponential, and the solver's order step, take their
 t-coefficients from one Cauchy sum, ``cauchy_sum``, which forms no products
-for a t-coefficient whose validity is negative: it is returned as a zero jet.
+for a t-coefficient whose validity is negative: it is the shared zero jet.
 A term is formed only through its sum's validity (``jet_through``), in
 ``cauchy_sum`` and in the determinant orders of ``geometry.det_coefficient``.
 """
@@ -98,6 +104,7 @@ class JetContext:
 
         self._pair_cache: dict[int, tuple] = {}
         self._deriv_cache: dict[int, tuple] = {}
+        self._untrusted: dict[int, "Jet"] = {}
 
     # -- index helpers ----------------------------------------------------
 
@@ -170,8 +177,14 @@ class JetContext:
     # -- constructors ------------------------------------------------------
 
     def zero(self, valid_degree: int | None = None) -> "Jet":
+        """A zero jet; for a negative validity the context's shared one."""
         vd = self.cap if valid_degree is None else valid_degree
-        return Jet(self, np.zeros(self.size, dtype=np.complex128), vd)
+        if vd >= 0:
+            return Jet(self, np.zeros(self.size, dtype=np.complex128), vd)
+        jet = self._untrusted.get(vd)
+        if jet is None:
+            jet = self._untrusted[vd] = _fresh(self, np.zeros(self.size, dtype=np.complex128), vd)
+        return jet
 
     def constant(self, value: complex, valid_degree: int | None = None) -> "Jet":
         c = np.zeros(self.size, dtype=np.complex128)
@@ -265,6 +278,8 @@ class Jet:
     def __sub__(self, other):
         if isinstance(other, (int, float, complex)):
             other = self.ctx.constant(other)
+        if self.valid_degree < 0:  # the difference is the shared jet: negate nothing
+            return jet_add(self, other)
         return jet_add(self, jet_scale(other, -1.0))
 
     def __rsub__(self, other):
@@ -319,15 +334,20 @@ def _require_same_ctx(a: Jet, b: Jet) -> None:
 
 def jet_add(a: Jet, b: Jet) -> Jet:
     _require_same_ctx(a, b)
-    return _fresh(a.ctx, a.coeffs + b.coeffs, min(a.valid_degree, b.valid_degree))
+    vd = min(a.valid_degree, b.valid_degree)
+    return a.ctx.zero(vd) if vd < 0 else _fresh(a.ctx, a.coeffs + b.coeffs, vd)
 
 
 def jet_scale(a: Jet, s: complex) -> Jet:
-    return _fresh(a.ctx, a.coeffs * s, a.valid_degree)
+    vd = a.valid_degree
+    return a.ctx.zero(vd) if vd < 0 else _fresh(a.ctx, a.coeffs * s, vd)
 
 
 def jet_through(a: Jet, degree: int) -> Jet:
-    """``a`` read no further than ``degree``: its coefficients, a lower validity."""
+    """``a`` read no further than ``degree``: its coefficients, a lower
+    validity; below degree 0 the shared untrusted jet."""
+    if degree < 0:
+        return a.ctx.zero(min(a.valid_degree, degree))
     return a if a.valid_degree <= degree else _fresh(a.ctx, a.coeffs, degree)
 
 
@@ -347,14 +367,21 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
     constant pair is multiplied as scalars, because numpy rounds a complex
     product of length one (its scalar path) differently from the same
     product inside a longer array.  The output starts as +0.0 and is only
-    ever added to, so a sum of -0.0 never shows as -0.0.
+    ever added to, so a sum of -0.0 never shows as -0.0.  A product trusted
+    only at degree 0 is that constant pair alone, formed as the kernel forms
+    it, with no tables.
     """
     _require_same_ctx(a, b)
     ctx = a.ctx
     vd = min(a.valid_degree, b.valid_degree)
-    out = np.zeros(ctx.size, dtype=np.complex128)
     if vd < 0:
-        return _fresh(ctx, out, vd)
+        return ctx.zero(vd)
+    out = np.zeros(ctx.size, dtype=np.complex128)
+    if vd == 0:
+        a0, b0 = a.coeffs[0], b.coeffs[0]
+        if a0 != 0 and b0 != 0:
+            out[0] = 0.0 + a0.real * b0.real if not (a0.imag or b0.imag) else 0j + a0 * b0
+        return _fresh(ctx, out, 0)
 
     start = ctx.deg_start
     av, bv = a.coeffs[: start[vd + 1]], b.coeffs[: start[vd + 1]]
@@ -384,7 +411,8 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
 def jet_conj(a: Jet) -> Jet:
     """Complex conjugate of the function values at real points, i.e. the
     coefficientwise conjugate.  In z-notation this is the usual swap z <-> zbar."""
-    return _fresh(a.ctx, np.conj(a.coeffs), a.valid_degree)
+    vd = a.valid_degree
+    return a.ctx.zero(vd) if vd < 0 else _fresh(a.ctx, np.conj(a.coeffs), vd)
 
 
 def _graded_series(a: Jet, kind: str) -> Jet:
@@ -461,10 +489,8 @@ def jet_derive(a: Jet, var: int) -> Jet:
     constant (the result is then untrusted, not an error)."""
     if var < 0 or var >= a.ctx.nvars:
         raise InvalidInputError(f"coordinate index {var} out of range")
-    if a.effective_degree < 1:
-        return _fresh(
-            a.ctx, np.zeros(a.ctx.size, dtype=np.complex128), a.valid_degree - 1
-        )
+    if a.valid_degree <= 0 or a.effective_degree < 1:
+        return a.ctx.zero(a.valid_degree - 1)
     table_src, dst, factor = a.ctx.deriv_table(var)
     out = np.zeros(a.ctx.size, dtype=np.complex128)
     out[dst] = a.coeffs[table_src] * factor
@@ -613,7 +639,7 @@ class TJet:
         return TJet([jet_scale(c, -1.0) for c in self.coeffs])
 
     def __sub__(self, other: "TJet") -> "TJet":
-        return self + (-other)
+        return TJet([a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other):
         """Series product with a TJet, or scaling by a number."""

@@ -573,14 +573,21 @@ def perturb_solution(sol: Solution, target: str, order: int, eps: float) -> Solu
     and x1^2 monomial, so both value and Hessian based checks see it), ``g``
     bumps the (0,0) metric entry the same way, ``w`` bumps the constant
     coefficient of w_inv.  Derived series are left untouched: the point is to
-    hand the verifier an inconsistent object.
+    hand the verifier an inconsistent object.  An order outside the series,
+    or one with no trusted degree, which no check reads, is refused.
     """
     series = {"v": sol.v, "g": sol.g.entries[0][0], "w": sol.w_inv}.get(target)
     if series is None:
         raise InvalidInputError(f"unknown perturbation target {target!r} (use v, g or w)")
-    if order > series.order:
-        name = "w_inv" if target == "w" else target
-        raise InvalidInputError(f"{name} has no order-{order} coefficient")
+    name = "w_inv" if target == "w" else target
+    if not 0 <= order <= series.order:
+        raise InvalidInputError(f"{name} has no order {order}: its orders are 0..{series.order}")
+    vd = series.coeffs[order].valid_degree
+    if vd < 0:
+        raise InvalidInputError(
+            f"{name} order {order} has valid_degree {vd}: no check reads it, "
+            f"so a perturbation there cannot be seen"
+        )
     ctx = sol.input.ctx
     coeffs = list(series.coeffs)
     c = coeffs[order].coeffs.copy()

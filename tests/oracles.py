@@ -140,3 +140,44 @@ def series_oracle(jet: Jet, kind: str, majorant: bool = False) -> np.ndarray:
         total[0] = lead
         return total
     return lead * total
+
+
+# -- row-loop product ------------------------------------------------------------
+
+
+def row_loop_mul(a: Jet, b: Jet) -> np.ndarray:
+    """Coefficients of the truncated product of two jets, by the row loop of
+    the product kernel with pair tables built from the exponent tuples alone:
+    for each nonzero degree row da of a, every pair (i, j) with i in that
+    row and j up to b's highest nonzero block of degree <= vd - da, in
+    (i, j) order, is multiplied as an array (the constant pair as numpy
+    scalars), summed per target monomial and added to an output that starts
+    at +0.0.  Float arithmetic when both prefixes are real, as in the
+    kernel."""
+    ctx = a.ctx
+    vd = min(a.valid_degree, b.valid_degree)
+    out = np.zeros(ctx.size, dtype=np.complex128)
+    if vd < 0:
+        return out
+    end = int(ctx.deg_start[vd + 1])
+    av, bv = a.coeffs[:end], b.coeffs[:end]
+    if not (av.any() and bv.any()):
+        return out
+    if not (av.imag.any() or bv.imag.any()):
+        av, bv, out = av.real.copy(), bv.real.copy(), out.real.copy()
+    blocks = [slice(ctx.deg_start[d], ctx.deg_start[d + 1]) for d in range(vd + 1)]
+    cols = [d for d in range(vd + 1) if bv[blocks[d]].any()]
+    I, J, T = _pair_table(ctx)
+    for da in range(vd + 1):
+        reach = [d for d in cols if d <= vd - da]
+        if not (av[blocks[da]].any() and reach):
+            continue
+        keep = (ctx.degrees[I] == da) & (ctx.degrees[J] <= reach[-1])
+        order = np.argsort(T[keep], kind="stable")
+        i, j, t = I[keep][order], J[keep][order], T[keep][order]
+        prod = av[i] * bv[j]
+        if da == 0:
+            prod[0] = av[0] * bv[0]
+        seg = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
+        out[t[seg]] += np.add.reduceat(prod, seg)
+    return out.astype(np.complex128)

@@ -130,6 +130,31 @@ def test_cli_nan_perturbation_skips_the_class_integral(tmp_path, perturb):
     assert "class integral skipped: calibration found no matching convention factor" in curvature["notes"]
 
 
+@pytest.mark.parametrize(
+    "metric, M, D, perturb, reason",
+    [
+        # a negative order bumped the top order through Python's indexing
+        ("perturbed_flat:2,0.1,0,2", "3", "8", "v:-1:1e-3", "v has no order -1"),
+        # order 3 is trusted to degree -4: no check reads it, so it passed
+        ("perturbed_flat:4,0.1,0,2", "3", "4", "v:3:1e-3", "v order 3 has valid_degree -4"),
+        ("perturbed_flat:4,0.1,0,2", "3", "4", "g:2:1e-3", "g order 2 has valid_degree -2"),
+    ],
+)
+def test_cli_verify_refuses_a_perturbation_no_check_can_see(
+    tmp_path, monkeypatch, capsys, metric, M, D, perturb, reason
+):
+    ran = []
+    monkeypatch.setattr("ricciflat.cli.residual_system", lambda *a: ran.append(a))
+    out = tmp_path / "out"
+    argv = ["verify", "--metric", metric, "--M", M, "--D", D, "--perturb", perturb]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(argv + ["--no-timestamp", "--out", str(out)])
+    assert code == 2
+    assert reason in capsys.readouterr().err
+    assert ran == [] and not out.exists()
+
+
 def _flat_with_nan(i, j, idx):
     ctx = context(2, 4)
     rows = [[ctx.constant(1.0 if a == b else 0.0) for b in range(2)] for a in range(2)]

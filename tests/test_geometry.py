@@ -314,6 +314,31 @@ def test_det_coefficient_matches_leibniz_expansion(n):
             assert max_coeff_diff(got, want) <= 1e-14 * max(1.0, max_abs_coeff(want))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_det_coefficient_with_a_negative_cap_keeps_the_validity_and_writes_no_memo(n):
+    # order 1 is untrusted, so every order from 1 on has a negative cap; for
+    # n = 1 the coefficient is the order-m entry itself, trusted at order 2
+    ctx = context(n, _DET_CAPS[n])
+    rng = np.random.default_rng(40 + n)
+    validities = (ctx.cap, -1, 1, -3)
+    g_orders = tuple(
+        random_hermitian(ctx, rng, scale=0.2).map(lambda e, vd=vd: Jet(ctx, e.coeffs, vd)).entries
+        for vd in validities
+    )
+    memo = {}
+    det_coefficient(g_orders[:1], 0, memo)
+    for m in range(1, 4):
+        kept = dict(memo)
+        got = det_coefficient(g_orders[: m + 1], m, memo)
+        assert got.valid_degree == _leibniz_det_coefficient(g_orders[: m + 1], m).valid_degree
+        assert memo == kept
+        if n > 1:
+            assert got.valid_degree == (-1 if m < 3 else -3)
+            assert got is ctx.zero(got.valid_degree)
+        else:
+            assert got is g_orders[m][0][0]
+
+
 # -- Ricci form ------------------------------------------------------------------
 
 

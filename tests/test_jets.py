@@ -1,4 +1,7 @@
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -6,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import jet_eval
-from oracles import jet_to_expr, jet_vs_expr, series_oracle
+from oracles import jet_to_expr, jet_vs_expr, row_loop_mul, series_oracle
 from ricciflat.errors import (
     DimensionMismatchError,
     SingularInputError,
@@ -25,6 +28,7 @@ from ricciflat.jets import (
     jet_mul,
     jet_reciprocal,
     jet_scale,
+    jet_through,
     max_abs_coeff,
     max_coeff_diff,
     t_derive,
@@ -336,9 +340,13 @@ def test_twice_derived_jet_is_untrusted_and_evaluates_to_zero():
     a = Jet(ctx, random_jet(ctx, rng).coeffs, 1)
     d2 = jet_derive(jet_derive(a, 0), 3)
     assert d2.valid_degree == -1
-    assert d2.coeffs.any()
+    # no operation computes an untrusted jet: the derivative is the shared one
+    assert d2 is ctx.zero(-1)
+    # evaluation reads a jet only through its validity, whatever it stores
+    noisy = Jet(ctx, random_jet(ctx, rng).coeffs, -1)
+    assert noisy.coeffs.any()
     pts = rng.uniform(-0.3, 0.3, size=(5, ctx.nvars))
-    assert not jet_eval_lists([[d2]], pts)[0].any()
+    assert not jet_eval_lists([[noisy]], pts)[0].any()
 
 
 def test_eval_examples():
@@ -540,6 +548,94 @@ def test_product_summing_to_negative_zero_stays_positive_zero(valid_degree):
             _assert_matches_reference(x, y)
             const = jet_mul(x, y).coeffs[0]
             assert const == 0 and not np.signbit(const.real) and not np.signbit(const.imag)
+
+
+# -- untrusted results and degree-0 products -------------------------------------------
+
+
+@given(st.integers(-4, 6), st.integers(-4, 6), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_untrusted_results_are_the_shared_zero_jet_and_allocate_nothing(va, vb, seed):
+    ctx = context(2, 6)
+    rng = np.random.default_rng(seed)
+    a = Jet(ctx, random_jet(ctx, rng).coeffs, va)
+    b = Jet(ctx, random_jet(ctx, rng).coeffs, vb)
+    vd = min(va, vb)
+    ops = [
+        (lambda: jet_add(a, b), vd),
+        (lambda: a - b, vd),
+        (lambda: b - a, vd),
+        (lambda: jet_mul(a, b), vd),
+        (lambda: jet_scale(a, 2.5j), va),
+        (lambda: -a, va),
+        (lambda: jet_conj(a), va),
+        (lambda: jet_derive(a, 3), va - 1),
+        (lambda: jet_exp(a), va),
+        (lambda: jet_log(a), va),
+        (lambda: jet_reciprocal(a), va),
+        (lambda: ctx.zero(vb), vb),
+    ]
+    if vb < 0:
+        ops.append((lambda: jet_through(a, vb), vd))
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        for op, want in ops:
+            if want >= 0:
+                continue
+            shared = ctx.zero(want)
+            assert shared.valid_degree == want and not shared.coeffs.any()
+            assert not shared.coeffs.flags.writeable and shared.coeffs.shape == (ctx.size,)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = op()
+            grown = tracemalloc.get_traced_memory()[1] - before
+            assert out is shared
+            # not one coefficient array is allocated on the way
+            assert grown < 16 * ctx.size
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_degree_zero_product_is_bitwise_the_row_loop_on_edge_values():
+    # +-0, NaN, +-inf, subnormal and huge parts, real and complex: 90 values,
+    # 8,100 ordered pairs, each at validity 0 against validity 0 or the cap.
+    # Subnormal products underflow to +-0.0 and huge ones overflow to +-inf.
+    parts = [0.0, -0.0, 1.5, 5e-324, -5e-324, -1e308, math.inf, -math.inf, math.nan]
+    values = [complex(re, im) for re in parts for im in parts + [0.75]]
+    ctx = context(1, 2)
+    tail = np.arange(ctx.size) * (1.0 - 2.0j)  # past degree 0: never read
+
+    def constant(value, vd):
+        c = tail.copy()
+        c[0] = value
+        return Jet(ctx, c, vd)
+
+    low = [constant(value, 0) for value in values]
+    full = [constant(value, ctx.cap) for value in values]
+    pairs = 0
+    with np.errstate(all="ignore"):
+        for k, a in enumerate(low):
+            for b in low if k % 2 else full:
+                for x, y in ((a, b), (b, a)):
+                    got = jet_mul(x, y)
+                    assert got.valid_degree == 0
+                    assert got.coeffs.tobytes() == row_loop_mul(x, y).tobytes()
+                pairs += 1
+    assert pairs == 8100
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_row_loop_reference_is_the_product_kernel(n):
+    ctx = context(n, _KERNEL_CAPS[n])
+    rng = np.random.default_rng(50 + n)
+    for kind_a, kind_b in (("real", "complex"), ("complex", "complex"), ("real", "constant")):
+        for vd in range(-1, ctx.cap + 1):
+            a = _kernel_operand(ctx, rng, kind_a, vd)
+            b = _kernel_operand(ctx, rng, kind_b, ctx.cap)
+            for x, y in ((a, b), (b, a)):
+                assert jet_mul(x, y).coeffs.tobytes() == row_loop_mul(x, y).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

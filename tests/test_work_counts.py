@@ -3,7 +3,8 @@ verify run forms det g, each H(v_m) and the flow residual rows once, and
 nothing its check selection does not read, a majorant run builds no jet
 context for the derivative lemma and no monomial matrix, a calibration
 forms the Ricci form once, and the exponential, logarithm and reciprocal of
-a jet form no jet product."""
+a jet form no jet product, and a run forms no untrusted jet but the shared
+zero jets."""
 
 import warnings
 from collections import Counter
@@ -90,6 +91,36 @@ def test_solve_expands_each_minor_once_and_keeps_no_memo(monkeypatch):
     assert len(memos) == 1
     assert memos[0] == {}
     assert len(expanded) == len(set(expanded))
+
+
+def test_verify_forms_no_untrusted_jet_but_the_shared_ones(tmp_path, monkeypatch):
+    # N4 trusts its orders to degrees 2, 0, -2, -4
+    formed = Counter()
+    original_fresh, original_init = jets._fresh, jets.Jet.__init__
+
+    def fresh(ctx, coeffs, valid_degree):
+        if valid_degree < 0:
+            formed[id(ctx), valid_degree] += 1
+        return original_fresh(ctx, coeffs, valid_degree)
+
+    def init(self, ctx, coeffs, valid_degree):
+        original_init(self, ctx, coeffs, valid_degree)
+        if self.valid_degree < 0:
+            formed[id(ctx), self.valid_degree] += 1
+
+    monkeypatch.setattr(jets, "_CTX_CACHE", {})
+    monkeypatch.setattr(jets, "_fresh", fresh)
+    monkeypatch.setattr(jets.Jet, "__init__", init)
+    _verify(tmp_path, N4)
+    assert {vd for _, vd in formed} >= {-2, -4}
+    assert set(formed.values()) == {1}
+
+
+def test_solver_orders_with_a_negative_cap_expand_no_minor(tmp_path, monkeypatch):
+    caps = _record(monkeypatch, geometry, "minor_det")
+    _verify(tmp_path, N4)
+    capped = [args[4] for args in caps if len(args) > 4 and args[4] is not None]
+    assert capped and min(capped) >= 0
 
 
 def test_cauchy_sum_forms_each_term_through_the_sums_validity(tmp_path, monkeypatch):
