@@ -309,14 +309,14 @@ def cmd_closed_form(args) -> int:
         if len(values) == 1 and n > 1:
             values = values * n
         spectrum = RicciSpectrum(n, values)
-        drift = 0.0
+        variation = 0.0
     else:
         scenarios = _collect_scenarios(args)
         if len(scenarios) != 1:
             raise InvalidInputError("closed-form takes one metric source")
         sc = scenarios[0]
         initial = sc.initial_data()
-        spectrum, drift = ricci_spectrum_of(initial, ricci_form(initial.h))
+        spectrum, variation = ricci_spectrum_of(initial, ricci_form(initial.h))
 
     P = p_of_t(spectrum)
     w = w_inv_closed(P)
@@ -339,7 +339,7 @@ def cmd_closed_form(args) -> int:
         {
             "command": "closed-form",
             "eigenvalues": list(spectrum.eigenvalues),
-            "eigenvalue_drift": drift,
+            "spectrum_variation": variation,
             "P": [float(v) for v in P],
             "w_inv_numerator": list(w.numerator),
             "w_inv_denominator": list(w.denominator),
@@ -418,7 +418,7 @@ def _compare_one(sc: Scenario, out_dir: str, extra=None) -> int:
                 "metric_deviation": rep.metric_deviation,
                 "w_inv_deviation": rep.w_inv_deviation,
                 "eigenvalues": list(rep.eigenvalues),
-                "eigenvalue_drift": rep.eigenvalue_drift,
+                "spectrum_variation": rep.spectrum_variation,
                 "P": list(rep.P),
                 "candidates": list(rep.candidates),
             },

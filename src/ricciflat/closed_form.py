@@ -26,9 +26,13 @@ import numpy as np
 
 from .conventions import CALIBRATION_CANDIDATES
 from .errors import InvalidInputError
-from .geometry import HermitianJetMatrix, InitialData, ricci_form
+from .geometry import HermitianJetMatrix, InitialData, jet_det, ricci_form
 from .jets import (
-    jet_eval_lists,
+    Jet,
+    TJet,
+    jet_mul,
+    jet_norm,
+    jet_reciprocal,
     jet_scale,
     max_abs_coeff,
     max_coeff_diff,
@@ -104,29 +108,41 @@ def w_inv_closed(P: np.ndarray) -> RationalT:
     return RationalT(tuple(integral), tuple(P))
 
 
+def characteristic_coefficients(initial: InitialData, rho: HermitianJetMatrix) -> list[Jet]:
+    """The jets q_0..q_{n-1} of det(s h - rho) / det h = s^n + sum_k q_k s^k,
+    the characteristic polynomial of h^{-1} rho, from the determinant of the
+    pencil whose entries are the series -rho_ij + s h_ij."""
+    n, h = initial.n, initial.h
+    pad = [initial.ctx.zero()] * (n - 1)
+    pencil = [[TJet([-rho[i, j], h[i, j], *pad]) for j in range(n)] for i in range(n)]
+    c = jet_det(HermitianJetMatrix(pencil)).coeffs
+    recip_det_h = jet_reciprocal(c[n])
+    return [jet_mul(ck, recip_det_h) for ck in c[:n]]
+
+
 def ricci_spectrum_of(
     initial: InitialData, rho: HermitianJetMatrix
 ) -> tuple[RicciSpectrum, float]:
     """Eigenvalues of the Ricci matrix ``rho = ricci_form(initial.h)``
-    relative to h at the base point, plus the worst eigenvalue drift over 24
-    nearby sample points (constancy measure)."""
+    relative to h at the base point, and the variation of the spectrum: the
+    largest weighted l1 norm of q_k - q_k(0) for its characteristic
+    polynomial's coefficients q_k, at radius 0.05 min(1, polydisc radius).
+    It bounds their change over that whole polydisc.  A q_k trusted below
+    degree 1 says nothing past the base point and is refused."""
     h0 = initial.h.base_matrix()
     r0 = rho.base_matrix()
     eig0 = np.sort(np.linalg.eigvals(np.linalg.solve(h0, r0)).real)
 
-    rng = np.random.default_rng(20240817)
     radius = 0.05 * min(1.0, initial.polydisc_radius)
-    pts = rng.uniform(-radius, radius, size=(24, 2 * initial.n))
-    # Each entry is its own list, so it keeps its own matrix product and its
-    # values are bitwise those of the entry evaluated alone.
-    entries = [[e] for mat in (initial.h, rho) for row in mat.entries for e in row]
-    shape = (2, initial.n, initial.n)
-    drift = 0.0
-    for p in pts:
-        hp, rp = np.reshape(jet_eval_lists(entries, p[None, :]), shape)
-        eig = np.sort(np.linalg.eigvals(np.linalg.solve(hp, rp)).real)
-        drift = nan_max(drift, float(np.max(np.abs(eig - eig0))))
-    return RicciSpectrum(initial.n, tuple(eig0)), drift
+    variation = 0.0
+    for k, q in enumerate(characteristic_coefficients(initial, rho)):
+        if q.valid_degree < 1:
+            raise InvalidInputError(
+                f"the characteristic polynomial's s^{k} coefficient has valid_degree "
+                f"{q.valid_degree}: constant Ricci curvature cannot be tested past the base point"
+            )
+        variation = nan_max(variation, float(jet_norm(q - q.constant_term, radius)))
+    return RicciSpectrum(initial.n, tuple(eig0)), variation
 
 
 @dataclass(frozen=True)
@@ -138,7 +154,7 @@ class CalibrationReport:
     metric_deviation: float
     w_inv_deviation: float
     eigenvalues: tuple[float, ...]
-    eigenvalue_drift: float
+    spectrum_variation: float
     P: tuple[float, ...]
     candidates: tuple[float, ...] = CALIBRATION_CANDIDATES
     per_candidate: dict = field(default_factory=dict)
@@ -153,17 +169,17 @@ def calibrate(solution, tolerance: float = 1e-9) -> CalibrationReport:
     documented candidate set; the fiber weight must then satisfy
     w_inv_solver(t) = (c/kappa) * w_inv_closed(kappa t).
 
-    Raises on bases whose principal Ricci curvatures drift by more than 1e-6
-    over the sample points, i.e. are not constant.  Every maximum here keeps
+    Raises on bases whose principal Ricci curvatures vary by more than 1e-6
+    (``ricci_spectrum_of``), i.e. are not constant.  Every maximum here keeps
     a NaN, so a solution with a NaN coefficient matches no factor.
     """
     initial = solution.input
     rho = ricci_form(initial.h)
-    spectrum, drift = ricci_spectrum_of(initial, rho)
-    if not drift <= 1e-6:
+    spectrum, variation = ricci_spectrum_of(initial, rho)
+    if not variation <= 1e-6:
         raise InvalidInputError(
-            f"principal Ricci curvatures are not constant over the sample "
-            f"points (drift {drift:.3e} > 1e-06)"
+            f"principal Ricci curvatures are not constant (spectrum variation "
+            f"{variation:.3e} > 1e-06)"
         )
     P = p_of_t(spectrum)
     closed_w = w_inv_closed(P)
@@ -191,7 +207,7 @@ def calibrate(solution, tolerance: float = 1e-9) -> CalibrationReport:
         metric_deviation=gdev / scale,
         w_inv_deviation=wdev / scale,
         eigenvalues=spectrum.eigenvalues,
-        eigenvalue_drift=drift,
+        spectrum_variation=variation,
         P=tuple(P),
         per_candidate=per_candidate,
     )

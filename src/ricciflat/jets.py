@@ -14,8 +14,10 @@ a coefficient past the trusted degree (``constant_term``, ``coefficient``)
 is an error rather than silent garbage, because the solver spends two
 spatial degrees per t-order and corrupted tails would poison the residual
 checks downstream.  For the same reason products form only the degree
-blocks through the result's trusted degree (their tails are zero), and
-evaluation and the norms read each jet only through its own ``valid_degree``.
+blocks through the result's trusted degree (their tails are zero), and the
+weighted l1 norm ``jet_norm`` (of the majorant and of the constant-curvature
+test) and the one evaluator ``jet_eval_many`` (of the tests) read each jet
+only through its own ``valid_degree``.
 
 An untrusted jet is its context's shared zero jet; no operation computes
 one; a degree-0 product is a scalar product.  Every operation whose result
@@ -498,69 +500,35 @@ def jet_derive(a: Jet, var: int) -> Jet:
 
 
 def jet_eval_many(a: Jet, points: np.ndarray) -> np.ndarray:
-    """Evaluate one jet at a batch of points, shape (P, 2n); returns shape
-    (P,).  The one-jet form of ``jet_eval_lists``, kept as a name because
-    the benchmark tracer (``perfbench/tracer.py``) times it."""
-    return jet_eval_lists([[a]], points)[0][0]
-
-
-def jet_eval_lists(lists, points: np.ndarray) -> list[np.ndarray]:
-    """Evaluate lists of jets of one context at a batch of points, shape
-    (P, 2n); returns one array of shape (len(jets), P) per list.
-
-    Each jet is read only through its own ``valid_degree`` (a jet with no
-    trusted degree evaluates to zero).  A list is evaluated against the
-    monomial matrix of the points through its highest trusted degree, with
-    one matrix product, so its values are bitwise those of the list
-    evaluated alone.  Lists with the same highest trusted degree share the
-    matrix.
-    """
-    lists = [list(jets) for jets in lists]
-    every = [jet for jets in lists for jet in jets]
+    """A jet read through its ``valid_degree`` (zero with no trusted degree)
+    at a batch of points, shape (P, 2n); returns shape (P,).  Nothing in the
+    package evaluates a jet: this is the tests' evaluator, which the
+    benchmark tracer (``perfbench/tracer.py``) also times by name."""
+    ctx, vd = a.ctx, a.valid_degree
     pts = np.asarray(points, dtype=np.complex128)
-    outs = [np.zeros((len(jets), pts.shape[0]), dtype=np.complex128) for jets in lists]
-    if not every:
-        return outs
-    ctx = every[0].ctx
-    for jet in every[1:]:
-        _require_same_ctx(every[0], jet)
     if pts.ndim != 2 or pts.shape[1] != ctx.nvars:
-        raise InvalidInputError(
-            f"points must have shape (P, {ctx.nvars}), got {pts.shape}"
-        )
-    mono = {}
-    for k, jets in enumerate(lists):
-        top = max((jet.valid_degree for jet in jets), default=-1)
-        if top >= 0:
-            if top not in mono:
-                mono[top] = _monomial_matrix(ctx, pts, top)
-            outs[k] = (mono[top] @ _trusted_columns(jets, mono[top].shape[1])).T
-    return outs
+        raise InvalidInputError(f"points must have shape (P, {ctx.nvars}), got {pts.shape}")
+    if vd < 0:
+        return np.zeros(len(pts), dtype=np.complex128)
+    end = ctx.deg_start[vd + 1]
+    powers = np.ones((len(pts), ctx.nvars, vd + 1), dtype=np.complex128)
+    for d in range(1, vd + 1):
+        powers[:, :, d] = powers[:, :, d - 1] * pts
+    monomials = np.prod(powers[:, np.arange(ctx.nvars), ctx.exponents[:end]], axis=-1)
+    return monomials @ a.coeffs[:end]
 
 
-def _trusted_columns(jets, width: int) -> np.ndarray:
-    """The jets' coefficients through their own valid_degree, one column
-    each, zero-padded to ``width`` rows."""
-    coeffs = np.zeros((width, len(jets)), dtype=np.complex128)
-    for k, jet in enumerate(jets):
-        if jet.valid_degree >= 0:
-            end = jet.ctx.deg_start[jet.valid_degree + 1]
-            coeffs[:end, k] = jet.coeffs[:end]
-    return coeffs
-
-
-def _monomial_matrix(ctx: JetContext, pts: np.ndarray, top: int) -> np.ndarray:
-    """Every monomial of degree <= top at each point, shape (P, width)."""
-    width = int(ctx.deg_start[top + 1])
-    exponents = ctx.exponents[:width]
-    mono = np.ones((pts.shape[0], width), dtype=np.complex128)
-    for v in range(ctx.nvars):
-        powers = np.empty((pts.shape[0], top + 1), dtype=np.complex128)
-        powers[:, 0] = 1.0
-        for d in range(1, top + 1):
-            powers[:, d] = powers[:, d - 1] * pts[:, v]
-        mono *= powers[:, exponents[:, v]]
-    return mono
+def jet_norm(a: Jet, r):
+    """Weighted l1 norm sum_alpha |a_alpha| r^{|alpha|} of the jet through
+    its ``valid_degree`` (0 for a jet with no trusted degree), at a radius
+    or an array of radii: one sum of |coefficients| per degree, evaluated
+    as a polynomial in r.  It bounds |a| on the polydisc of radius r.  A NaN
+    coefficient gives a NaN norm."""
+    vd, start = a.valid_degree, a.ctx.deg_start
+    if vd < 0:
+        return np.zeros_like(np.asarray(r, dtype=float))
+    sums = np.add.reduceat(np.abs(a.coeffs[: start[vd + 1]]), start[: vd + 1])
+    return np.polyval(sums[::-1], r)
 
 
 def max_coeff_diff(a: Jet, b: Jet, through_degree: int | None = None) -> float:

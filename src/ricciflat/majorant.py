@@ -37,6 +37,7 @@ from .jets import (
     TJet,
     jet_derive,
     jet_mul,
+    jet_norm,
     jet_reciprocal,
     jet_scale,
 )
@@ -65,18 +66,6 @@ class MajorantParams:
     M_const: float
     A_clamped: bool = False
     notes: tuple[str, ...] = ()
-
-
-def _norm(jet: Jet, r):
-    """Weighted l1 norm sum_alpha |f_alpha| r^{|alpha|} of the jet through
-    its ``valid_degree`` (0 for a jet with no trusted degree), at a radius
-    or an array of radii: one sum of |coefficients| per degree, evaluated
-    as a polynomial in r.  A NaN coefficient gives a NaN norm."""
-    vd, start = jet.valid_degree, jet.ctx.deg_start
-    if vd < 0:
-        return np.zeros_like(np.asarray(r, dtype=float))
-    sums = np.add.reduceat(np.abs(jet.coeffs[: start[vd + 1]]), start[: vd + 1])
-    return np.polyval(sums[::-1], r)
 
 
 def domination_radii(R: float) -> tuple[float, float, float]:
@@ -108,7 +97,7 @@ def estimate_params(sol: Solution, R: float) -> MajorantParams:
     v1 = sol.v.coeffs[1]
     jets = [v1, *(jet_derive(v1, var) for var in range(sol.input.ctx.nvars))]
     jets.extend(_operator_images(v1, c))
-    A = float(np.max([_norm(jet, R) for jet in jets]))  # np.max keeps a NaN, so the checks fail
+    A = float(np.max([jet_norm(jet, R) for jet in jets]))  # np.max keeps a NaN, so the checks fail
 
     notes = []
     clamped = A < _A_FLOOR
@@ -173,7 +162,7 @@ def nonlinearity_bounds(sol: Solution, params: MajorantParams, m_max: int) -> di
             for rows in permutations(range(n), k):
                 series = _pattern_series(A, rows, cols, memo)
                 for p, coeff in enumerate(series.coeffs):
-                    val = float(_norm(jet_mul(coeff, recip_det_h), params.R))
+                    val = float(jet_norm(jet_mul(coeff, recip_det_h), params.R))
                     if val != 0.0:  # a NaN bound is kept, so the checks built on it fail
                         agg[(p, k)] = agg.get((p, k), 0.0) + val
 
@@ -340,7 +329,7 @@ def check_domination(sol: Solution, params: MajorantParams, C: list[float]) -> M
             _operator_images(vm, sol.config.c) if vm.valid_degree >= 2 else [],
         )
         largest[m] = [
-            np.max([_norm(jet, radii) for jet in group], axis=0) if group else None
+            np.max([jet_norm(jet, radii) for jet in group], axis=0) if group else None
             for group in groups
         ]
 

@@ -574,7 +574,7 @@ def perturb_solution(sol: Solution, target: str, order: int, eps: float) -> Solu
     bumps the (0,0) metric entry the same way, ``w`` bumps the constant
     coefficient of w_inv.  Derived series are left untouched: the point is to
     hand the verifier an inconsistent object.  An order outside the series,
-    or one with no trusted degree, which no check reads, is refused.
+    or one trusted below a bumped degree (2; 0 for ``w``), is refused.
     """
     series = {"v": sol.v, "g": sol.g.entries[0][0], "w": sol.w_inv}.get(target)
     if series is None:
@@ -583,10 +583,11 @@ def perturb_solution(sol: Solution, target: str, order: int, eps: float) -> Solu
     if not 0 <= order <= series.order:
         raise InvalidInputError(f"{name} has no order {order}: its orders are 0..{series.order}")
     vd = series.coeffs[order].valid_degree
-    if vd < 0:
+    need = 0 if target == "w" else 2
+    if vd < need:
         raise InvalidInputError(
-            f"{name} order {order} has valid_degree {vd}: no check reads it, "
-            f"so a perturbation there cannot be seen"
+            f"{name} order {order} has valid_degree {vd}, below the degree {need} "
+            f"it bumps: no check reads the bump there, so it cannot be seen"
         )
     ctx = sol.input.ctx
     coeffs = list(series.coeffs)

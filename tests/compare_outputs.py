@@ -42,7 +42,8 @@ SCENARIO_FILES = {
 # verify, solve, majorant, compare and closed-form on n = 1..4, the n = 2
 # stretch run at D = 20, the Fubini-Study chart, a product metric, fault
 # injection (a NaN one too), c = 2, refused input and scenario files; some
-# exit nonzero on purpose.  The n = 4 solve at D = 10 writes the largest
+# exit nonzero on purpose.  The last compare is refused because its Ricci
+# form is trusted only at the base point.  The n = 4 solve at D = 10 writes the largest
 # coefficient tables; the two-file solve with --jobs 2 writes one
 # subdirectory per scenario through the process pool.  No run joins a file's [checks] with check flags:
 # there the flags win.
@@ -94,6 +95,8 @@ SCENARIOS = (
     "verify inline.ini",
     "solve --metric perturbed_flat:4,0.1,0,2 --M 4 --D 10",
     "solve sc.ini inline.ini --jobs 2",
+    "compare --metric fubini_study_chart:4,1 --M 2 --D 6",
+    "compare --metric perturbed_flat:4,0.1,0,2 --M 1 --D 4",
 )
 
 

@@ -17,6 +17,21 @@ def jet_eval(a, point) -> complex:
     return complex(jet_eval_many(a, np.asarray(point)[None, :])[0])
 
 
+def polydisc_sample(nvars, r, rng, count=128):
+    """``count`` complex points with every coordinate of modulus <= r: the
+    corner (r, .., r), the coordinate extremes +-r e_v, and a random fill."""
+    pts = [np.full(nvars, r, dtype=complex)]
+    for v in range(nvars):
+        for sign in (1.0, -1.0):
+            p = np.zeros(nvars, dtype=complex)
+            p[v] = sign * r
+            pts.append(p)
+    need = count - len(pts)
+    rho = r * rng.uniform(0.0, 1.0, size=(need, nvars))
+    pts.extend(rho * np.exp(2j * np.pi * rng.uniform(size=(need, nvars))))
+    return np.array(pts)
+
+
 def dominating_sequence(sol: Solution, params) -> list[float]:
     """Majorant coefficients C_1..C_M through the solution's t-order, as the
     ``majorant`` command builds them when no ``--m-max`` is given."""

@@ -1,18 +1,23 @@
+import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 import sympy as sp
 
+from conftest import polydisc_sample
 from ricciflat import geometry as geo
 from ricciflat.closed_form import (
     RationalT,
     RicciSpectrum,
     calibrate,
+    characteristic_coefficients,
     p_of_t,
     ricci_spectrum_of,
     w_inv_closed,
 )
+from ricciflat.cli import main
 from ricciflat.errors import InvalidInputError
 from ricciflat.geometry import HermitianJetMatrix, jet_det, ricci_form
 from ricciflat.jets import TJet, jet_eval_many, max_abs_coeff, max_coeff_diff
@@ -120,8 +125,8 @@ def test_omega_constant_when_ricci_flat():
 def test_omega_determinant_matches_volume_polynomial():
     init = geo.fubini_study_chart(1, 1.0, 10)
     rho = ricci_form(init.h)
-    spectrum, drift = ricci_spectrum_of(init, rho)
-    assert drift < 1e-9
+    spectrum, variation = ricci_spectrum_of(init, rho)
+    assert variation == 0.0
     assert spectrum.eigenvalues[0] == pytest.approx(2.0, abs=1e-10)
 
     g, det = omega_of_t(init.h, rho, 3)
@@ -136,30 +141,6 @@ def test_omega_determinant_matches_volume_polynomial():
         )
 
 
-def _spectrum_per_entry(initial, rho):
-    """ricci_spectrum_of as it was when each matrix entry at each sample
-    point had its own one-point evaluation."""
-    def matrix_at(mat, point):
-        pts = np.asarray(point, dtype=float)[None, :]
-        out = np.empty((mat.n, mat.n), dtype=np.complex128)
-        for i in range(mat.n):
-            for j in range(mat.n):
-                out[i, j] = jet_eval_many(mat.entries[i][j], pts)[0]
-        return out
-
-    def eigenvalues(h, r):
-        return np.sort(np.linalg.eigvals(np.linalg.solve(h, r)).real)
-
-    eig0 = eigenvalues(initial.h.base_matrix(), rho.base_matrix())
-    rng = np.random.default_rng(20240817)
-    radius = 0.05 * min(1.0, initial.polydisc_radius)
-    drift = 0.0
-    for p in rng.uniform(-radius, radius, size=(24, 2 * initial.n)):
-        eig = eigenvalues(matrix_at(initial.h, p), matrix_at(rho, p))
-        drift = max(drift, float(np.max(np.abs(eig - eig0))))
-    return tuple(eig0), drift
-
-
 @pytest.mark.parametrize(
     "name, params, cap",
     [
@@ -169,13 +150,59 @@ def _spectrum_per_entry(initial, rho):
         ("perturbed_flat", [2, 0.1, 0, 2], 10),
     ],
 )
-def test_spectrum_bitwise_equals_per_entry_evaluation(name, params, cap):
+def test_variation_bounds_each_coefficient(name, params, cap):
+    """The spectrum is the base point's, and the variation bounds how far each
+    characteristic polynomial coefficient moves on the polydisc."""
     initial = geo.builtin_metric(name, params, cap)
     rho = ricci_form(initial.h)
-    spectrum, drift = ricci_spectrum_of(initial, rho)
-    want_eig, want_drift = _spectrum_per_entry(initial, rho)
-    assert [float(e).hex() for e in spectrum.eigenvalues] == [float(e).hex() for e in want_eig]
-    assert drift.hex() == want_drift.hex()
+    spectrum, variation = ricci_spectrum_of(initial, rho)
+    n, nvars = initial.n, initial.ctx.nvars
+
+    def at(mat, pts):  # shape (P, n, n)
+        values = [[jet_eval_many(e, pts) for e in row] for row in mat.entries]
+        return np.array(values).transpose(2, 0, 1)
+
+    h0, r0 = at(initial.h, np.zeros((1, nvars)))[0], at(rho, np.zeros((1, nvars)))[0]
+    want = np.sort(np.linalg.eigvals(np.linalg.solve(h0, r0)).real)
+    assert [float(e).hex() for e in spectrum.eigenvalues] == [float(e).hex() for e in want]
+
+    r = 0.05 * min(1.0, initial.polydisc_radius)
+    pts = polydisc_sample(nvars, r, np.random.default_rng(20240817), count=24)
+    # the q_k are the characteristic polynomial of h^-1 rho, up to the
+    # truncation error of h and rho (about 1e-8 relative for n = 3 at D = 8)
+    pairs = zip(at(initial.h, pts), at(rho, pts))
+    charpoly = np.array([np.poly(np.linalg.solve(hx, rx)) for hx, rx in pairs])
+    qs = characteristic_coefficients(initial, rho)
+    assert len(qs) == n
+    for k, q in enumerate(qs):
+        values = jet_eval_many(q, pts)
+        assert np.allclose(values, charpoly[:, n - k], rtol=1e-6, atol=0.0)
+        # the variation bounds every coefficient's change over the polydisc
+        assert np.all(np.abs(values - q.constant_term) <= variation * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("n, cap", [(1, 12), (2, 10), (3, 8), (4, 6)])
+def test_fubini_study_characteristic_polynomial_is_exactly_constant(n, cap):
+    for scale in (0.25, 0.5, 1.0, 2.0, 4.0):
+        initial = geo.fubini_study_chart(n, scale, cap)
+        rho = ricci_form(initial.h)
+        spectrum, variation = ricci_spectrum_of(initial, rho)
+        assert variation == 0.0
+        # (s - lam)^n with lam = (n + 1) / scale: n = 4 at scale 1 gives 625, -500, 150, -20
+        lam = (n + 1) / scale
+        assert spectrum.eigenvalues == (lam,) * n
+        qs = characteristic_coefficients(initial, rho)
+        assert [q.constant_term for q in qs] == [math.comb(n, k) * (-lam) ** (n - k) for k in range(n)]
+    # 1 / 0.3 is no double: the coefficients carry rounding, far below the 1e-6 bound
+    initial = geo.fubini_study_chart(n, 0.3, cap)
+    assert ricci_spectrum_of(initial, ricci_form(initial.h))[1] <= 1e-11
+
+
+def test_spectrum_refuses_coefficients_trusted_only_at_the_base_point():
+    # at D = 4 the n = 4 perturbed metric is trusted to degree 2, its Ricci form to 0
+    initial = geo.perturbed_flat(4, 0.1, 0, 2, 4)
+    with pytest.raises(InvalidInputError, match="s\\^0 coefficient has valid_degree 0"):
+        ricci_spectrum_of(initial, ricci_form(initial.h))
 
 
 def test_synthetic_einstein_block_determinant():
@@ -231,3 +258,30 @@ def test_calibrate_rejects_non_constant_curvature():
     sol = solve(init, SolverConfig(c=1.0, t_order=4, space_degree=12))
     with pytest.raises(InvalidInputError):
         calibrate(sol)
+
+
+def test_calibrate_refuses_every_perturbed_corpus_member(corpus_solutions):
+    for sol in corpus_solutions.values():
+        with pytest.raises(InvalidInputError, match="not constant"):
+            calibrate(sol)
+
+
+def test_cli_compare_matches_fubini_study_in_four_dimensions(tmp_path):
+    # the sampled eigenvalue drift (1.4e-5, truncation error) refused this exact oracle
+    argv = ["compare", "--metric", "fubini_study_chart:4,1", "--M", "2", "--D", "6"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(argv + ["--no-timestamp", "--out", str(tmp_path)]) == 0
+    calibration = json.loads((tmp_path / "report.json").read_text())["calibration"]
+    assert calibration["kappa"] == 4.0
+    assert calibration["spectrum_variation"] == 0.0
+    assert calibration["eigenvalues"] == [5.0] * 4
+
+
+def test_cli_compare_refuses_a_base_trusted_only_at_the_base_point(tmp_path, capsys):
+    argv = ["compare", "--metric", "perturbed_flat:4,0.1,0,2", "--M", "1", "--D", "4"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(argv + ["--no-timestamp", "--out", str(tmp_path / "out")]) == 2
+    assert "valid_degree 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -138,6 +138,8 @@ def test_cli_nan_perturbation_skips_the_class_integral(tmp_path, perturb):
         # order 3 is trusted to degree -4: no check reads it, so it passed
         ("perturbed_flat:4,0.1,0,2", "3", "4", "v:3:1e-3", "v order 3 has valid_degree -4"),
         ("perturbed_flat:4,0.1,0,2", "3", "4", "g:2:1e-3", "g order 2 has valid_degree -2"),
+        # v_1 is trusted to degree 0: its x1^2 bump would lie past it, unread
+        ("perturbed_flat:4,0.1,0,2", "3", "4", "v:1:1e-3", "v order 1 has valid_degree 0"),
     ],
 )
 def test_cli_verify_refuses_a_perturbation_no_check_can_see(

@@ -22,7 +22,7 @@ from ricciflat.jets import (
     jet_add,
     jet_conj,
     jet_derive,
-    jet_eval_lists,
+    jet_eval_many,
     jet_exp,
     jet_log,
     jet_mul,
@@ -346,7 +346,7 @@ def test_twice_derived_jet_is_untrusted_and_evaluates_to_zero():
     noisy = Jet(ctx, random_jet(ctx, rng).coeffs, -1)
     assert noisy.coeffs.any()
     pts = rng.uniform(-0.3, 0.3, size=(5, ctx.nvars))
-    assert not jet_eval_lists([[noisy]], pts)[0].any()
+    assert not jet_eval_many(noisy, pts).any()
 
 
 def test_eval_examples():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dominating_sequence, solve_corpus_member
+from conftest import dominating_sequence, polydisc_sample, solve_corpus_member
 from ricciflat import geometry as geo
 from ricciflat.errors import InvalidInputError
 from ricciflat import majorant
@@ -19,6 +19,7 @@ from ricciflat.jets import (
     jet_eval_many,
     jet_log,
     jet_mul,
+    jet_norm,
     jet_reciprocal,
     jet_scale,
 )
@@ -408,21 +409,6 @@ def test_lemma_arrays_equal_the_jet_path_bitwise(C, R):
 _NORM_CAPS = {1: 10, 2: 8, 3: 6, 4: 4}
 
 
-def _polydisc_sample(nvars, r, rng, count=128):
-    """``count`` complex points with every coordinate of modulus <= r: the
-    corner (r, .., r), the coordinate extremes +-r e_v, and a random fill."""
-    pts = [np.full(nvars, r, dtype=complex)]
-    for v in range(nvars):
-        for sign in (1.0, -1.0):
-            p = np.zeros(nvars, dtype=complex)
-            p[v] = sign * r
-            pts.append(p)
-    need = count - len(pts)
-    rho = r * rng.uniform(0.0, 1.0, size=(need, nvars))
-    pts.extend(rho * np.exp(2j * np.pi * rng.uniform(size=(need, nvars))))
-    return np.array(pts)
-
-
 @given(
     st.integers(0, 10**6),
     st.integers(1, 4),
@@ -438,8 +424,8 @@ def test_norm_bounds_the_jet_on_the_polydisc(seed, n, real, r):
     if not real:
         c = c + 1j * rng.standard_normal(ctx.size)
     jet = Jet(ctx, c, vd)
-    norm = float(majorant._norm(jet, r))
-    values = jet_eval_many(jet, _polydisc_sample(ctx.nvars, r, rng))
+    norm = float(jet_norm(jet, r))
+    values = jet_eval_many(jet, polydisc_sample(ctx.nvars, r, rng))
     assert np.all(np.abs(values) <= norm * (1.0 + 1e-12))
     # tight: with |coefficients| the norm is the value at the corner (r, .., r)
     corner = jet_eval_many(Jet(ctx, np.abs(c), vd), np.full((1, ctx.nvars), r))[0]
@@ -448,4 +434,4 @@ def test_norm_bounds_the_jet_on_the_polydisc(seed, n, real, r):
     end = int(ctx.deg_start[vd + 1]) if vd >= 0 else 0
     noisy = c.astype(complex)
     noisy[end:] = rng.standard_normal(ctx.size - end) * 1e6
-    assert majorant._norm(Jet(ctx, noisy, vd), r) == norm
+    assert jet_norm(Jet(ctx, noisy, vd), r) == norm

@@ -28,7 +28,6 @@ from ricciflat.jets import (
     context,
     jet_add,
     jet_derive,
-    jet_eval_lists,
     jet_eval_many,
     jet_exp,
     jet_log,
@@ -260,31 +259,15 @@ def test_grid_evaluates_each_jet_through_its_own_validity():
     jets = [random_jet(ctx, rng, vd) for vd in (6, 2, -1, 0, 4)]
     shape = (9, ctx.nvars)
     pts = rng.uniform(-0.3, 0.3, size=shape) + 1j * rng.uniform(-0.3, 0.3, size=shape)
-    grid = jet_eval_lists([jets], pts)[0]
-    assert grid.shape == (len(jets), len(pts))
-    assert not grid[2].any()
-    for jet, row in zip(jets, grid):
+    for jet in jets:
+        row = jet_eval_many(jet, pts)
+        assert row.shape == (len(pts),)
         end = trusted_end(jet)
         want = np.array(
             [sum(jet.coeffs[k] * np.prod(p ** ctx.exponents[k]) for k in range(end)) for p in pts]
         )
         assert np.allclose(row, want, rtol=1e-12, atol=1e-14)
-        assert np.allclose(row, jet_eval_many(jet, pts), rtol=1e-13, atol=1e-15)
-
-
-def test_lists_sharing_a_monomial_matrix_evaluate_as_alone():
-    ctx = context(2, 6)
-    rng = np.random.default_rng(44)
-    lists = [
-        [random_jet(ctx, rng, vd) for vd in vds]
-        for vds in ((6, 2), (4,), (), (-1, 0), (6, 6, 5), (4, 1))
-    ]
-    shape = (9, ctx.nvars)
-    pts = rng.uniform(-0.3, 0.3, size=shape) + 1j * rng.uniform(-0.3, 0.3, size=shape)
-    for jets, got in zip(lists, jet_eval_lists(lists, pts)):
-        assert got.shape == (len(jets), len(pts))
-        if jets:
-            assert got.tobytes() == jet_eval_lists([jets], pts)[0].tobytes()
+    assert not jet_eval_many(jets[2], pts).any()
 
 
 # -- golden capture ------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Work counts: a solve expands each minor of its determinant once, a
 verify run forms det g, each H(v_m) and the flow residual rows once, and
 nothing its check selection does not read, a majorant run builds no jet
-context for the derivative lemma and no monomial matrix, a calibration
-forms the Ricci form once, and the exponential, logarithm and reciprocal of
-a jet form no jet product, and a run forms no untrusted jet but the shared
-zero jets."""
+context for the derivative lemma and evaluates no jet, a calibration forms
+the Ricci form once and evaluates no jet, the exponential, logarithm and
+reciprocal of a jet form no jet product, and a run forms no untrusted jet
+but the shared zero jets."""
 
 import warnings
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from ricciflat import closed_form, geometry, jets, solver, verify
@@ -171,7 +172,7 @@ def test_shared_view_gives_the_reports_of_bare_solutions(checks):
 
 def test_majorant_run_builds_no_lemma_context_and_no_monomial_matrix(tmp_path, monkeypatch):
     monkeypatch.setattr(jets, "_CTX_CACHE", {})
-    matrices = _record(monkeypatch, jets, "_monomial_matrix")
+    evaluations = _record(monkeypatch, jets, "jet_eval_many")
     argv = ["majorant", "--metric", "perturbed_flat:2,0.1,0,2", "--M", "4", "--D", "10"]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -179,21 +180,22 @@ def test_majorant_run_builds_no_lemma_context_and_no_monomial_matrix(tmp_path, m
     # the derivative lemma runs on plain arrays, not on jets of one variable
     assert (1, 40) not in jets._CTX_CACHE
     # every bound is a norm read off the coefficients: nothing is evaluated
-    assert matrices == []
+    assert evaluations == []
 
 
-def test_calibrate_forms_the_ricci_form_once_and_two_matrices_per_sample_point(monkeypatch):
+def test_calibrate_forms_the_ricci_form_once_and_evaluates_no_jet(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         sol = solve(geometry.fubini_study_chart(2, 1.0, 10), SolverConfig(t_order=4, space_degree=10))
     forms = _record(monkeypatch, closed_form, "ricci_form")
-    matrices = _record(monkeypatch, jets, "_monomial_matrix")
+    evaluations = _record(monkeypatch, jets, "jet_eval_many")
+    spectra = _record(monkeypatch, np.linalg, "eigvals")
     assert closed_form.calibrate(sol).matched
     assert len(forms) == 1
-    # h is trusted to D, its Ricci form to D - 2: one matrix per degree
-    per_point = Counter(pts.tobytes() for _, pts, _ in matrices)
-    assert len(per_point) == 24
-    assert max(per_point.values()) <= 2
+    # constancy is read off the characteristic polynomial's jets, not sampled:
+    # one eigenvalue problem, at the base point
+    assert evaluations == [] and "jet_eval_many" not in vars(closed_form)
+    assert len(spectra) == 1
 
 
 def test_series_functions_form_no_jet_product(monkeypatch):
