@@ -26,10 +26,9 @@ import numpy as np
 
 from .conventions import CALIBRATION_CANDIDATES
 from .errors import InvalidInputError
-from .geometry import HermitianJetMatrix, InitialData, jet_det, ricci_form
+from .geometry import HermitianJetMatrix, InitialData, det_coefficient, ricci_form
 from .jets import (
     Jet,
-    TJet,
     jet_mul,
     jet_norm,
     jet_reciprocal,
@@ -110,14 +109,13 @@ def w_inv_closed(P: np.ndarray) -> RationalT:
 
 def characteristic_coefficients(initial: InitialData, rho: HermitianJetMatrix) -> list[Jet]:
     """The jets q_0..q_{n-1} of det(s h - rho) / det h = s^n + sum_k q_k s^k,
-    the characteristic polynomial of h^{-1} rho, from the determinant of the
-    pencil whose entries are the series -rho_ij + s h_ij."""
-    n, h = initial.n, initial.h
-    pad = [initial.ctx.zero()] * (n - 1)
-    pencil = [[TJet([-rho[i, j], h[i, j], *pad]) for j in range(n)] for i in range(n)]
-    c = jet_det(HermitianJetMatrix(pencil)).coeffs
-    recip_det_h = jet_reciprocal(c[n])
-    return [jet_mul(ck, recip_det_h) for ck in c[:n]]
+    the characteristic polynomial of h^{-1} rho: c_k = [s^k] det of the
+    orders (-rho, h), from ``det_coefficient`` with one memo."""
+    orders = (rho.map(lambda e: -e).entries, initial.h.entries)
+    memo = {}
+    c = [det_coefficient(orders, k, memo) for k in range(initial.n + 1)]
+    recip_det_h = jet_reciprocal(c[-1])
+    return [jet_mul(ck, recip_det_h) for ck in c[:-1]]
 
 
 def ricci_spectrum_of(

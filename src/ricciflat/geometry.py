@@ -148,45 +148,46 @@ def minor_det(rows, R: tuple, C: tuple, memo: dict, cap: int | None = None):
             first = rows[R[0]] if cap is None else [jet_through(e, cap) for e in rows[R[0]]]
             for k, j in enumerate(C):
                 term = first[j] * minor_det(rows, R[1:], C[:k] + C[k + 1 :], memo, cap)
-                if k % 2 == 1:
-                    term = -term
-                det = term if det is None else det + term
+                det = term if det is None else det - term if k % 2 else det + term
         memo[(R, C)] = det
     return det
 
 
-def det_coefficient(g_orders, m: int, memo: dict) -> Jet:
-    """[t^m] det(sum_k g^(k) t^k) for matrices g^(k) of Jet entries.
+def det_coefficient(g_orders, m: int, memo: dict, R=None, C=None) -> Jet:
+    """[t^m] of the minor on row tuple R and column tuple C (by default the
+    whole matrix) of sum_k g^(k) t^k, for matrices g^(k) of Jet entries.
 
     The determinant is multilinear in rows, so the coefficient is the sum,
-    over order tuples (k_0, .., k_{n-1}) with sum m, of the determinant whose
-    row r comes from g^(k_r).  With the orders stacked into one row list,
-    that row sits at index k_r n + r, and all tuples share ``memo``.
+    over order tuples (k_r) with sum m, one order per row r of R, of the
+    minor whose row r comes from g^(k_r).  With the orders stacked into one
+    row list, that row sits at index k_r n + r, and all tuples share ``memo``.
 
     A row index names the same row for every m, so one memo serves every
-    order of one solve: the caller keeps it from m = 0 up and drops it with
-    that solve (see ``solver``), and order m then expands only the minors
-    whose orders sum to m.  Each n-row minor is read by one tuple of one
-    order, so it is removed from the memo once read.  A term is formed only
-    through its sum's validity, the least in g^(0)..g^(m); a minor whose
-    orders sum to s is expanded at order s, and later orders trust no further.
-    So once that validity is negative (n > 1) the coefficient is the shared
-    untrusted jet, and no minor of this or any later order is expanded.
+    order and every minor of one family of orders: the solver keeps it from
+    m = 0 up and drops it with that solve, so order m expands only the minors
+    whose orders sum to m.  The minors on all rows of R are removed once
+    read; a caller that also wants minors inside them asks for the larger
+    first (``majorant``).  A term is formed only through the minor's
+    validity, the least among its own entries in g^(0)..g^(m); in det g a
+    minor whose orders sum to s is expanded at order s, and later orders
+    trust no further.  So once that validity is negative (more than one row)
+    the coefficient is the shared untrusted jet, and no minor is expanded.
     """
     n = len(g_orders[0])
-    cap = min(e.valid_degree for g in g_orders[: m + 1] for row in g for e in row)
-    if cap < 0 and n > 1:
+    R = tuple(range(n)) if R is None else R
+    C = tuple(range(n)) if C is None else C
+    cap = min(g[r][c].valid_degree for g in g_orders[: m + 1] for r in R for c in C)
+    if cap < 0 and len(R) > 1:
         return g_orders[0][0][0].ctx.zero(cap)
     rows = [row for g in g_orders for row in g]
-    cols = tuple(range(n))
     acc = None
     orders = range(min(m, len(g_orders) - 1) + 1)
-    for combo in iproduct(orders, repeat=n):
+    for combo in iproduct(orders, repeat=len(R)):
         if sum(combo) != m:
             continue
-        R = tuple(k * n + r for r, k in enumerate(combo))
-        term = minor_det(rows, R, cols, memo, cap)
-        del memo[(R, cols)]
+        stacked = tuple(k * n + r for r, k in zip(R, combo))
+        term = minor_det(rows, stacked, C, memo, cap)
+        del memo[(stacked, C)]
         acc = term if acc is None else acc + term
     return acc if acc is not None else g_orders[0][0][0].ctx.zero()
 

@@ -280,9 +280,7 @@ class Jet:
     def __sub__(self, other):
         if isinstance(other, (int, float, complex)):
             other = self.ctx.constant(other)
-        if self.valid_degree < 0:  # the difference is the shared jet: negate nothing
-            return jet_add(self, other)
-        return jet_add(self, jet_scale(other, -1.0))
+        return jet_sub(self, other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -338,6 +336,12 @@ def jet_add(a: Jet, b: Jet) -> Jet:
     _require_same_ctx(a, b)
     vd = min(a.valid_degree, b.valid_degree)
     return a.ctx.zero(vd) if vd < 0 else _fresh(a.ctx, a.coeffs + b.coeffs, vd)
+
+
+def jet_sub(a: Jet, b: Jet) -> Jet:
+    _require_same_ctx(a, b)
+    vd = min(a.valid_degree, b.valid_degree)
+    return a.ctx.zero(vd) if vd < 0 else _fresh(a.ctx, a.coeffs - b.coeffs, vd)
 
 
 def jet_scale(a: Jet, s: complex) -> Jet:

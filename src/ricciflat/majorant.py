@@ -10,11 +10,13 @@ from three inequalities per order plus a derivative growth lemma.
 Every bound here is the weighted l1 norm ||f||_r = sum_alpha |f_alpha|
 r^{|alpha|} of a jet's trusted prefix, which bounds |f| on the whole
 polydisc of radius r and is an algebra norm (||fg||_r <= ||f||_r ||g||_r):
-A, the A_{p,q,beta}, the observed sides of the domination inequalities and
-those of the lemma rows.  The norms are computed in floating point, without
-outward rounding and without a bound on the tail past ``valid_degree``, so
-a pass is a validation, not a proof; a failure signals a defect in the
-solver or in the bounds, never a rounding of the theory.
+A, the A_{p,q,beta} (unsigned norms of complementary minors, each weighted
+by k! for the k! unit-column patterns it stands for), the observed sides of
+the domination inequalities and those of the lemma rows.  The norms are
+computed in floating point, without outward rounding and without a bound on
+the tail past ``valid_degree``, so a pass is a validation, not a proof; a
+failure signals a defect in the solver or in the bounds, never a rounding
+of the theory.
 
 Operator accounting convention: the integral operators feeding the
 nonlinearity are L_ij = -(4/c) d^2/dz_i dzbar_j, whose real-coordinate
@@ -26,15 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import complex_mixed_hessian, jet_det, minor_det
+from .geometry import complex_mixed_hessian, det_coefficient, jet_det
 from .jets import (
     Jet,
-    TJet,
     jet_derive,
     jet_mul,
     jet_norm,
@@ -127,42 +128,39 @@ def nonlinearity_bounds(sol: Solution, params: MajorantParams, m_max: int) -> di
     where Z stands for the shifted potential and the Y_{ij} for the
     integrated operator images.  The determinant is multilinear in columns,
     so the coefficient of t^p Y^beta is an explicit jet: columns selected by
-    beta become unit vectors e_rows, the rest stay A = h + t L(v_0).  Such a
-    determinant is the signed complementary minor of A on the remaining rows
-    and columns, and all minors come from one memo.  The e^{-Z} factor
-    contributes the exact scalar (-1)^q / q!.  Each jet coefficient is
-    bounded by its weighted l1 norm at R.
+    beta become unit vectors e_rows, the rest stay h + t L(v_0).  Such a
+    determinant is +- [t^p] of the complementary minor on the other rows and
+    columns; its norm drops the sign, and the k! patterns sharing one minor
+    weight its norm by k!.  All minors come from ``det_coefficient`` with one
+    memo.  The e^{-Z} factor contributes the exact scalar (-1)^q / q!.  Each
+    jet coefficient is bounded by its weighted l1 norm at R.
 
     Returns {(p, q, s, alpha_total, beta_total): bound} with s = alpha = 0
     (the concrete nonlinearity involves neither t dv/dt nor the gradient),
     aggregated over beta patterns with equal totals, restricted to total
     weight p + q + 2|beta| >= 2 and p + q + |beta| <= m_max.
     """
-    ctx = sol.input.ctx
     n = sol.n
     c = sol.config.c
     h = sol.input.h
-    v0 = sol.v.coeffs[0]
-    hess = complex_mixed_hessian(v0)
-    Lv0 = hess.map(lambda e: jet_scale(e, -1.0 / c))
+    hess = complex_mixed_hessian(sol.v.coeffs[0])
+    orders = (h.entries, hess.map(lambda e: jet_scale(e, -1.0 / c)).entries)
     recip_det_h = jet_reciprocal(jet_det(h))
-
-    # A = h + t L(v_0), padded to order n so one memo serves every minor.
-    zero = ctx.zero()
-    A = [
-        [TJet([h.entries[i][j], Lv0.entries[i][j]] + [zero] * (n - 1)) for j in range(n)]
-        for i in range(n)
-    ]
+    one = sol.input.ctx.constant(1.0)  # the minor on no rows
     memo = {}
 
-    # ||[t^p Y^beta] det(...) / det h||_R aggregated over patterns by |beta|
+    # ||[t^p Y^beta] det(...) / det h||_R aggregated over patterns by |beta|;
+    # largest minors first, so one expanded inside a larger one is read back
     agg: dict[tuple[int, int], float] = {}
     for k in range(n + 1):
         for cols in combinations(range(n), k):
-            for rows in permutations(range(n), k):
-                series = _pattern_series(A, rows, cols, memo)
-                for p, coeff in enumerate(series.coeffs):
-                    val = float(jet_norm(jet_mul(coeff, recip_det_h), params.R))
+            C = tuple(j for j in range(n) if j not in cols)
+            for rows in combinations(range(n), k):
+                R = tuple(i for i in range(n) if i not in rows)
+                for p in range(n - k + 1):
+                    minor = det_coefficient(orders, p, memo, R, C) if R else one
+                    quotient = jet_mul(minor, recip_det_h)
+                    val = math.factorial(k) * float(jet_norm(quotient, params.R))
                     if val != 0.0:  # a NaN bound is kept, so the checks built on it fail
                         agg[(p, k)] = agg.get((p, k), 0.0) + val
 
@@ -174,22 +172,6 @@ def nonlinearity_bounds(sol: Solution, params: MajorantParams, m_max: int) -> di
             key = (p, q, 0, 0, btot)
             bounds[key] = bounds.get(key, 0.0) + ahat / math.factorial(q)
     return bounds
-
-
-def _pattern_series(A, rows, cols, memo: dict) -> TJet:
-    """det of A with the columns ``cols`` replaced by the unit vectors e_rows,
-    as a t-series of order n - k.  Laplace expansion along those columns
-    leaves the complementary minor of A, signed by
-    (-1)^(sum rows + sum cols + inversions of rows)."""
-    n, k = len(A), len(cols)
-    inversions = sum(a > b for a, b in combinations(rows, 2))
-    sign = (-1) ** (sum(rows) + sum(cols) + inversions)
-    if k == n:
-        return TJet([A[0][0].ctx.constant(float(sign))])
-    R = tuple(i for i in range(n) if i not in rows)
-    C = tuple(j for j in range(n) if j not in cols)
-    series = minor_det(A, R, C, memo).truncate(n - k)
-    return series if sign > 0 else -series
 
 
 # ---------------------------------------------------------------------------

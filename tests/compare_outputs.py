@@ -42,11 +42,13 @@ SCENARIO_FILES = {
 # verify, solve, majorant, compare and closed-form on n = 1..4, the n = 2
 # stretch run at D = 20, the Fubini-Study chart, a product metric, fault
 # injection (a NaN one too), c = 2, refused input and scenario files; some
-# exit nonzero on purpose.  The last compare is refused because its Ricci
-# form is trusted only at the base point.  The n = 4 solve at D = 10 writes the largest
-# coefficient tables; the two-file solve with --jobs 2 writes one
-# subdirectory per scenario through the process pool.  No run joins a file's [checks] with check flags:
-# there the flags win.
+# exit nonzero on purpose.  The compare on perturbed_flat:4 is refused
+# because its Ricci form is trusted only at the base point; the last two
+# Fubini-Study runs take a scale that is not a power of two, so their
+# characteristic coefficients carry rounding.  The n = 4 solve at D = 10
+# writes the largest coefficient tables; the two-file solve with --jobs 2
+# writes one subdirectory per scenario through the process pool.  No run
+# joins a file's [checks] with check flags: there the flags win.
 SCENARIOS = (
     "verify --metric perturbed_flat:1,0.1,7,2 --M 8 --D 12",
     "verify --metric perturbed_flat:2,0.1,0,2 --M 5 --D 12",
@@ -97,6 +99,9 @@ SCENARIOS = (
     "solve sc.ini inline.ini --jobs 2",
     "compare --metric fubini_study_chart:4,1 --M 2 --D 6",
     "compare --metric perturbed_flat:4,0.1,0,2 --M 1 --D 4",
+    "compare --metric fubini_study_chart:3,0.3 --M 2 --D 6",
+    "closed-form --metric fubini_study_chart:4,0.3 --M 2 --D 6",
+    "majorant --metric perturbed_flat:4,0.1,3,2 --M 4 --D 6 --R 0.2",
 )
 
 

@@ -304,14 +304,32 @@ def test_det_coefficient_matches_leibniz_expansion(n):
         .entries
         for k in range(4)
     )
-    for m in range(4):
-        got = det_coefficient(g_orders[: m + 1], m, {})
-        want = _leibniz_det_coefficient(g_orders[: m + 1], m)
-        if n == 1:
-            assert _same_bits(got, want)
-        else:
-            assert got.valid_degree == want.valid_degree
-            assert max_coeff_diff(got, want) <= 1e-14 * max(1.0, max_abs_coeff(want))
+    # the whole matrix, then each minor on a row and a column subset
+    full = tuple(range(n))
+    subsets = [(full, full)] + [
+        (R, C) for k in range(1, n) for R in combinations(full, k) for C in combinations(full, k)
+    ]
+    for R, C in subsets:
+        sub = tuple([[g[r][c] for c in C] for r in R] for g in g_orders)
+        for m in range(4):
+            got = det_coefficient(g_orders[: m + 1], m, {}, R, C)
+            want = _leibniz_det_coefficient(sub[: m + 1], m)
+            if len(R) == 1:
+                assert _same_bits(got, want)
+            else:
+                assert got.valid_degree == want.valid_degree
+                assert max_coeff_diff(got, want) <= 1e-14 * max(1.0, max_abs_coeff(want))
+    # a minor is capped by its own entries only: an entry outside it (here
+    # h_00 of order 0, left out of the minor on rows and columns 1..n-1)
+    # that is trusted less changes nothing
+    low = [
+        [Jet(ctx, e.coeffs, 0) if i == j == 0 else e for j, e in enumerate(row)]
+        for i, row in enumerate(g_orders[0])
+    ]
+    rest = full[1:]
+    for m in range(4 if rest else 0):
+        got = det_coefficient((low,) + g_orders[1 : m + 1], m, {}, rest, rest)
+        assert _same_bits(got, det_coefficient(g_orders[: m + 1], m, {}, rest, rest))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -10,7 +10,13 @@ from conftest import dominating_sequence, polydisc_sample, solve_corpus_member
 from ricciflat import geometry as geo
 from ricciflat.errors import InvalidInputError
 from ricciflat import majorant
-from ricciflat.geometry import HermitianJetMatrix, InitialData, complex_mixed_hessian, jet_det
+from ricciflat.geometry import (
+    HermitianJetMatrix,
+    InitialData,
+    complex_mixed_hessian,
+    det_coefficient,
+    jet_det,
+)
 from ricciflat.jets import (
     Jet,
     TJet,
@@ -22,6 +28,8 @@ from ricciflat.jets import (
     jet_norm,
     jet_reciprocal,
     jet_scale,
+    max_abs_coeff,
+    max_coeff_diff,
 )
 from ricciflat.majorant import (
     CauchyEstimateRow,
@@ -177,9 +185,22 @@ def test_nonlinearity_bounds_weight_filter():
         assert p + q + s + at + bt <= 5
 
 
-# Reference: each pattern as one full determinant, the unit columns written
-# out, as the majorant computed it before it took the complementary minors
-# from one memo.
+# The coefficient of t^p Y^beta is [t^p] of the pattern determinant: the
+# orders (h, L(v_0)) with the columns ``cols`` replaced by the unit vectors
+# e_rows, written out.  Two references for it: ``det_coefficient`` of these
+# orders with a fresh memo, and the cofactor expansion of the pattern as
+# order-(n - k) TJets.
+def _pattern_orders(h, Lv0, cols, rows, ctx):
+    n = h.n
+    sel = dict(zip(cols, rows))
+    unit = [
+        [ctx.constant(1.0 if i == sel[j] else 0.0) if j in sel else h[i, j] for j in range(n)]
+        for i in range(n)
+    ]
+    first = [[ctx.zero() if j in sel else Lv0[i, j] for j in range(n)] for i in range(n)]
+    return unit, first
+
+
 def _reference_pattern_determinant(h, Lv0, cols, rows, ctx):
     n = h.n
     order = n - len(cols)
@@ -197,34 +218,46 @@ def _reference_pattern_determinant(h, Lv0, cols, rows, ctx):
     return jet_det(HermitianJetMatrix(entries))
 
 
-def _reference_pattern_series(A, rows, cols, memo):
-    h = HermitianJetMatrix([[e.coeffs[0] for e in row] for row in A])
-    Lv0 = HermitianJetMatrix([[e.coeffs[1] for e in row] for row in A])
-    return _reference_pattern_determinant(h, Lv0, cols, rows, A[0][0].ctx)
-
-
 _PATTERN_CAPS = {1: 8, 2: 6, 3: 4, 4: 4}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_signed_minors_equal_the_full_pattern_determinants(n):
+    # the complementary minors, read in the majorant's order from one memo,
+    # are +- the full pattern determinants: exactly (up to the sign of a
+    # zero) and with equal validity against det_coefficient with a fresh
+    # memo, to rounding against the TJet cofactor expansion
     h = geo.perturbed_flat(n, 0.1, n, 2, _PATTERN_CAPS[n]).h
-    hess = complex_mixed_hessian(jet_log(jet_det(h)))
-    zero = h.entries[0][0].ctx.zero()
-    A = [
-        [TJet([h[i, j], jet_scale(hess[i, j], -1.0)] + [zero] * (n - 1)) for j in range(n)]
-        for i in range(n)
-    ]
+    ctx = h.entries[0][0].ctx
+    Lv0 = complex_mixed_hessian(jet_log(jet_det(h))).map(lambda e: jet_scale(e, -1.0))
+    orders = (h.entries, Lv0.entries)
     memo = {}
-    for k in range(n + 1):
+    checked = 0
+    for k in range(n):  # k = n leaves no minor: the pattern determinant is +-1
         for cols in combinations(range(n), k):
-            for rows in permutations(range(n), k):
-                got = majorant._pattern_series(A, rows, cols, memo)
-                want = _reference_pattern_series(A, rows, cols, None)
-                assert got.order == want.order == n - k
-                for a, b in zip(got.coeffs, want.coeffs):
-                    assert a.valid_degree == b.valid_degree
-                    assert np.array_equal(a.coeffs, b.coeffs)
+            C = tuple(j for j in range(n) if j not in cols)
+            for rows in combinations(range(n), k):
+                R = tuple(i for i in range(n) if i not in rows)
+                minors = [det_coefficient(orders, p, memo, R, C) for p in range(n - k + 1)]
+                for perm in permutations(rows):
+                    inversions = sum(a > b for a, b in combinations(perm, 2))
+                    sign = (-1) ** (sum(perm) + sum(cols) + inversions)
+                    full = _pattern_orders(h, Lv0, cols, perm, ctx)
+                    series = _reference_pattern_determinant(h, Lv0, cols, perm, ctx)
+                    assert series.order == n - k
+                    for p, minor in enumerate(minors):
+                        want = det_coefficient(full, p, {})
+                        assert minor.valid_degree == want.valid_degree
+                        signed = want.coeffs if sign > 0 else -want.coeffs
+                        assert np.array_equal(minor.coeffs, signed)
+                        ref = series.coeffs[p]
+                        assert ref.valid_degree == minor.valid_degree
+                        diff = max_coeff_diff(jet_scale(minor, sign), ref)
+                        assert diff <= 1e-12 * max(1.0, max_abs_coeff(ref))
+                        checked += 1
+    assert checked == sum(
+        math.comb(n, k) ** 2 * math.factorial(k) * (n - k + 1) for k in range(n)
+    )
 
 
 @pytest.mark.parametrize("n, D", [(1, 10), (2, 8), (3, 6), (4, 4)])
@@ -233,8 +266,41 @@ def test_nonlinearity_bounds_unchanged_by_the_shared_minors(n, D, monkeypatch):
     sol = solve(geo.perturbed_flat(n, 0.1, 0, 2, D), SolverConfig(t_order=1, space_degree=D))
     params = simple_params(R=0.2)
     got = nonlinearity_bounds(sol, params, 4)
-    monkeypatch.setattr(majorant, "_pattern_series", _reference_pattern_series)
+
+    def fresh_memo(g_orders, m, memo, R=None, C=None):
+        return geo.det_coefficient(g_orders, m, {}, R, C)
+
+    monkeypatch.setattr(majorant, "det_coefficient", fresh_memo)
     assert got == nonlinearity_bounds(sol, params, 4)
+
+
+@pytest.mark.parametrize("n, D", [(2, 8), (3, 6)])
+def test_nonlinearity_bounds_sum_the_norm_of_every_pattern(n, D):
+    # reference: every unit-column pattern, its rows in every order, as one
+    # TJet determinant, each t^p coefficient over det h bounded by its norm
+    sol = solve(geo.perturbed_flat(n, 0.1, 0, 2, D), SolverConfig(t_order=1, space_degree=D))
+    params = simple_params(R=0.2)
+    h, ctx = sol.input.h, sol.input.ctx
+    Lv0 = complex_mixed_hessian(sol.v.coeffs[0]).map(lambda e: jet_scale(e, -1.0 / sol.config.c))
+    recip_det_h = jet_reciprocal(jet_det(h))
+    agg = {}
+    for k in range(n + 1):
+        for cols in combinations(range(n), k):
+            for rows in permutations(range(n), k):
+                series = _reference_pattern_determinant(h, Lv0, cols, rows, ctx)
+                for p, coeff in enumerate(series.coeffs):
+                    val = float(jet_norm(jet_mul(coeff, recip_det_h), params.R))
+                    agg[(p, k)] = agg.get((p, k), 0.0) + val
+    got = nonlinearity_bounds(sol, params, 4)
+    assert set(got) == {
+        (p, q, 0, 0, k)
+        for (p, k), val in agg.items()
+        if val != 0.0
+        for q in range(5)
+        if p + q + 2 * k >= 2 and p + q + k <= 4
+    }
+    for (p, q, _, _, k), bound in got.items():
+        assert bound == pytest.approx(agg[(p, k)] / math.factorial(q), rel=1e-12, abs=0.0)
 
 
 # -- domination ----------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Work counts: a solve expands each minor of its determinant once, a
 verify run forms det g, each H(v_m) and the flow residual rows once, and
 nothing its check selection does not read, a majorant run builds no jet
-context for the derivative lemma and evaluates no jet, a calibration forms
-the Ricci form once and evaluates no jet, the exponential, logarithm and
-reciprocal of a jet form no jet product, and a run forms no untrusted jet
-but the shared zero jets."""
+context for the derivative lemma and evaluates no jet, its nonlinearity
+bounds multiply no t-series, a calibration forms the Ricci form once and
+evaluates no jet, the exponential, logarithm and reciprocal of a jet form
+no jet product, and a run forms no untrusted jet but the shared zero jets."""
 
 import warnings
 from collections import Counter
@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ricciflat import closed_form, geometry, jets, solver, verify
+from ricciflat import closed_form, geometry, jets, majorant, solver, verify
 from ricciflat.cli import main
 from ricciflat.jets import TJet
 from ricciflat.scenario import ALL_CHECKS
@@ -181,6 +181,18 @@ def test_majorant_run_builds_no_lemma_context_and_no_monomial_matrix(tmp_path, m
     assert (1, 40) not in jets._CTX_CACHE
     # every bound is a norm read off the coefficients: nothing is evaluated
     assert evaluations == []
+
+
+def test_nonlinearity_bounds_form_no_series_product(monkeypatch):
+    # every minor's t-coefficient comes from det_coefficient on jets; the
+    # bounds read only h and v_0, so one solved order is enough
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sol = solve(geometry.perturbed_flat(4, 0.1, 0, 2, 6), SolverConfig(t_order=1, space_degree=6))
+    series_products = _record(monkeypatch, jets.TJet, "__mul__")
+    sums = _record(monkeypatch, jets, "cauchy_sum")
+    assert majorant.nonlinearity_bounds(sol, majorant.estimate_params(sol, 0.2), 4)
+    assert series_products == [] and sums == []
 
 
 def test_calibrate_forms_the_ricci_form_once_and_evaluates_no_jet(monkeypatch):
