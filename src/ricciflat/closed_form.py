@@ -126,21 +126,19 @@ def ricci_spectrum_of(
     largest weighted l1 norm of q_k - q_k(0) for its characteristic
     polynomial's coefficients q_k, at radius 0.05 min(1, polydisc radius).
     It bounds their change over that whole polydisc.  A q_k trusted below
-    degree 1 says nothing past the base point and is refused."""
-    h0 = initial.h.base_matrix()
-    r0 = rho.base_matrix()
-    eig0 = np.sort(np.linalg.eigvals(np.linalg.solve(h0, r0)).real)
-
-    radius = 0.05 * min(1.0, initial.polydisc_radius)
-    variation = 0.0
-    for k, q in enumerate(characteristic_coefficients(initial, rho)):
+    degree 1 says nothing past the base point and is refused before rho is
+    read at the base point, where it may be untrusted too."""
+    qs = characteristic_coefficients(initial, rho)
+    for k, q in enumerate(qs):
         if q.valid_degree < 1:
             raise InvalidInputError(
                 f"the characteristic polynomial's s^{k} coefficient has valid_degree "
                 f"{q.valid_degree}: constant Ricci curvature cannot be tested past the base point"
             )
-        variation = nan_max(variation, float(jet_norm(q - q.constant_term, radius)))
-    return RicciSpectrum(initial.n, tuple(eig0)), variation
+    eig0 = np.linalg.eigvals(np.linalg.solve(initial.h.base_matrix(), rho.base_matrix()))
+    radius = 0.05 * min(1.0, initial.polydisc_radius)
+    variation = nan_max(0.0, *(float(jet_norm(q - q.constant_term, radius)) for q in qs))
+    return RicciSpectrum(initial.n, tuple(np.sort(eig0.real))), variation
 
 
 @dataclass(frozen=True)

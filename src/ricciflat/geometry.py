@@ -358,8 +358,8 @@ def _remap_vars(src: JetContext, dst: JetContext, var_offset: int):
 
     def remap(jet: Jet) -> Jet:
         out = np.zeros(dst.size, dtype=np.complex128)
-        out[idx] = jet.coeffs[: src.size]
-        return Jet(dst, out, min(jet.valid_degree, dst.cap))
+        out[idx[: len(jet.prefix)]] = jet.prefix
+        return Jet(dst, out, jet.valid_degree)
 
     return remap
 

@@ -8,21 +8,14 @@ order induced by treating x1 > y1 > x2 > y2 > ... (exponent tuples descend
 lexicographically).  That ordering is part of the serialization contract.
 
 Every jet carries a ``valid_degree``: the total degree through which its
-coefficients are trusted.  Ring operations take the minimum of the operands'
-validity, differentiation lowers it by one, below zero if need be.  Reading
-a coefficient past the trusted degree (``constant_term``, ``coefficient``)
-is an error rather than silent garbage, because the solver spends two
-spatial degrees per t-order and corrupted tails would poison the residual
-checks downstream.  For the same reason products form only the degree
-blocks through the result's trusted degree (their tails are zero), and the
-weighted l1 norm ``jet_norm`` (of the majorant and of the constant-curvature
-test) and the one evaluator ``jet_eval_many`` (of the tests) read each jet
-only through its own ``valid_degree``.
-
-An untrusted jet is its context's shared zero jet; no operation computes
-one; a degree-0 product is a scalar product.  Every operation whose result
-has negative validity returns ``ctx.zero(vd)``, one read-only full-size jet
-per context and validity, without allocating or computing anything, and a
+coefficients are trusted, and it stores those coefficients and no others,
+``ctx.deg_start[valid_degree + 1]`` of them (none below degree 0).  Ring
+operations take the minimum of the operands' validity and read each operand
+through it, differentiation lowers it by one, below zero if need be.
+Reading a coefficient past the trusted degree (``constant_term``,
+``coefficient``) is an error rather than silent garbage, because the solver
+spends two spatial degrees per t-order.  An untrusted jet is its context's
+shared empty jet, ``ctx.zero(vd)``: no operation computes one, and a
 product trusted only at degree 0 multiplies the two constant terms alone.
 
 A product runs one gather, multiply, segmented sum and scatter-add per
@@ -95,7 +88,8 @@ class JetContext:
                 rows.append(np.bincount(combo, minlength=self.nvars))
             starts.append(len(rows))
         self.exponents = np.array(rows, dtype=np.int64)
-        self.deg_start = np.array(starts, dtype=np.int64)
+        self.deg_start = tuple(starts)  # ints: each operation indexes it
+        self._blocks = np.array(starts[:-1])  # reduceat converts a tuple each call
         self.size = len(rows)
         self.degrees = np.repeat(np.arange(cap + 1), np.diff(self.deg_start))
 
@@ -182,17 +176,20 @@ class JetContext:
         """A zero jet; for a negative validity the context's shared one."""
         vd = self.cap if valid_degree is None else valid_degree
         if vd >= 0:
-            return Jet(self, np.zeros(self.size, dtype=np.complex128), vd)
+            vd = min(vd, self.cap)
+            return _fresh(self, np.zeros(self.deg_start[vd + 1], dtype=np.complex128), vd)
         jet = self._untrusted.get(vd)
         if jet is None:
-            jet = self._untrusted[vd] = _fresh(self, np.zeros(self.size, dtype=np.complex128), vd)
+            jet = self._untrusted[vd] = _fresh(self, np.zeros(0, dtype=np.complex128), vd)
         return jet
 
     def constant(self, value: complex, valid_degree: int | None = None) -> "Jet":
-        c = np.zeros(self.size, dtype=np.complex128)
+        vd = self.cap if valid_degree is None else min(valid_degree, self.cap)
+        if vd < 0:
+            return self.zero(vd)
+        c = np.zeros(self.deg_start[vd + 1], dtype=np.complex128)
         c[0] = value
-        vd = self.cap if valid_degree is None else valid_degree
-        return Jet(self, c, vd)
+        return _fresh(self, c, vd)
 
     def coordinate(self, var: int) -> "Jet":
         """Jet of the real coordinate with flat index ``var`` (x_i is 2i, y_i is 2i+1)."""
@@ -200,7 +197,7 @@ class JetContext:
         exp = np.zeros(self.nvars, dtype=np.int64)
         exp[var] = 1
         c[self.rank_of(exp)] = 1.0
-        return Jet(self, c, self.cap)
+        return _fresh(self, c, self.cap)
 
     def x(self, i: int) -> "Jet":
         return self.coordinate(2 * i)
@@ -221,11 +218,13 @@ class JetContext:
 class Jet:
     """Truncated Taylor polynomial over one JetContext.
 
-    Immutable: the coefficient array is frozen on construction and all
-    operations return new jets, so values are safely shareable.
+    Built from one coefficient per monomial of the context, it keeps those
+    through ``valid_degree`` as ``prefix``.  Immutable: the array is frozen
+    on construction and all operations return new jets, so values are
+    safely shareable.
     """
 
-    __slots__ = ("ctx", "coeffs", "valid_degree", "_eff")
+    __slots__ = ("ctx", "prefix", "valid_degree", "_eff")
 
     def __init__(self, ctx: JetContext, coeffs: np.ndarray, valid_degree: int):
         coeffs = np.asarray(coeffs, dtype=np.complex128)
@@ -233,15 +232,24 @@ class Jet:
             raise DimensionMismatchError(
                 f"coefficient array of length {coeffs.shape} does not match context size {ctx.size}"
             )
-        coeffs = coeffs.copy()
-        coeffs.setflags(write=False)
+        vd = min(int(valid_degree), ctx.cap)
+        prefix = coeffs[: ctx.deg_start[vd + 1] if vd >= 0 else 0].copy()
+        prefix.setflags(write=False)
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "valid_degree", min(int(valid_degree), ctx.cap))
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "valid_degree", vd)
         object.__setattr__(self, "_eff", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Jet is immutable")
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """A new read-only copy of the prefix, zero-padded to ``ctx.size``, for
+        the tests and the benchmark tracer; nothing in the package reads it."""
+        out = np.pad(self.prefix, (0, self.ctx.size - len(self.prefix)))
+        out.setflags(write=False)
+        return out
 
     @property
     def constant_term(self) -> complex:
@@ -253,7 +261,7 @@ class Jet:
         """Highest degree with a nonzero stored coefficient (-1 for the zero jet)."""
         eff = self._eff
         if eff is None:
-            nz = np.flatnonzero(self.coeffs)
+            nz = np.flatnonzero(self.prefix)
             eff = int(self.ctx.degrees[nz[-1]]) if len(nz) else -1
             object.__setattr__(self, "_eff", eff)
         return eff
@@ -268,7 +276,7 @@ class Jet:
             raise ValidityError(
                 f"degree-{degree} coefficient read on a jet with valid_degree {self.valid_degree}"
             )
-        return complex(self.coeffs[rank])
+        return complex(self.prefix[rank])
 
     def __add__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -305,66 +313,69 @@ class Jet:
 # The slot descriptors of Jet set its fields past the immutable __setattr__.
 _new_jet = object.__new__
 _set_ctx = Jet.ctx.__set__
-_set_coeffs = Jet.coeffs.__set__
+_set_prefix = Jet.prefix.__set__
 _set_valid = Jet.valid_degree.__set__
 _set_eff = Jet._eff.__set__
 
 
-def _fresh(ctx: JetContext, coeffs: np.ndarray, valid_degree: int) -> Jet:
-    """Wrap a freshly allocated coefficient array without the defensive copy
-    and the checks of the public constructor.  Internal use only: the caller
-    must not keep a writable reference, and ``valid_degree`` is an int no
-    larger than the cap (the operands' validities bound it)."""
+def _fresh(ctx: JetContext, prefix: np.ndarray, valid_degree: int) -> Jet:
+    """Wrap a freshly allocated prefix without the defensive copy and the
+    checks of the public constructor.  Internal use only: the caller must
+    not keep a writable reference, and ``valid_degree`` is an int no larger
+    than the cap (the operands' validities bound it)."""
     jet = _new_jet(Jet)
-    coeffs.setflags(write=False)
+    prefix.setflags(write=False)
     _set_ctx(jet, ctx)
-    _set_coeffs(jet, coeffs)
+    _set_prefix(jet, prefix)
     _set_valid(jet, valid_degree)
     _set_eff(jet, None)
     return jet
 
 
-def _require_same_ctx(a: Jet, b: Jet) -> None:
-    if a.ctx is not b.ctx:
-        if a.ctx.n != b.ctx.n or a.ctx.cap != b.ctx.cap:
-            raise DimensionMismatchError(
-                f"jet contexts differ: {a.ctx!r} vs {b.ctx!r}"
-            )
+def _operands(a: Jet, b: Jet):
+    """The common validity of two jets of one context, and their prefixes
+    read through it: the longer prefix is cut to the shorter."""
+    if a.ctx is not b.ctx and (a.ctx.n != b.ctx.n or a.ctx.cap != b.ctx.cap):
+        raise DimensionMismatchError(f"jet contexts differ: {a.ctx!r} vs {b.ctx!r}")
+    va, vb = a.valid_degree, b.valid_degree
+    if va > vb:
+        return vb, a.prefix[: len(b.prefix)], b.prefix
+    return va, a.prefix, b.prefix if va == vb else b.prefix[: len(a.prefix)]
 
 
 def jet_add(a: Jet, b: Jet) -> Jet:
-    _require_same_ctx(a, b)
-    vd = min(a.valid_degree, b.valid_degree)
-    return a.ctx.zero(vd) if vd < 0 else _fresh(a.ctx, a.coeffs + b.coeffs, vd)
+    vd, pa, pb = _operands(a, b)
+    return a.ctx.zero(vd) if vd < 0 else _fresh(a.ctx, pa + pb, vd)
 
 
 def jet_sub(a: Jet, b: Jet) -> Jet:
-    _require_same_ctx(a, b)
-    vd = min(a.valid_degree, b.valid_degree)
-    return a.ctx.zero(vd) if vd < 0 else _fresh(a.ctx, a.coeffs - b.coeffs, vd)
+    vd, pa, pb = _operands(a, b)
+    return a.ctx.zero(vd) if vd < 0 else _fresh(a.ctx, pa - pb, vd)
 
 
 def jet_scale(a: Jet, s: complex) -> Jet:
     vd = a.valid_degree
-    return a.ctx.zero(vd) if vd < 0 else _fresh(a.ctx, a.coeffs * s, vd)
+    return a.ctx.zero(vd) if vd < 0 else _fresh(a.ctx, a.prefix * s, vd)
 
 
 def jet_through(a: Jet, degree: int) -> Jet:
-    """``a`` read no further than ``degree``: its coefficients, a lower
+    """``a`` read no further than ``degree``: a view of its prefix, a lower
     validity; below degree 0 the shared untrusted jet."""
     if degree < 0:
         return a.ctx.zero(min(a.valid_degree, degree))
-    return a if a.valid_degree <= degree else _fresh(a.ctx, a.coeffs, degree)
+    if a.valid_degree <= degree:
+        return a
+    return _fresh(a.ctx, a.prefix[: a.ctx.deg_start[degree + 1]], degree)
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
     """Truncated Cauchy product through the trusted degree of the result.
 
-    Only degree blocks da + db <= vd = min(valid_degree) are formed, so the
-    untrusted tail of the product is zero and the operands are read only
-    through vd.  Each nonzero degree row da of ``a`` costs one gather, one
-    multiply, one segmented sum and one scatter-add, over the prefix of its
-    row tables that reaches b's highest nonzero block of degree <= vd - da.
+    Only degree blocks da + db <= vd = min(valid_degree) are formed, and the
+    operands are read only through vd.  Each nonzero degree row da of ``a``
+    costs one gather, one multiply, one segmented sum and one scatter-add,
+    over the prefix of its row tables that reaches b's highest nonzero block
+    of degree <= vd - da.
     The kernel drops to float arithmetic when both trusted prefixes are real.
 
     The result is bitwise that of a loop over (da, db) block pairs: each
@@ -377,28 +388,26 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
     only at degree 0 is that constant pair alone, formed as the kernel forms
     it, with no tables.
     """
-    _require_same_ctx(a, b)
+    vd, av, bv = _operands(a, b)
     ctx = a.ctx
-    vd = min(a.valid_degree, b.valid_degree)
     if vd < 0:
         return ctx.zero(vd)
-    out = np.zeros(ctx.size, dtype=np.complex128)
+    out = np.zeros(len(av), dtype=np.complex128)
     if vd == 0:
-        a0, b0 = a.coeffs[0], b.coeffs[0]
+        a0, b0 = av[0], bv[0]
         if a0 != 0 and b0 != 0:
             out[0] = 0.0 + a0.real * b0.real if not (a0.imag or b0.imag) else 0j + a0 * b0
         return _fresh(ctx, out, 0)
 
-    start = ctx.deg_start
-    av, bv = a.coeffs[: start[vd + 1]], b.coeffs[: start[vd + 1]]
-    rows = np.logical_or.reduceat(av != 0, start[: vd + 1]).nonzero()[0].tolist()
-    cols = np.logical_or.reduceat(bv != 0, start[: vd + 1]).nonzero()[0].tolist()
+    blocks = ctx._blocks[: vd + 1]
+    rows = np.logical_or.reduceat(av != 0, blocks).nonzero()[0].tolist()
+    cols = np.logical_or.reduceat(bv != 0, blocks).nonzero()[0].tolist()
     if not (rows and cols):
         return _fresh(ctx, out, vd)
     both_real = not (av.imag.any() or bv.imag.any())
     if both_real:
         av, bv = av.real.copy(), bv.real.copy()
-        out = np.zeros(ctx.size, dtype=np.float64)
+        out = np.zeros(len(av), dtype=np.float64)
 
     for da in rows:
         if vd - da < cols[0]:
@@ -418,7 +427,7 @@ def jet_conj(a: Jet) -> Jet:
     """Complex conjugate of the function values at real points, i.e. the
     coefficientwise conjugate.  In z-notation this is the usual swap z <-> zbar."""
     vd = a.valid_degree
-    return a.ctx.zero(vd) if vd < 0 else _fresh(a.ctx, np.conj(a.coeffs), vd)
+    return a.ctx.zero(vd) if vd < 0 else _fresh(a.ctx, np.conj(a.prefix), vd)
 
 
 def _graded_series(a: Jet, kind: str) -> Jet:
@@ -433,20 +442,20 @@ def _graded_series(a: Jet, kind: str) -> Jet:
     and gives exp(a_0) s, s / a_0 or log a_0 + E^{-1} s.  Each block pair is
     multiplied once, the work of one ``jet_mul``, with its real path:
     p_j s_{d-j} is the db = d - j slice of the row ``row_pairs(j, vd - j)``
-    of a product with first factor p.  The result is trusted as far as a and
-    zero past that; for an untrusted a it is a zero jet, a_0 left unread."""
+    of a product with first factor p.  The result is trusted as far as a;
+    for an untrusted a it is the shared zero jet, a_0 left unread."""
     ctx, vd, start = a.ctx, a.valid_degree, a.ctx.deg_start
     if vd < 0:
         return ctx.zero(vd)
-    a0 = complex(a.coeffs[0])
+    a0 = complex(a.prefix[0])
     if kind != "exp" and a0 == 0:
         raise SingularInputError(f"jet_{kind} of a jet with zero constant term")
-    p = a.coeffs[: start[vd + 1]] * (1.0 if kind == "exp" else 1.0 / a0)
+    p = a.prefix * (1.0 if kind == "exp" else 1.0 / a0)
     p[0] = 0
     if not p.imag.any():
         p = p.real.copy()
     first = p * ctx.degrees[: len(p)] if kind == "exp" else p
-    rows = np.logical_or.reduceat(first != 0, start[: vd + 1]).nonzero()[0].tolist()
+    rows = np.logical_or.reduceat(first != 0, ctx._blocks[: vd + 1]).nonzero()[0].tolist()
     tables = [(j, ctx.row_pairs(j, vd - j)) for j in rows]
     s = np.zeros_like(p)
     s[0] = 0.0 if kind == "log" else 1.0
@@ -466,11 +475,11 @@ def _graded_series(a: Jet, kind: str) -> Jet:
             s[block] = d * p[block] - s[block]
         else:
             s[block] = -s[block]
-    out = np.zeros(ctx.size, dtype=np.complex128)
+    out = np.empty(len(s), dtype=np.complex128)
     if kind == "log":
-        out[0], out[1 : len(s)] = cmath.log(a0), s[1:] / ctx.degrees[1 : len(s)]
+        out[0], out[1:] = cmath.log(a0), s[1:] / ctx.degrees[1 : len(s)]
     else:
-        out[: len(s)] = s * (cmath.exp(a0) if kind == "exp" else 1.0 / a0)
+        out[:] = s * (cmath.exp(a0) if kind == "exp" else 1.0 / a0)
     return _fresh(ctx, out, vd)
 
 
@@ -495,12 +504,14 @@ def jet_derive(a: Jet, var: int) -> Jet:
     constant (the result is then untrusted, not an error)."""
     if var < 0 or var >= a.ctx.nvars:
         raise InvalidInputError(f"coordinate index {var} out of range")
-    if a.valid_degree <= 0 or a.effective_degree < 1:
-        return a.ctx.zero(a.valid_degree - 1)
-    table_src, dst, factor = a.ctx.deriv_table(var)
-    out = np.zeros(a.ctx.size, dtype=np.complex128)
-    out[dst] = a.coeffs[table_src] * factor
-    return _fresh(a.ctx, out, a.valid_degree - 1)
+    ctx, vd = a.ctx, a.valid_degree
+    if vd <= 0 or a.effective_degree < 1:
+        return ctx.zero(vd - 1)
+    src, dst, factor = ctx.deriv_table(var)
+    k = np.searchsorted(src, len(a.prefix))  # src ascends: its sources in the prefix
+    out = np.zeros(ctx.deg_start[vd], dtype=np.complex128)
+    out[dst[:k]] = a.prefix[src[:k]] * factor[:k]
+    return _fresh(ctx, out, vd - 1)
 
 
 def jet_eval_many(a: Jet, points: np.ndarray) -> np.ndarray:
@@ -514,12 +525,11 @@ def jet_eval_many(a: Jet, points: np.ndarray) -> np.ndarray:
         raise InvalidInputError(f"points must have shape (P, {ctx.nvars}), got {pts.shape}")
     if vd < 0:
         return np.zeros(len(pts), dtype=np.complex128)
-    end = ctx.deg_start[vd + 1]
     powers = np.ones((len(pts), ctx.nvars, vd + 1), dtype=np.complex128)
     for d in range(1, vd + 1):
         powers[:, :, d] = powers[:, :, d - 1] * pts
-    monomials = np.prod(powers[:, np.arange(ctx.nvars), ctx.exponents[:end]], axis=-1)
-    return monomials @ a.coeffs[:end]
+    monomials = np.prod(powers[:, np.arange(ctx.nvars), ctx.exponents[: len(a.prefix)]], axis=-1)
+    return monomials @ a.prefix
 
 
 def jet_norm(a: Jet, r):
@@ -528,24 +538,16 @@ def jet_norm(a: Jet, r):
     or an array of radii: one sum of |coefficients| per degree, evaluated
     as a polynomial in r.  It bounds |a| on the polydisc of radius r.  A NaN
     coefficient gives a NaN norm."""
-    vd, start = a.valid_degree, a.ctx.deg_start
+    vd = a.valid_degree
     if vd < 0:
         return np.zeros_like(np.asarray(r, dtype=float))
-    sums = np.add.reduceat(np.abs(a.coeffs[: start[vd + 1]]), start[: vd + 1])
+    sums = np.add.reduceat(np.abs(a.prefix), a.ctx._blocks[: vd + 1])
     return np.polyval(sums[::-1], r)
 
 
 def max_coeff_diff(a: Jet, b: Jet, through_degree: int | None = None) -> float:
     """Largest |coefficient difference| through the common trusted degree."""
-    _require_same_ctx(a, b)
-    d = min(a.valid_degree, b.valid_degree)
-    if through_degree is not None:
-        d = min(d, through_degree)
-    if d < 0:
-        return 0.0
-    end = a.ctx.deg_start[d + 1]
-    diff = a.coeffs[:end] - b.coeffs[:end]
-    return float(np.max(np.abs(diff)))
+    return max_abs_coeff(jet_sub(a, b), through_degree)
 
 
 def nan_max(*values) -> float:
@@ -555,11 +557,10 @@ def nan_max(*values) -> float:
 
 
 def max_abs_coeff(a: Jet, through_degree: int | None = None) -> float:
-    d = a.valid_degree if through_degree is None else min(a.valid_degree, through_degree)
-    if d < 0:
-        return 0.0
-    end = a.ctx.deg_start[d + 1]
-    return float(np.max(np.abs(a.coeffs[:end])))
+    """Largest |coefficient| through the trusted degree and ``through_degree``;
+    0.0 with no such coefficient."""
+    vd = a.valid_degree if through_degree is None else min(a.valid_degree, through_degree)
+    return float(np.max(np.abs(a.prefix[: a.ctx.deg_start[vd + 1]]))) if vd >= 0 else 0.0
 
 
 # ---------------------------------------------------------------------------

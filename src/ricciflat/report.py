@@ -63,11 +63,9 @@ def monomial_cells(ctx: JetContext, end: int) -> list[str]:
 def _jet_lines(series: str, i, j, m: int, jet: Jet) -> list[str]:
     """Lines for the nonzero monomials through the jet's valid_degree; none
     when it has no trusted degree."""
-    ctx = jet.ctx
-    end = int(ctx.deg_start[jet.valid_degree + 1]) if jet.valid_degree >= 0 else 0
-    cells = monomial_cells(ctx, end)
-    idx = np.flatnonzero(jet.coeffs[:end])
-    vals = jet.coeffs[idx]
+    cells = monomial_cells(jet.ctx, len(jet.prefix))
+    idx = np.flatnonzero(jet.prefix)
+    vals = jet.prefix[idx]
     head = f"{series},{'' if i is None else i + 1},{'' if j is None else j + 1},{m},"
     tail = f",{jet.valid_degree}\n"
     return [

@@ -204,8 +204,8 @@ def _series_rows(identity, a: TJet, b: TJet, factor, scaled_by: TJet, tolerance)
     for m in range(min(a.order, b.order) + 1):
         resid = jet_add(a.coeffs[m], jet_scale(b.coeffs[m], factor))
         valid = min(a.coeffs[m].valid_degree, b.coeffs[m].valid_degree)
-        worst = max_abs_coeff(resid, valid) if valid >= 0 else 0.0
-        scale = max_abs_coeff(scaled_by.coeffs[m], valid) if valid >= 0 else 1.0
+        worst = max_abs_coeff(resid, valid)
+        scale = max_abs_coeff(scaled_by.coeffs[m], valid)
         yield _row(identity, m, valid, worst, scale, tolerance)
 
 
@@ -288,7 +288,7 @@ def laplacian_moment(sol, tolerance: float = 1e-9) -> ResidualReport:
         coeff = delta.coeffs[m]
         target = coeff.ctx.constant(c if m == 0 else 0.0)
         valid = coeff.valid_degree
-        resid = max_coeff_diff(coeff, target, valid) if valid >= 0 else 0.0
+        resid = max_coeff_diff(coeff, target, valid)
         rows.append(_row("moment_laplacian", m, valid, resid, abs(c), tolerance))
     return ResidualReport(
         name="laplacian_moment",
@@ -591,11 +591,11 @@ def perturb_solution(sol: Solution, target: str, order: int, eps: float) -> Solu
         )
     ctx = sol.input.ctx
     coeffs = list(series.coeffs)
-    c = coeffs[order].coeffs.copy()
+    c = np.pad(coeffs[order].prefix, (0, ctx.size - ctx.deg_start[vd + 1]))
     c[0] += eps
     if target != "w":
         c[ctx.rank_of((2,) + (0,) * (ctx.nvars - 1))] += eps
-    coeffs[order] = Jet(ctx, c, coeffs[order].valid_degree)
+    coeffs[order] = Jet(ctx, c, vd)
     if target == "g":
         rows = [list(row) for row in sol.g.entries]
         rows[0][0] = TJet(coeffs)

@@ -2,8 +2,8 @@
 
 Each digest covers the raw bytes of one coefficient jet through its
 ``valid_degree`` (series, t-order and matrix entry), so two runs agree
-exactly when every trusted coefficient is bitwise equal.  Untrusted tails
-are not part of the digest.
+exactly when every trusted coefficient is bitwise equal.  A jet stores
+exactly those coefficients, so the digest hashes its stored prefix.
 
 Regenerate the fixture (only when a change to trusted coefficients is
 intended and documented):
@@ -48,10 +48,7 @@ def solve_scenario(spec: str, M: int, D: int):
 
 def _digest(jet) -> list:
     vd = jet.valid_degree
-    if vd < 0:
-        return [vd, None]
-    end = int(jet.ctx.deg_start[vd + 1])
-    return [vd, hashlib.sha256(jet.coeffs[:end].tobytes()).hexdigest()]
+    return [vd, hashlib.sha256(jet.prefix.tobytes()).hexdigest() if vd >= 0 else None]
 
 
 def trusted_digests(sol) -> dict:

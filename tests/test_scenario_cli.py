@@ -473,20 +473,43 @@ def test_cli_closed_form_fails_closed_on_non_finite_values(tmp_path, capsys, val
     "argv",
     [
         ("solve", "--metric", "perturbed_flat:1,0.1,7,2", "--D", "1"),
-        ("closed-form", "--metric", "perturbed_flat:2,0.1,7,2", "--D", "2"),
-        ("compare", "--metric", "perturbed_flat:1,0.1,7,2", "--M", "1", "--D", "3"),
+        ("closed-form", "--metric", "perturbed_flat:2,0.1,7,2", "--D", "1"),
+        ("compare", "--metric", "perturbed_flat:1,0.1,7,2", "--M", "1", "--D", "1"),
     ],
     ids=lambda argv: argv[0],
 )
 def test_cli_untrusted_reads_exit_three(tmp_path, capsys, argv):
-    # each run reads a constant term that the requested degree cap leaves
-    # untrusted: the initial metric at D = 1, the Ricci form at D = 2 and 3
+    # each run reads the initial metric's constant term, which D = 1 leaves
+    # untrusted
     out = tmp_path / "out"
     assert run_cli(*argv, "--out", str(out), "--no-timestamp") == 3
     err = capsys.readouterr().err.splitlines()
     assert err[-1].startswith(
         "error: numerical degeneracy: degree-0 coefficient read on a jet with valid_degree -"
     )
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("closed-form", "--metric", "perturbed_flat:2,0.1,7,2", "--D", "2"),
+        ("closed-form", "--metric", "perturbed_flat:1,0.1,7,2", "--D", "3"),
+        ("compare", "--metric", "perturbed_flat:1,0.1,7,2", "--M", "2", "--D", "3"),
+    ],
+    ids=lambda argv: f"{argv[0]}-D{argv[-1]}",
+)
+def test_cli_ricci_form_too_coarse_to_test_exits_two(tmp_path, capsys, argv):
+    # two derivatives of log det h leave the Ricci form no trusted degree at
+    # D = 2 (n = 2) and D = 3 (n = 1): the input is refused, naming the
+    # validity, before rho is read at the base point
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out), "--no-timestamp") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith(
+        "error: invalid input: the characteristic polynomial's s^0 coefficient has valid_degree "
+    )
+    assert err[-1].endswith(": constant Ricci curvature cannot be tested past the base point")
     assert not (out / "report.json").exists()
 
 

@@ -1,7 +1,8 @@
 """The valid_degree contract: trusted outputs depend on trusted inputs only.
 
-Products form no block past the trusted degree of the result, evaluation
-reads each jet only through its own valid_degree, the terms of a Cauchy sum
+Every jet stores its coefficients through its valid_degree and none past
+it, and no run reads the zero-padded ``coeffs`` view.  Products form no
+block past the trusted degree of the result, the terms of a Cauchy sum
 or a determinant order formed only through the sum's validity give the
 full terms' trusted coefficients, and the trusted coefficients of solved
 scenarios stay bitwise equal to a golden capture.
@@ -11,7 +12,6 @@ import csv
 import json
 import os
 import warnings
-from dataclasses import replace
 from itertools import product as iproduct
 
 import numpy as np
@@ -21,21 +21,17 @@ from hypothesis import strategies as st
 
 from golden_trusted import SCENARIOS, scenario_key, solve_scenario, trusted_digests
 from ricciflat import geometry as geo
+from ricciflat import jets
 from ricciflat.cli import main
 from ricciflat.jets import (
     Jet,
     cauchy_sum,
     context,
     jet_add,
-    jet_derive,
     jet_eval_many,
-    jet_exp,
-    jet_log,
     jet_mul,
-    jet_reciprocal,
     jet_scale,
 )
-from ricciflat.solver import SolverConfig, init_state, step
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_trusted.json")
 
@@ -49,15 +45,6 @@ def trusted_bytes(jet) -> bytes:
     return jet.coeffs[: trusted_end(jet)].tobytes()
 
 
-def noisy_tail(jet, rng) -> Jet:
-    """Same jet with random complex noise past its valid_degree."""
-    c = jet.coeffs.copy()
-    end = trusted_end(jet)
-    tail = len(c) - end
-    c[end:] = rng.standard_normal(tail) + 1j * rng.standard_normal(tail)
-    return Jet(jet.ctx, c, jet.valid_degree)
-
-
 def random_jet(ctx, rng, valid_degree, real=False, scale=0.3):
     c = rng.standard_normal(ctx.size) * scale
     if not real:
@@ -66,63 +53,76 @@ def random_jet(ctx, rng, valid_degree, real=False, scale=0.3):
     return Jet(ctx, c, valid_degree)
 
 
-# -- property: untrusted tails never reach trusted outputs ------------------------
+# -- storage: a jet holds its trusted prefix and nothing past it -------------------
 
 
-@given(
-    st.integers(0, 10**6),
-    st.integers(1, 2),
-    st.integers(-1, 6),
-    st.integers(-1, 6),
-    st.booleans(),
-)
+def prefix_length(ctx, valid_degree) -> int:
+    return ctx.deg_start[valid_degree + 1] if valid_degree >= 0 else 0
+
+
+@given(st.integers(0, 10**6), st.integers(1, 3), st.integers(-3, 8))
 @settings(max_examples=40, deadline=None)
-def test_tail_noise_leaves_trusted_outputs_unchanged(seed, n, va, vb, real):
+def test_constructor_keeps_exactly_the_trusted_prefix(seed, n, vd):
     ctx = context(n, 6)
     rng = np.random.default_rng(seed)
-    a = random_jet(ctx, rng, va, real)
-    b = random_jet(ctx, rng, vb, real)
-    na, nb = noisy_tail(a, rng), noisy_tail(b, rng)
-    pts = rng.uniform(-0.4, 0.4, size=(7, ctx.nvars)) + 0j
-
-    pairs = [
-        (jet_mul(a, b), jet_mul(na, nb)),
-        (jet_exp(a), jet_exp(na)),
-        (jet_log(a), jet_log(na)),
-        (jet_reciprocal(a), jet_reciprocal(na)),
-        (
-            jet_derive(a, ctx.nvars - 1),
-            jet_derive(na, ctx.nvars - 1),
-        ),
-    ]
-    for clean, noisy in pairs:
-        assert clean.valid_degree == noisy.valid_degree
-        assert trusted_bytes(clean) == trusted_bytes(noisy)
-    assert jet_eval_many(a, pts).tobytes() == jet_eval_many(na, pts).tobytes()
+    c = rng.standard_normal(ctx.size) + 1j * rng.standard_normal(ctx.size)
+    jet = Jet(ctx, c, vd)
+    end = prefix_length(ctx, min(vd, ctx.cap))
+    assert jet.valid_degree == min(vd, ctx.cap)
+    assert jet.prefix.tobytes() == c[:end].tobytes()
+    assert not jet.prefix.flags.writeable
+    # the compatibility view pads the prefix with zeros, whatever was given
+    assert jet.coeffs.shape == (ctx.size,)
+    assert jet.coeffs[:end].tobytes() == c[:end].tobytes()
+    assert not jet.coeffs[end:].any()
 
 
-@given(st.integers(0, 10**6))
-@settings(max_examples=5, deadline=None)
-def test_tail_noise_leaves_solver_step_unchanged(seed):
-    cfg = SolverConfig(c=1.0, t_order=3, space_degree=8)
-    state = step(step(init_state(geo.perturbed_flat(2, 0.1, 3, 2, 8), cfg)))
-    rng = np.random.default_rng(seed)
-    noisy = replace(
-        state,
-        v=tuple(noisy_tail(j, rng) for j in state.v),
-        g=tuple([[noisy_tail(e, rng) for e in row] for row in gm] for gm in state.g),
-        exp_neg_v=tuple(noisy_tail(j, rng) for j in state.exp_neg_v),
-        det_g=tuple(noisy_tail(j, rng) for j in state.det_g),
-    )
-    clean, dirty = step(state), step(noisy)
-    jets_clean = [clean.v[-1], clean.exp_neg_v[-1], clean.det_g[-1]]
-    jets_clean += [e for row in clean.g[-1] for e in row]
-    jets_dirty = [dirty.v[-1], dirty.exp_neg_v[-1], dirty.det_g[-1]]
-    jets_dirty += [e for row in dirty.g[-1] for e in row]
-    assert clean.v[-1].valid_degree >= 0
-    for c, d in zip(jets_clean, jets_dirty):
-        assert c.valid_degree == d.valid_degree
-        assert trusted_bytes(c) == trusted_bytes(d)
+# verify and majorant on n = 2, the n = 4 verify of the work counts, and
+# solve, compare and closed-form on the Fubini-Study chart
+STORAGE_RUNS = {
+    "verify-n2": ["verify", "--metric", "perturbed_flat:2,0.1,0,2", "--M", "5", "--D", "12"],
+    "majorant-n2": ["majorant", "--metric", "perturbed_flat:2,0.1,0,2", "--M", "4", "--D", "10",
+                    "--R", "0.2"],
+    "verify-n4": ["verify", "--metric", "perturbed_flat:4,0.1,0,2", "--M", "3", "--D", "4"],
+    "solve-fs2": ["solve", "--metric", "fubini_study_chart:2,1", "--M", "4", "--D", "10"],
+    "compare-fs2": ["compare", "--metric", "fubini_study_chart:2,1", "--M", "4", "--D", "10"],
+    "closed-form-fs2": ["closed-form", "--metric", "fubini_study_chart:2,1", "--M", "4", "--D", "10"],
+}
+
+
+@pytest.mark.parametrize("argv", STORAGE_RUNS.values(), ids=STORAGE_RUNS.keys())
+def test_cli_runs_store_only_trusted_prefixes_and_never_read_the_padded_view(
+    tmp_path, monkeypatch, argv
+):
+    formed, wrong, padded_reads = [0], [], [0]
+    original_fresh, original_init = jets._fresh, jets.Jet.__init__
+
+    def check(jet):
+        formed[0] += 1
+        if len(jet.prefix) != prefix_length(jet.ctx, jet.valid_degree):
+            wrong.append((jet.valid_degree, len(jet.prefix)))
+        return jet
+
+    def fresh(ctx, prefix, valid_degree):
+        return check(original_fresh(ctx, prefix, valid_degree))
+
+    def init(self, ctx, coeffs, valid_degree):
+        original_init(self, ctx, coeffs, valid_degree)
+        check(self)
+
+    def padded(self):
+        padded_reads[0] += 1
+        return np.zeros(self.ctx.size, dtype=np.complex128)
+
+    monkeypatch.setattr(jets, "_CTX_CACHE", {})
+    monkeypatch.setattr(jets, "_fresh", fresh)
+    monkeypatch.setattr(jets.Jet, "__init__", init)
+    monkeypatch.setattr(jets.Jet, "coeffs", property(padded))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(argv + ["--no-timestamp", "--out", str(tmp_path)]) == 0
+    assert formed[0] > 0 and wrong == []
+    assert padded_reads[0] == 0
 
 
 # -- terms formed only through their sum's validity -----------------------------
