@@ -266,6 +266,13 @@ class InitialData:
     chart_info: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for i, row in enumerate(self.h.entries):
+            for j, entry in enumerate(row):
+                if entry.valid_degree < 0:
+                    raise InvalidInputError(
+                        f"initial metric entry h_{i + 1}_{j + 1} has valid_degree "
+                        f"{entry.valid_degree}: the degree cap leaves it no trusted coefficient"
+                    )
         base = self.h.base_matrix()
         if not np.isfinite(base).all():
             raise InvalidInputError("initial metric is not finite at the base point")

@@ -18,21 +18,26 @@ spends two spatial degrees per t-order.  An untrusted jet is its context's
 shared empty jet, ``ctx.zero(vd)``: no operation computes one, and a
 product trusted only at degree 0 multiplies the two constant terms alone.
 
-A product runs one gather, multiply, segmented sum and scatter-add per
-nonzero degree row of its first factor.  The context caches, per row, the
-pair tables of that block against all blocks of the second factor up to the
-largest degree asked for so far; smaller requests use a prefix.  The
-exponential, logarithm and reciprocal of a jet form each degree block from
-the blocks below it by one recurrence over slices of the same tables
-(Griewank & Walther, *Evaluating Derivatives*, ch. 13): one product's work.
+The context caches, per degree row of a first factor, the pair tables of
+that block against all blocks of the second factor up to the largest degree
+asked for so far; smaller requests use a prefix.  A product reads the
+prefixes of those tables that its factors' nonzero degree blocks reach.  A
+small product runs them as one gather, multiply, segmented sum and
+scatter-add, from a plan the context caches per (validity, nonzero blocks of
+each factor); a product of more than ``_PLAN_PAIRS`` pairs runs the same
+steps once per nonzero row of its first factor.  The exponential, logarithm
+and reciprocal of a jet form each degree block from the blocks below it by
+one recurrence over slices of the same tables (Griewank & Walther,
+*Evaluating Derivatives*, ch. 13): one product's work.
 
 A TJet is a truncated power series in the moment-map variable t whose
 coefficients are jets, each with its own validity.  The series product,
 reciprocal and exponential, and the solver's order step, take their
 t-coefficients from one Cauchy sum, ``cauchy_sum``, which forms no products
 for a t-coefficient whose validity is negative: it is the shared zero jet.
-A term is formed only through its sum's validity (``jet_through``), in
-``cauchy_sum`` and in the determinant orders of ``geometry.det_coefficient``.
+A term is formed only through its sum's validity, in ``cauchy_sum`` (on the
+prefix arrays, with one jet for the whole sum) and in the determinant orders
+of ``geometry.det_coefficient`` (``jet_through``).
 """
 
 from __future__ import annotations
@@ -99,6 +104,7 @@ class JetContext:
         self._sorted_keys = self._packed[self._order]
 
         self._pair_cache: dict[int, tuple] = {}
+        self._plans: dict[tuple[bytes, bytes], tuple | None] = {}
         self._deriv_cache: dict[int, tuple] = {}
         self._untrusted: dict[int, "Jet"] = {}
 
@@ -332,11 +338,15 @@ def _fresh(ctx: JetContext, prefix: np.ndarray, valid_degree: int) -> Jet:
     return jet
 
 
+def _same_context(a: Jet, b: Jet) -> None:
+    if a.ctx is not b.ctx and (a.ctx.n != b.ctx.n or a.ctx.cap != b.ctx.cap):
+        raise DimensionMismatchError(f"jet contexts differ: {a.ctx!r} vs {b.ctx!r}")
+
+
 def _operands(a: Jet, b: Jet):
     """The common validity of two jets of one context, and their prefixes
     read through it: the longer prefix is cut to the shorter."""
-    if a.ctx is not b.ctx and (a.ctx.n != b.ctx.n or a.ctx.cap != b.ctx.cap):
-        raise DimensionMismatchError(f"jet contexts differ: {a.ctx!r} vs {b.ctx!r}")
+    _same_context(a, b)
     va, vb = a.valid_degree, b.valid_degree
     if va > vb:
         return vb, a.prefix[: len(b.prefix)], b.prefix
@@ -368,15 +378,29 @@ def jet_through(a: Jet, degree: int) -> Jet:
     return _fresh(a.ctx, a.prefix[: a.ctx.deg_start[degree + 1]], degree)
 
 
+# Largest product, in pair products, that runs fused; see ``jet_mul``.
+_PLAN_PAIRS = 4096
+
+
 def jet_mul(a: Jet, b: Jet) -> Jet:
     """Truncated Cauchy product through the trusted degree of the result.
 
     Only degree blocks da + db <= vd = min(valid_degree) are formed, and the
-    operands are read only through vd.  Each nonzero degree row da of ``a``
-    costs one gather, one multiply, one segmented sum and one scatter-add,
-    over the prefix of its row tables that reaches b's highest nonzero block
-    of degree <= vd - da.
+    operands are read only through vd; ``_product`` forms the coefficients.
+    Each nonzero degree row da of ``a`` contributes the prefix of its row
+    tables that reaches b's highest nonzero block of degree <= vd - da.  A
+    product of at most ``_PLAN_PAIRS`` pairs gathers, multiplies, sums and
+    scatters all rows at once, by a plan cached on the context per
+    (vd, nonzero rows of a, nonzero columns of b); a larger one loops over
+    the rows, one gather, multiply, segmented sum and scatter-add each.
     The kernel drops to float arithmetic when both trusted prefixes are real.
+
+    The bound keeps the fused path where it pays.  A small product spends
+    most of its time in per-call overhead, which one gather removes.  A
+    large one gains nothing: a dense n=2 product at validity 12 (125,970
+    pairs) took 2.1 ms fused against 0.8-1.1 ms by rows, whose tables stay
+    in cache.  A plan also copies its tables, so an unbounded plan cache
+    raised the peak memory of an n=3 M6 D14 ``verify`` from 121 to 197 MB.
 
     The result is bitwise that of a loop over (da, db) block pairs: each
     target still receives one sum per da, in ascending da, and each sum runs
@@ -389,38 +413,87 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
     it, with no tables.
     """
     vd, av, bv = _operands(a, b)
-    ctx = a.ctx
     if vd < 0:
-        return ctx.zero(vd)
+        return a.ctx.zero(vd)
+    return _fresh(a.ctx, _product(a.ctx, av, bv, vd), vd)
+
+
+def _product(ctx: JetContext, av: np.ndarray, bv: np.ndarray, vd: int) -> np.ndarray:
+    """The coefficients of the product of two prefixes already cut to the
+    validity ``vd`` >= 0, as a new complex array (see ``jet_mul``)."""
     out = np.zeros(len(av), dtype=np.complex128)
     if vd == 0:
         a0, b0 = av[0], bv[0]
         if a0 != 0 and b0 != 0:
             out[0] = 0.0 + a0.real * b0.real if not (a0.imag or b0.imag) else 0j + a0 * b0
-        return _fresh(ctx, out, 0)
+        return out
 
     blocks = ctx._blocks[: vd + 1]
-    rows = np.logical_or.reduceat(av != 0, blocks).nonzero()[0].tolist()
-    cols = np.logical_or.reduceat(bv != 0, blocks).nonzero()[0].tolist()
-    if not (rows and cols):
-        return _fresh(ctx, out, vd)
+    rows = np.logical_or.reduceat(av != 0, blocks)
+    cols = np.logical_or.reduceat(bv != 0, blocks)
+    key = (rows.tobytes(), cols.tobytes())  # the lengths give vd
+    plan = ctx._plans.get(key, False)
+    if plan is False:
+        plan = ctx._plans[key] = _plan(ctx, _row_extents(vd, rows, cols))
+    if plan is not None and not plan:  # no nonzero pair
+        return out
     both_real = not (av.imag.any() or bv.imag.any())
     if both_real:
         av, bv = av.real.copy(), bv.real.copy()
         out = np.zeros(len(av), dtype=np.float64)
 
-    for da in rows:
+    if plan is not None:
+        I, J, seg_starts, targets, row0 = plan
+        prod = av[I]
+        prod *= bv[J]
+        if row0:
+            prod[0] = av[0] * bv[0]
+        np.add.at(out, targets, np.add.reduceat(prod, seg_starts))
+    else:
+        for da, db_max in _row_extents(vd, rows, cols):
+            I, J, seg_starts, targets, ends = ctx.row_pairs(da, db_max)
+            pairs, segs = ends[db_max]
+            prod = av[I[:pairs]]
+            prod *= bv[J[:pairs]]
+            if da == 0:
+                prod[0] = av[0] * bv[0]
+            out[targets[:segs]] += np.add.reduceat(prod, seg_starts[:segs])
+    return out.astype(np.complex128) if both_real else out
+
+
+def _row_extents(vd: int, rows: np.ndarray, cols: np.ndarray) -> list:
+    """(da, db_max) per nonzero degree row da of the first factor that meets
+    a nonzero block db <= vd - da of the second, db_max the highest such;
+    ``rows`` and ``cols`` flag the two factors' nonzero blocks."""
+    cols = cols.nonzero()[0].tolist()
+    extents = []
+    for da in rows.nonzero()[0].tolist() if cols else ():
         if vd - da < cols[0]:
             break
-        db_max = cols[bisect_right(cols, vd - da) - 1]
+        extents.append((da, cols[bisect_right(cols, vd - da) - 1]))
+    return extents
+
+
+def _plan(ctx: JetContext, extents: list):
+    """The fused tables of a product over the row ``extents``: the row
+    tables' prefixes that the row loop reads, concatenated in row order,
+    with each row's segment starts offset by the pairs before it, and
+    whether row 0 (whose first pair is the constant pair) takes part.
+    ``np.add.at`` then adds each target's row sums in ascending row order,
+    as the loop does.  ``()`` when no pair is formed, None above
+    ``_PLAN_PAIRS`` pairs."""
+    if not extents:
+        return ()
+    start = ctx.deg_start
+    if sum((start[da + 1] - start[da]) * start[db + 1] for da, db in extents) > _PLAN_PAIRS:
+        return None  # checked before any row table is built or grown
+    parts, offset = [], 0
+    for da, db_max in extents:
         I, J, seg_starts, targets, ends = ctx.row_pairs(da, db_max)
         pairs, segs = ends[db_max]
-        prod = av[I[:pairs]]
-        prod *= bv[J[:pairs]]
-        if da == 0:
-            prod[0] = av[0] * bv[0]
-        out[targets[:segs]] += np.add.reduceat(prod, seg_starts[:segs])
-    return _fresh(ctx, out.astype(np.complex128) if both_real else out, vd)
+        parts.append((I[:pairs], J[:pairs], seg_starts[:segs] + offset, targets[:segs]))
+        offset += pairs
+    return tuple(np.concatenate(col) for col in zip(*parts)) + (extents[0][0] == 0,)
 
 
 def jet_conj(a: Jet) -> Jet:
@@ -640,17 +713,27 @@ def cauchy_sum(a, b, k: int, js: range, weight=None) -> Jet:
     added in ascending j.  The sum is trusted to the least validity of its
     terms; when that is negative the sum is untrusted, and it is returned as
     a zero jet without forming its products.  A term is formed only through
-    the sum's validity."""
+    the sum's validity, by ``_product`` on prefix arrays, and scaled and
+    added as ``jet_scale`` and ``jet_add`` would: one jet wraps the sum."""
     vd = min(min(a[j].valid_degree, b[k - j].valid_degree) for j in js)
+    first = a[js[0]]
     if vd < 0:
-        return a[js[0]].ctx.zero(vd)
+        return first.ctx.zero(vd)
+    ctx = first.ctx
+    size = ctx.deg_start[vd + 1]
     acc = None
     for j in js:
-        term = jet_mul(jet_through(a[j], vd), b[k - j])
+        x, y = a[j], b[k - j]
+        _same_context(first, x)
+        _same_context(x, y)
+        term = _product(ctx, x.prefix[:size], y.prefix[:size], vd)
         if weight is not None:
-            term = jet_scale(term, weight(j))
-        acc = term if acc is None else jet_add(acc, term)
-    return acc
+            term *= weight(j)
+        if acc is None:
+            acc = term
+        else:
+            acc += term
+    return _fresh(ctx, acc, vd)
 
 
 def t_integrate(a: TJet) -> TJet:

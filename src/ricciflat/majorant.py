@@ -27,7 +27,7 @@ shared operator bound and recorded in the report.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -280,7 +280,7 @@ class MajorantReport:
             "radius_estimate": self.radius_estimate,
             "radius_note": self.radius_note,
             "notes": list(self.notes) + list(self.params.notes),
-            "rows": [{**asdict(r), "margin": r.margin} for r in self.rows],
+            "rows": [{**vars(r), "margin": r.margin} for r in self.rows],
         }
 
 

@@ -14,7 +14,7 @@ as passes.  The checks of one run share one ``SolutionView``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -88,7 +88,7 @@ class ResidualReport:
             "max_relative_residual": self.max_relative_residual,
             "tolerance": self.tolerance,
             "skipped_orders": list(self.skipped_orders),
-            "rows": [asdict(r) for r in self.rows],
+            "rows": [dict(vars(r)) for r in self.rows],
             "metadata": self.metadata,
         }
 
@@ -527,7 +527,7 @@ class SmoothnessReport:
         return base_ok and self.verdict_matches_c
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def smoothness_check(sol, tolerance: float = 1e-9) -> SmoothnessReport:

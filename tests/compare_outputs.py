@@ -48,8 +48,9 @@ SCENARIO_FILES = {
 # characteristic coefficients carry rounding.  The n = 4 solve at D = 10
 # writes the largest coefficient tables; the two-file solve with --jobs 2
 # writes one subdirectory per scenario through the process pool.  The last
-# two runs take a product whose h entries are trusted to degrees 10 and 8,
-# so they add jets of unequal validity.  No run
+# two runs but one take a product whose h entries are trusted to degrees 10
+# and 8, so they add jets of unequal validity; the last one is refused
+# because D = 1 leaves the initial metric no trusted degree.  No run
 # joins a file's [checks] with check flags: there the flags win.
 SCENARIOS = (
     "verify --metric perturbed_flat:1,0.1,7,2 --M 8 --D 12",
@@ -106,6 +107,7 @@ SCENARIOS = (
     "majorant --metric perturbed_flat:4,0.1,3,2 --M 4 --D 6 --R 0.2",
     "verify --metric product:fubini_study_chart:1,1.0|perturbed_flat:1,0.1,3,2 --M 4 --D 10",
     "majorant --metric product:fubini_study_chart:1,1.0|perturbed_flat:1,0.1,3,2 --M 4 --D 10 --R 0.2",
+    "solve --metric perturbed_flat:1,0.1,7,2 --M 1 --D 1",
 )
 
 

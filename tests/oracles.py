@@ -4,13 +4,16 @@ Jets are converted to sympy polynomials and the operation under test is
 redone symbolically; results come back as coefficient dictionaries so the
 comparison never routes through the code being tested.  The exponential,
 logarithm and reciprocal of a jet are redone as power series in extended
-precision, with products formed from the exponent tuples alone.
+precision, with products formed from the exponent tuples alone.  The
+row-loop product rebuilds the product kernel's pair tables from the exponent
+tuples, and the Cauchy-sum fold composes the public jet operations that a
+Cauchy sum must reproduce bitwise.
 """
 
 import numpy as np
 import sympy as sp
 
-from ricciflat.jets import Jet
+from ricciflat.jets import Jet, jet_add, jet_mul, jet_scale, jet_through
 
 
 def symbols_for(ctx):
@@ -181,3 +184,23 @@ def row_loop_mul(a: Jet, b: Jet) -> np.ndarray:
         seg = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
         out[t[seg]] += np.add.reduceat(prod, seg)
     return out.astype(np.complex128)
+
+
+# -- Cauchy sum as a fold of jet operations ---------------------------------------
+
+
+def cauchy_fold(a, b, k, js, weight=None) -> Jet:
+    """``jets.cauchy_sum`` as a fold of public jet operations: each term
+    a_j b_{k-j} by ``jet_mul`` with a_j read through the sum's validity,
+    scaled by ``jet_scale`` and added by ``jet_add`` in ascending j.  A sum
+    trusted below degree 0 is the shared zero jet, and no term is formed."""
+    vd = min(min(a[j].valid_degree, b[k - j].valid_degree) for j in js)
+    if vd < 0:
+        return a[js[0]].ctx.zero(vd)
+    acc = None
+    for j in js:
+        term = jet_mul(jet_through(a[j], vd), b[k - j])
+        if weight is not None:
+            term = jet_scale(term, weight(j))
+        acc = term if acc is None else jet_add(acc, term)
+    return acc

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import jet_eval
-from oracles import jet_to_expr, jet_vs_expr, row_loop_mul, series_oracle
+from oracles import cauchy_fold, jet_to_expr, jet_vs_expr, row_loop_mul, series_oracle
+from ricciflat import jets
 from ricciflat.errors import (
     DimensionMismatchError,
     SingularInputError,
@@ -18,6 +19,7 @@ from ricciflat.errors import (
 from ricciflat.jets import (
     Jet,
     TJet,
+    cauchy_sum,
     context,
     jet_add,
     jet_conj,
@@ -619,6 +621,91 @@ def test_row_loop_reference_is_the_product_kernel(n):
             b = _kernel_operand(ctx, rng, kind_b, ctx.cap)
             for x, y in ((a, b), (b, a)):
                 assert jet_mul(x, y).coeffs.tobytes() == row_loop_mul(x, y).tobytes()
+
+
+# caps at which dense n >= 2 products at full validity exceed the plan bound
+_FUSED_CAPS = {1: 12, 2: 8, 3: 6}
+
+
+def _fused_operands(ctx, rng):
+    """Operands (a, validity of a, b, validity of b), one of them trusted
+    to the cap and the other to each validity 0..cap in turn: real, complex
+    and constant coefficients with whole zero blocks, and even-only ones,
+    whose odd blocks are zero as in the Fubini-Study jets."""
+    kinds = (("real", "complex"), ("complex", "complex"), ("real", "real"),
+             ("constant", "complex"), ("even", "even"), ("even", "complex"))
+    cases = []
+    for vd in range(ctx.cap + 1):
+        for kind_a, kind_b in kinds:
+            ops = []
+            for kind in (kind_a, kind_b):
+                c = _kernel_operand(ctx, rng, "real" if kind == "even" else kind, ctx.cap).prefix
+                if kind == "even":
+                    c = c.copy()
+                    for d in range(1, ctx.cap + 1, 2):
+                        c[ctx.deg_start[d] : ctx.deg_start[d + 1]] = 0.0
+                ops.append(c)
+            cases.append((ops[0], vd, ops[1], ctx.cap))
+            cases.append((ops[1], ctx.cap, ops[0], vd))
+    return cases
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fused_product_is_the_row_loop_bitwise(monkeypatch, n):
+    rng = np.random.default_rng(70 + n)
+    cases = _fused_operands(context(n, _FUSED_CAPS[n]), rng)
+    bound = jets._PLAN_PAIRS
+    products = {}
+    # each run on a private context, so its plans are built under its bound
+    for name, pairs in (("loop", -1), ("fused", 10**9), ("bounded", bound)):
+        monkeypatch.setattr(jets, "_PLAN_PAIRS", pairs)
+        ctx = jets.JetContext(n, _FUSED_CAPS[n])
+        products[name] = [
+            jet_mul(Jet(ctx, a, va), Jet(ctx, b, vb)).prefix.tobytes() for a, va, b, vb in cases
+        ]
+        plans = list(ctx._plans.values())
+        assert all(len(p[0]) <= pairs for p in plans if p)
+    assert products["fused"] == products["loop"] == products["bounded"]
+    # the bounded run formed products on both sides of the bound
+    fused = [len(p[0]) for p in plans if p]
+    assert fused and max(fused) <= bound
+    assert (None in plans) == (n > 1)
+
+
+def test_cauchy_sum_is_the_term_by_term_fold_bitwise():
+    weights = (None, lambda j: 0.5 * j - 1.0, lambda j: -float(j))
+    formed = 0
+    for n in (1, 2, 3):
+        ctx = context(n, _KERNEL_CAPS[n])
+        rng = np.random.default_rng(80 + n)
+        for _ in range(4):
+            a, b = (
+                [
+                    _kernel_operand(
+                        ctx, rng, str(rng.choice(["real", "complex", "constant"])),
+                        int(rng.integers(-1, ctx.cap + 1)),
+                    )
+                    for _ in range(5)
+                ]
+                for _ in range(2)
+            )
+            for k in range(5):
+                for js in (range(k + 1), range(1, k + 1), range(k, k + 1)):
+                    for weight in weights if js else ():
+                        got = cauchy_sum(a, b, k, js, weight)
+                        want = cauchy_fold(a, b, k, js, weight)
+                        assert got.valid_degree == want.valid_degree
+                        assert got.prefix.tobytes() == want.prefix.tobytes()
+                        formed += got.valid_degree >= 0
+    assert formed > 100
+
+
+def test_cauchy_sum_refuses_mixed_contexts():
+    one, two = context(1, 4), context(2, 4)
+    with pytest.raises(DimensionMismatchError):
+        cauchy_sum([one.constant(1.0)], [two.constant(1.0)], 0, range(1))
+    with pytest.raises(DimensionMismatchError):
+        cauchy_sum([one.constant(1.0), two.constant(1.0)], [one.constant(1.0)] * 2, 1, range(2))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

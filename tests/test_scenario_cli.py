@@ -5,6 +5,7 @@ import os
 import pytest
 
 from conftest import jet_eval
+from ricciflat import cli
 from ricciflat.cli import main
 from ricciflat.errors import InvalidInputError
 from ricciflat.jets import context
@@ -478,16 +479,34 @@ def test_cli_closed_form_fails_closed_on_non_finite_values(tmp_path, capsys, val
     ],
     ids=lambda argv: argv[0],
 )
-def test_cli_untrusted_reads_exit_three(tmp_path, capsys, argv):
-    # each run reads the initial metric's constant term, which D = 1 leaves
-    # untrusted
+def test_cli_initial_metric_with_no_trusted_degree_exits_two(tmp_path, capsys, argv):
+    # two derivatives of the degree-1 potential leave h no trusted degree at
+    # D = 1: the input is refused, naming the validity, before its constant
+    # term is read
     out = tmp_path / "out"
-    assert run_cli(*argv, "--out", str(out), "--no-timestamp") == 3
+    assert run_cli(*argv, "--out", str(out), "--no-timestamp") == 2
     err = capsys.readouterr().err.splitlines()
-    assert err[-1].startswith(
-        "error: numerical degeneracy: degree-0 coefficient read on a jet with valid_degree -"
+    assert err[-1] == (
+        "error: invalid input: initial metric entry h_1_1 has valid_degree -1: "
+        "the degree cap leaves it no trusted coefficient"
     )
     assert not (out / "report.json").exists()
+
+
+def test_cli_untrusted_read_exits_three(tmp_path, capsys, monkeypatch):
+    # a coefficient read past its jet's validity is a numerical degeneracy
+    def untrusted_read(initial, config):
+        return context(1, 4).zero(-1).constant_term
+
+    monkeypatch.setattr(cli, "solve", untrusted_read)
+    out = tmp_path / "out"
+    argv = ("solve", "--metric", "flat:1", "--M", "2", "--D", "4")
+    assert run_cli(*argv, "--out", str(out), "--no-timestamp") == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == (
+        "error: numerical degeneracy: degree-0 coefficient read on a jet with valid_degree -1"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

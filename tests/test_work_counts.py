@@ -4,7 +4,8 @@ nothing its check selection does not read, a majorant run builds no jet
 context for the derivative lemma and evaluates no jet, its nonlinearity
 bounds multiply no t-series, a calibration forms the Ricci form once and
 evaluates no jet, the exponential, logarithm and reciprocal of a jet form
-no jet product, and a run forms no untrusted jet but the shared zero jets."""
+no jet product, a run forms no untrusted jet but the shared zero jets, and
+it caches no fused product plan above the bound."""
 
 import warnings
 from collections import Counter
@@ -125,8 +126,9 @@ def test_solver_orders_with_a_negative_cap_expand_no_minor(tmp_path, monkeypatch
 
 
 def test_cauchy_sum_forms_each_term_through_the_sums_validity(tmp_path, monkeypatch):
+    # a Cauchy sum forms its terms with the product kernel on prefix arrays
     sums, open_sums = [], []
-    original_sum, original_mul = jets.cauchy_sum, jets.jet_mul
+    original_sum, original_product = jets.cauchy_sum, jets._product
 
     def recording_sum(a, b, k, js, weight=None):
         open_sums.append([])
@@ -135,14 +137,15 @@ def test_cauchy_sum_forms_each_term_through_the_sums_validity(tmp_path, monkeypa
         sums.append((out.valid_degree, full, open_sums.pop()))
         return out
 
-    def recording_mul(a, b):
+    def recording_product(ctx, av, bv, vd):
         if open_sums:
-            open_sums[-1].append(min(a.valid_degree, b.valid_degree))
-        return original_mul(a, b)
+            assert len(av) == len(bv) == ctx.deg_start[vd + 1]
+            open_sums[-1].append(vd)
+        return original_product(ctx, av, bv, vd)
 
     for module in (jets, solver):
         monkeypatch.setattr(module, "cauchy_sum", recording_sum)
-    monkeypatch.setattr(jets, "jet_mul", recording_mul)
+    monkeypatch.setattr(jets, "_product", recording_product)
     _verify(tmp_path, ("perturbed_flat:2,0.1,0,2", "5", "12"))
     formed = [(vd, full, terms) for vd, full, terms in sums if vd >= 0]
     assert formed
@@ -151,6 +154,17 @@ def test_cauchy_sum_forms_each_term_through_the_sums_validity(tmp_path, monkeypa
     assert all(not terms for vd, _, terms in sums if vd < 0)
     # the rule bites: many terms are trusted further than their sum
     assert sum(f > vd for vd, full, _ in formed for f in full) > 100
+
+
+def test_cached_product_plans_hold_at_most_the_bound(tmp_path, monkeypatch):
+    monkeypatch.setattr(jets, "_CTX_CACHE", {})
+    _verify(tmp_path, ("perturbed_flat:2,0.1,0,2", "5", "12"))
+    plans = [p for ctx in jets._CTX_CACHE.values() for p in ctx._plans.values()]
+    fused = [p for p in plans if p]
+    assert fused and None in plans
+    for I, J, seg_starts, targets, _ in fused:
+        assert len(I) == len(J) <= jets._PLAN_PAIRS
+        assert len(seg_starts) == len(targets) <= len(I)
 
 
 @pytest.mark.parametrize("checks", [ALL_CHECKS, ("laplacian",), ("curvature", "system")])
@@ -211,7 +225,8 @@ def test_calibrate_forms_the_ricci_form_once_and_evaluates_no_jet(monkeypatch):
 
 
 def test_series_functions_form_no_jet_product(monkeypatch):
-    products = _record(monkeypatch, jets, "jet_mul")
+    # every product, direct or in a Cauchy sum, runs the product kernel
+    products = _record(monkeypatch, jets, "_product")
     h = geometry.perturbed_flat(3, 0.1, 1, 2, 8).h
     a = jets.jet_scale(geometry.jet_det(h), 1.0 + 0.5j)
     products.clear()
