@@ -66,8 +66,9 @@ class HermitianJetMatrix:
         """Max coefficientwise deviation |entry(i,j) - conj(entry(j,i))|; NaN
         as soon as one compared coefficient is NaN."""
         diffs = [0.0]
+        # (j, i) gives the conjugate differences of (i, j): equal magnitudes
         for i in range(self.n):
-            for j in range(self.n):
+            for j in range(i, self.n):
                 a = self.entries[i][j]
                 b = _conj_entry(self.entries[j][i])
                 if isinstance(a, TJet):
@@ -293,14 +294,14 @@ class InitialData:
         return self.h.entries[0][0].ctx
 
 
+def _identity_rows(ctx: JetContext, n: int) -> list:
+    return [[ctx.constant(1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
+
+
 def flat(n: int, cap: int) -> InitialData:
-    ctx = context(n, cap)
-    rows = [
-        [ctx.constant(1.0 if i == j else 0.0) for j in range(n)] for i in range(n)
-    ]
     return InitialData(
         n=n,
-        h=HermitianJetMatrix(rows),
+        h=HermitianJetMatrix(_identity_rows(context(n, cap), n)),
         name=f"flat:{n}",
         chart_info={"kind": "flat", "n": n},
     )
@@ -387,11 +388,11 @@ def perturbed_flat(n: int, eps: float, seed: int, degree: int, cap: int) -> Init
             f"perturbed_flat seed and degree must be nonnegative, got {seed} and {degree}"
         )
     ctx = context(n, cap)
-    base = flat(n, cap)
+    base = _identity_rows(ctx, n)
     if eps == 0:
         return InitialData(
             n=n,
-            h=base.h,
+            h=HermitianJetMatrix(base),
             name=f"perturbed_flat:{n},{eps},{seed},{degree}",
             chart_info={"kind": "flat", "n": n},
         )
@@ -407,7 +408,7 @@ def perturbed_flat(n: int, eps: float, seed: int, degree: int, cap: int) -> Init
         lambda e: jet_scale(e, eps / MIXED_HESSIAN_FACTOR)
     )
     rows = [
-        [jet_add(base.h.entries[i][j], bump.entries[i][j]) for j in range(n)]
+        [jet_add(base[i][j], bump.entries[i][j]) for j in range(n)]
         for i in range(n)
     ]
     return InitialData(

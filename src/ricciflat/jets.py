@@ -38,13 +38,22 @@ for a t-coefficient whose validity is negative: it is the shared zero jet.
 A term is formed only through its sum's validity, in ``cauchy_sum`` (on the
 prefix arrays, with one jet for the whole sum) and in the determinant orders
 of ``geometry.det_coefficient`` (``jet_through``).
+
+Each series operation follows a validity schedule, computed as it walks the
+orders.  Order k of a product is trusted to the least validity among the
+orders <= k of both factors, a running minimum; order m of the exponential
+and the reciprocal to the least among order 0 of the result and orders
+1..m of the argument.  Both only fall, so from the first order where the
+schedule is negative on, every order is the shared zero jet of its
+validity, and no Cauchy sum is asked for.  Sums, differences, scalings,
+conjugates, t-derivatives and t-integrals map the jet operation over the
+orders; it returns the shared zero jet for an untrusted order.
 """
 
 from __future__ import annotations
 
 import cmath
 from bisect import bisect_right
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -68,6 +77,26 @@ def context(n: int, cap: int) -> "JetContext":
     return ctx
 
 
+def _graded_exponents(nvars: int, cap: int):
+    """The exponent vectors of the monomials of degree <= cap in ``nvars``
+    variables, by ascending degree and within a degree in descending
+    lexicographic order (that of ``combinations_with_replacement`` over the
+    variables), as an int64 array, and the number of monomials per degree.
+    In v variables the degree-d block is the monomials of degree <= d in the
+    last v - 1 variables, ascending in degree e, behind a first exponent
+    d - e: one prefix of the previous table per degree."""
+    exponents = np.arange(cap + 1, dtype=np.int64)[:, None]
+    sizes = np.ones(cap + 1, dtype=np.int64)
+    for _ in range(nvars - 1):
+        ends = np.cumsum(sizes)
+        exponents = np.concatenate([
+            np.column_stack((np.repeat(np.arange(d, -1, -1), sizes[: d + 1]), exponents[: ends[d]]))
+            for d in range(cap + 1)
+        ])
+        sizes = ends
+    return exponents, sizes
+
+
 class JetContext:
     """Shared index tables for all jets of one dimension and degree cap.
 
@@ -86,16 +115,11 @@ class JetContext:
         self.cap = cap
         self.nvars = 2 * n
 
-        rows = []
-        starts = [0]
-        for d in range(cap + 1):
-            for combo in combinations_with_replacement(range(self.nvars), d):
-                rows.append(np.bincount(combo, minlength=self.nvars))
-            starts.append(len(rows))
-        self.exponents = np.array(rows, dtype=np.int64)
+        self.exponents, sizes = _graded_exponents(self.nvars, cap)
+        starts = [0] + np.cumsum(sizes).tolist()
         self.deg_start = tuple(starts)  # ints: each operation indexes it
         self._blocks = np.array(starts[:-1])  # reduceat converts a tuple each call
-        self.size = len(rows)
+        self.size = starts[-1]
         self.degrees = np.repeat(np.arange(cap + 1), np.diff(self.deg_start))
 
         self._shifts = 8 * np.arange(self.nvars - 1, -1, -1, dtype=np.uint64)
@@ -676,35 +700,52 @@ class TJet:
         return tuple(c.valid_degree for c in self.coeffs)
 
     def __add__(self, other: "TJet") -> "TJet":
-        m = min(self.order, other.order)
-        return TJet(
-            [jet_add(self.coeffs[k], other.coeffs[k]) for k in range(m + 1)]
-        )
+        return _tjet(map(jet_add, self.coeffs, other.coeffs))
 
     def __neg__(self):
-        return TJet([jet_scale(c, -1.0) for c in self.coeffs])
+        return _tjet(jet_scale(c, -1.0) for c in self.coeffs)
 
     def __sub__(self, other: "TJet") -> "TJet":
-        return TJet([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return _tjet(map(jet_sub, self.coeffs, other.coeffs))
 
     def __mul__(self, other):
-        """Series product with a TJet, or scaling by a number."""
+        """Series product with a TJet, or scaling by a number.  Order k is
+        trusted to the least validity among the orders <= k of both factors,
+        a running minimum equal to the least term validity of its Cauchy
+        sum; from the first order where it is negative on, each order is the
+        shared zero jet, with no Cauchy sum."""
         if isinstance(other, (int, float, complex)):
-            return TJet([jet_scale(c, other) for c in self.coeffs])
+            return _tjet(jet_scale(c, other) for c in self.coeffs)
         a, b = self.coeffs, other.coeffs
-        return TJet(
-            [cauchy_sum(a, b, k, range(k + 1)) for k in range(min(self.order, other.order) + 1)]
-        )
+        _same_context(a[0], b[0])
+        ctx = a[0].ctx
+        out, vd = [], ctx.cap
+        for k in range(min(len(a), len(b))):
+            vd = min(vd, a[k].valid_degree, b[k].valid_degree)
+            out.append(cauchy_sum(a, b, k, range(k + 1)) if vd >= 0 else ctx.zero(vd))
+        return _tjet(out)
 
     __rmul__ = __mul__
 
     def truncate(self, order: int) -> "TJet":
         if order >= self.order:
             return self
-        return TJet(self.coeffs[: order + 1])
+        return _tjet(self.coeffs[: order + 1])
 
     def __repr__(self):
         return f"TJet(order={self.order}, ctx={self.ctx!r})"
+
+
+_new_tjet = object.__new__
+_set_coeffs = TJet.coeffs.__set__
+
+
+def _tjet(coeffs) -> TJet:
+    """A series from jets that an operation on series of one context made,
+    without the public constructor's checks, which its operands passed."""
+    series = _new_tjet(TJet)
+    _set_coeffs(series, tuple(coeffs))
+    return series
 
 
 def cauchy_sum(a, b, k: int, js: range, weight=None) -> Jet:
@@ -715,18 +756,23 @@ def cauchy_sum(a, b, k: int, js: range, weight=None) -> Jet:
     a zero jet without forming its products.  A term is formed only through
     the sum's validity, by ``_product`` on prefix arrays, and scaled and
     added as ``jet_scale`` and ``jet_add`` would: one jet wraps the sum."""
-    vd = min(min(a[j].valid_degree, b[k - j].valid_degree) for j in js)
     first = a[js[0]]
+    ctx, vd = first.ctx, first.valid_degree
+    for j in js:  # one pass for the validity and the contexts
+        x, y = a[j], b[k - j]
+        if x.ctx is not ctx or y.ctx is not ctx:
+            _same_context(first, x)
+            _same_context(first, y)
+        if x.valid_degree < vd:
+            vd = x.valid_degree
+        if y.valid_degree < vd:
+            vd = y.valid_degree
     if vd < 0:
-        return first.ctx.zero(vd)
-    ctx = first.ctx
+        return ctx.zero(vd)
     size = ctx.deg_start[vd + 1]
     acc = None
     for j in js:
-        x, y = a[j], b[k - j]
-        _same_context(first, x)
-        _same_context(x, y)
-        term = _product(ctx, x.prefix[:size], y.prefix[:size], vd)
+        term = _product(ctx, a[j].prefix[:size], b[k - j].prefix[:size], vd)
         if weight is not None:
             term *= weight(j)
         if acc is None:
@@ -743,26 +789,39 @@ def t_integrate(a: TJet) -> TJet:
     """
     out = [a.ctx.zero()]
     out.extend(jet_scale(c, 1.0 / (m + 1)) for m, c in enumerate(a.coeffs))
-    return TJet(out)
+    return _tjet(out)
 
 
 def t_derive(a: TJet) -> TJet:
     """d/dt: order m shifts to m-1 with multiplication by m."""
     if a.order == 0:
-        return TJet([a.ctx.zero(valid_degree=a.coeffs[0].valid_degree)])
-    return TJet(
-        [jet_scale(a.coeffs[m], float(m)) for m in range(1, a.order + 1)]
-    )
+        return _tjet([a.ctx.zero(valid_degree=a.coeffs[0].valid_degree)])
+    return _tjet(jet_scale(a.coeffs[m], float(m)) for m in range(1, a.order + 1))
+
+
+def _recursive_series(a: TJet, first: Jet, coeff) -> TJet:
+    """The series whose order 0 is ``first`` and whose order m >= 1 is
+    ``coeff(out, m)`` from its orders below m, for the recursions of
+    ``t_exp`` and ``t_reciprocal``.  Their order m is trusted to
+    min(first, a_1..a_m), a validity that only falls; from the first order
+    where it is negative on, each order is the shared zero jet."""
+    ctx, vd = first.ctx, first.valid_degree
+    out = [first]
+    for m in range(1, a.order + 1):
+        vd = min(vd, a.coeffs[m].valid_degree)
+        out.append(coeff(out, m) if vd >= 0 else ctx.zero(vd))
+    return _tjet(out)
 
 
 def t_reciprocal(a: TJet) -> TJet:
     """Truncated 1/a for a series whose constant jet has nonzero constant term."""
     b0 = jet_reciprocal(a.coeffs[0])
-    out = [b0]
-    for m in range(1, a.order + 1):
+
+    def coeff(out, m):
         acc = cauchy_sum(a.coeffs, out, m, range(1, m + 1))
-        out.append(jet_scale(jet_mul(b0, acc), -1.0))
-    return TJet(out)
+        return jet_scale(jet_mul(b0, acc), -1.0)
+
+    return _recursive_series(a, b0, coeff)
 
 
 def t_exp_coeff(a, e, m: int, sign: float = 1.0) -> Jet:
@@ -779,11 +838,9 @@ def t_exp_coeff(a, e, m: int, sign: float = 1.0) -> Jet:
 def t_exp(a: TJet, e0: Jet | None = None) -> TJet:
     """Truncated exp of a t-series, via the linear recursion E' = a' E.
     ``e0`` is exp(a_0) when the caller already holds it."""
-    out = [jet_exp(a.coeffs[0]) if e0 is None else e0]
-    for m in range(1, a.order + 1):
-        out.append(t_exp_coeff(a.coeffs, out, m))
-    return TJet(out)
+    e0 = jet_exp(a.coeffs[0]) if e0 is None else e0
+    return _recursive_series(a, e0, lambda out, m: t_exp_coeff(a.coeffs, out, m))
 
 
 def t_conj(a: TJet) -> TJet:
-    return TJet([jet_conj(c) for c in a.coeffs])
+    return _tjet(map(jet_conj, a.coeffs))

@@ -50,8 +50,11 @@ SCENARIO_FILES = {
 # writes one subdirectory per scenario through the process pool.  The last
 # two runs but one take a product whose h entries are trusted to degrees 10
 # and 8, so they add jets of unequal validity; the last one is refused
-# because D = 1 leaves the initial metric no trusted degree.  No run
-# joins a file's [checks] with check flags: there the flags win.
+# because D = 1 leaves the initial metric no trusted degree.  The two runs
+# after it trust their series orders to degrees 4, 2, 0, -2, -4 and
+# 6, 4, 2, 0, -2, -4, so every series operation meets untrusted orders
+# mid-series.  No run joins a file's [checks] with check flags: there the
+# flags win.
 SCENARIOS = (
     "verify --metric perturbed_flat:1,0.1,7,2 --M 8 --D 12",
     "verify --metric perturbed_flat:2,0.1,0,2 --M 5 --D 12",
@@ -108,6 +111,8 @@ SCENARIOS = (
     "verify --metric product:fubini_study_chart:1,1.0|perturbed_flat:1,0.1,3,2 --M 4 --D 10",
     "majorant --metric product:fubini_study_chart:1,1.0|perturbed_flat:1,0.1,3,2 --M 4 --D 10 --R 0.2",
     "solve --metric perturbed_flat:1,0.1,7,2 --M 1 --D 1",
+    "verify --metric perturbed_flat:4,0.1,0,2 --M 4 --D 6",
+    "verify --metric perturbed_flat:3,0.1,1,2 --M 5 --D 8",
 )
 
 

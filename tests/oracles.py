@@ -7,13 +7,38 @@ logarithm and reciprocal of a jet are redone as power series in extended
 precision, with products formed from the exponent tuples alone.  The
 row-loop product rebuilds the product kernel's pair tables from the exponent
 tuples, and the Cauchy-sum fold composes the public jet operations that a
-Cauchy sum must reproduce bitwise.
+Cauchy sum must reproduce bitwise.  The series folds redo each t-series
+operation order by order, every order through its full Cauchy sum or jet
+operation, with no validity schedule.  The exponent table is enumerated one
+monomial at a time.
 """
+
+from itertools import combinations_with_replacement
 
 import numpy as np
 import sympy as sp
 
-from ricciflat.jets import Jet, jet_add, jet_mul, jet_scale, jet_through
+from ricciflat.jets import (
+    Jet,
+    jet_add,
+    jet_mul,
+    jet_reciprocal,
+    jet_scale,
+    jet_sub,
+    jet_through,
+)
+
+
+def exponent_table(n: int, cap: int):
+    """(exponent vectors, degree block starts) of the monomials of degree <=
+    cap in the 2n real variables: per degree, each multiset of variables from
+    ``combinations_with_replacement`` counted by ``np.bincount``."""
+    rows, starts = [], [0]
+    for d in range(cap + 1):
+        for combo in combinations_with_replacement(range(2 * n), d):
+            rows.append(np.bincount(combo, minlength=2 * n))
+        starts.append(len(rows))
+    return np.array(rows, dtype=np.int64), tuple(starts)
 
 
 def symbols_for(ctx):
@@ -204,3 +229,39 @@ def cauchy_fold(a, b, k, js, weight=None) -> Jet:
             term = jet_scale(term, weight(j))
         acc = term if acc is None else jet_add(acc, term)
     return acc
+
+
+# -- t-series operations, order by order -------------------------------------------
+
+
+def series_mul_fold(a, b) -> list:
+    """The coefficients of the series product: ``cauchy_fold`` at every k."""
+    return [cauchy_fold(a.coeffs, b.coeffs, k, range(k + 1)) for k in range(min(a.order, b.order) + 1)]
+
+
+def series_add_fold(a, b) -> list:
+    return [jet_add(x, y) for x, y in zip(a.coeffs, b.coeffs)]
+
+
+def series_sub_fold(a, b) -> list:
+    return [jet_sub(x, y) for x, y in zip(a.coeffs, b.coeffs)]
+
+
+def t_exp_fold(a, e0) -> list:
+    """exp of a series from exp(a_0) = ``e0``: order m is
+    (1/m) sum_{k=1..m} k a_k E_{m-k}, by ``cauchy_fold`` at every m."""
+    out = [e0]
+    for m in range(1, a.order + 1):
+        acc = cauchy_fold(a.coeffs, out, m, range(1, m + 1), lambda k: 1.0 * k)
+        out.append(jet_scale(acc, 1.0 / m))
+    return out
+
+
+def t_reciprocal_fold(a) -> list:
+    """1/a of a series: order m is -b_0 sum_{k=1..m} a_k b_{m-k}, with
+    b_0 = 1/a_0, by ``cauchy_fold`` at every m."""
+    out = [jet_reciprocal(a.coeffs[0])]
+    for m in range(1, a.order + 1):
+        acc = cauchy_fold(a.coeffs, out, m, range(1, m + 1))
+        out.append(jet_scale(jet_mul(out[0], acc), -1.0))
+    return out

@@ -479,3 +479,38 @@ def test_initial_data_rejects_non_hermitian():
 def test_unknown_builtin_rejected():
     with pytest.raises(InvalidInputError):
         builtin_metric("nope", [1], 4)
+
+
+def _ordered_pair_defect(g):
+    """max over every ordered pair (i, j) of |g_ij - conj(g_ji)|, per order
+    for series entries, NaN as soon as one difference is NaN."""
+    diffs = [0.0]
+    for i in range(g.n):
+        for j in range(g.n):
+            a, b = g[i, j], g[j, i]
+            if isinstance(a, TJet):
+                diffs += [max_coeff_diff(x, jet_conj(y)) for x, y in zip(a.coeffs, b.coeffs)]
+            else:
+                diffs.append(max_coeff_diff(a, jet_conj(b)))
+    return float(np.max(diffs))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hermitian_defect_is_the_ordered_pair_maximum(n):
+    ctx = context(n, 4)
+    rng = np.random.default_rng(70 + n)
+
+    def entry():
+        c = rng.standard_normal(ctx.size) + 1j * rng.standard_normal(ctx.size)
+        if rng.random() < 0.2:
+            c[rng.integers(ctx.size)] = np.nan
+        return Jet(ctx, c, int(rng.integers(-1, ctx.cap + 1)))
+
+    for _ in range(20):
+        plain = HermitianJetMatrix([[entry() for _ in range(n)] for _ in range(n)])
+        series = HermitianJetMatrix(
+            [[TJet([entry() for _ in range(3)]) for _ in range(n)] for _ in range(n)]
+        )
+        for g in (plain, series):
+            got, want = g.hermitian_defect(), _ordered_pair_defect(g)
+            assert got == want or (np.isnan(got) and np.isnan(want))

@@ -9,7 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import jet_eval
-from oracles import cauchy_fold, jet_to_expr, jet_vs_expr, row_loop_mul, series_oracle
+from oracles import (
+    cauchy_fold,
+    exponent_table,
+    jet_to_expr,
+    jet_vs_expr,
+    row_loop_mul,
+    series_add_fold,
+    series_mul_fold,
+    series_oracle,
+    series_sub_fold,
+    t_exp_fold,
+    t_reciprocal_fold,
+)
 from ricciflat import jets
 from ricciflat.errors import (
     DimensionMismatchError,
@@ -36,6 +48,7 @@ from ricciflat.jets import (
     t_derive,
     t_exp,
     t_integrate,
+    t_conj,
     t_reciprocal,
 )
 
@@ -826,3 +839,96 @@ def test_untrusted_cauchy_terms_are_zero_and_trusted_ones_unchanged(n, steps):
     _assert_trusted_equal_and_untrusted_zero(a * b, _naive_tjet_mul(a, b))
     _assert_trusted_equal_and_untrusted_zero(t_reciprocal(a), _naive_t_reciprocal(a))
     _assert_trusted_equal_and_untrusted_zero(t_exp(b), _naive_t_exp(b))
+
+
+# -- validity schedule of series operations ------------------------------------------
+
+# Order validities that rise and fall, with untrusted orders mid-series.
+_SCHEDULES = ((2, 0, -2, -4), (5, -1, 4, 0, 3), (0, 3, -2, 6, 1, 2), (-1, 4, 4), (6, 6, 1, 1, -3, 9))
+
+
+def _schedule_series(ctx, rng, validities):
+    """A series with the given order validities (clipped to the cap): real,
+    complex or constant orders with zero blocks and +-0.0 entries, a NaN in
+    some orders, and a nonzero constant term at order 0."""
+    coeffs = []
+    for m, vd in enumerate(validities):
+        jet = _kernel_operand(ctx, rng, str(rng.choice(["real", "complex", "constant"])), vd)
+        c = jet.coeffs.copy()
+        if m == 0:
+            c[0] = 1.5
+        elif rng.random() < 0.3:
+            c[rng.integers(ctx.size)] = np.nan
+        coeffs.append(Jet(ctx, c, vd))
+    return TJet(coeffs)
+
+
+def _assert_series_is(got, want):
+    """Bitwise the reference, order by order, with untrusted orders the
+    context's shared zero jets."""
+    assert got.valid_degrees == tuple(w.valid_degree for w in want)
+    for g, w in zip(got.coeffs, want):
+        assert g.prefix.tobytes() == w.prefix.tobytes()
+        if g.valid_degree < 0:
+            assert g is g.ctx.zero(g.valid_degree)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_series_operations_follow_the_per_order_reference_bitwise(n, monkeypatch):
+    ctx = context(n, _KERNEL_CAPS[n])
+    rng = np.random.default_rng(90 + n)
+    untrusted, sums = 0, []
+    original_sum = jets.cauchy_sum
+
+    def recording_sum(a, b, k, js, weight=None):
+        out = original_sum(a, b, k, js, weight)
+        sums.append(out.valid_degree)
+        return out
+
+    monkeypatch.setattr(jets, "cauchy_sum", recording_sum)
+    for sa in _SCHEDULES:
+        for sb in _SCHEDULES:
+            a, b = _schedule_series(ctx, rng, sa), _schedule_series(ctx, rng, sb)
+            _assert_series_is(a * b, series_mul_fold(a, b))
+            _assert_series_is(a + b, series_add_fold(a, b))
+            _assert_series_is(a - b, series_sub_fold(a, b))
+            untrusted += sum(v < 0 for v in (a * b).valid_degrees)
+        _assert_series_is(-a, [jet_scale(c, -1.0) for c in a.coeffs])
+        _assert_series_is(a * (0.5 - 2j), [jet_scale(c, 0.5 - 2j) for c in a.coeffs])
+        _assert_series_is(t_conj(a), [jet_conj(c) for c in a.coeffs])
+        _assert_series_is(t_derive(a), [jet_scale(c, float(m)) for m, c in enumerate(a.coeffs) if m])
+        _assert_series_is(
+            t_integrate(a), [ctx.zero()] + [jet_scale(c, 1.0 / (m + 1)) for m, c in enumerate(a.coeffs)]
+        )
+        _assert_series_is(t_exp(a), t_exp_fold(a, jet_exp(a.coeffs[0])))
+        _assert_series_is(t_reciprocal(a), t_reciprocal_fold(a))
+    assert untrusted > 20
+    # no series operation asks for the Cauchy sum of an untrusted order
+    assert sums and min(sums) >= 0
+
+
+def test_series_products_refuse_mixed_contexts():
+    one, two = context(1, 4), context(2, 4)
+    with pytest.raises(DimensionMismatchError):
+        TJet([one.constant(1.0)]) * TJet([two.constant(1.0)])
+    # also when no order of the product is trusted
+    with pytest.raises(DimensionMismatchError):
+        TJet([one.zero(-1), one.zero(-2)]) * TJet([two.zero(-1), two.zero(-2)])
+    with pytest.raises(DimensionMismatchError):
+        cauchy_sum([one.zero(-1)], [two.zero(-1)], 0, range(1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_exponent_table_is_the_graded_lex_enumeration(n):
+    for cap in range(9):
+        ctx = jets.JetContext(n, cap)
+        exponents, starts = exponent_table(n, cap)
+        assert ctx.exponents.dtype == exponents.dtype
+        assert np.array_equal(ctx.exponents, exponents)
+        assert ctx.deg_start == starts and ctx.size == len(exponents)
+
+
+def test_exponent_table_at_n4_cap12():
+    exponents, starts = exponent_table(4, 12)
+    ctx = jets.JetContext(4, 12)
+    assert np.array_equal(ctx.exponents, exponents) and ctx.deg_start == starts

@@ -283,6 +283,37 @@ def test_trusted_coefficients_match_golden_capture(scenario):
     assert got == golden
 
 
+# -- independence of the degree cap ------------------------------------------------
+
+# (metric spec, t_order M, a cap D, a larger cap): n = 1, 2 and 3, the
+# Fubini-Study chart among them.
+CAP_PAIRS = (
+    ("perturbed_flat:2,0.1,0,2", 5, 12, 14),
+    ("perturbed_flat:1,0.1,7,2", 8, 12, 20),
+    ("fubini_study_chart:2,1", 4, 10, 12),
+    ("perturbed_flat:3,0.1,1,2", 4, 10, 12),
+)
+
+
+@pytest.mark.parametrize("spec, M, D, D_more", CAP_PAIRS, ids=lambda p: str(p))
+def test_trusted_coefficients_do_not_depend_on_the_cap(spec, M, D, D_more):
+    # A validity claimed past what the inputs support shows here: the
+    # smaller cap would have truncated what the larger one keeps.
+    def series(sol):
+        return [sol.v, sol.w_inv] + [e for row in sol.g.entries for e in row]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        low, high = solve_scenario(spec, M, D), solve_scenario(spec, M, D_more)
+    trusted = 0
+    for a, b in zip(series(low), series(high), strict=True):
+        assert [v + D_more - D for v in a.valid_degrees] == list(b.valid_degrees)
+        for x, y in zip(a.coeffs, b.coeffs):
+            assert x.prefix.tobytes() == y.prefix[: len(x.prefix)].tobytes()
+            trusted += x.valid_degree >= 0
+    assert trusted > 15
+
+
 # -- CSV output ---------------------------------------------------------------------
 
 

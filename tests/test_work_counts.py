@@ -4,8 +4,9 @@ nothing its check selection does not read, a majorant run builds no jet
 context for the derivative lemma and evaluates no jet, its nonlinearity
 bounds multiply no t-series, a calibration forms the Ricci form once and
 evaluates no jet, the exponential, logarithm and reciprocal of a jet form
-no jet product, a run forms no untrusted jet but the shared zero jets, and
-it caches no fused product plan above the bound."""
+no jet product, a run forms no untrusted jet but the shared zero jets, it
+caches no fused product plan above the bound, and series operations ask
+for no Cauchy sum at an untrusted order."""
 
 import warnings
 from collections import Counter
@@ -236,3 +237,41 @@ def test_series_functions_form_no_jet_product(monkeypatch):
     # the recorder sees the products formed inside the module
     TJet([a]) * TJet([a])
     assert len(products) == 1
+
+
+def test_series_determinant_sums_only_its_trusted_orders(monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sol = solve(geometry.perturbed_flat(4, 0.1, 0, 2, 4), SolverConfig(t_order=3, space_degree=4))
+    assert {e.valid_degrees for row in sol.g.entries for e in row} == {(2, 0, -2, -4)}
+    sums = _record(monkeypatch, jets, "cauchy_sum")
+    geometry.det_and_adjugate(sol.g)
+    assert {k for _, _, k, _ in sums} == {0, 1}
+
+
+def test_verify_asks_series_operations_for_no_untrusted_sum(tmp_path, monkeypatch):
+    # Only the solver's order step still asks for the sums of an untrusted
+    # order: [t^(m+1)] of e^{-v} and of e^{-v} det g, once each per order,
+    # and each returns the shared zero jet without forming a product.
+    untrusted, in_step = Counter(), []
+    original_sum, original_step = jets.cauchy_sum, solver.step
+
+    def recording_sum(a, b, k, js, weight=None):
+        out = original_sum(a, b, k, js, weight)
+        if out.valid_degree < 0:
+            untrusted[in_step[-1] if in_step else None] += 1
+        return out
+
+    def recording_step(state, minors=None):
+        in_step.append(state.m + 1)
+        try:
+            return original_step(state, minors)
+        finally:
+            in_step.pop()
+
+    for module in (jets, solver):
+        monkeypatch.setattr(module, "cauchy_sum", recording_sum)
+    monkeypatch.setattr(solver, "step", recording_step)
+    _verify(tmp_path, N4)
+    assert None not in untrusted
+    assert untrusted and max(untrusted.values()) <= 2
