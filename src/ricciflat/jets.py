@@ -25,10 +25,16 @@ prefixes of those tables that its factors' nonzero degree blocks reach.  A
 small product runs them as one gather, multiply, segmented sum and
 scatter-add, from a plan the context caches per (validity, nonzero blocks of
 each factor); a product of more than ``_PLAN_PAIRS`` pairs runs the same
-steps once per nonzero row of its first factor.  The exponential, logarithm
+steps once per nonzero row of its first factor.  Each jet caches its block
+pattern on its first product, as it caches its effective degree: which
+degree blocks are nonzero and the first degree with an imaginary part.  A
+view from ``jet_through`` takes its parent's pattern cut to its degree, so
+a product's set-up is one dictionary lookup.  The exponential, logarithm
 and reciprocal of a jet form each degree block from the blocks below it by
 one recurrence over slices of the same tables (Griewank & Walther,
-*Evaluating Derivatives*, ch. 13): one product's work.
+*Evaluating Derivatives*, ch. 13): one product's work.  Below the same
+bound a block is one gather, multiply, segmented sum and scatter-add, by a
+plan the context caches per (validity, nonzero blocks of the first factor).
 
 A TJet is a truncated power series in the moment-map variable t whose
 coefficients are jets, each with its own validity.  The series product,
@@ -128,7 +134,8 @@ class JetContext:
         self._sorted_keys = self._packed[self._order]
 
         self._pair_cache: dict[int, tuple] = {}
-        self._plans: dict[tuple[bytes, bytes], tuple | None] = {}
+        self._plans: dict[tuple[int, int, int], tuple | None] = {}
+        self._series_plans: dict[tuple[int, int], list | None] = {}
         self._deriv_cache: dict[int, tuple] = {}
         self._untrusted: dict[int, "Jet"] = {}
 
@@ -254,7 +261,7 @@ class Jet:
     safely shareable.
     """
 
-    __slots__ = ("ctx", "prefix", "valid_degree", "_eff")
+    __slots__ = ("ctx", "prefix", "valid_degree", "_eff", "_pattern")
 
     def __init__(self, ctx: JetContext, coeffs: np.ndarray, valid_degree: int):
         coeffs = np.asarray(coeffs, dtype=np.complex128)
@@ -269,6 +276,7 @@ class Jet:
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "valid_degree", vd)
         object.__setattr__(self, "_eff", None)
+        object.__setattr__(self, "_pattern", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Jet is immutable")
@@ -346,6 +354,7 @@ _set_ctx = Jet.ctx.__set__
 _set_prefix = Jet.prefix.__set__
 _set_valid = Jet.valid_degree.__set__
 _set_eff = Jet._eff.__set__
+_set_pattern = Jet._pattern.__set__
 
 
 def _fresh(ctx: JetContext, prefix: np.ndarray, valid_degree: int) -> Jet:
@@ -359,7 +368,33 @@ def _fresh(ctx: JetContext, prefix: np.ndarray, valid_degree: int) -> Jet:
     _set_prefix(jet, prefix)
     _set_valid(jet, valid_degree)
     _set_eff(jet, None)
+    _set_pattern(jet, None)
     return jet
+
+
+def _mask(flags: np.ndarray) -> int:
+    """The int whose bit d is ``flags[d]``."""
+    return sum(1 << d for d in flags.nonzero()[0].tolist())
+
+
+def _pattern(a: Jet) -> tuple[int, int]:
+    """The block pattern of a jet, cached on it: an int whose bit d is set
+    when the degree-d block of its prefix holds a nonzero coefficient (NaN
+    counts, -0.0 does not), and the first degree whose block has a nonzero
+    imaginary part, ``valid_degree + 1`` when there is none."""
+    pattern = a._pattern
+    if pattern is None:
+        ctx, prefix, vd = a.ctx, a.prefix, a.valid_degree
+        if vd < 0:
+            pattern = (0, vd + 1)
+        else:
+            imag = prefix.imag.nonzero()[0]
+            pattern = (
+                _mask(np.logical_or.reduceat(prefix != 0, ctx._blocks[: vd + 1])),
+                int(ctx.degrees[imag[0]]) if len(imag) else vd + 1,
+            )
+        _set_pattern(a, pattern)
+    return pattern
 
 
 def _same_context(a: Jet, b: Jet) -> None:
@@ -394,12 +429,16 @@ def jet_scale(a: Jet, s: complex) -> Jet:
 
 def jet_through(a: Jet, degree: int) -> Jet:
     """``a`` read no further than ``degree``: a view of its prefix, a lower
-    validity; below degree 0 the shared untrusted jet."""
+    validity; below degree 0 the shared untrusted jet.  The view's block
+    pattern is its parent's cut to ``degree``."""
     if degree < 0:
         return a.ctx.zero(min(a.valid_degree, degree))
     if a.valid_degree <= degree:
         return a
-    return _fresh(a.ctx, a.prefix[: a.ctx.deg_start[degree + 1]], degree)
+    mask, real = _pattern(a)
+    view = _fresh(a.ctx, a.prefix[: a.ctx.deg_start[degree + 1]], degree)
+    _set_pattern(view, (mask & ((2 << degree) - 1), min(real, degree + 1)))
+    return view
 
 
 # Largest product, in pair products, that runs fused; see ``jet_mul``.
@@ -417,7 +456,11 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
     scatters all rows at once, by a plan cached on the context per
     (vd, nonzero rows of a, nonzero columns of b); a larger one loops over
     the rows, one gather, multiply, segmented sum and scatter-add each.
-    The kernel drops to float arithmetic when both trusted prefixes are real.
+    The kernel drops to float arithmetic, on the real parts of the prefixes
+    and of the output, when both operands are real through vd.  Which
+    blocks are nonzero and the first degree with an imaginary part are read
+    from the block pattern each jet caches on its first product, so a
+    product's set-up is a dictionary lookup.
 
     The bound keeps the fused path where it pays.  A small product spends
     most of its time in per-call overhead, which one gather removes.  A
@@ -436,35 +479,37 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
     only at degree 0 is that constant pair alone, formed as the kernel forms
     it, with no tables.
     """
-    vd, av, bv = _operands(a, b)
+    _same_context(a, b)
+    vd = min(a.valid_degree, b.valid_degree)
     if vd < 0:
         return a.ctx.zero(vd)
-    return _fresh(a.ctx, _product(a.ctx, av, bv, vd), vd)
+    return _fresh(a.ctx, _product(a.ctx, a, b, vd), vd)
 
 
-def _product(ctx: JetContext, av: np.ndarray, bv: np.ndarray, vd: int) -> np.ndarray:
-    """The coefficients of the product of two prefixes already cut to the
-    validity ``vd`` >= 0, as a new complex array (see ``jet_mul``)."""
-    out = np.zeros(len(av), dtype=np.complex128)
+def _product(ctx: JetContext, a: Jet, b: Jet, vd: int) -> np.ndarray:
+    """The coefficients of the product of two jets of ``ctx`` trusted at
+    least to ``vd`` >= 0, read through ``vd``, as a new complex array (see
+    ``jet_mul``)."""
     if vd == 0:
-        a0, b0 = av[0], bv[0]
+        out = np.zeros(1, dtype=np.complex128)
+        a0, b0 = a.prefix[0], b.prefix[0]
         if a0 != 0 and b0 != 0:
             out[0] = 0.0 + a0.real * b0.real if not (a0.imag or b0.imag) else 0j + a0 * b0
         return out
 
-    blocks = ctx._blocks[: vd + 1]
-    rows = np.logical_or.reduceat(av != 0, blocks)
-    cols = np.logical_or.reduceat(bv != 0, blocks)
-    key = (rows.tobytes(), cols.tobytes())  # the lengths give vd
+    rows, real_a = _pattern(a)
+    cols, real_b = _pattern(b)
+    keep = (2 << vd) - 1
+    key = (vd, rows & keep, cols & keep)
     plan = ctx._plans.get(key, False)
     if plan is False:
-        plan = ctx._plans[key] = _plan(ctx, _row_extents(vd, rows, cols))
+        plan = ctx._plans[key] = _plan(ctx, _row_extents(*key))
+    out = np.zeros(ctx.deg_start[vd + 1], dtype=np.complex128)
     if plan is not None and not plan:  # no nonzero pair
         return out
-    both_real = not (av.imag.any() or bv.imag.any())
-    if both_real:
-        av, bv = av.real.copy(), bv.real.copy()
-        out = np.zeros(len(av), dtype=np.float64)
+    av, bv, acc = a.prefix, b.prefix, out
+    if real_a > vd and real_b > vd:
+        av, bv, acc = av.real, bv.real, out.real
 
     if plan is not None:
         I, J, seg_starts, targets, row0 = plan
@@ -472,30 +517,29 @@ def _product(ctx: JetContext, av: np.ndarray, bv: np.ndarray, vd: int) -> np.nda
         prod *= bv[J]
         if row0:
             prod[0] = av[0] * bv[0]
-        np.add.at(out, targets, np.add.reduceat(prod, seg_starts))
+        np.add.at(acc, targets, np.add.reduceat(prod, seg_starts))
     else:
-        for da, db_max in _row_extents(vd, rows, cols):
+        for da, db_max in _row_extents(*key):
             I, J, seg_starts, targets, ends = ctx.row_pairs(da, db_max)
             pairs, segs = ends[db_max]
             prod = av[I[:pairs]]
             prod *= bv[J[:pairs]]
             if da == 0:
                 prod[0] = av[0] * bv[0]
-            out[targets[:segs]] += np.add.reduceat(prod, seg_starts[:segs])
-    return out.astype(np.complex128) if both_real else out
+            acc[targets[:segs]] += np.add.reduceat(prod, seg_starts[:segs])
+    return out
 
 
-def _row_extents(vd: int, rows: np.ndarray, cols: np.ndarray) -> list:
+def _row_extents(vd: int, rows: int, cols: int) -> list:
     """(da, db_max) per nonzero degree row da of the first factor that meets
     a nonzero block db <= vd - da of the second, db_max the highest such;
-    ``rows`` and ``cols`` flag the two factors' nonzero blocks."""
-    cols = cols.nonzero()[0].tolist()
-    extents = []
-    for da in rows.nonzero()[0].tolist() if cols else ():
-        if vd - da < cols[0]:
-            break
-        extents.append((da, cols[bisect_right(cols, vd - da) - 1]))
-    return extents
+    bit d of ``rows`` and ``cols`` flags the two factors' degree-d blocks."""
+    cols = [d for d in range(vd + 1) if cols >> d & 1]
+    return [
+        (da, cols[bisect_right(cols, vd - da) - 1])
+        for da in (range(vd + 1 - cols[0]) if cols else ())
+        if rows >> da & 1
+    ]
 
 
 def _plan(ctx: JetContext, extents: list):
@@ -539,8 +583,14 @@ def _graded_series(a: Jet, kind: str) -> Jet:
     and gives exp(a_0) s, s / a_0 or log a_0 + E^{-1} s.  Each block pair is
     multiplied once, the work of one ``jet_mul``, with its real path:
     p_j s_{d-j} is the db = d - j slice of the row ``row_pairs(j, vd - j)``
-    of a product with first factor p.  The result is trusted as far as a;
-    for an untrusted a it is the shared zero jet, a_0 left unread."""
+    of a product with first factor p.  When those rows hold at most
+    ``_PLAN_PAIRS`` pairs, block d is one gather, multiply, segmented sum
+    and scatter-add, by a plan cached on the context per (vd, nonzero rows
+    of the first factor) that concatenates the slices (j, d - j) in
+    ascending j; a larger series takes those four steps per row.  Either way
+    each target of block d receives its row sums in ascending j, starting
+    from +0.0, so both give the same bits.  The result is trusted as far as
+    a; for an untrusted a it is the shared zero jet, a_0 left unread."""
     ctx, vd, start = a.ctx, a.valid_degree, a.ctx.deg_start
     if vd < 0:
         return ctx.zero(vd)
@@ -552,20 +602,27 @@ def _graded_series(a: Jet, kind: str) -> Jet:
     if not p.imag.any():
         p = p.real.copy()
     first = p * ctx.degrees[: len(p)] if kind == "exp" else p
-    rows = np.logical_or.reduceat(first != 0, ctx._blocks[: vd + 1]).nonzero()[0].tolist()
-    tables = [(j, ctx.row_pairs(j, vd - j)) for j in rows]
+    rows = np.logical_or.reduceat(first != 0, ctx._blocks[: vd + 1])
+    key = (vd, _mask(rows))
+    plan = ctx._series_plans.get(key, False)
+    if plan is False:
+        plan = ctx._series_plans[key] = _series_plan(ctx, *key)
+    if plan is None:
+        tables = [(j, ctx.row_pairs(j, vd - j)) for j in rows.nonzero()[0].tolist()]
     s = np.zeros_like(p)
     s[0] = 0.0 if kind == "log" else 1.0
     for d in range(1, vd + 1):
         block = slice(start[d], start[d + 1])  # each block product's targets, in order
-        for j, (I, J, seg_starts, _, ends) in tables:
-            if j > d:
-                break
-            p0, s0 = ends[d - j - 1] if d > j else (0, 0)
-            p1, s1 = ends[d - j]
-            prod = first[I[p0:p1]]
-            prod *= s[J[p0:p1]]
-            s[block] += np.add.reduceat(prod, seg_starts[s0:s1] - p0)
+        if plan is None:
+            for I, J, seg_starts, _ in _row_pieces(tables, d):
+                prod = first[I]
+                prod *= s[J]
+                s[block] += np.add.reduceat(prod, seg_starts)
+        elif plan[d - 1] is not None:
+            I, J, seg_starts, targets = plan[d - 1]
+            prod = first[I]
+            prod *= s[J]
+            np.add.at(s, targets, np.add.reduceat(prod, seg_starts))
         if kind == "exp":
             s[block] /= d
         elif kind == "log":
@@ -578,6 +635,40 @@ def _graded_series(a: Jet, kind: str) -> Jet:
     else:
         out[:] = s * (cmath.exp(a0) if kind == "exp" else 1.0 / a0)
     return _fresh(ctx, out, vd)
+
+
+def _row_pieces(tables: list, d: int):
+    """The slices (j, d - j) of the row tables ``tables``, [(j, row_pairs(j,
+    ...))] in ascending j, for each row j <= d: (I, J, segment starts
+    relative to the slice's first pair, targets)."""
+    for j, (I, J, seg_starts, targets, ends) in tables:
+        if j > d:
+            return
+        p0, s0 = ends[d - j - 1] if d > j else (0, 0)
+        p1, s1 = ends[d - j]
+        yield I[p0:p1], J[p0:p1], seg_starts[s0:s1] - p0, targets[s0:s1]
+
+
+def _series_plan(ctx: JetContext, vd: int, rows: int):
+    """The fused tables of ``_graded_series`` at validity ``vd`` >= 0 for a
+    first factor whose nonzero rows are the bits of ``rows``: per degree
+    block d = 1..vd, the slices (j, d - j) of the rows j <= d concatenated in
+    ascending j, with each slice's segment starts offset by the pairs
+    before it (None when no row reaches d).  None above ``_PLAN_PAIRS``
+    pairs, checked before any row table is built or grown."""
+    start = ctx.deg_start
+    rows = [j for j in range(vd + 1) if rows >> j & 1]
+    if sum((start[j + 1] - start[j]) * start[vd - j + 1] for j in rows) > _PLAN_PAIRS:
+        return None
+    tables = [(j, ctx.row_pairs(j, vd - j)) for j in rows]
+    plan = []
+    for d in range(1, vd + 1):
+        parts, offset = [], 0
+        for I, J, seg_starts, targets in _row_pieces(tables, d):
+            parts.append((I, J, seg_starts + offset, targets))
+            offset += len(I)
+        plan.append(tuple(np.concatenate(col) for col in zip(*parts)) if parts else None)
+    return plan
 
 
 def jet_exp(a: Jet) -> Jet:
@@ -754,7 +845,7 @@ def cauchy_sum(a, b, k: int, js: range, weight=None) -> Jet:
     added in ascending j.  The sum is trusted to the least validity of its
     terms; when that is negative the sum is untrusted, and it is returned as
     a zero jet without forming its products.  A term is formed only through
-    the sum's validity, by ``_product`` on prefix arrays, and scaled and
+    the sum's validity, by ``_product`` on the two jets, and scaled and
     added as ``jet_scale`` and ``jet_add`` would: one jet wraps the sum."""
     first = a[js[0]]
     ctx, vd = first.ctx, first.valid_degree
@@ -769,10 +860,9 @@ def cauchy_sum(a, b, k: int, js: range, weight=None) -> Jet:
             vd = y.valid_degree
     if vd < 0:
         return ctx.zero(vd)
-    size = ctx.deg_start[vd + 1]
     acc = None
     for j in js:
-        term = _product(ctx, a[j].prefix[:size], b[k - j].prefix[:size], vd)
+        term = _product(ctx, a[j], b[k - j], vd)
         if weight is not None:
             term *= weight(j)
         if acc is None:

@@ -53,8 +53,10 @@ SCENARIO_FILES = {
 # because D = 1 leaves the initial metric no trusted degree.  The two runs
 # after it trust their series orders to degrees 4, 2, 0, -2, -4 and
 # 6, 4, 2, 0, -2, -4, so every series operation meets untrusted orders
-# mid-series.  No run joins a file's [checks] with check flags: there the
-# flags win.
+# mid-series.  The last two take the n = 1 jet at D = 20, whose exp, log
+# and reciprocal hold more pairs than the fused series plans allow, so the
+# row loop and the fused plans both run at n = 1.  No run joins a file's
+# [checks] with check flags: there the flags win.
 SCENARIOS = (
     "verify --metric perturbed_flat:1,0.1,7,2 --M 8 --D 12",
     "verify --metric perturbed_flat:2,0.1,0,2 --M 5 --D 12",
@@ -113,6 +115,8 @@ SCENARIOS = (
     "solve --metric perturbed_flat:1,0.1,7,2 --M 1 --D 1",
     "verify --metric perturbed_flat:4,0.1,0,2 --M 4 --D 6",
     "verify --metric perturbed_flat:3,0.1,1,2 --M 5 --D 8",
+    "verify --metric perturbed_flat:1,0.1,7,2 --M 8 --D 20",
+    "majorant --metric perturbed_flat:1,0.1,7,2 --M 8 --D 20 --R 0.2",
 )
 
 

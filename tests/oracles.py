@@ -7,13 +7,18 @@ logarithm and reciprocal of a jet are redone as power series in extended
 precision, with products formed from the exponent tuples alone.  The
 row-loop product rebuilds the product kernel's pair tables from the exponent
 tuples, and the Cauchy-sum fold composes the public jet operations that a
-Cauchy sum must reproduce bitwise.  The series folds redo each t-series
+Cauchy sum must reproduce bitwise.  The row-loop series is the degree
+recurrence of the exponential, logarithm and reciprocal of a jet taken one
+row of the product tables at a time, as the library took it before its
+fused series plans.  The series folds redo each t-series
 operation order by order, every order through its full Cauchy sum or jet
 operation, with no validity schedule.  The exponent table is enumerated one
 monomial at a time.
 """
 
 from itertools import combinations_with_replacement
+
+import cmath
 
 import numpy as np
 import sympy as sp
@@ -209,6 +214,52 @@ def row_loop_mul(a: Jet, b: Jet) -> np.ndarray:
         seg = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
         out[t[seg]] += np.add.reduceat(prod, seg)
     return out.astype(np.complex128)
+
+
+# -- row-loop series ------------------------------------------------------------
+
+
+def row_loop_series(a: Jet, kind: str) -> np.ndarray:
+    """The prefix of ``jet_exp``, ``jet_log`` or ``jet_reciprocal`` (``kind``
+    "exp", "log", "reciprocal") of a jet trusted to degree >= 0, by the
+    degree recurrence of ``jets._graded_series`` with one gather, multiply,
+    segmented sum and add per (degree block d, nonzero row j <= d of the
+    first factor), over the slice (j, d - j) of ``ctx.row_pairs(j, vd - j)``.
+    A block's row sums are added in ascending j to a block that starts at
+    +0.0; a zero row of the first factor is skipped."""
+    ctx, vd, start = a.ctx, a.valid_degree, a.ctx.deg_start
+    a0 = complex(a.prefix[0])
+    p = a.prefix * (1.0 if kind == "exp" else 1.0 / a0)
+    p[0] = 0
+    if not p.imag.any():
+        p = p.real.copy()
+    first = p * ctx.degrees[: len(p)] if kind == "exp" else p
+    rows = [j for j in range(vd + 1) if first[start[j] : start[j + 1]].any()]
+    tables = [(j, ctx.row_pairs(j, vd - j)) for j in rows]
+    s = np.zeros_like(p)
+    s[0] = 0.0 if kind == "log" else 1.0
+    for d in range(1, vd + 1):
+        block = slice(start[d], start[d + 1])
+        for j, (I, J, seg_starts, _, ends) in tables:
+            if j > d:
+                break
+            p0, s0 = ends[d - j - 1] if d > j else (0, 0)
+            p1, s1 = ends[d - j]
+            prod = first[I[p0:p1]]
+            prod *= s[J[p0:p1]]
+            s[block] += np.add.reduceat(prod, seg_starts[s0:s1] - p0)
+        if kind == "exp":
+            s[block] /= d
+        elif kind == "log":
+            s[block] = d * p[block] - s[block]
+        else:
+            s[block] = -s[block]
+    out = np.empty(len(s), dtype=np.complex128)
+    if kind == "log":
+        out[0], out[1:] = cmath.log(a0), s[1:] / ctx.degrees[1 : len(s)]
+    else:
+        out[:] = s * (cmath.exp(a0) if kind == "exp" else 1.0 / a0)
+    return out
 
 
 # -- Cauchy sum as a fold of jet operations ---------------------------------------

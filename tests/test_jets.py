@@ -15,6 +15,7 @@ from oracles import (
     jet_to_expr,
     jet_vs_expr,
     row_loop_mul,
+    row_loop_series,
     series_add_fold,
     series_mul_fold,
     series_oracle,
@@ -719,6 +720,146 @@ def test_cauchy_sum_refuses_mixed_contexts():
         cauchy_sum([one.constant(1.0)], [two.constant(1.0)], 0, range(1))
     with pytest.raises(DimensionMismatchError):
         cauchy_sum([one.constant(1.0), two.constant(1.0)], [one.constant(1.0)] * 2, 1, range(2))
+
+
+# -- cached block patterns ----------------------------------------------------------
+
+
+def _recomputed_pattern(jet):
+    """A jet's block pattern from its prefix, block by block: the bitmask of
+    blocks with a coefficient != 0 and the first block with an imaginary
+    part != 0 (valid_degree + 1 when none)."""
+    start, vd = jet.ctx.deg_start, jet.valid_degree
+    blocks = [jet.prefix[start[d] : start[d + 1]] for d in range(vd + 1)]
+    mask = sum(1 << d for d, c in enumerate(blocks) if (c != 0).any())
+    imag = [d for d, c in enumerate(blocks) if (c.imag != 0).any()]
+    return mask, imag[0] if imag else vd + 1
+
+
+def _pattern_operands(ctx, rng):
+    """Jets trusted to the cap with NaN, -0.0 (real and imaginary), whole
+    zero blocks, and imaginary parts only in the top blocks."""
+    out = []
+    for case in range(8):
+        c = _kernel_operand(ctx, rng, ("real", "complex")[case % 2], ctx.cap).coeffs.copy()
+        if case in (2, 3):
+            c[rng.integers(ctx.size)] = complex(math.nan, 0.0) if case == 2 else complex(0.0, math.nan)
+        if case == 4:  # a block of -0.0 only, real and imaginary
+            d = int(rng.integers(ctx.cap + 1))
+            c[ctx.deg_start[d] : ctx.deg_start[d + 1]] = complex(-0.0, -0.0)
+        if case in (5, 6):  # complex only in the top blocks
+            top = ctx.deg_start[ctx.cap - (case - 5)]
+            c = c.real.astype(np.complex128)
+            c[top:] += 1j * rng.standard_normal(ctx.size - top)
+        if case == 7:
+            c[:] = 0.0
+        out.append(Jet(ctx, c, ctx.cap))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cached_block_patterns_equal_a_recomputation(n):
+    ctx = context(n, _KERNEL_CAPS[n])
+    rng = np.random.default_rng(90 + n)
+    operands = _pattern_operands(ctx, rng)
+    made = list(operands)
+    for a in operands:
+        made += [jet_through(a, d) for d in range(ctx.cap + 1)]
+    made += [ctx.zero(), ctx.zero(2), ctx.constant(2.0, 3), ctx.constant(1j), ctx.x(0), ctx.z(n - 1)]
+    with np.errstate(all="ignore"):
+        for a, b in zip(operands, operands[1:] + operands[:1]):
+            made += [jet_mul(a, b), jet_add(a, b), jet_exp(a), jet_conj(b)]
+            made.append(cauchy_sum([a, b], [b, a], 1, range(2)))
+        for a in made:
+            # a product reads both operands' patterns and caches them
+            jet_mul(a, made[0])
+            assert a._pattern == _recomputed_pattern(a)
+    # each view's pattern is its parent's cut to the view's degree
+    views = [jet_through(a, d) for a in operands for d in range(ctx.cap)]
+    assert all(v._pattern == _recomputed_pattern(v) for v in views)
+    # complex only in its top block, real through every lower degree
+    top = operands[5]
+    assert top._pattern[1] == ctx.cap
+    assert all(jet_through(top, d)._pattern[1] == d + 1 for d in range(ctx.cap))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_product_of_a_view_is_that_of_a_fresh_jet_bitwise(n):
+    ctx = context(n, _KERNEL_CAPS[n])
+    rng = np.random.default_rng(95 + n)
+    operands = _pattern_operands(ctx, rng)
+    compared = 0
+    with np.errstate(all="ignore"):
+        for a in operands:
+            for b in operands:
+                for d in range(ctx.cap + 1):
+                    view = jet_through(a, d)
+                    fresh = Jet(ctx, view.coeffs, d)
+                    assert fresh._pattern is None  # recomputed on its first product
+                    for x, y in ((view, b), (b, view)):
+                        other = (fresh, b) if x is view else (b, fresh)
+                        assert jet_mul(x, y).prefix.tobytes() == jet_mul(*other).prefix.tobytes()
+                        compared += 1
+    assert compared == 2 * len(operands) ** 2 * (ctx.cap + 1)
+
+
+# -- fused series plans -------------------------------------------------------------
+
+
+def _series_operands(ctx, rng):
+    """Operands of the series functions: real and complex, with whole zero
+    blocks, even-only (zero odd blocks), constants, and one nonzero only in
+    blocks 0 and 2 with a NaN at x1^2."""
+    out = []
+    for kind in ("real", "complex", "even", "constant"):
+        c = _kernel_operand(ctx, rng, "real" if kind == "even" else kind, ctx.cap).coeffs.copy()
+        if kind == "even":
+            for d in range(1, ctx.cap + 1, 2):
+                c[ctx.deg_start[d] : ctx.deg_start[d + 1]] = 0.0
+        c[0] = 1.5 - 0.5j if kind == "complex" else 1.5
+        out.append(c)
+    c = np.zeros(ctx.size, dtype=np.complex128)
+    c[0] = 2.0
+    c[ctx.deg_start[2] : ctx.deg_start[3]] = rng.standard_normal(ctx.deg_start[3] - ctx.deg_start[2])
+    c[ctx.deg_start[2]] = math.nan
+    out.append(c)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fused_series_is_the_row_loop_bitwise(monkeypatch, n):
+    cap = _FUSED_CAPS[n]
+    operands = _series_operands(context(n, cap), np.random.default_rng(110 + n))
+    functions = (("exp", jet_exp), ("log", jet_log), ("reciprocal", jet_reciprocal))
+    results, sides = {}, {}
+    # each run on a private context, so its plans are built under its bound
+    for name, pairs in (("loop", -1), ("fused", 10**9), ("bounded", jets._PLAN_PAIRS)):
+        monkeypatch.setattr(jets, "_PLAN_PAIRS", pairs)
+        ctx = jets.JetContext(n, cap)
+        got = results[name] = []
+        with np.errstate(all="ignore"):
+            for c in operands:
+                for vd in range(cap + 1):
+                    a = Jet(ctx, c, vd)
+                    for kind, f in functions:
+                        out = f(a)
+                        assert out.prefix.tobytes() == row_loop_series(a, kind).tobytes()
+                        got.append(out.prefix.tobytes())
+        sides[name] = {p is None for p in ctx._series_plans.values()}
+    assert results["loop"] == results["fused"] == results["bounded"]
+    assert sides["loop"] == {True} and sides["fused"] == {False}
+    # the bounded run took the fused side below the bound and, past n = 1,
+    # the row loop above it
+    assert sides["bounded"] == ({False, True} if n > 1 else {False})
+    # a NaN at x1^2 reaches exactly its multiples, and block 1, which no
+    # row reaches, stays zero
+    ctx = context(n, cap)
+    multiples = ctx.exponents[:, 0] >= 2
+    with np.errstate(all="ignore"):
+        for f in (jet_exp, jet_log, jet_reciprocal):
+            out = f(Jet(ctx, operands[-1], cap)).prefix
+            assert np.array_equal(np.isnan(out), multiples)
+            assert not out[ctx.deg_start[1] : ctx.deg_start[2]].any()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -5,8 +5,9 @@ context for the derivative lemma and evaluates no jet, its nonlinearity
 bounds multiply no t-series, a calibration forms the Ricci form once and
 evaluates no jet, the exponential, logarithm and reciprocal of a jet form
 no jet product, a run forms no untrusted jet but the shared zero jets, it
-caches no fused product plan above the bound, and series operations ask
-for no Cauchy sum at an untrusted order."""
+caches no fused product or series plan above the bound, and neither series
+operations nor the solver's order step ask for a Cauchy sum at an untrusted
+order."""
 
 import warnings
 from collections import Counter
@@ -127,7 +128,7 @@ def test_solver_orders_with_a_negative_cap_expand_no_minor(tmp_path, monkeypatch
 
 
 def test_cauchy_sum_forms_each_term_through_the_sums_validity(tmp_path, monkeypatch):
-    # a Cauchy sum forms its terms with the product kernel on prefix arrays
+    # a Cauchy sum forms its terms with the product kernel on the jets
     sums, open_sums = [], []
     original_sum, original_product = jets.cauchy_sum, jets._product
 
@@ -138,11 +139,11 @@ def test_cauchy_sum_forms_each_term_through_the_sums_validity(tmp_path, monkeypa
         sums.append((out.valid_degree, full, open_sums.pop()))
         return out
 
-    def recording_product(ctx, av, bv, vd):
+    def recording_product(ctx, a, b, vd):
         if open_sums:
-            assert len(av) == len(bv) == ctx.deg_start[vd + 1]
+            assert a.valid_degree >= vd and b.valid_degree >= vd
             open_sums[-1].append(vd)
-        return original_product(ctx, av, bv, vd)
+        return original_product(ctx, a, b, vd)
 
     for module in (jets, solver):
         monkeypatch.setattr(module, "cauchy_sum", recording_sum)
@@ -160,12 +161,21 @@ def test_cauchy_sum_forms_each_term_through_the_sums_validity(tmp_path, monkeypa
 def test_cached_product_plans_hold_at_most_the_bound(tmp_path, monkeypatch):
     monkeypatch.setattr(jets, "_CTX_CACHE", {})
     _verify(tmp_path, ("perturbed_flat:2,0.1,0,2", "5", "12"))
+    # n = 2 at D = 6 puts the exp, log and reciprocal of a jet below the bound
+    _verify(tmp_path, ("perturbed_flat:2,0.1,0,2", "3", "6"))
     plans = [p for ctx in jets._CTX_CACHE.values() for p in ctx._plans.values()]
     fused = [p for p in plans if p]
     assert fused and None in plans
     for I, J, seg_starts, targets, _ in fused:
         assert len(I) == len(J) <= jets._PLAN_PAIRS
         assert len(seg_starts) == len(targets) <= len(I)
+    series = [p for ctx in jets._CTX_CACHE.values() for p in ctx._series_plans.values()]
+    fused = [[block for block in p if block is not None] for p in series if p is not None]
+    assert any(fused) and None in series
+    for blocks in fused:
+        assert sum(len(I) for I, _, _, _ in blocks) <= jets._PLAN_PAIRS
+        for I, J, seg_starts, targets in blocks:
+            assert len(I) == len(J) and len(seg_starts) == len(targets) <= len(I)
 
 
 @pytest.mark.parametrize("checks", [ALL_CHECKS, ("laplacian",), ("curvature", "system")])
@@ -250,28 +260,26 @@ def test_series_determinant_sums_only_its_trusted_orders(monkeypatch):
 
 
 def test_verify_asks_series_operations_for_no_untrusted_sum(tmp_path, monkeypatch):
-    # Only the solver's order step still asks for the sums of an untrusted
-    # order: [t^(m+1)] of e^{-v} and of e^{-v} det g, once each per order,
-    # and each returns the shared zero jet without forming a product.
-    untrusted, in_step = Counter(), []
+    # Neither the series operations nor the solver's order step ask for the
+    # sums of an untrusted order: each takes the shared zero jet instead.
+    untrusted, steps = [], []
     original_sum, original_step = jets.cauchy_sum, solver.step
 
     def recording_sum(a, b, k, js, weight=None):
         out = original_sum(a, b, k, js, weight)
         if out.valid_degree < 0:
-            untrusted[in_step[-1] if in_step else None] += 1
+            untrusted.append(k)
         return out
 
     def recording_step(state, minors=None):
-        in_step.append(state.m + 1)
-        try:
-            return original_step(state, minors)
-        finally:
-            in_step.pop()
+        out = original_step(state, minors)
+        steps.append((out.v[-1].valid_degree, out.exp_neg_v[-1].valid_degree))
+        return out
 
     for module in (jets, solver):
         monkeypatch.setattr(module, "cauchy_sum", recording_sum)
     monkeypatch.setattr(solver, "step", recording_step)
     _verify(tmp_path, N4)
-    assert None not in untrusted
-    assert untrusted and max(untrusted.values()) <= 2
+    assert untrusted == []
+    # the rule bites: the step reached orders it cannot trust
+    assert steps and min(min(vds) for vds in steps) < 0
