@@ -83,11 +83,6 @@ class RationalT:
             out[m] = acc / den[0]
         return out
 
-    def __call__(self, t: float) -> float:
-        return float(
-            np.polyval(self.numerator[::-1], t) / np.polyval(self.denominator[::-1], t)
-        )
-
 
 def p_of_t(spectrum: RicciSpectrum) -> np.ndarray:
     """Relative volume polynomial prod_i (1 + lambda_i t), ascending coefficients."""

@@ -20,21 +20,16 @@ product trusted only at degree 0 multiplies the two constant terms alone.
 
 The context caches, per degree row of a first factor, the pair tables of
 that block against all blocks of the second factor up to the largest degree
-asked for so far; smaller requests use a prefix.  A product reads the
-prefixes of those tables that its factors' nonzero degree blocks reach.  A
-small product runs them as one gather, multiply, segmented sum and
-scatter-add, from a plan the context caches per (validity, nonzero blocks of
-each factor); a product of more than ``_PLAN_PAIRS`` pairs runs the same
-steps once per nonzero row of its first factor.  Each jet caches its block
-pattern on its first product, as it caches its effective degree: which
-degree blocks are nonzero and the first degree with an imaginary part.  A
-view from ``jet_through`` takes its parent's pattern cut to its degree, so
-a product's set-up is one dictionary lookup.  The exponential, logarithm
-and reciprocal of a jet form each degree block from the blocks below it by
-one recurrence over slices of the same tables (Griewank & Walther,
-*Evaluating Derivatives*, ch. 13): one product's work.  Below the same
-bound a block is one gather, multiply, segmented sum and scatter-add, by a
-plan the context caches per (validity, nonzero blocks of the first factor).
+asked for so far; smaller requests use a prefix.  A product, and the
+exponential, logarithm and reciprocal of a jet, which form each degree
+block from the blocks below it by one recurrence over slices of the same
+tables (Griewank & Walther, *Evaluating Derivatives*, ch. 13), read those
+tables through one plan per pattern of nonzero blocks and run it by one
+executor; ``_plan`` describes both.  Each jet caches its block pattern on
+its first product, as it caches its effective degree: which degree blocks
+are nonzero and the first degree with an imaginary part.  A view from
+``jet_through`` takes its parent's pattern cut to its degree, so a
+product's set-up is one dictionary lookup.
 
 A TJet is a truncated power series in the moment-map variable t whose
 coefficients are jets, each with its own validity.  The series product,
@@ -134,8 +129,7 @@ class JetContext:
         self._sorted_keys = self._packed[self._order]
 
         self._pair_cache: dict[int, tuple] = {}
-        self._plans: dict[tuple[int, int, int], tuple | None] = {}
-        self._series_plans: dict[tuple[int, int], list | None] = {}
+        self._plans: dict[tuple[int, int, int | None], list | tuple] = {}
         self._deriv_cache: dict[int, tuple] = {}
         self._untrusted: dict[int, "Jet"] = {}
 
@@ -441,7 +435,7 @@ def jet_through(a: Jet, degree: int) -> Jet:
     return view
 
 
-# Largest product, in pair products, that runs fused; see ``jet_mul``.
+# Largest plan, in pair products, cached as chunks; see ``_plan``.
 _PLAN_PAIRS = 4096
 
 
@@ -449,35 +443,14 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
     """Truncated Cauchy product through the trusted degree of the result.
 
     Only degree blocks da + db <= vd = min(valid_degree) are formed, and the
-    operands are read only through vd; ``_product`` forms the coefficients.
-    Each nonzero degree row da of ``a`` contributes the prefix of its row
-    tables that reaches b's highest nonzero block of degree <= vd - da.  A
-    product of at most ``_PLAN_PAIRS`` pairs gathers, multiplies, sums and
-    scatters all rows at once, by a plan cached on the context per
-    (vd, nonzero rows of a, nonzero columns of b); a larger one loops over
-    the rows, one gather, multiply, segmented sum and scatter-add each.
-    The kernel drops to float arithmetic, on the real parts of the prefixes
-    and of the output, when both operands are real through vd.  Which
-    blocks are nonzero and the first degree with an imaginary part are read
-    from the block pattern each jet caches on its first product, so a
-    product's set-up is a dictionary lookup.
-
-    The bound keeps the fused path where it pays.  A small product spends
-    most of its time in per-call overhead, which one gather removes.  A
-    large one gains nothing: a dense n=2 product at validity 12 (125,970
-    pairs) took 2.1 ms fused against 0.8-1.1 ms by rows, whose tables stay
-    in cache.  A plan also copies its tables, so an unbounded plan cache
-    raised the peak memory of an n=3 M6 D14 ``verify`` from 121 to 197 MB.
-
-    The result is bitwise that of a loop over (da, db) block pairs: each
-    target still receives one sum per da, in ascending da, and each sum runs
-    over the same pairs in the same order.  Two details keep it so.  The
-    constant pair is multiplied as scalars, because numpy rounds a complex
-    product of length one (its scalar path) differently from the same
-    product inside a longer array.  The output starts as +0.0 and is only
-    ever added to, so a sum of -0.0 never shows as -0.0.  A product trusted
-    only at degree 0 is that constant pair alone, formed as the kernel forms
-    it, with no tables.
+    operands are read only through vd, by ``_product`` on the plan of
+    ``_plan``.  The kernel drops to float arithmetic, on the real parts of
+    the prefixes and of the output, when both operands are real through vd.
+    Which blocks are nonzero and the first degree with an imaginary part
+    are read from the block pattern each jet caches on its first product,
+    so a product's set-up is a dictionary lookup.  A product trusted only at
+    degree 0 is the constant pair alone, formed as the kernel forms it,
+    with no tables.
     """
     _same_context(a, b)
     vd = min(a.valid_degree, b.valid_degree)
@@ -501,67 +474,115 @@ def _product(ctx: JetContext, a: Jet, b: Jet, vd: int) -> np.ndarray:
     cols, real_b = _pattern(b)
     keep = (2 << vd) - 1
     key = (vd, rows & keep, cols & keep)
-    plan = ctx._plans.get(key, False)
-    if plan is False:
-        plan = ctx._plans[key] = _plan(ctx, _row_extents(*key))
+    plan = ctx._plans.get(key)
+    if plan is None:
+        plan = ctx._plans[key] = _plan(ctx, *key)
     out = np.zeros(ctx.deg_start[vd + 1], dtype=np.complex128)
-    if plan is not None and not plan:  # no nonzero pair
+    if not plan:  # no nonzero pair
         return out
-    av, bv, acc = a.prefix, b.prefix, out
     if real_a > vd and real_b > vd:
-        av, bv, acc = av.real, bv.real, out.real
-
-    if plan is not None:
-        I, J, seg_starts, targets, row0 = plan
-        prod = av[I]
-        prod *= bv[J]
-        if row0:
-            prod[0] = av[0] * bv[0]
-        np.add.at(acc, targets, np.add.reduceat(prod, seg_starts))
+        _run(ctx, plan, a.prefix.real, b.prefix.real, out.real)
     else:
-        for da, db_max in _row_extents(*key):
-            I, J, seg_starts, targets, ends = ctx.row_pairs(da, db_max)
-            pairs, segs = ends[db_max]
-            prod = av[I[:pairs]]
-            prod *= bv[J[:pairs]]
-            if da == 0:
-                prod[0] = av[0] * bv[0]
-            acc[targets[:segs]] += np.add.reduceat(prod, seg_starts[:segs])
+        _run(ctx, plan, a.prefix, b.prefix, out)
     return out
 
 
-def _row_extents(vd: int, rows: int, cols: int) -> list:
-    """(da, db_max) per nonzero degree row da of the first factor that meets
-    a nonzero block db <= vd - da of the second, db_max the highest such;
-    bit d of ``rows`` and ``cols`` flags the two factors' degree-d blocks."""
-    cols = [d for d in range(vd + 1) if cols >> d & 1]
-    return [
-        (da, cols[bisect_right(cols, vd - da) - 1])
-        for da in (range(vd + 1 - cols[0]) if cols else ())
-        if rows >> da & 1
-    ]
+def _plan(ctx: JetContext, vd: int, rows: int, cols: int | None):
+    """The plan of a product at validity ``vd`` >= 0 whose first factor has
+    the nonzero degree rows ``rows`` and whose second has the nonzero
+    blocks ``cols`` (bit d for degree d), or, with ``cols`` None, of a
+    ``_graded_series`` whose first factor has those rows.  The context
+    caches it in ``ctx._plans`` under (vd, rows, cols).
 
+    A product's plan is one group: each nonzero row j of the first factor
+    that meets a nonzero block db <= vd - j of the second, read through the
+    highest such db with the zero blocks below it, as the prefix of
+    ``ctx.row_pairs(j, db)``.  A series' plan is one group per block d =
+    1..vd: the slices (j, d - j) of the rows ``row_pairs(j, vd - j)``, for
+    its rows j <= d.  Each piece of a group is one row's blocks lo..hi, and
+    its targets are one run of consecutive monomials, those of degrees
+    j + lo..j + hi, because each product of a row with a block covers its
+    target block.
 
-def _plan(ctx: JetContext, extents: list):
-    """The fused tables of a product over the row ``extents``: the row
-    tables' prefixes that the row loop reads, concatenated in row order,
-    with each row's segment starts offset by the pairs before it, and
-    whether row 0 (whose first pair is the constant pair) takes part.
-    ``np.add.at`` then adds each target's row sums in ascending row order,
-    as the loop does.  ``()`` when no pair is formed, None above
-    ``_PLAN_PAIRS`` pairs."""
-    if not extents:
-        return ()
+    A plan of at most ``_PLAN_PAIRS`` pairs caches each group as a chunk:
+    its pieces' tables copied and concatenated in row order, each piece's
+    segment starts offset by the pairs before it, with the targets of the
+    ``targets`` column, run as one gather, multiply, segmented sum and
+    ``np.add.at``.  A larger plan caches only its layout, six integers per
+    piece (row, pairs, segments, first target), and ``_run`` cuts views of
+    the row tables on each call and adds each piece into its target slice,
+    so it copies and pins no table.  The bound keeps chunks where they pay.
+    A small product spends most of its time in per-call overhead, which one
+    gather removes.  A large one gains nothing: a dense n=2 product at
+    validity 12 (125,970 pairs) took 2.1 ms as one chunk against 0.8-1.1 ms
+    by rows, whose tables stay in cache.  A chunk also copies its tables,
+    so an unbounded plan cache raised the peak memory of an n=3 M6 D14
+    ``verify`` from 121 to 197 MB.
+
+    Both forms give the bits of a loop over the pieces: each target
+    receives one sum per row j, in ascending j, each over the same pairs in
+    the same order, added to an output that starts as +0.0 and is only ever
+    added to, so a sum of -0.0 never shows as -0.0.  The constant pair,
+    first in row 0, is multiplied as scalars, because numpy rounds a
+    complex product of length one (its scalar path) differently from the
+    same product inside a longer array.
+    """
     start = ctx.deg_start
-    if sum((start[da + 1] - start[da]) * start[db + 1] for da, db in extents) > _PLAN_PAIRS:
-        return None  # checked before any row table is built or grown
-    parts, offset = [], 0
-    for da, db_max in extents:
-        I, J, seg_starts, targets, ends = ctx.row_pairs(da, db_max)
-        pairs, segs = ends[db_max]
-        parts.append((I[:pairs], J[:pairs], seg_starts[:segs] + offset, targets[:segs]))
-        offset += pairs
-    return tuple(np.concatenate(col) for col in zip(*parts)) + (extents[0][0] == 0,)
+    rows = [j for j in range(vd + 1) if rows >> j & 1]
+    if cols is None:
+        reach = {j: vd - j for j in rows}
+        groups = [[(j, d - j, d - j) for j in rows if j <= d] for d in range(1, vd + 1)]
+    else:
+        cols = [d for d in range(vd + 1) if cols >> d & 1]
+        reach = {j: cols[bisect_right(cols, vd - j) - 1] for j in rows if cols and cols[0] <= vd - j}
+        groups = [[(j, 0, db) for j, db in reach.items()]]
+    chunked = sum((start[j + 1] - start[j]) * start[db + 1] for j, db in reach.items()) <= _PLAN_PAIRS
+    tables = {j: ctx.row_pairs(j, db) for j, db in reach.items()}
+    plan = []
+    for group in groups:
+        layout = []
+        for j, lo, hi in group:
+            ends = tables[j][4]
+            (p0, s0), (p1, s1) = ends[lo - 1] if lo else (0, 0), ends[hi]
+            layout.append((j, p0, p1, s0, s1, start[j + lo]))
+        if chunked and layout:
+            parts, offset = [], 0
+            for j, p0, p1, s0, s1, _ in layout:
+                I, J, seg_starts, targets, _ = tables[j]
+                parts.append((I[p0:p1], J[p0:p1], seg_starts[s0:s1] + (offset - p0), targets[s0:s1]))
+                offset += p1 - p0
+            chunk = tuple(np.concatenate(col) for col in zip(*parts))
+            plan.append([chunk + (layout[0][:2] == (0, 0),)])
+        else:
+            plan.append(tuple(layout))
+    return plan if cols is None else plan[0]
+
+
+def _run(ctx: JetContext, group, x: np.ndarray, y: np.ndarray, acc: np.ndarray) -> None:
+    """Add the pair products x_i y_j of one group of a ``_plan``, summed per
+    target, into ``acc``: a chunk (a list of one piece) or the views of a
+    layout (a tuple), each piece one gather, multiply, segmented sum and
+    add."""
+    for I, J, seg_starts, targets, pair0 in group if type(group) is list else _views(ctx, group):
+        prod = x[I]
+        prod *= y[J]
+        if pair0:
+            prod[0] = x[0] * y[0]
+        sums = np.add.reduceat(prod, seg_starts)
+        if type(targets) is slice:
+            acc[targets] += sums
+        else:
+            np.add.at(acc, targets, sums)
+
+
+def _views(ctx: JetContext, layout: tuple):
+    """The pieces of a plan layout as views of the row tables: (I, J,
+    segment starts from the piece's first pair, target slice, whether its
+    first pair is the constant pair)."""
+    tables = ctx._pair_cache
+    for j, p0, p1, s0, s1, t0 in layout:
+        I, J, seg_starts = tables[j][:3]
+        yield I[p0:p1], J[p0:p1], seg_starts[s0:s1] - p0, slice(t0, t0 + s1 - s0), j == p0 == 0
 
 
 def jet_conj(a: Jet) -> Jet:
@@ -581,16 +602,10 @@ def _graded_series(a: Jet, kind: str) -> Jet:
         log:        (1 + p) s = E p  s_0 = 0, s_d = d p_d - sum_{j=1..d} p_j s_{d-j}
 
     and gives exp(a_0) s, s / a_0 or log a_0 + E^{-1} s.  Each block pair is
-    multiplied once, the work of one ``jet_mul``, with its real path:
-    p_j s_{d-j} is the db = d - j slice of the row ``row_pairs(j, vd - j)``
-    of a product with first factor p.  When those rows hold at most
-    ``_PLAN_PAIRS`` pairs, block d is one gather, multiply, segmented sum
-    and scatter-add, by a plan cached on the context per (vd, nonzero rows
-    of the first factor) that concatenates the slices (j, d - j) in
-    ascending j; a larger series takes those four steps per row.  Either way
-    each target of block d receives its row sums in ascending j, starting
-    from +0.0, so both give the same bits.  The result is trusted as far as
-    a; for an untrusted a it is the shared zero jet, a_0 left unread."""
+    multiplied once, the work of one ``jet_mul``, with its real path: block
+    d is group d of the series plan of ``_plan``, whose first factor is E p
+    (exp) or p.  The result is trusted as far as a; for an untrusted a it
+    is the shared zero jet, a_0 left unread."""
     ctx, vd, start = a.ctx, a.valid_degree, a.ctx.deg_start
     if vd < 0:
         return ctx.zero(vd)
@@ -602,27 +617,15 @@ def _graded_series(a: Jet, kind: str) -> Jet:
     if not p.imag.any():
         p = p.real.copy()
     first = p * ctx.degrees[: len(p)] if kind == "exp" else p
-    rows = np.logical_or.reduceat(first != 0, ctx._blocks[: vd + 1])
-    key = (vd, _mask(rows))
-    plan = ctx._series_plans.get(key, False)
-    if plan is False:
-        plan = ctx._series_plans[key] = _series_plan(ctx, *key)
+    key = (vd, _mask(np.logical_or.reduceat(first != 0, ctx._blocks[: vd + 1])), None)
+    plan = ctx._plans.get(key)
     if plan is None:
-        tables = [(j, ctx.row_pairs(j, vd - j)) for j in rows.nonzero()[0].tolist()]
+        plan = ctx._plans[key] = _plan(ctx, *key)
     s = np.zeros_like(p)
     s[0] = 0.0 if kind == "log" else 1.0
-    for d in range(1, vd + 1):
-        block = slice(start[d], start[d + 1])  # each block product's targets, in order
-        if plan is None:
-            for I, J, seg_starts, _ in _row_pieces(tables, d):
-                prod = first[I]
-                prod *= s[J]
-                s[block] += np.add.reduceat(prod, seg_starts)
-        elif plan[d - 1] is not None:
-            I, J, seg_starts, targets = plan[d - 1]
-            prod = first[I]
-            prod *= s[J]
-            np.add.at(s, targets, np.add.reduceat(prod, seg_starts))
+    for d, group in enumerate(plan, 1):
+        _run(ctx, group, first, s, s)
+        block = slice(start[d], start[d + 1])
         if kind == "exp":
             s[block] /= d
         elif kind == "log":
@@ -635,40 +638,6 @@ def _graded_series(a: Jet, kind: str) -> Jet:
     else:
         out[:] = s * (cmath.exp(a0) if kind == "exp" else 1.0 / a0)
     return _fresh(ctx, out, vd)
-
-
-def _row_pieces(tables: list, d: int):
-    """The slices (j, d - j) of the row tables ``tables``, [(j, row_pairs(j,
-    ...))] in ascending j, for each row j <= d: (I, J, segment starts
-    relative to the slice's first pair, targets)."""
-    for j, (I, J, seg_starts, targets, ends) in tables:
-        if j > d:
-            return
-        p0, s0 = ends[d - j - 1] if d > j else (0, 0)
-        p1, s1 = ends[d - j]
-        yield I[p0:p1], J[p0:p1], seg_starts[s0:s1] - p0, targets[s0:s1]
-
-
-def _series_plan(ctx: JetContext, vd: int, rows: int):
-    """The fused tables of ``_graded_series`` at validity ``vd`` >= 0 for a
-    first factor whose nonzero rows are the bits of ``rows``: per degree
-    block d = 1..vd, the slices (j, d - j) of the rows j <= d concatenated in
-    ascending j, with each slice's segment starts offset by the pairs
-    before it (None when no row reaches d).  None above ``_PLAN_PAIRS``
-    pairs, checked before any row table is built or grown."""
-    start = ctx.deg_start
-    rows = [j for j in range(vd + 1) if rows >> j & 1]
-    if sum((start[j + 1] - start[j]) * start[vd - j + 1] for j in rows) > _PLAN_PAIRS:
-        return None
-    tables = [(j, ctx.row_pairs(j, vd - j)) for j in rows]
-    plan = []
-    for d in range(1, vd + 1):
-        parts, offset = [], 0
-        for I, J, seg_starts, targets in _row_pieces(tables, d):
-            parts.append((I, J, seg_starts + offset, targets))
-            offset += len(I)
-        plan.append(tuple(np.concatenate(col) for col in zip(*parts)) if parts else None)
-    return plan
 
 
 def jet_exp(a: Jet) -> Jet:
@@ -817,11 +786,6 @@ class TJet:
         return _tjet(out)
 
     __rmul__ = __mul__
-
-    def truncate(self, order: int) -> "TJet":
-        if order >= self.order:
-            return self
-        return _tjet(self.coeffs[: order + 1])
 
     def __repr__(self):
         return f"TJet(order={self.order}, ctx={self.ctx!r})"

@@ -54,8 +54,8 @@ SCENARIO_FILES = {
 # after it trust their series orders to degrees 4, 2, 0, -2, -4 and
 # 6, 4, 2, 0, -2, -4, so every series operation meets untrusted orders
 # mid-series.  The last two take the n = 1 jet at D = 20, whose exp, log
-# and reciprocal hold more pairs than the fused series plans allow, so the
-# row loop and the fused plans both run at n = 1.  No run joins a file's
+# and reciprocal hold more pairs than a series plan caches as chunks, so
+# both forms of the plans run at n = 1.  No run joins a file's
 # [checks] with check flags: there the flags win.
 SCENARIOS = (
     "verify --metric perturbed_flat:1,0.1,7,2 --M 8 --D 12",
@@ -170,6 +170,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     old_src, new_src = args.old_src.resolve(), args.new_src.resolve()
     if args.work is not None:
+        if args.work.exists():
+            print(f"compare_outputs: --work {args.work} exists; give a new directory", file=sys.stderr)
+            return 2
         return compare(old_src, new_src, args.work.resolve())
     with tempfile.TemporaryDirectory() as tmp:
         return compare(old_src, new_src, Path(tmp))

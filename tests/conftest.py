@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ricciflat import geometry as geo
-from ricciflat.jets import jet_eval_many
+from ricciflat.jets import TJet, jet_eval_many
 from ricciflat.majorant import majorant_sequence, nonlinearity_bounds
 from ricciflat.solver import Solution, SolverConfig, solve
 
@@ -47,11 +47,38 @@ def truncate_solution(sol: Solution, t_order: int) -> Solution:
     return replace(
         sol,
         config=replace(sol.config, t_order=t_order),
-        v=sol.v.truncate(t_order),
-        g=sol.g.map(lambda e: e.truncate(t_order)),
-        w_inv=sol.w_inv.truncate(t_order + 1),
-        exp_u=sol.exp_u.truncate(t_order + 1),
+        v=TJet(sol.v.coeffs[: t_order + 1]),
+        g=sol.g.map(lambda e: TJet(e.coeffs[: t_order + 1])),
+        w_inv=TJet(sol.w_inv.coeffs[: t_order + 2]),
+        exp_u=TJet(sol.exp_u.coeffs[: t_order + 2]),
     )
+
+
+def plan_sides(ctx, kind: str, bound: int) -> set:
+    """The sides of the bound, "chunk" or "layout", that the ``kind``
+    ("product" or "series") plans cached on a jet context take, over the
+    plans with a pair to form (see ``jets._plan``).  On the way it asserts
+    that a plan takes one side, that its chunks hold at most ``bound`` pairs
+    in all and share no memory with a row table, and that a layout holds
+    integers alone."""
+    tables = [col for row in ctx._pair_cache.values() for col in row[:4]]
+    sides = set()
+    for (_, _, cols), plan in ctx._plans.items():
+        if (cols is None) != (kind == "series"):
+            continue
+        groups = [g for g in (plan if cols is None else [plan]) if g]
+        chunks = [g[0] for g in groups if type(g) is list]
+        layouts = [g for g in groups if type(g) is tuple]
+        assert not (chunks and layouts)
+        assert not chunks or sum(len(I) for I, *_ in chunks) <= bound
+        for I, J, seg_starts, targets, _ in chunks:
+            assert len(I) == len(J) and len(seg_starts) == len(targets) <= len(I)
+            assert not any(np.shares_memory(x, t) for x in (I, J, seg_starts, targets) for t in tables)
+        assert all(type(v) is int for layout in layouts for piece in layout for v in piece)
+        if groups:
+            sides.add("chunk" if chunks else "layout")
+    return sides
+
 
 # Seeded perturbed scenarios shared by the consequence / Laplacian / majorant
 # acceptance checks.  Solving the two-dimensional members is the expensive

@@ -9,11 +9,10 @@ row-loop product rebuilds the product kernel's pair tables from the exponent
 tuples, and the Cauchy-sum fold composes the public jet operations that a
 Cauchy sum must reproduce bitwise.  The row-loop series is the degree
 recurrence of the exponential, logarithm and reciprocal of a jet taken one
-row of the product tables at a time, as the library took it before its
-fused series plans.  The series folds redo each t-series
-operation order by order, every order through its full Cauchy sum or jet
-operation, with no validity schedule.  The exponent table is enumerated one
-monomial at a time.
+row of the product tables at a time, with no plan.  The series folds redo
+each t-series operation order by order, every order through its full
+Cauchy sum or jet operation, with no validity schedule.  The exponent table
+is enumerated one monomial at a time.
 """
 
 from itertools import combinations_with_replacement

@@ -8,7 +8,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import jet_eval
+from conftest import jet_eval, plan_sides
 from oracles import (
     cauchy_fold,
     exponent_table,
@@ -664,26 +664,65 @@ def _fused_operands(ctx, rng):
     return cases
 
 
+def _plan_runs(monkeypatch, n):
+    """For each run, "loop" (every plan a layout), "fused" (every plan in
+    chunks) and "bounded" (the package's bound): its name, its bound and a
+    private context, so that its plans are built under its bound."""
+    for name, pairs in (("loop", -1), ("fused", 10**9), ("bounded", jets._PLAN_PAIRS)):
+        monkeypatch.setattr(jets, "_PLAN_PAIRS", pairs)
+        yield name, pairs, jets.JetContext(n, _FUSED_CAPS[n])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_fused_product_is_the_row_loop_bitwise(monkeypatch, n):
     rng = np.random.default_rng(70 + n)
     cases = _fused_operands(context(n, _FUSED_CAPS[n]), rng)
-    bound = jets._PLAN_PAIRS
-    products = {}
-    # each run on a private context, so its plans are built under its bound
-    for name, pairs in (("loop", -1), ("fused", 10**9), ("bounded", bound)):
-        monkeypatch.setattr(jets, "_PLAN_PAIRS", pairs)
-        ctx = jets.JetContext(n, _FUSED_CAPS[n])
+    products, sides = {}, {}
+    for name, pairs, ctx in _plan_runs(monkeypatch, n):
         products[name] = [
-            jet_mul(Jet(ctx, a, va), Jet(ctx, b, vb)).prefix.tobytes() for a, va, b, vb in cases
+            jet_mul(Jet(ctx, a, va), Jet(ctx, b, vb)).coeffs.tobytes() for a, va, b, vb in cases
         ]
-        plans = list(ctx._plans.values())
-        assert all(len(p[0]) <= pairs for p in plans if p)
-    assert products["fused"] == products["loop"] == products["bounded"]
-    # the bounded run formed products on both sides of the bound
-    fused = [len(p[0]) for p in plans if p]
-    assert fused and max(fused) <= bound
-    assert (None in plans) == (n > 1)
+        sides[name] = plan_sides(ctx, "product", pairs)
+    want = [row_loop_mul(Jet(ctx, a, va), Jet(ctx, b, vb)).tobytes() for a, va, b, vb in cases]
+    assert products["loop"] == products["fused"] == products["bounded"] == want
+    assert sides["loop"] == {"layout"} and sides["fused"] == {"chunk"}
+    # the bounded run formed products on both sides of the bound past n = 1
+    assert sides["bounded"] == ({"chunk", "layout"} if n > 1 else {"chunk"})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_products_with_inf_and_nan_are_the_row_loop_on_both_sides(monkeypatch, n):
+    # the operands of the fused products with +-inf and NaN parts in one
+    # factor, against a factor with a zero block below its top nonzero one
+    rng = np.random.default_rng(130 + n)
+    ctx = context(n, _FUSED_CAPS[n])
+    specials = [math.inf, -math.inf, math.nan, complex(math.inf, 1.0),
+                complex(-2.0, math.inf), complex(1.0, math.nan)]
+    cases = []
+    for a, va, b, vb in _fused_operands(ctx, rng):
+        a, b = a.copy(), b.copy()
+        a[rng.choice(ctx.size, 3, replace=False)] = rng.choice(specials, 3)
+        top = int(ctx.degrees[np.flatnonzero(b)[-1]]) if b.any() else 0
+        if top > 1:
+            d = int(rng.integers(1, top))
+            b[ctx.deg_start[d] : ctx.deg_start[d + 1]] = 0.0
+        cases += [(a, va, b, vb), (b, vb, a, va)]
+    sides = {}
+    with np.errstate(all="ignore"):
+        want = [row_loop_mul(Jet(ctx, *case[:2]), Jet(ctx, *case[2:])) for case in cases]
+        for name, pairs, run_ctx in _plan_runs(monkeypatch, n):
+            for (a, va, b, vb), w in zip(cases, want):
+                got = jet_mul(Jet(run_ctx, a, va), Jet(run_ctx, b, vb)).coeffs.view(np.float64)
+                w = w.view(np.float64)
+                # NaN sign and payload are not part of the contract
+                nan = np.isnan(w)
+                assert (np.isnan(got) == nan).all()
+                assert got[~nan].tobytes() == w[~nan].tobytes()
+            sides[name] = plan_sides(run_ctx, "product", pairs)
+    values = np.concatenate(want)
+    assert np.isnan(values).any() and np.isinf(values).any()
+    assert sides["loop"] == {"layout"} and sides["fused"] == {"chunk"}
+    assert sides["bounded"] == ({"chunk", "layout"} if n > 1 else {"chunk"})
 
 
 def test_cauchy_sum_is_the_term_by_term_fold_bitwise():
@@ -803,7 +842,7 @@ def test_product_of_a_view_is_that_of_a_fresh_jet_bitwise(n):
     assert compared == 2 * len(operands) ** 2 * (ctx.cap + 1)
 
 
-# -- fused series plans -------------------------------------------------------------
+# -- series plans -------------------------------------------------------------------
 
 
 def _series_operands(ctx, rng):
@@ -832,10 +871,7 @@ def test_fused_series_is_the_row_loop_bitwise(monkeypatch, n):
     operands = _series_operands(context(n, cap), np.random.default_rng(110 + n))
     functions = (("exp", jet_exp), ("log", jet_log), ("reciprocal", jet_reciprocal))
     results, sides = {}, {}
-    # each run on a private context, so its plans are built under its bound
-    for name, pairs in (("loop", -1), ("fused", 10**9), ("bounded", jets._PLAN_PAIRS)):
-        monkeypatch.setattr(jets, "_PLAN_PAIRS", pairs)
-        ctx = jets.JetContext(n, cap)
+    for name, pairs, ctx in _plan_runs(monkeypatch, n):
         got = results[name] = []
         with np.errstate(all="ignore"):
             for c in operands:
@@ -845,12 +881,12 @@ def test_fused_series_is_the_row_loop_bitwise(monkeypatch, n):
                         out = f(a)
                         assert out.prefix.tobytes() == row_loop_series(a, kind).tobytes()
                         got.append(out.prefix.tobytes())
-        sides[name] = {p is None for p in ctx._series_plans.values()}
+        sides[name] = plan_sides(ctx, "series", pairs)
     assert results["loop"] == results["fused"] == results["bounded"]
-    assert sides["loop"] == {True} and sides["fused"] == {False}
-    # the bounded run took the fused side below the bound and, past n = 1,
-    # the row loop above it
-    assert sides["bounded"] == ({False, True} if n > 1 else {False})
+    assert sides["loop"] == {"layout"} and sides["fused"] == {"chunk"}
+    # the bounded run took the chunks below the bound and, past n = 1, the
+    # layouts above it
+    assert sides["bounded"] == ({"chunk", "layout"} if n > 1 else {"chunk"})
     # a NaN at x1^2 reaches exactly its multiples, and block 1, which no
     # row reaches, stays zero
     ctx = context(n, cap)

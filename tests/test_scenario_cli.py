@@ -585,3 +585,17 @@ def test_cli_list_metrics(capsys):
     assert run_cli("list-metrics") == 0
     out = capsys.readouterr().out
     assert "fubini_study_chart" in out and "perturbed_flat" in out
+
+
+def test_compare_outputs_refuses_an_existing_work_directory(tmp_path, capsys, monkeypatch):
+    import compare_outputs
+
+    def never(*args, **kwargs):
+        raise AssertionError("a scenario ran before the refusal")
+
+    monkeypatch.setattr(compare_outputs, "run", never)
+    (tmp_path / "runs").mkdir()
+    assert compare_outputs.main(["src", "src", "--work", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "exists" in err
+    assert not any((tmp_path / "runs").iterdir())

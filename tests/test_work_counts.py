@@ -5,7 +5,7 @@ context for the derivative lemma and evaluates no jet, its nonlinearity
 bounds multiply no t-series, a calibration forms the Ricci form once and
 evaluates no jet, the exponential, logarithm and reciprocal of a jet form
 no jet product, a run forms no untrusted jet but the shared zero jets, it
-caches no fused product or series plan above the bound, and neither series
+caches no product or series plan chunk above the bound, and neither series
 operations nor the solver's order step ask for a Cauchy sum at an untrusted
 order."""
 
@@ -14,6 +14,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import plan_sides
 
 from ricciflat import closed_form, geometry, jets, majorant, solver, verify
 from ricciflat.cli import main
@@ -163,19 +164,10 @@ def test_cached_product_plans_hold_at_most_the_bound(tmp_path, monkeypatch):
     _verify(tmp_path, ("perturbed_flat:2,0.1,0,2", "5", "12"))
     # n = 2 at D = 6 puts the exp, log and reciprocal of a jet below the bound
     _verify(tmp_path, ("perturbed_flat:2,0.1,0,2", "3", "6"))
-    plans = [p for ctx in jets._CTX_CACHE.values() for p in ctx._plans.values()]
-    fused = [p for p in plans if p]
-    assert fused and None in plans
-    for I, J, seg_starts, targets, _ in fused:
-        assert len(I) == len(J) <= jets._PLAN_PAIRS
-        assert len(seg_starts) == len(targets) <= len(I)
-    series = [p for ctx in jets._CTX_CACHE.values() for p in ctx._series_plans.values()]
-    fused = [[block for block in p if block is not None] for p in series if p is not None]
-    assert any(fused) and None in series
-    for blocks in fused:
-        assert sum(len(I) for I, _, _, _ in blocks) <= jets._PLAN_PAIRS
-        for I, J, seg_starts, targets in blocks:
-            assert len(I) == len(J) and len(seg_starts) == len(targets) <= len(I)
+    for kind in ("product", "series"):
+        # each plan within the bound, and both sides of it taken
+        sides = [plan_sides(ctx, kind, jets._PLAN_PAIRS) for ctx in jets._CTX_CACHE.values()]
+        assert set().union(*sides) == {"chunk", "layout"}
 
 
 @pytest.mark.parametrize("checks", [ALL_CHECKS, ("laplacian",), ("curvature", "system")])
