@@ -32,23 +32,17 @@ are nonzero and the first degree with an imaginary part.  A view from
 product's set-up is one dictionary lookup.
 
 A TJet is a truncated power series in the moment-map variable t whose
-coefficients are jets, each with its own validity.  The series product,
-reciprocal and exponential, and the solver's order step, take their
-t-coefficients from one Cauchy sum, ``cauchy_sum``, which forms no products
-for a t-coefficient whose validity is negative: it is the shared zero jet.
-A term is formed only through its sum's validity, in ``cauchy_sum`` (on the
-prefix arrays, with one jet for the whole sum) and in the determinant orders
-of ``geometry.det_coefficient`` (``jet_through``).
-
-Each series operation follows a validity schedule, computed as it walks the
-orders.  Order k of a product is trusted to the least validity among the
-orders <= k of both factors, a running minimum; order m of the exponential
-and the reciprocal to the least among order 0 of the result and orders
-1..m of the argument.  Both only fall, so from the first order where the
-schedule is negative on, every order is the shared zero jet of its
-validity, and no Cauchy sum is asked for.  Sums, differences, scalings,
-conjugates, t-derivatives and t-integrals map the jet operation over the
-orders; it returns the shared zero jet for an untrusted order.
+coefficients are jets, each with its own validity.  Its orders follow one
+rule, enforced by ``cauchy_sum`` alone: a Cauchy sum is trusted to the
+least validity of its terms, and a sum trusted below degree 0 is the shared
+zero jet, with no product formed.  The series product, reciprocal and
+exponential, and the solver's order step, take their t-coefficients from
+it and keep no validity of their own.  A term is formed only through its
+sum's validity, in ``cauchy_sum`` (on the prefix arrays, with one jet for
+the whole sum) and in the determinant orders of ``geometry.det_coefficient``
+(``jet_through``).  Sums, differences, scalings, conjugates, t-derivatives
+and t-integrals map the jet operation over the orders; it returns the
+shared zero jet for an untrusted order.
 """
 
 from __future__ import annotations
@@ -769,21 +763,12 @@ class TJet:
         return _tjet(map(jet_sub, self.coeffs, other.coeffs))
 
     def __mul__(self, other):
-        """Series product with a TJet, or scaling by a number.  Order k is
-        trusted to the least validity among the orders <= k of both factors,
-        a running minimum equal to the least term validity of its Cauchy
-        sum; from the first order where it is negative on, each order is the
-        shared zero jet, with no Cauchy sum."""
+        """Series product with a TJet, or scaling by a number: order k is the
+        Cauchy sum of the orders <= k of both factors."""
         if isinstance(other, (int, float, complex)):
             return _tjet(jet_scale(c, other) for c in self.coeffs)
         a, b = self.coeffs, other.coeffs
-        _same_context(a[0], b[0])
-        ctx = a[0].ctx
-        out, vd = [], ctx.cap
-        for k in range(min(len(a), len(b))):
-            vd = min(vd, a[k].valid_degree, b[k].valid_degree)
-            out.append(cauchy_sum(a, b, k, range(k + 1)) if vd >= 0 else ctx.zero(vd))
-        return _tjet(out)
+        return _tjet(cauchy_sum(a, b, k, range(k + 1)) for k in range(min(len(a), len(b))))
 
     __rmul__ = __mul__
 
@@ -853,29 +838,14 @@ def t_derive(a: TJet) -> TJet:
     return _tjet(jet_scale(a.coeffs[m], float(m)) for m in range(1, a.order + 1))
 
 
-def _recursive_series(a: TJet, first: Jet, coeff) -> TJet:
-    """The series whose order 0 is ``first`` and whose order m >= 1 is
-    ``coeff(out, m)`` from its orders below m, for the recursions of
-    ``t_exp`` and ``t_reciprocal``.  Their order m is trusted to
-    min(first, a_1..a_m), a validity that only falls; from the first order
-    where it is negative on, each order is the shared zero jet."""
-    ctx, vd = first.ctx, first.valid_degree
-    out = [first]
-    for m in range(1, a.order + 1):
-        vd = min(vd, a.coeffs[m].valid_degree)
-        out.append(coeff(out, m) if vd >= 0 else ctx.zero(vd))
-    return _tjet(out)
-
-
 def t_reciprocal(a: TJet) -> TJet:
     """Truncated 1/a for a series whose constant jet has nonzero constant term."""
     b0 = jet_reciprocal(a.coeffs[0])
-
-    def coeff(out, m):
+    out = [b0]
+    for m in range(1, a.order + 1):
         acc = cauchy_sum(a.coeffs, out, m, range(1, m + 1))
-        return jet_scale(jet_mul(b0, acc), -1.0)
-
-    return _recursive_series(a, b0, coeff)
+        out.append(jet_scale(jet_mul(b0, acc), -1.0))
+    return _tjet(out)
 
 
 def t_exp_coeff(a, e, m: int, sign: float = 1.0) -> Jet:
@@ -892,8 +862,10 @@ def t_exp_coeff(a, e, m: int, sign: float = 1.0) -> Jet:
 def t_exp(a: TJet, e0: Jet | None = None) -> TJet:
     """Truncated exp of a t-series, via the linear recursion E' = a' E.
     ``e0`` is exp(a_0) when the caller already holds it."""
-    e0 = jet_exp(a.coeffs[0]) if e0 is None else e0
-    return _recursive_series(a, e0, lambda out, m: t_exp_coeff(a.coeffs, out, m))
+    out = [jet_exp(a.coeffs[0]) if e0 is None else e0]
+    for m in range(1, a.order + 1):
+        out.append(t_exp_coeff(a.coeffs, out, m))
+    return _tjet(out)
 
 
 def t_conj(a: TJet) -> TJet:

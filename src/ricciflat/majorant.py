@@ -85,7 +85,9 @@ def estimate_params(sol: Solution, R: float) -> MajorantParams:
     """A as the largest norm at R of v_1, its coordinate gradient and the
     operator images; the operator bound is structural.  The norms grow with
     the radius, so the first-order inequalities hold at every check radius
-    r < R by construction of A.
+    r < R by construction of A.  The operator images are second derivatives
+    of v_1, so v_1 must be trusted to degree 2: below it an untrusted norm
+    would read 0 and lower A.
     """
     if not (0.0 < R < 1.0) or R >= sol.input.polydisc_radius:
         raise InvalidInputError(
@@ -96,6 +98,11 @@ def estimate_params(sol: Solution, R: float) -> MajorantParams:
         raise InvalidInputError("need at least one solved order")
     c = sol.config.c
     v1 = sol.v.coeffs[1]
+    if v1.valid_degree < 2:
+        raise InvalidInputError(
+            f"the majorant needs v_1 trusted to degree 2 for its second derivatives, "
+            f"but v_1 has valid_degree {v1.valid_degree}: raise the space degree D"
+        )
     jets = [v1, *(jet_derive(v1, var) for var in range(sol.input.ctx.nvars))]
     jets.extend(_operator_images(v1, c))
     A = float(np.max([jet_norm(jet, R) for jet in jets]))  # np.max keeps a NaN, so the checks fail

@@ -14,7 +14,8 @@ the real coordinates x1..xn, y1..yn, parsed by a small expression grammar:
 sums, differences, products, integer powers, decimal literals and the
 imaginary unit ``i``.  Entries are given for i <= j; the lower triangle is
 filled by conjugation, and an explicitly given lower entry must agree with
-the conjugate of its mirror.  A file that gives both sources is refused.
+the conjugate of its mirror.  A file that gives both sources is refused, and
+so is an ``n`` other than the built-in metric's dimension.
 """
 
 from __future__ import annotations
@@ -51,7 +52,13 @@ class Scenario:
     def initial_data(self) -> InitialData:
         if self.metric:
             name, params = parse_metric_spec(self.metric)
-            return builtin_metric(name, params, self.space_degree)
+            initial = builtin_metric(name, params, self.space_degree)
+            if self.metric_n not in (None, initial.n):
+                raise InvalidInputError(
+                    f"[metric] n = {self.metric_n} disagrees with {self.metric}, "
+                    f"of dimension {initial.n}"
+                )
+            return initial
         if self.metric_entries:
             return inline_metric(
                 self.metric_entries, self.metric_n, self.space_degree

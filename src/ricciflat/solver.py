@@ -23,9 +23,8 @@ identity is asserted at startup rather than re-derived each run, and it is
 what makes the recursion non-resonant (the divisor never vanishes).  Each
 order consumes two spatial degrees, so v_m is trusted two degrees less than
 v_{m-1}: to D - 2m when h is trusted through the cap D.  When the top order
-ends with no trusted degree, ``solve`` warns and the checks skip it.  Each
-Cauchy sum of a step is trusted to the least validity of its terms; where
-that is negative the step takes the shared zero jet and asks for no sum.
+ends with no trusted degree, ``solve`` warns and the checks skip it.  The
+step's Cauchy sums decide their own validity (``jets.cauchy_sum``).
 
 The new coefficient [t^{m+1}] det g comes from ``geometry.det_coefficient``,
 the row-multilinear expansion over order tuples on top of the package's one
@@ -193,19 +192,13 @@ def step(state: SolverState, minors: dict | None = None) -> SolverState:
 
     det_new = det_coefficient(state.g + (g_new,), m + 1, {} if minors is None else minors)
 
-    ctx = state.v[0].ctx
-
     # [t^{m+1}] e^{-v} with v_{m+1} pinned to zero: the k = m+1 term of the
     # exponential recursion drops out.
-    vd = _least_validity(state.v, state.exp_neg_v, m + 1, range(1, m + 1))
-    x_partial = (
-        t_exp_coeff(state.v, state.exp_neg_v, m + 1, sign=-1.0) if vd >= 0 else ctx.zero(vd)
-    )
+    x_partial = t_exp_coeff(state.v, state.exp_neg_v, m + 1, sign=-1.0)
 
     # [t^{m+1}] e^{-v} det g, with x_partial as the t^{m+1} coefficient of e^{-v}.
     exp_neg_v, det_g = state.exp_neg_v + (x_partial,), state.det_g + (det_new,)
-    vd = _least_validity(exp_neg_v, det_g, m + 1, range(m + 2))
-    e_coeff = cauchy_sum(exp_neg_v, det_g, m + 1, range(m + 2)) if vd >= 0 else ctx.zero(vd)
+    e_coeff = cauchy_sum(exp_neg_v, det_g, m + 1, range(m + 2))
     v_new = jet_scale(e_coeff, c / (m + 2))
 
     x_new = jet_add(x_partial, jet_scale(jet_mul(v_new, state.exp_neg_v[0]), -1.0))
@@ -218,15 +211,6 @@ def step(state: SolverState, minors: dict | None = None) -> SolverState:
         exp_neg_v=state.exp_neg_v + (x_new,),
         det_g=det_g,
     )
-
-
-def _least_validity(a, b, k: int, js: range) -> int:
-    """The validity of ``cauchy_sum(a, b, k, js)``: the least among its
-    terms a_j b_{k-j}; the cap of the terms' context for an empty sum."""
-    vd = a[0].ctx.cap
-    for j in js:
-        vd = min(vd, a[j].valid_degree, b[k - j].valid_degree)
-    return vd
 
 
 def solve(initial: InitialData, config: SolverConfig) -> Solution:

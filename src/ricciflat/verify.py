@@ -203,10 +203,9 @@ def _series_rows(identity, a: TJet, b: TJet, factor, scaled_by: TJet, tolerance)
     coefficient of ``scaled_by``."""
     for m in range(min(a.order, b.order) + 1):
         resid = jet_add(a.coeffs[m], jet_scale(b.coeffs[m], factor))
-        valid = min(a.coeffs[m].valid_degree, b.coeffs[m].valid_degree)
-        worst = max_abs_coeff(resid, valid)
+        valid = resid.valid_degree
         scale = max_abs_coeff(scaled_by.coeffs[m], valid)
-        yield _row(identity, m, valid, worst, scale, tolerance)
+        yield _row(identity, m, valid, max_abs_coeff(resid), scale, tolerance)
 
 
 def residual_system(sol, tolerance: float = 1e-9) -> ResidualReport:
@@ -378,8 +377,7 @@ def curvature_and_class(sol, tolerance: float = 1e-9) -> CurvatureReport:
     for i in range(n):
         for k in range(min(w_z[i].order, w_zbar[i].order) + 1):
             a, b = w_z[i].coeffs[k], w_zbar[i].coeffs[k]
-            if min(a.valid_degree, b.valid_degree) >= 0:
-                realness = nan_max(realness, max_coeff_diff(jet_conj(a), b))
+            realness = nan_max(realness, max_coeff_diff(jet_conj(a), b))
 
     closed = ResidualReport(
         name="curvature_closedness",

@@ -7,7 +7,10 @@ identical bytes.  Every run directory first receives the fixed scenario
 files of ``SCENARIO_FILES``, which the file-path scenarios name.  The report
 gives, per scenario, the two exit codes and every output file (plus stdout
 and stderr) whose bytes differ.  The exit status is 0 when every scenario
-agrees.
+agrees.  The runs of ``REFUSALS`` are reported apart, under their own
+count: input that earlier trees accepted with exit 0 although it could not
+be trusted, and that the package now refuses with exit 2 before it writes
+anything.  Against a tree from before those refusals they differ by design.
 
     python tests/compare_outputs.py OLD_SRC NEW_SRC [--work DIR]
 
@@ -37,6 +40,7 @@ SCENARIO_FILES = {
         "[metric]\nn = 2\nh_1_1 = 1 + 0.1*x1^2 + 0.1*y1^2\nh_1_2 = 0.05*x1 - i*0.05*y1\n"
         "h_2_2 = 1\n\n[solver]\nM = 4\nD = 10\n"
     ),
+    "builtin_n.ini": "[metric]\nbuiltin = flat:1\nn = 3\n\n[solver]\nM = 4\nD = 10\n",
 }
 
 # verify, solve, majorant, compare and closed-form on n = 1..4, the n = 2
@@ -119,6 +123,16 @@ SCENARIOS = (
     "majorant --metric perturbed_flat:1,0.1,7,2 --M 8 --D 20 --R 0.2",
 )
 
+# Refused with exit 2: the three majorant runs trust v_1 to degrees -1, 0
+# and 1, too little for the second derivatives that A reads, and the
+# scenario file gives an n that is not the dimension of its built-in metric.
+REFUSALS = (
+    "majorant --metric perturbed_flat:2,0.1,0,2 --M 4 --D 3 --R 0.2",
+    "majorant --metric perturbed_flat:2,0.1,0,2 --M 4 --D 4 --R 0.2",
+    "majorant --metric fubini_study_chart:1,1 --M 4 --D 3 --R 0.2",
+    "solve builtin_n.ini",
+)
+
 
 def run(src: Path, argv: list[str], cwd: Path) -> tuple[int, dict[str, bytes]]:
     """Exit code and {relative path: bytes} of one CLI run in ``cwd``."""
@@ -143,22 +157,26 @@ def run(src: Path, argv: list[str], cwd: Path) -> tuple[int, dict[str, bytes]]:
 
 def compare(old_src: Path, new_src: Path, work: Path) -> int:
     mismatches = 0
-    for i, scenario in enumerate(SCENARIOS):
-        argv = scenario.split()
-        old_code, old_files = run(old_src, argv, work / "old" / f"{i:02d}")
-        new_code, new_files = run(new_src, argv, work / "new" / f"{i:02d}")
-        diffs = [
-            name
-            for name in sorted(set(old_files) | set(new_files))
-            if old_files.get(name) != new_files.get(name)
-        ]
-        same = old_code == new_code and not diffs
-        mismatches += not same
-        status = "identical" if same else "DIFFERENT"
-        print(f"[{status}] exit {old_code}/{new_code}  files {len(new_files)}  {scenario}")
-        for name in diffs:
-            print(f"    differs: {name}")
-    print(f"{len(SCENARIOS) - mismatches} of {len(SCENARIOS)} scenarios identical")
+    for title, scenarios in (("scenarios", SCENARIOS), ("refusals", REFUSALS)):
+        differ = 0
+        for i, scenario in enumerate(scenarios):
+            argv = scenario.split()
+            run_dir = f"{title}/{i:02d}"
+            old_code, old_files = run(old_src, argv, work / "old" / run_dir)
+            new_code, new_files = run(new_src, argv, work / "new" / run_dir)
+            diffs = [
+                name
+                for name in sorted(set(old_files) | set(new_files))
+                if old_files.get(name) != new_files.get(name)
+            ]
+            same = old_code == new_code and not diffs
+            differ += not same
+            status = "identical" if same else "DIFFERENT"
+            print(f"[{status}] exit {old_code}/{new_code}  files {len(new_files)}  {scenario}")
+            for name in diffs:
+                print(f"    differs: {name}")
+        print(f"{len(scenarios) - differ} of {len(scenarios)} {title} identical")
+        mismatches += differ
     return 1 if mismatches else 0
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ricciflat import geometry as geo
+from ricciflat import jets
 from ricciflat.jets import TJet, jet_eval_many
 from ricciflat.majorant import majorant_sequence, nonlinearity_bounds
 from ricciflat.solver import Solution, SolverConfig, solve
@@ -78,6 +79,29 @@ def plan_sides(ctx, kind: str, bound: int) -> set:
         if groups:
             sides.add("chunk" if chunks else "layout")
     return sides
+
+
+def record_sum_products(monkeypatch, *modules):
+    """Record, for each ``jets.cauchy_sum`` called through ``jets`` or one of
+    ``modules``, its (k, validity, number of ``jets._product`` calls it
+    made), in call order; the list is returned and fills as the sums run."""
+    sums, products = [], [0]
+    original_sum, original_product = jets.cauchy_sum, jets._product
+
+    def recording_product(*args):
+        products[0] += 1
+        return original_product(*args)
+
+    def recording_sum(a, b, k, js, weight=None):
+        before = products[0]
+        out = original_sum(a, b, k, js, weight)
+        sums.append((k, out.valid_degree, products[0] - before))
+        return out
+
+    monkeypatch.setattr(jets, "_product", recording_product)
+    for module in (jets, *modules):
+        monkeypatch.setattr(module, "cauchy_sum", recording_sum)
+    return sums
 
 
 # Seeded perturbed scenarios shared by the consequence / Laplacian / majorant

@@ -11,7 +11,7 @@ Cauchy sum must reproduce bitwise.  The row-loop series is the degree
 recurrence of the exponential, logarithm and reciprocal of a jet taken one
 row of the product tables at a time, with no plan.  The series folds redo
 each t-series operation order by order, every order through its full
-Cauchy sum or jet operation, with no validity schedule.  The exponent table
+Cauchy sum or jet operation.  The exponent table
 is enumerated one monomial at a time.
 """
 

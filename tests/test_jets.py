@@ -8,7 +8,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import jet_eval, plan_sides
+from conftest import jet_eval, plan_sides, record_sum_products
 from oracles import (
     cauchy_fold,
     exponent_table,
@@ -1018,7 +1018,7 @@ def test_untrusted_cauchy_terms_are_zero_and_trusted_ones_unchanged(n, steps):
     _assert_trusted_equal_and_untrusted_zero(t_exp(b), _naive_t_exp(b))
 
 
-# -- validity schedule of series operations ------------------------------------------
+# -- order validities of series operations -------------------------------------------
 
 # Order validities that rise and fall, with untrusted orders mid-series.
 _SCHEDULES = ((2, 0, -2, -4), (5, -1, 4, 0, 3), (0, 3, -2, 6, 1, 2), (-1, 4, 4), (6, 6, 1, 1, -3, 9))
@@ -1054,15 +1054,8 @@ def _assert_series_is(got, want):
 def test_series_operations_follow_the_per_order_reference_bitwise(n, monkeypatch):
     ctx = context(n, _KERNEL_CAPS[n])
     rng = np.random.default_rng(90 + n)
-    untrusted, sums = 0, []
-    original_sum = jets.cauchy_sum
-
-    def recording_sum(a, b, k, js, weight=None):
-        out = original_sum(a, b, k, js, weight)
-        sums.append(out.valid_degree)
-        return out
-
-    monkeypatch.setattr(jets, "cauchy_sum", recording_sum)
+    untrusted = 0
+    sums = record_sum_products(monkeypatch)
     for sa in _SCHEDULES:
         for sb in _SCHEDULES:
             a, b = _schedule_series(ctx, rng, sa), _schedule_series(ctx, rng, sb)
@@ -1080,8 +1073,9 @@ def test_series_operations_follow_the_per_order_reference_bitwise(n, monkeypatch
         _assert_series_is(t_exp(a), t_exp_fold(a, jet_exp(a.coeffs[0])))
         _assert_series_is(t_reciprocal(a), t_reciprocal_fold(a))
     assert untrusted > 20
-    # no series operation asks for the Cauchy sum of an untrusted order
-    assert sums and min(sums) >= 0
+    # the Cauchy sum of an untrusted order forms no product
+    assert any(vd < 0 for _, vd, _ in sums)
+    assert all(formed == 0 for _, vd, formed in sums if vd < 0)
 
 
 def test_series_products_refuse_mixed_contexts():

@@ -213,13 +213,14 @@ def test_cli_exit_codes_for_bad_input(tmp_path):
         (None, ("--metric", "flat:1", "--tol", "-1"), "tolerance must be finite and positive"),
         (None, ("--metric", "flat:1", "--tol", "nan"), "tolerance must be finite and positive"),
         ("n = 2\nh_1_1 = 1 + x1^2\nh_2_2 = 1\n", (), "[metric] builtin and h_1_1, h_2_2"),
+        ("n = 3\n", (), "[metric] n = 3 disagrees with flat:1, of dimension 1"),
         (None, ("--metric", "flat:1", "--jobs", "0"), "--jobs must be at least 1, got 0"),
         ("", ("--metric", "flat:1", "--jobs", "-2"), "--jobs must be at least 1, got -2"),
     ],
     ids=[
         "file-M", "file-no_timestamp", "flat-arity", "fs-arity", "fs-float-n",
         "perturbed-float-seed", "perturbed-negative-seed", "tol-negative", "tol-nan",
-        "file-two-sources", "jobs-zero", "jobs-negative-batch",
+        "file-two-sources", "file-builtin-n", "jobs-zero", "jobs-negative-batch",
     ],
 )
 def test_cli_refuses_malformed_input_with_exit_two(tmp_path, capsys, file_text, argv, named):
@@ -233,6 +234,32 @@ def test_cli_refuses_malformed_input_with_exit_two(tmp_path, capsys, file_text, 
     assert code == 2
     assert err.startswith("error: invalid input:") and named in err
     assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_cli_accepts_a_builtin_metric_with_its_own_dimension(tmp_path):
+    path = tmp_path / "sc.ini"
+    path.write_text("[metric]\nbuiltin = perturbed_flat:2,0.1,0,2\nn = 2\n")
+    out = tmp_path / "out"
+    assert run_cli("solve", str(path), "--M", "3", "--D", "8", "--out", str(out), "--no-timestamp") == 0
+    scenario = json.loads((out / "report.json").read_text())["scenario"]
+    assert (scenario["metric"], scenario["metric_n"]) == ("perturbed_flat:2,0.1,0,2", 2)
+
+
+@pytest.mark.parametrize(
+    "metric, D, vd",
+    [("perturbed_flat:2,0.1,0,2", "3", -1), ("perturbed_flat:2,0.1,0,2", "4", 0), ("fubini_study_chart:1,1", "3", 1)],
+)
+def test_majorant_refuses_first_order_data_without_second_derivatives(tmp_path, capsys, metric, D, vd):
+    # A reads norms of L(v_1), two derivatives of v_1: an untrusted norm
+    # reads 0 and would let the bounds pass on nothing
+    out = tmp_path / "out"
+    argv = ("majorant", "--metric", metric, "--M", "4", "--D", D, "--R", "0.2")
+    code = run_cli(*argv, "--out", str(out), "--no-timestamp")
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert err[-1].startswith("error: invalid input:") and f"valid_degree {vd}" in err[-1]
+    assert not any("Traceback" in line for line in err)
     assert not out.exists()
 
 

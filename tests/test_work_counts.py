@@ -6,15 +6,15 @@ bounds multiply no t-series, a calibration forms the Ricci form once and
 evaluates no jet, the exponential, logarithm and reciprocal of a jet form
 no jet product, a run forms no untrusted jet but the shared zero jets, it
 caches no product or series plan chunk above the bound, and neither series
-operations nor the solver's order step ask for a Cauchy sum at an untrusted
-order."""
+operations nor the solver's order step form a product for the Cauchy sum
+of an untrusted order."""
 
 import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import plan_sides
+from conftest import plan_sides, record_sum_products
 
 from ricciflat import closed_form, geometry, jets, majorant, solver, verify
 from ricciflat.cli import main
@@ -241,37 +241,37 @@ def test_series_functions_form_no_jet_product(monkeypatch):
     assert len(products) == 1
 
 
-def test_series_determinant_sums_only_its_trusted_orders(monkeypatch):
+def test_series_determinant_multiplies_only_its_trusted_orders(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         sol = solve(geometry.perturbed_flat(4, 0.1, 0, 2, 4), SolverConfig(t_order=3, space_degree=4))
     assert {e.valid_degrees for row in sol.g.entries for e in row} == {(2, 0, -2, -4)}
-    sums = _record(monkeypatch, jets, "cauchy_sum")
+    products = _record(monkeypatch, jets, "_product")
+    sums = record_sum_products(monkeypatch)
     geometry.det_and_adjugate(sol.g)
-    assert {k for _, _, k, _ in sums} == {0, 1}
+    # orders 2 and 3 are summed but untrusted: only orders 0 and 1 multiply
+    assert {k for k, _, _ in sums} == {0, 1, 2, 3}
+    assert {k for k, _, formed in sums if formed} == {0, 1}
+    assert sum(formed for _, _, formed in sums) == len(products)
 
 
-def test_verify_asks_series_operations_for_no_untrusted_sum(tmp_path, monkeypatch):
-    # Neither the series operations nor the solver's order step ask for the
-    # sums of an untrusted order: each takes the shared zero jet instead.
-    untrusted, steps = [], []
-    original_sum, original_step = jets.cauchy_sum, solver.step
-
-    def recording_sum(a, b, k, js, weight=None):
-        out = original_sum(a, b, k, js, weight)
-        if out.valid_degree < 0:
-            untrusted.append(k)
-        return out
+def test_verify_forms_no_product_for_an_untrusted_sum(tmp_path, monkeypatch):
+    # Neither the series operations nor the solver's order step form a
+    # product for the Cauchy sum of an untrusted order: it is the shared
+    # zero jet.
+    steps = []
+    original_step = solver.step
 
     def recording_step(state, minors=None):
         out = original_step(state, minors)
         steps.append((out.v[-1].valid_degree, out.exp_neg_v[-1].valid_degree))
         return out
 
-    for module in (jets, solver):
-        monkeypatch.setattr(module, "cauchy_sum", recording_sum)
+    sums = record_sum_products(monkeypatch, solver)
     monkeypatch.setattr(solver, "step", recording_step)
     _verify(tmp_path, N4)
-    assert untrusted == []
-    # the rule bites: the step reached orders it cannot trust
+    assert all(formed == 0 for _, vd, formed in sums if vd < 0)
+    # the rule bites: the step reached orders it cannot trust, and both the
+    # step and the series operations asked for their sums
     assert steps and min(min(vds) for vds in steps) < 0
+    assert sum(vd < 0 for _, vd, _ in sums) > 3
