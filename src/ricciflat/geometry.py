@@ -1,9 +1,10 @@
 """Kahler-specific structures on top of the jet algebra.
 
 Hermitian matrices of jets (initial metrics h_ij and evolved metrics g_ij),
-the complex mixed Hessian, truncated determinants, the Ricci coefficient
-matrix, and a registry of built-in real-analytic metrics used by scenarios
-and tests.  Conventions are fixed in ``conventions.py``.
+the complex mixed Hessian, truncated determinants and adjugates (one
+expansion when they share a memo of minors), the Ricci coefficient matrix,
+and a registry of built-in real-analytic metrics used by scenarios and
+tests.  Conventions are fixed in ``conventions.py``.
 """
 
 from __future__ import annotations
@@ -95,30 +96,28 @@ def _conj_entry(e):
     return t_conj(e) if isinstance(e, TJet) else jet_conj(e)
 
 
-def jet_det(g: HermitianJetMatrix):
+def jet_det(g: HermitianJetMatrix, memo: dict | None = None):
     """Truncated determinant by cofactor expansion (n <= 4); works for Jet
-    and TJet entries alike."""
+    and TJet entries alike.  ``memo`` keeps the expanded minors, the
+    cofactors of row 0 among them, for a later ``adjugate`` of g."""
     full = tuple(range(g.n))
-    return minor_det(g.entries, full, full, {})
+    return minor_det(g.entries, full, full, {} if memo is None else memo)
 
 
-def det_and_adjugate(g: HermitianJetMatrix):
-    """(det g, adjugate of g) from one memo of minors.  The adjugate is the
-    transpose of the cofactors; det's first-row expansion reuses the
-    cofactor minors of row 0, so both cost one expansion."""
+def adjugate(g: HermitianJetMatrix, memo: dict | None = None):
+    """Adjugate of g, the transpose of its cofactors.  Given the memo that
+    ``jet_det(g, memo)`` filled, the row-0 cofactors and the smaller minors
+    are read back from it, so det g and adj g cost one expansion."""
     n = g.n
     rows = g.entries
-    full = tuple(range(n))
-    memo = {}
-    det = minor_det(rows, full, full, memo)
     if n == 1:
         e = rows[0][0]
         if isinstance(e, TJet):
             ctx = e.ctx
-            one = TJet([ctx.constant(1.0)] + [ctx.zero() for _ in range(e.order)])
-        else:
-            one = e.ctx.constant(1.0)
-        return det, [[one]]
+            return [[TJet([ctx.constant(1.0)] + [ctx.zero() for _ in range(e.order)])]]
+        return [[e.ctx.constant(1.0)]]
+    memo = {} if memo is None else memo
+    full = tuple(range(n))
     adj = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -126,13 +125,7 @@ def det_and_adjugate(g: HermitianJetMatrix):
             if (i + j) % 2 == 1:
                 cof = -cof
             adj[j][i] = cof
-    return det, adj
-
-
-def adjugate(g: HermitianJetMatrix):
-    """The adjugate half of ``det_and_adjugate``; kept as a name because
-    the benchmark tracer (``perfbench/tracer.py``) times it."""
-    return det_and_adjugate(g)[1]
+    return adj
 
 
 def minor_det(rows, R: tuple, C: tuple, memo: dict, cap: int | None = None):

@@ -8,7 +8,8 @@ fiber weight w are rewritten in the regular quantities (v, w_inv) first; the
 derivative and cancels explicitly elsewhere (see docs/conventions.md for the
 worked rewrites).  Coefficients beyond the recorded spatial validity are
 never read: orders without trusted coefficients appear as skipped rows, not
-as passes.  The checks of one run share one ``SolutionView``.
+as passes.  The checks of one run share one ``SolutionView``, where det g
+and adj g come from one cofactor expansion.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .closed_form import calibrate
 from .errors import DegeneracyError, InvalidInputError
 from .geometry import (
     HermitianJetMatrix,
+    adjugate,
     complex_mixed_hessian,
-    det_and_adjugate,
     dz,
     dzbar,
     jet_det,
@@ -108,15 +109,16 @@ def _row(identity, m, valid, resid, scale, tol) -> ResidualRow:
 
 class SolutionView:
     """What several checks of one verify run read, derived from the
-    ``Solution`` alone and each formed once, on first read.  ``checks`` names
-    the run's checks: det g comes with adj g only for "laplacian", which
-    drops it, and one pass over the H(v_m) makes both flow identities' rows
-    when both are read."""
+    ``Solution`` alone and each formed once, on first read.  det g and adj g
+    share one memo of the minors of g, which ``adj_g`` drops.  ``checks``
+    names the run's checks: one pass over the H(v_m) makes both flow
+    identities' rows when both are read."""
 
     def __init__(self, sol: Solution, checks=()):
         self.sol = sol
         self.checks = frozenset(checks)
-        self._det = self._adj = None
+        self._det = None
+        self._minors = {}
         self._g_t = {}
         self._flow = {}
 
@@ -131,18 +133,14 @@ class SolutionView:
 
     def det_g(self) -> TJet:
         if self._det is None:
-            if "laplacian" in self.checks:
-                self._det, self._adj = det_and_adjugate(self.sol.g)
-            else:
-                self._det = jet_det(self.sol.g)
+            self._det = jet_det(self.sol.g, self._minors)
         return self._det
 
-    def det_and_adjugate(self):
-        """(det g, adj g), after which the view holds no reference to adj g."""
-        if self._adj is None:
-            self._det, self._adj = det_and_adjugate(self.sol.g)
-        adj, self._adj = self._adj, None
-        return self._det, adj
+    def adj_g(self) -> list:
+        """adj g, after which the view holds no minor of g."""
+        adj = adjugate(self.sol.g, self._minors)
+        self._minors = {}
+        return adj
 
     def flow(self, kind: str) -> list:
         """(t_order, valid_degree, residual, scale) per row of ``kind``."""
@@ -265,7 +263,7 @@ def laplacian_moment(sol, tolerance: float = 1e-9) -> ResidualReport:
     """
     d = _view(sol, "laplacian")
     sol = d.sol
-    det_g, adj = d.det_and_adjugate()
+    det_g, adj = d.det_g(), d.adj_g()
     if abs(det_g.coeffs[0].constant_term) < 1e-14:
         raise DegeneracyError("metric determinant vanishes at the base point")
     # g^{ij} = adj(g)_{ij} / det g; the scalar reciprocal factors out of the
@@ -303,23 +301,7 @@ def laplacian_moment(sol, tolerance: float = 1e-9) -> ResidualReport:
 
 
 @dataclass(frozen=True)
-class CurvatureForm:
-    """Blocks of F = -((i/2)(g_ij)_t dz^dzbar + i w_{z_i} dt^dz - i w_{zbar_j} dt^dzbar).
-
-    ``g_t`` holds the (1,1) block before the -i/2 prefactor; ``w_z`` and
-    ``w_zbar`` hold the fiber-weight gradients (1/c) d(dv/dt)/dz_i, which are
-    regular in t because the pole of w is spatially constant.
-    """
-
-    g_t: HermitianJetMatrix
-    w_z: tuple[TJet, ...]
-    w_zbar: tuple[TJet, ...]
-    realness_defect: float
-
-
-@dataclass(frozen=True)
 class CurvatureReport:
-    form: CurvatureForm
     closedness: ResidualReport
     class_integral: float | None
     nearest_integer: int | None
@@ -327,6 +309,7 @@ class CurvatureReport:
     quadrature_points: int
     kappa: float | None
     proportionality_defect: float | None
+    realness_defect: float
     notes: tuple[str, ...]
 
     @property
@@ -342,21 +325,26 @@ class CurvatureReport:
             "quadrature_points": self.quadrature_points,
             "kappa": self.kappa,
             "proportionality_defect": self.proportionality_defect,
-            "realness_defect": self.form.realness_defect,
+            "realness_defect": self.realness_defect,
             "notes": list(self.notes),
         }
 
 
 def curvature_and_class(sol, tolerance: float = 1e-9) -> CurvatureReport:
-    """Assemble the curvature blocks, check dF = 0 coefficientwise, and for
-    supported bases integrate F/(2 pi) over the base at t = 0.
+    """Check that the curvature form
+
+        F = -((i/2)(g_ij)_t dz^dzbar + i w_{z_i} dt^dz - i w_{zbar_j} dt^dzbar)
+
+    is real and closed (dF = 0 coefficientwise), and for supported bases
+    integrate F/(2 pi) over the base at t = 0.  The blocks are read, not
+    kept; w_{z_i} = (1/c) d(dv/dt)/dz_i is regular in t because the pole of
+    w is spatially constant.
 
     The class integral is evaluated in the calibrated normalization (factor
     2/kappa, kappa from ``closed_form.calibrate``), which is the scaling that
-    makes the form's periods integer multiples of 2 pi; the verbatim blocks
-    are reported unscaled.  Supported bases: flat charts (integral is exactly
-    zero) and the dimension-1 projective chart, integrated with its global
-    closed-form profile.
+    makes the form's periods integer multiples of 2 pi.  Supported bases:
+    flat charts (integral is exactly zero) and the dimension-1 projective
+    chart, integrated with its global closed-form profile.
     """
     d = _view(sol, "curvature")
     sol = d.sol
@@ -364,20 +352,13 @@ def curvature_and_class(sol, tolerance: float = 1e-9) -> CurvatureReport:
     vt = d.v_t
     n = sol.n
     g_t = HermitianJetMatrix([[d.g_t(i, j) for j in range(n)] for i in range(n)])
-    w_z = tuple(
-        TJet([jet_scale(dz(cj, i), 1.0 / c) for cj in vt.coeffs])
-        for i in range(n)
-    )
-    w_zbar = tuple(
-        TJet([jet_scale(dzbar(cj, j), 1.0 / c) for cj in vt.coeffs])
-        for j in range(n)
-    )
 
+    # F is real when (g_ij)_t is Hermitian and w_{zbar_i} = conj(w_{z_i})
     realness = g_t.hermitian_defect()
     for i in range(n):
-        for k in range(min(w_z[i].order, w_zbar[i].order) + 1):
-            a, b = w_z[i].coeffs[k], w_zbar[i].coeffs[k]
-            realness = nan_max(realness, max_coeff_diff(jet_conj(a), b))
+        for cj in vt.coeffs:
+            w_z, w_zbar = (jet_scale(f(cj, i), 1.0 / c) for f in (dz, dzbar))
+            realness = nan_max(realness, max_coeff_diff(jet_conj(w_z), w_zbar))
 
     closed = ResidualReport(
         name="curvature_closedness",
@@ -390,7 +371,7 @@ def curvature_and_class(sol, tolerance: float = 1e-9) -> CurvatureReport:
     kappa = prop_defect = None
     npts = 0
     notes = []
-    chart = sol.input.chart_info if hasattr(sol.input, "chart_info") else {}
+    chart = sol.input.chart_info
     kind = chart.get("kind")
     if kind == "flat":
         integral, nearest, deviation = 0.0, 0, 0.0
@@ -409,9 +390,7 @@ def curvature_and_class(sol, tolerance: float = 1e-9) -> CurvatureReport:
             "class integral skipped: no compact-base chart recipe for this metric"
         )
 
-    form = CurvatureForm(g_t=g_t, w_z=w_z, w_zbar=w_zbar, realness_defect=realness)
     return CurvatureReport(
-        form=form,
         closedness=closed,
         class_integral=integral,
         nearest_integer=nearest,
@@ -419,6 +398,7 @@ def curvature_and_class(sol, tolerance: float = 1e-9) -> CurvatureReport:
         quadrature_points=npts,
         kappa=kappa,
         proportionality_defect=prop_defect,
+        realness_defect=realness,
         notes=tuple(notes),
     )
 

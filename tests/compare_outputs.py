@@ -57,10 +57,12 @@ SCENARIO_FILES = {
 # because D = 1 leaves the initial metric no trusted degree.  The two runs
 # after it trust their series orders to degrees 4, 2, 0, -2, -4 and
 # 6, 4, 2, 0, -2, -4, so every series operation meets untrusted orders
-# mid-series.  The last two take the n = 1 jet at D = 20, whose exp, log
-# and reciprocal hold more pairs than a series plan caches as chunks, so
-# both forms of the plans run at n = 1.  No run joins a file's
-# [checks] with check flags: there the flags win.
+# mid-series.  The two after those take the n = 1 jet at D = 20, whose
+# exp, log and reciprocal hold more pairs than a series plan caches as
+# chunks, so both forms of the plans run at n = 1.  The last three select
+# checks that form det g first inside the Laplacian check, alone or with
+# the curvature check; the last one takes the n = 1 adjugate.  No run joins
+# a file's [checks] with check flags: there the flags win.
 SCENARIOS = (
     "verify --metric perturbed_flat:1,0.1,7,2 --M 8 --D 12",
     "verify --metric perturbed_flat:2,0.1,0,2 --M 5 --D 12",
@@ -121,6 +123,9 @@ SCENARIOS = (
     "verify --metric perturbed_flat:3,0.1,1,2 --M 5 --D 8",
     "verify --metric perturbed_flat:1,0.1,7,2 --M 8 --D 20",
     "majorant --metric perturbed_flat:1,0.1,7,2 --M 8 --D 20 --R 0.2",
+    "verify --metric perturbed_flat:4,0.1,0,2 --M 3 --D 6 --laplacian",
+    "verify --metric perturbed_flat:3,0.1,1,2 --M 4 --D 8 --curvature --laplacian",
+    "verify --metric fubini_study_chart:1,1 --M 6 --D 12 --laplacian",
 )
 
 # Refused with exit 2: the three majorant runs trust v_1 to degrees -1, 0

@@ -1,11 +1,10 @@
 import warnings
 
-import numpy as np
 import pytest
 
 from ricciflat import geometry as geo
 from ricciflat.errors import InvalidInputError
-from ricciflat.jets import Jet
+from ricciflat.jets import Jet, t_derive
 from ricciflat.solver import SolverConfig, solve
 from ricciflat.verify import (
     curvature_and_class,
@@ -151,15 +150,16 @@ def test_laplacian_flags_metric_perturbation(fs_solution):
 
 
 def test_curvature_flat_is_zero(flat_solutions):
-    rep = curvature_and_class(flat_solutions[1])
+    sol = flat_solutions[1]
+    rep = curvature_and_class(sol)
     assert rep.passed
     assert rep.class_integral == 0.0
-    form = rep.form
-    for i in range(1):
-        for series in (form.w_z[i], form.w_zbar[i]):
-            for cj in series.coeffs:
-                if cj.valid_degree >= 0:
-                    assert np.max(np.abs(cj.coeffs[: 1])) == 0.0
+    assert rep.realness_defect == 0.0
+    # the fiber-weight gradients (1/c) d(dv/dt)/dz, dzbar vanish at the base
+    for cj in t_derive(sol.v).coeffs:
+        for grad in (geo.dz(cj, 0), geo.dzbar(cj, 0)):
+            if grad.valid_degree >= 0:
+                assert grad.constant_term == 0.0
 
 
 def test_curvature_projective_chart_class_integral(fs_solution):
@@ -170,7 +170,7 @@ def test_curvature_projective_chart_class_integral(fs_solution):
     assert rep.kappa == 4.0
     assert rep.nearest_integer == -2
     assert abs(rep.class_integral - (-2.0)) <= 1e-3
-    assert rep.form.realness_defect <= 1e-11
+    assert rep.realness_defect <= 1e-11
 
 
 def test_curvature_class_independent_of_c():

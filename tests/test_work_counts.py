@@ -1,13 +1,14 @@
 """Work counts: a solve expands each minor of its determinant once, a
-verify run forms det g, each H(v_m) and the flow residual rows once, and
-nothing its check selection does not read, a majorant run builds no jet
-context for the derivative lemma and evaluates no jet, its nonlinearity
-bounds multiply no t-series, a calibration forms the Ricci form once and
-evaluates no jet, the exponential, logarithm and reciprocal of a jet form
-no jet product, a run forms no untrusted jet but the shared zero jets, it
-caches no product or series plan chunk above the bound, and neither series
-operations nor the solver's order step form a product for the Cauchy sum
-of an untrusted order."""
+verify run forms det g and adj g from one expansion, each H(v_m) and the
+flow residual rows once, and nothing its check selection does not read,
+a majorant run builds no jet context for the derivative lemma and
+evaluates no jet, its nonlinearity bounds multiply no t-series, a
+calibration forms the Ricci form once and evaluates no jet, the
+exponential, logarithm and reciprocal of a jet form no jet product, a run
+forms no untrusted jet but the shared zero jets, it caches no product or
+series plan chunk above the bound, and neither series operations nor the
+solver's order step form a product for the Cauchy sum of an untrusted
+order."""
 
 import warnings
 from collections import Counter
@@ -48,11 +49,24 @@ def _verify(tmp_path, spec, *checks):
 
 
 def test_full_verify_forms_det_g_once(tmp_path, monkeypatch):
-    det_adj = _record(monkeypatch, verify, "det_and_adjugate")
     dets = _record(monkeypatch, verify, "jet_det")
+    adjs = _record(monkeypatch, verify, "adjugate")
+    expanded = []
+    original = geometry.minor_det
+
+    def recording(rows, R, C, memo, cap=None):
+        if (R, C) not in memo:
+            expanded.append((rows, R, C))
+        return original(rows, R, C, memo, cap)
+
+    monkeypatch.setattr(geometry, "minor_det", recording)
     _verify(tmp_path, N4)
-    assert len(det_adj) == 1
-    assert not [g for (g,) in dets if isinstance(g.entries[0][0], TJet)]
+    assert len(dets) == 1 and len(adjs) == 1
+    g = dets[0][0]
+    assert adjs[0][0] is g and isinstance(g.entries[0][0], TJet)
+    # det g and adj g share one expansion: no minor of g is expanded twice
+    minors = Counter((R, C) for rows, R, C in expanded if rows is g.entries)
+    assert len(minors) > g.n**2 and set(minors.values()) == {1}
 
 
 def test_full_verify_forms_each_hessian_once(tmp_path, monkeypatch):
@@ -71,10 +85,10 @@ def test_full_verify_generates_each_flow_identity_once(tmp_path, monkeypatch):
 
 
 def test_system_check_alone_forms_no_adjugate(tmp_path, monkeypatch):
-    det_adj = _record(monkeypatch, verify, "det_and_adjugate")
+    adjs = _record(monkeypatch, verify, "adjugate")
     passes = _record(monkeypatch, verify, "_flow_residuals")
     _verify(tmp_path, N4, "system")
-    assert det_adj == []
+    assert adjs == []
     assert [set(wanted) for _, wanted in passes] == [{"hessian_flow"}]
 
 
@@ -184,7 +198,7 @@ def test_shared_view_gives_the_reports_of_bare_solutions(checks):
         assert check(view).as_dict() == check(sol).as_dict()
     shared, bare = verify.curvature_and_class(view), verify.curvature_and_class(sol)
     assert shared.closedness.as_dict() == bare.closedness.as_dict()
-    assert shared.form.realness_defect == bare.form.realness_defect
+    assert shared.realness_defect == bare.realness_defect
 
 
 def test_majorant_run_builds_no_lemma_context_and_no_monomial_matrix(tmp_path, monkeypatch):
@@ -248,7 +262,9 @@ def test_series_determinant_multiplies_only_its_trusted_orders(monkeypatch):
     assert {e.valid_degrees for row in sol.g.entries for e in row} == {(2, 0, -2, -4)}
     products = _record(monkeypatch, jets, "_product")
     sums = record_sum_products(monkeypatch)
-    geometry.det_and_adjugate(sol.g)
+    memo = {}
+    geometry.jet_det(sol.g, memo)
+    geometry.adjugate(sol.g, memo)
     # orders 2 and 3 are summed but untrusted: only orders 0 and 1 multiply
     assert {k for k, _, _ in sums} == {0, 1, 2, 3}
     assert {k for k, _, formed in sums if formed} == {0, 1}
