@@ -109,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("solve", parents=[common], help="run the series construction")
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=_batch, worker=_solve_one)
 
     p = sub.add_parser("verify", parents=[common], help="run residual checks")
     for check in ALL_CHECKS:
@@ -118,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--perturb",
         help="inject a fault TARGET:ORDER:EPS (targets v, g, w) before checking",
     )
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=_batch, worker=_verify_one)
 
     p = sub.add_parser(
         "closed-form", parents=[common], help="exact constant-curvature solutions"
@@ -129,12 +129,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("majorant", parents=[common], help="domination checks")
     p.add_argument("--m-max", type=int, default=None, help="orders of C_m to build")
-    p.set_defaults(func=cmd_majorant)
+    p.set_defaults(func=_batch, worker=_majorant_one)
 
     p = sub.add_parser(
         "compare", parents=[common], help="calibrate against the closed form"
     )
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=_batch, worker=_compare_one)
 
     p = sub.add_parser("list-metrics", help="show builtin metrics")
     p.set_defaults(func=cmd_list_metrics)
@@ -164,6 +164,13 @@ def _collect_scenarios(args) -> list[Scenario]:
             "no scenario given: pass --metric, --metric-file or scenario files"
         )
     return scenarios
+
+
+def _batch(args) -> int:
+    """Run the subcommand's worker over the batch, passing --m-max through."""
+    return _run_batch(
+        _collect_scenarios(args), args.worker, args.jobs, getattr(args, "m_max", None)
+    )
 
 
 def _run_batch(scenarios, worker, jobs: int, extra=None) -> int:
@@ -203,13 +210,18 @@ def _solve_scenario(sc: Scenario):
     return sol
 
 
+def _write_report(sc: Scenario, out_dir: str, command: str, **sections) -> None:
+    """The report envelope: the command, the scenario and its own sections."""
+    write_json(
+        os.path.join(out_dir, "report.json"),
+        {"command": command, "scenario": sc.as_dict(), **sections},
+        no_timestamp=sc.no_timestamp,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
-
-
-def cmd_solve(args) -> int:
-    return _run_batch(_collect_scenarios(args), _solve_one, args.jobs)
 
 
 def _solve_one(sc: Scenario, out_dir: str, extra=None) -> int:
@@ -217,22 +229,9 @@ def _solve_one(sc: Scenario, out_dir: str, extra=None) -> int:
     os.makedirs(out_dir, exist_ok=True)
     for name, series in (("v", sol.v), ("g", sol.g), ("w_inv", sol.w_inv), ("exp_u", sol.exp_u)):
         write_series_csv(os.path.join(out_dir, f"{name}.csv"), name, series)
-    write_json(
-        os.path.join(out_dir, "report.json"),
-        {
-            "command": "solve",
-            "scenario": sc.as_dict(),
-            "conventions": CONVENTIONS,
-            "solution": solution_summary(sol),
-        },
-        no_timestamp=sc.no_timestamp,
-    )
+    _write_report(sc, out_dir, "solve", conventions=CONVENTIONS, solution=solution_summary(sol))
     print(f"solve: wrote {out_dir}/report.json (metric {sol.input.name})")
     return EXIT_OK
-
-
-def cmd_verify(args) -> int:
-    return _run_batch(_collect_scenarios(args), _verify_one, args.jobs)
 
 
 def _verify_one(sc: Scenario, out_dir: str, extra=None) -> int:
@@ -265,17 +264,9 @@ def _verify_one(sc: Scenario, out_dir: str, extra=None) -> int:
 
     os.makedirs(out_dir, exist_ok=True)
     write_residuals_csv(os.path.join(out_dir, "residuals.csv"), residual_reports)
-    write_json(
-        os.path.join(out_dir, "report.json"),
-        {
-            "command": "verify",
-            "scenario": sc.as_dict(),
-            "conventions": CONVENTIONS,
-            "solution": solution_summary(sol),
-            "checks": {name: rep.as_dict() for name, rep in reports.items()},
-            "passed": passed,
-        },
-        no_timestamp=sc.no_timestamp,
+    _write_report(
+        sc, out_dir, "verify", conventions=CONVENTIONS, solution=solution_summary(sol),
+        checks={name: rep.as_dict() for name, rep in reports.items()}, passed=passed,
     )
     for name in sorted(reports):
         print(f"verify[{name}]: {'pass' if reports[name].passed else 'FAIL'}")
@@ -351,12 +342,6 @@ def cmd_closed_form(args) -> int:
     return EXIT_OK
 
 
-def cmd_majorant(args) -> int:
-    return _run_batch(
-        _collect_scenarios(args), _majorant_one, args.jobs, extra=args.m_max
-    )
-
-
 def _majorant_one(sc: Scenario, out_dir: str, m_max_arg=None) -> int:
     sol = _solve_scenario(sc)
     m_max = sol.t_order if m_max_arg is None else m_max_arg
@@ -378,23 +363,11 @@ def _majorant_one(sc: Scenario, out_dir: str, m_max_arg=None) -> int:
             for r in rep.rows
         ],
     )
-    payload = rep.as_dict()
-    payload["derivative_lemma"] = [
-        {"p": r.p, "radius": r.radius, "observed": r.observed, "bound": r.bound, "status": r.status}
-        for r in lemma
-    ]
-    write_json(
-        os.path.join(out_dir, "report.json"),
-        {"command": "majorant", "scenario": sc.as_dict(), "majorant": payload},
-        no_timestamp=sc.no_timestamp,
-    )
+    payload = dict(rep.as_dict(), derivative_lemma=[dict(vars(r)) for r in lemma])
+    _write_report(sc, out_dir, "majorant", majorant=payload)
     ok = rep.passed and all(r.status == "pass" for r in lemma)
     print(f"majorant: {'pass' if ok else 'FAIL'} (A={params.A:.6g}, R={params.R})")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-
-def cmd_compare(args) -> int:
-    return _run_batch(_collect_scenarios(args), _compare_one, args.jobs)
 
 
 def _compare_one(sc: Scenario, out_dir: str, extra=None) -> int:
@@ -406,29 +379,11 @@ def _compare_one(sc: Scenario, out_dir: str, extra=None) -> int:
         ("candidate_kappa", "max_deviation"),
         [(repr(float(k)), repr(float(dev))) for k, dev in sorted(rep.per_candidate.items())],
     )
-    write_json(
-        os.path.join(out_dir, "report.json"),
-        {
-            "command": "compare",
-            "scenario": sc.as_dict(),
-            "calibration": {
-                "matched": rep.matched,
-                "kappa": rep.kappa,
-                "max_relative_deviation": rep.max_deviation,
-                "metric_deviation": rep.metric_deviation,
-                "w_inv_deviation": rep.w_inv_deviation,
-                "eigenvalues": list(rep.eigenvalues),
-                "spectrum_variation": rep.spectrum_variation,
-                "P": list(rep.P),
-                "candidates": list(rep.candidates),
-            },
-        },
-        no_timestamp=sc.no_timestamp,
-    )
+    _write_report(sc, out_dir, "compare", calibration=rep.as_dict())
     if rep.matched:
-        print(f"compare: kappa={rep.kappa}, deviation={rep.max_deviation:.3e}")
+        print(f"compare: kappa={rep.kappa}, deviation={rep.max_relative_deviation:.3e}")
         return EXIT_OK
-    print(f"compare: no convention match (best deviation {rep.max_deviation:.3e})")
+    print(f"compare: no convention match (best deviation {rep.max_relative_deviation:.3e})")
     return EXIT_CHECK_FAILED
 
 

@@ -141,7 +141,7 @@ class CalibrationReport:
     """Outcome of matching a solver run against the affine closed form."""
 
     kappa: float | None
-    max_deviation: float
+    max_relative_deviation: float
     metric_deviation: float
     w_inv_deviation: float
     eigenvalues: tuple[float, ...]
@@ -153,6 +153,12 @@ class CalibrationReport:
     @property
     def matched(self) -> bool:
         return self.kappa is not None
+
+    def as_dict(self) -> dict:
+        """Every field but ``per_candidate``, which the comparison table holds."""
+        d = dict(vars(self), matched=self.matched)
+        del d["per_candidate"]
+        return d
 
 
 def calibrate(solution, tolerance: float = 1e-9) -> CalibrationReport:
@@ -194,7 +200,7 @@ def calibrate(solution, tolerance: float = 1e-9) -> CalibrationReport:
     matched = bool(v_finite and dev <= tolerance * scale)
     return CalibrationReport(
         kappa=kappa if matched else None,
-        max_deviation=dev / scale,
+        max_relative_deviation=dev / scale,
         metric_deviation=gdev / scale,
         w_inv_deviation=wdev / scale,
         eigenvalues=spectrum.eigenvalues,

@@ -81,6 +81,21 @@ def _operator_images(v1: Jet, c: float) -> list[Jet]:
     ]
 
 
+def _group_norms(vm: Jet, c: float, r) -> list:
+    """The largest norms at r (a radius or a sequence of radii) of the
+    value, gradient and operator jets of v_m; None for a group whose
+    validity v_m lacks (degree 0, 1 or 2).  np.max keeps a NaN, so the
+    checks built on it fail."""
+    groups = (
+        [vm] if vm.valid_degree >= 0 else [],
+        [jet_derive(vm, v) for v in range(vm.ctx.nvars)] if vm.valid_degree >= 1 else [],
+        _operator_images(vm, c) if vm.valid_degree >= 2 else [],
+    )
+    return [
+        np.max([jet_norm(jet, r) for jet in group], axis=0) if group else None for group in groups
+    ]
+
+
 def estimate_params(sol: Solution, R: float) -> MajorantParams:
     """A as the largest norm at R of v_1, its coordinate gradient and the
     operator images; the operator bound is structural.  The norms grow with
@@ -103,9 +118,7 @@ def estimate_params(sol: Solution, R: float) -> MajorantParams:
             f"the majorant needs v_1 trusted to degree 2 for its second derivatives, "
             f"but v_1 has valid_degree {v1.valid_degree}: raise the space degree D"
         )
-    jets = [v1, *(jet_derive(v1, var) for var in range(sol.input.ctx.nvars))]
-    jets.extend(_operator_images(v1, c))
-    A = float(np.max([jet_norm(jet, R) for jet in jets]))  # np.max keeps a NaN, so the checks fail
+    A = float(np.max(_group_norms(v1, c, R)))
 
     notes = []
     clamped = A < _A_FLOOR
@@ -305,22 +318,11 @@ def check_domination(sol: Solution, params: MajorantParams, C: list[float]) -> M
     degree 0, 1 or 2) is marked skipped.
     """
     e = math.e
-    nvars = sol.input.ctx.nvars
     radii = domination_radii(params.R)
-    # Per order m: the largest norm per radius of the value, gradient and
-    # operator jets, None for a group v_m cannot support.
-    largest = {}
-    for m in range(1, min(sol.t_order, len(C) - 1) + 1):
-        vm = sol.v.coeffs[m]
-        groups = (
-            [vm] if vm.valid_degree >= 0 else [],
-            [jet_derive(vm, v) for v in range(nvars)] if vm.valid_degree >= 1 else [],
-            _operator_images(vm, sol.config.c) if vm.valid_degree >= 2 else [],
-        )
-        largest[m] = [
-            np.max([jet_norm(jet, radii) for jet in group], axis=0) if group else None
-            for group in groups
-        ]
+    largest = {
+        m: _group_norms(sol.v.coeffs[m], sol.config.c, radii)
+        for m in range(1, min(sol.t_order, len(C) - 1) + 1)
+    }
 
     rows = []
     for k, r in enumerate(radii):

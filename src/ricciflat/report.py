@@ -7,7 +7,9 @@ t ascending, and hold only the trusted coefficients of each jet (through its
 that identical runs produce byte-identical files; the report timestamp is
 the only non-reproducible field and can be suppressed.  JSON reports stay
 strict JSON: non-finite floats are written as the strings "NaN", "Infinity"
-and "-Infinity".
+and "-Infinity".  A record's JSON block is its dataclass fields plus its
+derived verdicts, written by its own ``as_dict``; the CLI adds only the
+envelope, the command and the scenario block.
 """
 
 from __future__ import annotations

@@ -74,19 +74,11 @@ class Scenario:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "metric": self.metric,
-            "metric_entries": {f"{i+1},{j+1}": e for (i, j), e in self.metric_entries.items()},
-            "metric_n": self.metric_n,
-            "c": self.c,
-            "t_order": self.t_order,
-            "space_degree": self.space_degree,
-            "radius": self.radius,
-            "tolerance": self.tolerance,
-            "checks": list(self.checks),
-            "perturb": self.perturb,
-        }
+        """Every field but the output settings; metric entries keyed "i,j" from 1."""
+        d = dict(vars(self), checks=list(self.checks))
+        d["metric_entries"] = {f"{i+1},{j+1}": e for (i, j), e in self.metric_entries.items()}
+        del d["out_dir"], d["no_timestamp"]
+        return d
 
 
 ALL_CHECKS = ("system", "consequence", "laplacian", "curvature", "smoothness")

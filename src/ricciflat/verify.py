@@ -83,15 +83,13 @@ class ResidualReport:
         return tuple(sorted({r.t_order for r in self.rows if r.status == "skipped"}))
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "max_relative_residual": self.max_relative_residual,
-            "tolerance": self.tolerance,
-            "skipped_orders": list(self.skipped_orders),
-            "rows": [dict(vars(r)) for r in self.rows],
-            "metadata": self.metadata,
-        }
+        return dict(
+            vars(self),
+            rows=[dict(vars(r)) for r in self.rows],
+            passed=self.passed,
+            max_relative_residual=self.max_relative_residual,
+            skipped_orders=list(self.skipped_orders),
+        )
 
 
 def _row(identity, m, valid, resid, scale, tol) -> ResidualRow:
@@ -317,17 +315,7 @@ class CurvatureReport:
         return self.closedness.passed
 
     def as_dict(self) -> dict:
-        return {
-            "closedness": self.closedness.as_dict(),
-            "class_integral": self.class_integral,
-            "nearest_integer": self.nearest_integer,
-            "integral_deviation": self.integral_deviation,
-            "quadrature_points": self.quadrature_points,
-            "kappa": self.kappa,
-            "proportionality_defect": self.proportionality_defect,
-            "realness_defect": self.realness_defect,
-            "notes": list(self.notes),
-        }
+        return dict(vars(self), closedness=self.closedness.as_dict(), notes=list(self.notes))
 
 
 def curvature_and_class(sol, tolerance: float = 1e-9) -> CurvatureReport:

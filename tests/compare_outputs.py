@@ -51,7 +51,8 @@ SCENARIO_FILES = {
 # Fubini-Study runs take a scale that is not a power of two, so their
 # characteristic coefficients carry rounding.  The n = 4 solve at D = 10
 # writes the largest coefficient tables; the two-file solve with --jobs 2
-# writes one subdirectory per scenario through the process pool.  The last
+# writes one subdirectory per scenario through the process pool, and the
+# two-file majorant after it also hands its own --m-max to the pool.  The last
 # two runs but one take a product whose h entries are trusted to degrees 10
 # and 8, so they add jets of unequal validity; the last one is refused
 # because D = 1 leaves the initial metric no trusted degree.  The two runs
@@ -111,6 +112,7 @@ SCENARIOS = (
     "verify inline.ini",
     "solve --metric perturbed_flat:4,0.1,0,2 --M 4 --D 10",
     "solve sc.ini inline.ini --jobs 2",
+    "majorant sc.ini inline.ini --jobs 2 --m-max 4",
     "compare --metric fubini_study_chart:4,1 --M 2 --D 6",
     "compare --metric perturbed_flat:4,0.1,0,2 --M 1 --D 4",
     "compare --metric fubini_study_chart:3,0.3 --M 2 --D 6",

@@ -78,12 +78,12 @@ def test_a2_einstein_oracle_equivalence():
     elapsed = time.time() - t0
     with criterion(
         "A2",
-        f"closed-form match kappa={rep.kappa} deviation={rep.max_deviation:.2e} "
+        f"closed-form match kappa={rep.kappa} deviation={rep.max_relative_deviation:.2e} "
         f"in {elapsed:.1f}s",
     ):
         assert rep.matched
         assert rep.kappa in (1.0, 2.0, 4.0, 0.5, 0.25)
-        assert rep.max_deviation <= 1e-9
+        assert rep.max_relative_deviation <= 1e-9
         assert elapsed < 30.0
 
 

@@ -227,14 +227,14 @@ def test_calibrate_projective_chart(fs_solution):
     rep = calibrate(fs_solution)
     assert rep.matched
     assert rep.kappa == 4.0
-    assert rep.max_deviation <= 1e-9
+    assert rep.max_relative_deviation <= 1e-9
     assert rep.eigenvalues[0] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_calibrate_flat_matches_trivially(flat_solutions):
     rep = calibrate(flat_solutions[1])
     assert rep.matched
-    assert rep.max_deviation <= 1e-12
+    assert rep.max_relative_deviation <= 1e-12
 
 
 def test_calibrate_scale_changes_eigenvalue_not_kappa():

@@ -608,6 +608,46 @@ def test_cli_majorant_with_clamped_A_needs_no_radius_estimate(tmp_path):
     assert rep["majorant"]["radius_estimate"] is None
 
 
+def test_cli_reports_hold_every_field_of_their_records(tmp_path):
+    """Each JSON block holds every field of the dataclass it writes, so a
+    field added to a record reaches the report without a key list to edit."""
+    from dataclasses import fields
+
+    from ricciflat.closed_form import CalibrationReport
+    from ricciflat.majorant import CauchyEstimateRow, DominationRow
+    from ricciflat.verify import CurvatureReport, ResidualReport, ResidualRow, SmoothnessReport
+
+    def missing(block, cls, *skip):
+        return {f.name for f in fields(cls)} - set(skip) - set(block)
+
+    def report(command, *flags):
+        out = tmp_path / command
+        run_cli(
+            command, "--metric", "fubini_study_chart:1,1", "--M", "4", "--D", "10",
+            *flags, "--out", str(out), "--no-timestamp",
+        )
+        rep = json.loads((out / "report.json").read_text())
+        assert not missing(rep["scenario"], Scenario, "out_dir", "no_timestamp")
+        return rep
+
+    checks = report("verify")["checks"]
+    residual = [checks[name] for name in ("system", "consequence", "laplacian")]
+    residual.append(checks["curvature"]["closedness"])
+    for block in residual:
+        assert block["rows"] and not missing(block, ResidualReport)
+        assert not any(missing(row, ResidualRow) for row in block["rows"])
+    assert not missing(checks["curvature"], CurvatureReport)
+    assert not missing(checks["smoothness"], SmoothnessReport)
+
+    calibration = report("compare")["calibration"]
+    assert not missing(calibration, CalibrationReport, "per_candidate")
+
+    maj = report("majorant", "--R", "0.2")["majorant"]
+    assert maj["rows"] and not any(missing(row, DominationRow) for row in maj["rows"])
+    lemma = maj["derivative_lemma"]
+    assert lemma and not any(missing(row, CauchyEstimateRow) for row in lemma)
+
+
 def test_cli_list_metrics(capsys):
     assert run_cli("list-metrics") == 0
     out = capsys.readouterr().out
