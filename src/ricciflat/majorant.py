@@ -27,7 +27,7 @@ shared operator bound and recorded in the report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -66,19 +66,10 @@ class MajorantParams:
     A: float
     M_const: float
     A_clamped: bool = False
-    notes: tuple[str, ...] = ()
 
 
 def domination_radii(R: float) -> tuple[float, float, float]:
     return (R / 4.0, R / 2.0, 3.0 * R / 4.0)
-
-
-def _operator_images(v1: Jet, c: float) -> list[Jet]:
-    hess = complex_mixed_hessian(v1)
-    n = v1.ctx.n
-    return [
-        jet_scale(hess.entries[i][j], -1.0 / c) for i in range(n) for j in range(n)
-    ]
 
 
 def _group_norms(vm: Jet, c: float, r) -> list:
@@ -89,7 +80,9 @@ def _group_norms(vm: Jet, c: float, r) -> list:
     groups = (
         [vm] if vm.valid_degree >= 0 else [],
         [jet_derive(vm, v) for v in range(vm.ctx.nvars)] if vm.valid_degree >= 1 else [],
-        _operator_images(vm, c) if vm.valid_degree >= 2 else [],
+        [jet_scale(e, -1.0 / c) for row in complex_mixed_hessian(vm).entries for e in row]
+        if vm.valid_degree >= 2
+        else [],
     )
     return [
         np.max([jet_norm(jet, r) for jet in group], axis=0) if group else None for group in groups
@@ -119,19 +112,24 @@ def estimate_params(sol: Solution, R: float) -> MajorantParams:
             f"but v_1 has valid_degree {v1.valid_degree}: raise the space degree D"
         )
     A = float(np.max(_group_norms(v1, c, R)))
-
-    notes = []
     clamped = A < _A_FLOOR
-    if clamped:
-        A = _A_FLOOR
-        notes.append("degenerate first-order data: A clamped to the 1e-8 floor")
-    return MajorantParams(
-        R=R,
-        A=A,
-        M_const=4.0 / abs(c),
-        A_clamped=clamped,
-        notes=tuple(notes),
-    )
+    A = _A_FLOOR if clamped else A
+    return MajorantParams(R=R, A=A, M_const=4.0 / abs(c), A_clamped=clamped)
+
+
+def run(sol: Solution, R: float, m_max: int | None = None) -> MajorantReport:
+    """The majorant pipeline at radius R over C_1..C_m_max (by default the
+    t-order), derivative lemma rows included.  A sequence too short for the
+    radius estimate is refused before any bound is built, unless A is
+    clamped.  Stages are looked up by name per call, so a rebound one runs."""
+    m_max = sol.t_order if m_max is None else m_max
+    params = estimate_params(sol, R)
+    if not params.A_clamped:
+        _require_radius_orders(m_max)
+    bounds = nonlinearity_bounds(sol, params, m_max)
+    C = majorant_sequence(params, bounds, m_max)
+    rep = check_domination(sol, params, C)
+    return replace(rep, lemma=tuple(cauchy_estimate_check(1.0, R)))
 
 
 # ---------------------------------------------------------------------------
@@ -152,19 +150,20 @@ def nonlinearity_bounds(sol: Solution, params: MajorantParams, m_max: int) -> di
     determinant is +- [t^p] of the complementary minor on the other rows and
     columns; its norm drops the sign, and the k! patterns sharing one minor
     weight its norm by k!.  All minors come from ``det_coefficient`` with one
-    memo.  The e^{-Z} factor contributes the exact scalar (-1)^q / q!.  Each
-    jet coefficient is bounded by its weighted l1 norm at R.
+    memo.  L(v_0) = -H(v_0)/c is the solution's own g^(1), read off
+    ``sol.g`` rather than formed again.  The e^{-Z} factor contributes the
+    exact scalar (-1)^q / q!.  Each jet coefficient is bounded by its
+    weighted l1 norm at R.
 
-    Returns {(p, q, s, alpha_total, beta_total): bound} with s = alpha = 0
-    (the concrete nonlinearity involves neither t dv/dt nor the gradient),
-    aggregated over beta patterns with equal totals, restricted to total
-    weight p + q + 2|beta| >= 2 and p + q + |beta| <= m_max.
+    Returns {(p, q, |beta|): bound}, aggregated over beta patterns with
+    equal totals, restricted to weight p + q + 2|beta| >= 2 and
+    p + q + |beta| <= m_max.  G reads the potential only through Z and the
+    second derivatives Y, never through t dv/dt or the gradient of v, so the
+    table has no index for either.
     """
     n = sol.n
-    c = sol.config.c
     h = sol.input.h
-    hess = complex_mixed_hessian(sol.v.coeffs[0])
-    orders = (h.entries, hess.map(lambda e: jet_scale(e, -1.0 / c)).entries)
+    orders = (h.entries, [[e.coeffs[1] for e in row] for row in sol.g.entries])
     recip_det_h = jet_reciprocal(jet_det(h))
     one = sol.input.ctx.constant(1.0)  # the minor on no rows
     memo = {}
@@ -184,14 +183,12 @@ def nonlinearity_bounds(sol: Solution, params: MajorantParams, m_max: int) -> di
                     if val != 0.0:  # a NaN bound is kept, so the checks built on it fail
                         agg[(p, k)] = agg.get((p, k), 0.0) + val
 
-    bounds: dict[tuple[int, int, int, int, int], float] = {}
-    for (p, btot), ahat in agg.items():
-        for q in range(0, m_max + 1):
-            if p + q + 2 * btot < 2 or p + q + btot > m_max:
-                continue
-            key = (p, q, 0, 0, btot)
-            bounds[key] = bounds.get(key, 0.0) + ahat / math.factorial(q)
-    return bounds
+    return {
+        (p, q, b): ahat / math.factorial(q)
+        for (p, b), ahat in agg.items()
+        for q in range(m_max + 1)
+        if p + q + 2 * b >= 2 and p + q + b <= m_max
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +199,15 @@ def nonlinearity_bounds(sol: Solution, params: MajorantParams, m_max: int) -> di
 def majorant_sequence(params: MajorantParams, bounds: dict, m_max: int) -> list[float]:
     """Coefficients C_1..C_m_max of the dominating series, C_1 = A.
 
-    ``bounds`` is the {(p, q, s, |alpha|, |beta|): A} table of
-    ``nonlinearity_bounds``.  Every term of the scalar majorant equation
-    contributes, at order m,
+    ``bounds`` is the {(p, q, |beta|): A} table of ``nonlinearity_bounds``.
+    Every term of the scalar majorant equation contributes, at order m,
 
-        A_{p,q,s,alpha,beta} (2e)^{|alpha|} (4 e^2 M)^{|beta|} R^{w-2}
+        A_{p,q,beta} (4 e^2 M)^{|beta|} R^{w-2}
             * sum over compositions k_1+..+k_Q = m - p - |beta| of prod C_k,
 
-    with Q = q+s+|alpha|+|beta| factors and weight w = p+q+s+|alpha|+2|beta|,
-    divided by the resonance gap sigma = 1 (a no-op, so not written out).
+    with Q = q+|beta| factors and weight w = p+q+2|beta|, divided by the
+    resonance gap sigma = 1 (a no-op, so not written out).  The system has
+    no t dv/dt or gradient argument, so no term carries their factors.
     The residual power (R-r)^{w-2} of each term is replaced by its supremum
     R^{w-2} <= 1 over 0 < r < R so the C_m stay r-independent; that keeps
     C_m/(R-r)^{2m-2} an upper bound for the exact order-m majorant at every
@@ -224,21 +221,14 @@ def majorant_sequence(params: MajorantParams, bounds: dict, m_max: int) -> list[
     for m in range(2, m_max + 1):
         comp = _composition_sums(C, m)
         total = 0.0
-        for (p, q, s, at, bt), aval in bounds.items():
-            w = p + q + s + at + 2 * bt
-            if w < 2 or p + q + s + at + bt > m:
+        for (p, q, b), aval in bounds.items():
+            w = p + q + 2 * b
+            if w < 2 or p + q + b > m:
                 continue
-            Q = q + s + at + bt
-            j = m - p - bt
-            if Q == 0:
-                S = 1.0 if j == 0 else 0.0
-            elif j < Q:
-                continue
-            else:
-                S = comp[Q][j] if Q < len(comp) and j < len(comp[Q]) else 0.0
+            S = comp[q + b][m - p - b]  # q + b <= m - p - b <= m: in the table
             if S == 0.0:
                 continue
-            total += aval * (2 * e) ** at * (4 * e * e * M) ** bt * params.R ** (w - 2) * S
+            total += aval * (4 * e * e * M) ** b * params.R ** (w - 2) * S
         C.append(total)
     return C
 
@@ -284,10 +274,11 @@ class MajorantReport:
     radius_estimate: float | None
     radius_note: str
     notes: tuple[str, ...] = ()
+    lemma: tuple[CauchyEstimateRow, ...] = ()
 
     @property
     def passed(self) -> bool:
-        return all(r.status != "fail" for r in self.rows)
+        return all(r.status != "fail" for r in self.rows + self.lemma)
 
     def as_dict(self) -> dict:
         return {
@@ -299,8 +290,9 @@ class MajorantReport:
             "passed": self.passed,
             "radius_estimate": self.radius_estimate,
             "radius_note": self.radius_note,
-            "notes": list(self.notes) + list(self.params.notes),
+            "notes": list(self.notes),
             "rows": [{**vars(r), "margin": r.margin} for r in self.rows],
+            "derivative_lemma": [dict(vars(r)) for r in self.lemma],
         }
 
 
@@ -337,10 +329,19 @@ def check_domination(sol: Solution, params: MajorantParams, C: list[float]) -> M
                 else:
                     rows.append(_dom_row(name, m, r, weight * float(norms[k]), bound))
 
+    notes = [
+        "bounds are weighted l1 norms of the truncated jets, computed in "
+        "floating point with no outward rounding and no bound on the tail "
+        "past valid_degree: not a proof",
+        "operator bound convention: sum of |real second-order coefficients| "
+        f"of each L_ij, = 4/|c| = {params.M_const}",
+        "C_m recursion caps the residual (R-r)^(w-2) factor at R^(w-2)",
+    ]
     if params.A_clamped:
         # First-order data vanished identically: the true dominating series
         # is zero and the clamped floor would fake geometric growth.
         est, note = None, "majorant tail vanishes: series is entire in t at this order"
+        notes.append("degenerate first-order data: A clamped to the 1e-8 floor")
     else:
         est, note = radius_estimate(C, params.R, params.R / 2.0)
     return MajorantReport(
@@ -349,14 +350,7 @@ def check_domination(sol: Solution, params: MajorantParams, C: list[float]) -> M
         rows=tuple(rows),
         radius_estimate=est,
         radius_note=note,
-        notes=(
-            "bounds are weighted l1 norms of the truncated jets, computed in "
-            "floating point with no outward rounding and no bound on the tail "
-            "past valid_degree: not a proof",
-            "operator bound convention: sum of |real second-order coefficients| "
-            f"of each L_ij, = 4/|c| = {params.M_const}",
-            "C_m recursion caps the residual (R-r)^(w-2) factor at R^(w-2)",
-        ),
+        notes=tuple(notes),
     )
 
 
@@ -366,7 +360,7 @@ def _dom_row(name, m, r, observed, bound) -> DominationRow:
     return DominationRow(name, m, r, observed, bound, status)
 
 
-def require_radius_orders(m_max: int) -> None:
+def _require_radius_orders(m_max: int) -> None:
     """Refuse a majorant sequence too short for ``radius_estimate``."""
     if m_max < 4:
         raise InvalidInputError("radius estimate needs at least 4 coefficients")
@@ -379,7 +373,7 @@ def radius_estimate(C: list[float], R: float, r: float) -> tuple[float | None, s
     Returns (None, note) when the tail coefficients vanish, which means the
     dominating series is polynomial at this order.
     """
-    require_radius_orders(len(C) - 1)
+    _require_radius_orders(len(C) - 1)
     xs = [
         (m, C[m] / (R - r) ** (2 * m - 2))
         for m in range(1, len(C))
@@ -442,3 +436,4 @@ def cauchy_estimate_check(C: float, R: float) -> list[CauchyEstimateRow]:
             bound = C * math.e * (p + 1) / (R - r) ** (p + 1)
             rows.append(CauchyEstimateRow(p, r, obs, bound, "pass" if obs <= bound else "fail"))
     return rows
+

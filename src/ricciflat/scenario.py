@@ -320,6 +320,11 @@ def _parse_product(s: _TokenStream, ctx) -> Jet:
 
 
 def _parse_power(s: _TokenStream, ctx) -> Jet:
+    # A sign takes one whole power and nothing after it: -x1^2^2 is refused.
+    if not s.done and s.peek().group("op") in ("-", "+"):
+        sign = s.next().group("op")
+        inner = _parse_power(s, ctx)
+        return -inner if sign == "-" else inner
     base = _parse_atom(s, ctx)
     if not s.done and s.peek().group("op") == "^":
         s.next()
@@ -347,12 +352,6 @@ def _parse_atom(s: _TokenStream, ctx) -> Jet:
             raise InvalidInputError("unbalanced parentheses")
         s.next()
         return inner
-    if tok.group("op") == "-":
-        s.next()
-        return -_parse_power(s, ctx)
-    if tok.group("op") == "+":
-        s.next()
-        return _parse_power(s, ctx)
     if tok.group("num") is not None:
         s.next()
         return ctx.constant(float(tok.group("num")))

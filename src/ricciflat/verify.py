@@ -315,7 +315,7 @@ class CurvatureReport:
         return self.closedness.passed
 
     def as_dict(self) -> dict:
-        return dict(vars(self), closedness=self.closedness.as_dict(), notes=list(self.notes))
+        return dict(vars(self), closedness=self.closedness.as_dict(), passed=self.passed)
 
 
 def curvature_and_class(sol, tolerance: float = 1e-9) -> CurvatureReport:
@@ -493,7 +493,7 @@ class SmoothnessReport:
         return base_ok and self.verdict_matches_c
 
     def as_dict(self) -> dict:
-        return dict(vars(self))
+        return dict(vars(self), passed=self.passed)
 
 
 def smoothness_check(sol, tolerance: float = 1e-9) -> SmoothnessReport:

@@ -60,10 +60,13 @@ SCENARIO_FILES = {
 # 6, 4, 2, 0, -2, -4, so every series operation meets untrusted orders
 # mid-series.  The two after those take the n = 1 jet at D = 20, whose
 # exp, log and reciprocal hold more pairs than a series plan caches as
-# chunks, so both forms of the plans run at n = 1.  The last three select
-# checks that form det g first inside the Laplacian check, alone or with
-# the curvature check; the last one takes the n = 1 adjugate.  No run joins
-# a file's [checks] with check flags: there the flags win.
+# chunks, so both forms of the plans run at n = 1.  The three after those
+# select checks that form det g first inside the Laplacian check, alone or
+# with the curvature check; the third takes the n = 1 adjugate.  The last
+# two are majorant runs at M = 3, too few orders for the radius estimate:
+# on flat:2 A is clamped, so the run needs no estimate, exits 0 and notes
+# the clamp; on perturbed_flat:2 it exits 2 before any bound is built.
+# No run joins a file's [checks] with check flags: there the flags win.
 SCENARIOS = (
     "verify --metric perturbed_flat:1,0.1,7,2 --M 8 --D 12",
     "verify --metric perturbed_flat:2,0.1,0,2 --M 5 --D 12",
@@ -128,6 +131,8 @@ SCENARIOS = (
     "verify --metric perturbed_flat:4,0.1,0,2 --M 3 --D 6 --laplacian",
     "verify --metric perturbed_flat:3,0.1,1,2 --M 4 --D 8 --curvature --laplacian",
     "verify --metric fubini_study_chart:1,1 --M 6 --D 12 --laplacian",
+    "majorant --metric flat:2 --M 3 --D 8 --R 0.2",
+    "majorant --metric perturbed_flat:2,0.1,1,2 --M 3 --D 8 --R 0.2",
 )
 
 # Refused with exit 2: the three majorant runs trust v_1 to degrees -1, 0

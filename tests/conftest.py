@@ -34,8 +34,8 @@ def polydisc_sample(nvars, r, rng, count=128):
 
 
 def dominating_sequence(sol: Solution, params) -> list[float]:
-    """Majorant coefficients C_1..C_M through the solution's t-order, as the
-    ``majorant`` command builds them when no ``--m-max`` is given."""
+    """Majorant coefficients C_1..C_M through the solution's t-order, as
+    ``majorant.run`` builds them when no ``m_max`` is given."""
     bounds = nonlinearity_bounds(sol, params, sol.t_order)
     return majorant_sequence(params, bounds, sol.t_order)
 

@@ -110,7 +110,7 @@ def test_first_coefficient_is_exactly_A():
 
 def test_zero_bounds_give_zero_tail():
     params = simple_params(A=2.0)
-    C = majorant_sequence(params, {(0, 5, 0, 0, 0): 0.0}, 5)
+    C = majorant_sequence(params, {(0, 5, 0): 0.0}, 5)
     assert C[1] == 2.0
     assert C[2:] == [0.0, 0.0, 0.0, 0.0]
 
@@ -120,7 +120,7 @@ def test_single_quadratic_bound_hand_value():
     # the radius power is R^0) and C_3 = 2 a^2 A^3 from the two compositions
     a = 0.25
     params = simple_params(A=3.0, R=0.5)
-    C = majorant_sequence(params, {(0, 2, 0, 0, 0): a}, 3)
+    C = majorant_sequence(params, {(0, 2, 0): a}, 3)
     assert C[2] == pytest.approx(a * 3.0 ** 2)
     assert C[3] == pytest.approx(2 * a * 3.0 * C[2])
 
@@ -131,7 +131,7 @@ def test_single_integral_term_hand_value():
     ab = 0.5
     params = simple_params(A=1.5, R=0.5, M=4.0)
     factor = ab * 4 * math.e ** 2 * 4.0
-    C = majorant_sequence(params, {(0, 0, 0, 0, 1): ab}, 4)
+    C = majorant_sequence(params, {(0, 0, 1): ab}, 4)
     assert C[2] == pytest.approx(factor * C[1])
     assert C[3] == pytest.approx(factor * C[2])
 
@@ -139,26 +139,18 @@ def test_single_integral_term_hand_value():
 def test_pure_t_term_contributes_once():
     # a weight-2 pure t^2 term adds a constant only at order 2
     params = simple_params(A=0.0 + 1e-8, R=0.5)
-    C = majorant_sequence(params, {(2, 0, 0, 0, 0): 1.0}, 4)
+    C = majorant_sequence(params, {(2, 0, 0): 1.0}, 4)
     assert C[2] == pytest.approx(0.5 ** 0 * 1.0, rel=1e-12)
     assert C[3] == pytest.approx(0.0, abs=1e-20)
-
-
-def test_gradient_argument_uses_2e_factor():
-    # s=0, alpha_total=2 quadratic gradient term: C_2 = a (2e)^2 A^2
-    a = 0.1
-    params = simple_params(A=2.0, R=0.5)
-    C = majorant_sequence(params, {(0, 0, 0, 2, 0): a}, 2)
-    assert C[2] == pytest.approx(a * (2 * math.e) ** 2 * 4.0)
 
 
 @given(st.floats(1.0, 3.0), st.floats(0.01, 0.3))
 @settings(max_examples=20, deadline=None)
 def test_monotonicity_in_bounds(factor, a):
     params = simple_params(A=1.0, R=0.4)
-    base = {(0, 2, 0, 0, 0): a, (0, 0, 0, 0, 1): 0.05, (2, 0, 0, 0, 0): 0.2}
+    base = {(0, 2, 0): a, (0, 0, 1): 0.05, (2, 0, 0): 0.2}
     bigger = dict(base)
-    bigger[(0, 2, 0, 0, 0)] = a * factor
+    bigger[(0, 2, 0)] = a * factor
     C1 = majorant_sequence(params, base, 6)
     C2 = majorant_sequence(params, bigger, 6)
     assert all(c2 >= c1 - 1e-15 for c1, c2 in zip(C1, C2))
@@ -172,17 +164,17 @@ def test_nonlinearity_bounds_exponential_tail():
     sol = solve(geo.flat(1, 10), SolverConfig(c=1.0, t_order=3, space_degree=10))
     params = estimate_params(sol, 0.2)
     bounds = nonlinearity_bounds(sol, params, 5)
-    assert bounds[(0, 2, 0, 0, 0)] == 0.5
-    assert bounds[(0, 3, 0, 0, 0)] == 1.0 / 6.0
+    assert bounds[(0, 2, 0)] == 0.5
+    assert bounds[(0, 3, 0)] == 1.0 / 6.0
 
 
 def test_nonlinearity_bounds_weight_filter():
     sol = solve(geo.flat(1, 10), SolverConfig(c=1.0, t_order=3, space_degree=10))
     params = estimate_params(sol, 0.2)
     bounds = nonlinearity_bounds(sol, params, 5)
-    for (p, q, s, at, bt) in bounds:
-        assert p + q + s + at + 2 * bt >= 2
-        assert p + q + s + at + bt <= 5
+    for (p, q, b) in bounds:
+        assert p + q + 2 * b >= 2
+        assert p + q + b <= 5
 
 
 # The coefficient of t^p Y^beta is [t^p] of the pattern determinant: the
@@ -262,7 +254,7 @@ def test_signed_minors_equal_the_full_pattern_determinants(n):
 
 @pytest.mark.parametrize("n, D", [(1, 10), (2, 8), (3, 6), (4, 4)])
 def test_nonlinearity_bounds_unchanged_by_the_shared_minors(n, D, monkeypatch):
-    # the bounds read only h and v_0, so one solved order is enough
+    # the bounds read only h and g^(1) = L(v_0), so one solved order is enough
     sol = solve(geo.perturbed_flat(n, 0.1, 0, 2, D), SolverConfig(t_order=1, space_degree=D))
     params = simple_params(R=0.2)
     got = nonlinearity_bounds(sol, params, 4)
@@ -293,13 +285,13 @@ def test_nonlinearity_bounds_sum_the_norm_of_every_pattern(n, D):
                     agg[(p, k)] = agg.get((p, k), 0.0) + val
     got = nonlinearity_bounds(sol, params, 4)
     assert set(got) == {
-        (p, q, 0, 0, k)
+        (p, q, k)
         for (p, k), val in agg.items()
         if val != 0.0
         for q in range(5)
         if p + q + 2 * k >= 2 and p + q + k <= 4
     }
-    for (p, q, _, _, k), bound in got.items():
+    for (p, q, k), bound in got.items():
         assert bound == pytest.approx(agg[(p, k)] / math.factorial(q), rel=1e-12, abs=0.0)
 
 

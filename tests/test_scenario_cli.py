@@ -47,7 +47,11 @@ def test_parse_unary_minus_and_eval():
 
 @pytest.mark.parametrize(
     "bad",
-    ["x3", "z1", "1 +* 2", "x1^(2)", "x1^2.5", "(x1", "x1 @ 2"],
+    [
+        "x3", "z1", "1 +* 2", "x1^(2)", "x1^2.5", "(x1", "x1 @ 2",
+        # a sign takes one whole power: no second ^ after it
+        "-x1^2^2", "+x1^2^3", "2*-x1^2^2",
+    ],
 )
 def test_parse_rejects_garbage(bad):
     ctx = context(2, 4)
@@ -608,9 +612,31 @@ def test_cli_majorant_with_clamped_A_needs_no_radius_estimate(tmp_path):
     assert rep["majorant"]["radius_estimate"] is None
 
 
-def test_cli_reports_hold_every_field_of_their_records(tmp_path):
+def test_cli_majorant_verdict_covers_the_derivative_lemma(tmp_path, monkeypatch, capsys):
+    from ricciflat import majorant
+    from ricciflat.majorant import CauchyEstimateRow
+
+    def one_failing_row(C, R):
+        return [CauchyEstimateRow(0, R / 4.0, 2.0, 1.0, "fail")]
+
+    monkeypatch.setattr(majorant, "cauchy_estimate_check", one_failing_row)
+    out = tmp_path / "maj"
+    code = run_cli(
+        "majorant", "--metric", "perturbed_flat:2,0.1,0,2", "--M", "4", "--D", "10",
+        "--R", "0.2", "--out", str(out), "--no-timestamp",
+    )
+    assert code == 1
+    assert capsys.readouterr().out.startswith("majorant: FAIL")
+    rep = json.loads((out / "report.json").read_text())["majorant"]
+    assert rep["passed"] is False
+    assert all(row["status"] != "fail" for row in rep["rows"])
+    assert [row["status"] for row in rep["derivative_lemma"]] == ["fail"]
+
+
+def test_cli_reports_hold_every_field_of_their_records(tmp_path, capsys):
     """Each JSON block holds every field of the dataclass it writes, so a
-    field added to a record reaches the report without a key list to edit."""
+    field added to a record reaches the report without a key list to edit;
+    each verify check block carries the verdict its stdout line prints."""
     from dataclasses import fields
 
     from ricciflat.closed_form import CalibrationReport
@@ -631,6 +657,14 @@ def test_cli_reports_hold_every_field_of_their_records(tmp_path):
         return rep
 
     checks = report("verify")["checks"]
+    printed = dict(
+        line.removeprefix("verify[").split("]: ")
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("verify[")
+    )
+    assert printed.keys() == checks.keys()
+    for name, block in checks.items():
+        assert block["passed"] is (printed[name] == "pass"), name
     residual = [checks[name] for name in ("system", "consequence", "laplacian")]
     residual.append(checks["curvature"]["closedness"])
     for block in residual:

@@ -216,7 +216,7 @@ def test_majorant_run_builds_no_lemma_context_and_no_monomial_matrix(tmp_path, m
 
 def test_nonlinearity_bounds_form_no_series_product(monkeypatch):
     # every minor's t-coefficient comes from det_coefficient on jets; the
-    # bounds read only h and v_0, so one solved order is enough
+    # bounds read only h and g^(1) = L(v_0), so one solved order is enough
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         sol = solve(geometry.perturbed_flat(4, 0.1, 0, 2, 6), SolverConfig(t_order=1, space_degree=6))
