@@ -10,7 +10,8 @@ tests.  Conventions are fixed in ``conventions.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iproduct
+from functools import cache
+from itertools import combinations, product as iproduct
 
 import numpy as np
 
@@ -23,13 +24,15 @@ from .jets import (
     context,
     jet_add,
     jet_conj,
-    jet_derive,
     jet_log,
     jet_mul,
+    jet_partials,
     jet_reciprocal,
+    jet_rows,
     jet_scale,
     jet_through,
     max_coeff_diff,
+    partial_rows,
     t_conj,
 )
 
@@ -186,46 +189,87 @@ def det_coefficient(g_orders, m: int, memo: dict, R=None, C=None) -> Jet:
     return acc if acc is not None else g_orders[0][0][0].ctx.zero()
 
 
+@cache
+def _hessian_terms(n: int) -> np.ndarray:
+    """(a, b) per real second partial d/dx_b d/dx_a that the mixed Hessian
+    in n complex variables reads, as two rows, coordinates flat (x_i is 2i,
+    y_i is 2i + 1), in four blocks over the upper entries (i, j), the
+    diagonal first, then i < j row by row: d_{x_i} d_{x_j} and d_{y_i}
+    d_{y_j} of every upper entry, d_{x_i} d_{y_j} and d_{y_i} d_{x_j} of
+    those off the diagonal.  b is i's coordinate and a is j's, as a chain
+    of single partials differentiates."""
+    upper = [(i, i) for i in range(n)] + list(combinations(range(n), 2))
+    blocks = ((0, 0, upper), (1, 1, upper), (1, 0, upper[n:]), (0, 1, upper[n:]))
+    terms = np.array([(2 * j + s, 2 * i + t) for s, t, entries in blocks for i, j in entries]).T
+    terms.setflags(write=False)  # one array serves every call
+    return terms
+
+
+# Most second-partial terms times columns gathered at once: the Hessian
+# of a large jet is formed in column chunks whose temporaries stay small,
+# as whole-array temporaries of several MB cost page faults on every call.
+_CHUNK_ENTRIES = 16384
+
+
 def complex_mixed_hessian(f: Jet) -> HermitianJetMatrix:
     """Matrix H_ij = 4 d^2 f / dz_i dzbar_j, computed through real partials.
 
     Diagonal entries are assembled directly as f_{x_i x_i} + f_{y_i y_i} so
     they agree with the real Laplacian exactly; the lower triangle mirrors
-    the upper one through conjugation.  Validity drops by two, below zero
-    when f is trusted to degree 1 or less.
+    the upper one through conjugation.  Validity drops by two; when f is
+    trusted to degree 1 or less every entry is the shared untrusted jet.
+
+    The real second partials of ``_hessian_terms`` are gathered through
+    the context's derivative table: all first partials at once, then the
+    second partials from them, at most ``_CHUNK_ENTRIES`` at a time over
+    runs of columns (one run for a small jet).  Each coefficient is
+    multiplied by its two exponents in turn, and each entry adds them as a
+    chain of single partials does, over whole blocks of entries, so the
+    bits are the chain's.  As ``jet_derive`` does, a first partial with no
+    nonzero non-constant coefficient (-0.0 is zero, NaN is not) gives +0.0
+    second partials.
     """
-    n = f.ctx.n
-    dx = [jet_derive(f, 2 * i) for i in range(n)]
-    dy = [jet_derive(f, 2 * i + 1) for i in range(n)]
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            xx = jet_derive(dx[j], 2 * i)
-            yy = jet_derive(dy[j], 2 * i + 1)
-            h = jet_add(xx, yy)
-            if i != j:
-                # 4 dz_i dzbar_j = dx_i dx_j + dy_i dy_j + i(dx_i dy_j - dy_i dx_j)
-                xy = jet_derive(dy[j], 2 * i)
-                yx = jet_derive(dx[j], 2 * i + 1)
-                h = jet_add(h, jet_scale(jet_add(xy, jet_scale(yx, -1.0)), 1j))
-            rows[i][j] = h
-            if i != j:
-                rows[j][i] = jet_conj(h)
+    ctx, vd, n = f.ctx, f.valid_degree, f.ctx.n
+    if vd < 2:
+        return HermitianJetMatrix([[ctx.zero(vd - 2)] * n] * n)
+    a, b = _hessian_terms(n)
+    up, exps = ctx.derivative_table()
+    first, cols = partial_rows(f), ctx.deg_start[vd - 1]
+    dead = np.flatnonzero(~first[:, 1:].any(axis=1)[a])  # terms of a +0.0 rule
+    k = n * (n + 1) // 2
+    h = np.empty((k, cols), dtype=np.complex128)
+    step = _CHUNK_ENTRIES // len(a)
+    for start in range(0, cols, step):
+        run = slice(start, min(start + step, cols))
+        second = first[a[:, None], up[b, run]]
+        second *= exps[b, run]
+        if len(dead):
+            second[dead] = 0.0
+        np.add(second[:k], second[k : 2 * k], out=h[:, run])
+        # 4 dz_i dzbar_j = dx_i dx_j + dy_i dy_j + i(dx_i dy_j - dy_i dx_j)
+        skew = second[2 * k : 3 * k - n]
+        skew += second[3 * k - n :] * -1.0
+        skew *= 1j
+        h[n:, run] += skew
+    upper = jet_rows(ctx, h, vd - 2)
+    lower = jet_rows(ctx, np.conj(h[n:]), vd - 2)
+    rows = [[upper[i] if i == j else None for j in range(n)] for i in range(n)]
+    for (i, j), e, conj in zip(combinations(range(n), 2), upper[n:], lower):
+        rows[i][j], rows[j][i] = e, conj
     return HermitianJetMatrix(rows)
 
 
-def dz(f: Jet, i: int) -> Jet:
-    """d/dz_i = (d/dx_i - i d/dy_i)/2."""
-    a = jet_derive(f, 2 * i)
-    b = jet_derive(f, 2 * i + 1)
-    return jet_scale(jet_add(a, jet_scale(b, -1j)), 0.5)
+def dz(f: Jet, i: int, partials=None) -> Jet:
+    """d/dz_i = (d/dx_i - i d/dy_i)/2, from the first partials of f
+    (``jet_partials``), which a caller that holds them passes."""
+    p = jet_partials(f) if partials is None else partials
+    return jet_scale(jet_add(p[2 * i], jet_scale(p[2 * i + 1], -1j)), 0.5)
 
 
-def dzbar(f: Jet, i: int) -> Jet:
-    """d/dzbar_i = (d/dx_i + i d/dy_i)/2."""
-    a = jet_derive(f, 2 * i)
-    b = jet_derive(f, 2 * i + 1)
-    return jet_scale(jet_add(a, jet_scale(b, 1j)), 0.5)
+def dzbar(f: Jet, i: int, partials=None) -> Jet:
+    """d/dzbar_i = (d/dx_i + i d/dy_i)/2, as ``dz``."""
+    p = jet_partials(f) if partials is None else partials
+    return jet_scale(jet_add(p[2 * i], jet_scale(p[2 * i + 1], 1j)), 0.5)
 
 
 def ricci_form(g: HermitianJetMatrix) -> HermitianJetMatrix:

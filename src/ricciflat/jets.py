@@ -31,6 +31,12 @@ are nonzero and the first degree with an imaginary part.  A view from
 ``jet_through`` takes its parent's pattern cut to its degree, so a
 product's set-up is one dictionary lookup.
 
+Partials come from one derivative table per context, built at the cap on
+first use and read through a prefix at each validity
+(``JetContext.derivative_table``): ``jet_partials`` gathers all 2n first
+partials of a jet at once, +0.0 throughout for a jet with no nonzero
+non-constant coefficient, and ``jet_derive`` is one of them.
+
 A TJet is a truncated power series in the moment-map variable t whose
 coefficients are jets, each with its own validity.  Its orders follow one
 rule, enforced by ``cauchy_sum`` alone: a Cauchy sum is trusted to the
@@ -124,7 +130,7 @@ class JetContext:
 
         self._pair_cache: dict[int, tuple] = {}
         self._plans: dict[tuple[int, int, int | None], list | tuple] = {}
-        self._deriv_cache: dict[int, tuple] = {}
+        self._derivatives: tuple | None = None
         self._untrusted: dict[int, "Jet"] = {}
 
     # -- index helpers ----------------------------------------------------
@@ -182,18 +188,24 @@ class JetContext:
             self._pair_cache[da] = row
         return row
 
-    def deriv_table(self, var: int):
-        tab = self._deriv_cache.get(var)
-        if tab is None:
-            src = np.flatnonzero(self.exponents[:, var] > 0)
-            shifted = self.exponents[src].copy()
-            shifted[:, var] -= 1
-            keys = (shifted.astype(np.uint64) << self._shifts).sum(axis=1)
-            dst = self._lookup_keys(keys)
-            factor = self.exponents[src, var].astype(np.float64)
-            tab = (src, dst, factor)
-            self._deriv_cache[var] = tab
-        return tab
+    def derivative_table(self):
+        """The context's derivative table (up, exps), built on first use at
+        the cap: one row per coordinate v and one column per monomial m_k
+        of degree < cap, holding the rank of m_k x_v in ``up`` and its
+        exponent of x_v in ``exps``, so the partial of a jet a along x_v has
+        the coefficient a[up[v, k]] * exps[v, k] at m_k.  A jet trusted to
+        vd >= 1 reads the first ``deg_start[vd]`` columns, views as the pair
+        tables are read, and gathers all its first partials at once.  Ranks
+        are intp and exponents float64, the types the gather and the
+        complex product take without a cast: a narrower column costs numpy
+        a cast buffer per process larger than the whole table of a small
+        context."""
+        if self._derivatives is None:
+            rows = self.deg_start[self.cap]
+            keys = self._packed[:rows] + (np.uint64(1) << self._shifts)[:, None]
+            up = self._lookup_keys(keys.ravel()).reshape(self.nvars, rows)
+            self._derivatives = (up, (self.exponents[:rows].T + 1).astype(np.float64))
+        return self._derivatives
 
     # -- constructors ------------------------------------------------------
 
@@ -652,17 +664,41 @@ def jet_reciprocal(a: Jet) -> Jet:
 def jet_derive(a: Jet, var: int) -> Jet:
     """Formal partial derivative along real coordinate ``var``; validity
     drops by 1, below zero for a jet with no trusted degree past the
-    constant (the result is then untrusted, not an error)."""
+    constant (the result is then untrusted, not an error).  One of the
+    partials of ``jet_partials``."""
     if var < 0 or var >= a.ctx.nvars:
         raise InvalidInputError(f"coordinate index {var} out of range")
+    return jet_partials(a)[var]
+
+
+def jet_partials(a: Jet) -> list[Jet]:
+    """The 2n first partials of ``a`` along x_1, y_1, x_2, ..., trusted to
+    vd - 1: the rows of ``partial_rows``, or the shared untrusted jet below
+    degree 0."""
     ctx, vd = a.ctx, a.valid_degree
-    if vd <= 0 or a.effective_degree < 1:
-        return ctx.zero(vd - 1)
-    src, dst, factor = ctx.deriv_table(var)
-    k = np.searchsorted(src, len(a.prefix))  # src ascends: its sources in the prefix
-    out = np.zeros(ctx.deg_start[vd], dtype=np.complex128)
-    out[dst[:k]] = a.prefix[src[:k]] * factor[:k]
-    return _fresh(ctx, out, vd - 1)
+    if vd <= 0:
+        return [ctx.zero(vd - 1)] * ctx.nvars
+    return jet_rows(ctx, partial_rows(a), vd - 1)
+
+
+def partial_rows(a: Jet) -> np.ndarray:
+    """The 2n first partials of a jet trusted to vd >= 1 as the rows of a
+    new (2n, deg_start[vd]) array, from one gather of the derivative table:
+    +0.0 throughout when the jet has no nonzero non-constant coefficient
+    (-0.0 is zero, NaN is not), as differentiating a constant gives."""
+    up, exps = a.ctx.derivative_table()
+    end = a.ctx.deg_start[a.valid_degree]
+    rows = a.prefix[up[:, :end]]
+    if a.effective_degree < 1:
+        rows[:] = 0.0
+    rows *= exps[:, :end]
+    return rows
+
+
+def jet_rows(ctx: JetContext, rows: np.ndarray, valid_degree: int) -> list[Jet]:
+    """The rows of a new 2-D array as jets trusted to ``valid_degree`` >= 0;
+    the caller writes to the array no more."""
+    return [_fresh(ctx, row, valid_degree) for row in rows]
 
 
 def jet_eval_many(a: Jet, points: np.ndarray) -> np.ndarray:
@@ -687,13 +723,26 @@ def jet_norm(a: Jet, r):
     """Weighted l1 norm sum_alpha |a_alpha| r^{|alpha|} of the jet through
     its ``valid_degree`` (0 for a jet with no trusted degree), at a radius
     or an array of radii: one sum of |coefficients| per degree, evaluated
-    as a polynomial in r.  It bounds |a| on the polydisc of radius r.  A NaN
-    coefficient gives a NaN norm."""
+    as a polynomial in r by ``horner``.  It bounds |a| on the polydisc of
+    radius r.  A NaN coefficient gives a NaN norm."""
     vd = a.valid_degree
     if vd < 0:
         return np.zeros_like(np.asarray(r, dtype=float))
-    sums = np.add.reduceat(np.abs(a.prefix), a.ctx._blocks[: vd + 1])
-    return np.polyval(sums[::-1], r)
+    return horner(np.add.reduceat(np.abs(a.prefix), a.ctx._blocks[: vd + 1]), r)
+
+
+def horner(coeffs: np.ndarray, r):
+    """sum_d coeffs[d] r^d at a radius r (a float), or at each of a
+    sequence of radii (an array), by Horner's rule on Python floats, one
+    pass per radius.  Each step is the multiply and add of ``np.polyval``
+    on the reversed coefficients, so the bits are its bits, without its
+    loop of numpy-scalar operations."""
+    if not isinstance(r, (int, float)):
+        return np.array([horner(coeffs, x) for x in np.asarray(r, dtype=float).tolist()])
+    y = 0.0
+    for c in coeffs[::-1].tolist():
+        y = y * r + c
+    return y
 
 
 def max_coeff_diff(a: Jet, b: Jet, through_degree: int | None = None) -> float:

@@ -36,9 +36,10 @@ from .errors import InvalidInputError
 from .geometry import complex_mixed_hessian, det_coefficient, jet_det
 from .jets import (
     Jet,
-    jet_derive,
+    horner,
     jet_mul,
     jet_norm,
+    jet_partials,
     jet_reciprocal,
     jet_scale,
 )
@@ -79,7 +80,7 @@ def _group_norms(vm: Jet, c: float, r) -> list:
     checks built on it fail."""
     groups = (
         [vm] if vm.valid_degree >= 0 else [],
-        [jet_derive(vm, v) for v in range(vm.ctx.nvars)] if vm.valid_degree >= 1 else [],
+        jet_partials(vm) if vm.valid_degree >= 1 else [],
         [jet_scale(e, -1.0 / c) for row in complex_mixed_hessian(vm).entries for e in row]
         if vm.valid_degree >= 2
         else [],
@@ -431,8 +432,7 @@ def cauchy_estimate_check(C: float, R: float) -> list[CauchyEstimateRow]:
     radii = domination_radii(R)
     rows = []
     for p, df in zip(LEMMA_POWERS, _lemma_derivatives(C, R)):
-        observed = np.polyval(np.abs(df)[::-1], radii)
-        for r, obs in zip(radii, observed.tolist()):
+        for r, obs in zip(radii, horner(np.abs(df), radii).tolist()):
             bound = C * math.e * (p + 1) / (R - r) ** (p + 1)
             rows.append(CauchyEstimateRow(p, r, obs, bound, "pass" if obs <= bound else "fail"))
     return rows

@@ -20,6 +20,7 @@ import math
 import os
 import weakref
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -110,25 +111,91 @@ def write_residuals_csv(path: str, reports) -> None:
     write_csv(path, RESIDUAL_COLUMNS, rows)
 
 
-def _strict_json(obj):
-    """Copy of ``obj`` with non-finite floats replaced by their names."""
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
-    if isinstance(obj, dict):
-        return {k: _strict_json(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_strict_json(v) for v in obj]
-    return obj
+# Per line prefix "\n" + indent, the C encoder of a dict or list that holds
+# no dict, list or tuple, one item a line: json's own indent=2 layout.
+_FLAT_ENCODERS: dict[str, json.JSONEncoder] = {}
+
+
+def _named(value):
+    """A non-finite float by its name in strict JSON, any other value as is."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+    return value
+
+
+def _scalar(value) -> str:
+    """A value that is no dict, list or tuple as ``json`` writes it, a
+    non-finite float by its name."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else f'"{_named(value)}"'
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _key(key) -> str:
+    """A dict key as ``json`` writes it, before quoting: a str as is, a
+    float, int, bool or None by its JSON text; a non-finite float and any
+    other type refused."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float) and not math.isfinite(key):
+        raise ValueError(f"Out of range float values are not JSON compliant: {key!r}")
+    if isinstance(key, (int, float)) or key is None:
+        return _scalar(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _encode(obj, newline: str, out: list) -> None:
+    """Append the text of ``json.dumps(obj, indent=2, sort_keys=True,
+    allow_nan=False)`` for a dict, list or tuple whose closing line is
+    indented by ``newline`` (a line break and the indent), non-finite
+    floats named as they are met.  One that holds no dict, list or tuple
+    goes to the C encoder whole, with the item separator "," + the next
+    line's indent."""
+    is_dict = isinstance(obj, dict)
+    inner = newline + "  "
+    if not any(isinstance(v, (dict, list, tuple)) for v in (obj.values() if is_dict else obj)):
+        encoder = _FLAT_ENCODERS.get(inner)
+        if encoder is None:
+            encoder = _FLAT_ENCODERS[inner] = json.JSONEncoder(
+                sort_keys=True, allow_nan=False, separators=("," + inner, ": ")
+            )
+        try:
+            text = encoder.encode(obj)
+        except ValueError:  # a non-finite float among the values
+            named = {k: _named(v) for k, v in obj.items()} if is_dict else list(map(_named, obj))
+            text = encoder.encode(named)
+        out.append(text if len(text) == 2 else text[0] + inner + text[1:-1] + newline + text[-1])
+        return
+    sep = "{" if is_dict else "["
+    for item in sorted(obj.items()) if is_dict else obj:
+        out.append(sep + inner)
+        sep = ","
+        if is_dict:
+            out.append(encode_basestring_ascii(_key(item[0])) + ": ")
+            item = item[1]
+        if isinstance(item, (dict, list, tuple)):
+            _encode(item, inner, out)
+        else:
+            out.append(_scalar(item))
+    out.append(newline + ("}" if is_dict else "]"))
 
 
 def write_json(path: str, payload: dict, no_timestamp: bool = False) -> None:
-    doc = _strict_json(payload)
+    """``payload`` (and the time of writing, unless ``no_timestamp``) as
+    strict JSON with sorted keys and an indent of 2, in one walk."""
     if not no_timestamp:
-        doc["timestamp"] = datetime.now(timezone.utc).isoformat()
+        payload = {**payload, "timestamp": datetime.now(timezone.utc).isoformat()}
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    out = []
+    _encode(payload, "\n", out)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.write("".join(out) + "\n")
 
 
 def solution_summary(sol) -> dict:

@@ -36,6 +36,7 @@ from .jets import (
     TJet,
     jet_add,
     jet_conj,
+    jet_partials,
     jet_scale,
     max_abs_coeff,
     max_coeff_diff,
@@ -343,9 +344,10 @@ def curvature_and_class(sol, tolerance: float = 1e-9) -> CurvatureReport:
 
     # F is real when (g_ij)_t is Hermitian and w_{zbar_i} = conj(w_{z_i})
     realness = g_t.hermitian_defect()
-    for i in range(n):
-        for cj in vt.coeffs:
-            w_z, w_zbar = (jet_scale(f(cj, i), 1.0 / c) for f in (dz, dzbar))
+    for cj in vt.coeffs:
+        partials = jet_partials(cj)
+        for i in range(n):
+            w_z, w_zbar = (jet_scale(f(cj, i, partials), 1.0 / c) for f in (dz, dzbar))
             realness = nan_max(realness, max_coeff_diff(jet_conj(w_z), w_zbar))
 
     closed = ResidualReport(
@@ -400,15 +402,17 @@ def _closedness_rows(d: SolutionView, g_t, tolerance):
 
     if n >= 2:
         for m in range(g_t.entries[0][0].order + 1):
-            valid = min(
-                g_t.entries[i][j].coeffs[m].valid_degree - 1
-                for i in range(n)
-                for j in range(n)
-            )
+            entries = [[e.coeffs[m] for e in row] for row in g_t.entries]
+            valid = min(e.valid_degree - 1 for row in entries for e in row)
+            if valid < 0:  # no row reads a coefficient: form no partial
+                yield _row("dF_dz_dz_dzbar", m, valid, 0.0, 0.0, tolerance)
+                continue
+            # dz_k of entry (i, j) is read for each k != i, so once per entry
+            partials = [[jet_partials(e) for e in row] for row in entries]
             terms = (
                 (
-                    dz(g_t.entries[i][j].coeffs[m], k),
-                    jet_scale(dz(g_t.entries[k][j].coeffs[m], i), -1.0),
+                    dz(entries[i][j], k, partials[i][j]),
+                    jet_scale(dz(entries[k][j], i, partials[k][j]), -1.0),
                 )
                 for j in range(n)
                 for k in range(n)

@@ -65,7 +65,10 @@ SCENARIO_FILES = {
 # with the curvature check; the third takes the n = 1 adjugate.  The last
 # two are majorant runs at M = 3, too few orders for the radius estimate:
 # on flat:2 A is clamped, so the run needs no estimate, exits 0 and notes
-# the clamp; on perturbed_flat:2 it exits 2 before any bound is built.
+# the clamp; on perturbed_flat:2 it exits 2 before any bound is built.  The
+# two after those take their partials from the derivative table: flat:3 has
+# a constant potential, so every partial of v is a signed zero, and the
+# n = 4 curvature check reads d/dz through trusted and untrusted orders.
 # No run joins a file's [checks] with check flags: there the flags win.
 SCENARIOS = (
     "verify --metric perturbed_flat:1,0.1,7,2 --M 8 --D 12",
@@ -133,6 +136,8 @@ SCENARIOS = (
     "verify --metric fubini_study_chart:1,1 --M 6 --D 12 --laplacian",
     "majorant --metric flat:2 --M 3 --D 8 --R 0.2",
     "majorant --metric perturbed_flat:2,0.1,1,2 --M 3 --D 8 --R 0.2",
+    "verify --metric flat:3 --M 3 --D 6",
+    "verify --metric perturbed_flat:4,0.1,0,2 --M 3 --D 6 --curvature",
 )
 
 # Refused with exit 2: the three majorant runs trust v_1 to degrees -1, 0

@@ -12,7 +12,10 @@ recurrence of the exponential, logarithm and reciprocal of a jet taken one
 row of the product tables at a time, with no plan.  The series folds redo
 each t-series operation order by order, every order through its full
 Cauchy sum or jet operation.  The exponent table
-is enumerated one monomial at a time.
+is enumerated one monomial at a time.  The derivative chain forms the
+complex mixed Hessian, d/dz and d/dzbar one ``jet_derive`` call per real
+partial, as the package did before its derivative table, so the whole
+gathers of ``geometry`` can be held to its bits.
 """
 
 from itertools import combinations_with_replacement
@@ -22,9 +25,12 @@ import cmath
 import numpy as np
 import sympy as sp
 
+from ricciflat.geometry import HermitianJetMatrix
 from ricciflat.jets import (
     Jet,
     jet_add,
+    jet_conj,
+    jet_derive,
     jet_mul,
     jet_reciprocal,
     jet_scale,
@@ -315,3 +321,44 @@ def t_reciprocal_fold(a) -> list:
         acc = cauchy_fold(a.coeffs, out, m, range(1, m + 1))
         out.append(jet_scale(jet_mul(out[0], acc), -1.0))
     return out
+
+
+# -- the per-variable derivative chain ----------------------------------------------
+
+
+def chain_mixed_hessian(f: Jet) -> HermitianJetMatrix:
+    """H_ij = 4 d^2 f / dz_i dzbar_j from single partials: the diagonal as
+    f_{x_i x_i} + f_{y_i y_i}, the upper entries adding i(f_{x_i y_j} -
+    f_{y_i x_j}), the lower ones their conjugates."""
+    n = f.ctx.n
+    dx = [jet_derive(f, 2 * i) for i in range(n)]
+    dy = [jet_derive(f, 2 * i + 1) for i in range(n)]
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            xx = jet_derive(dx[j], 2 * i)
+            yy = jet_derive(dy[j], 2 * i + 1)
+            h = jet_add(xx, yy)
+            if i != j:
+                # 4 dz_i dzbar_j = dx_i dx_j + dy_i dy_j + i(dx_i dy_j - dy_i dx_j)
+                xy = jet_derive(dy[j], 2 * i)
+                yx = jet_derive(dx[j], 2 * i + 1)
+                h = jet_add(h, jet_scale(jet_add(xy, jet_scale(yx, -1.0)), 1j))
+            rows[i][j] = h
+            if i != j:
+                rows[j][i] = jet_conj(h)
+    return HermitianJetMatrix(rows)
+
+
+def chain_dz(f: Jet, i: int) -> Jet:
+    """d/dz_i = (d/dx_i - i d/dy_i)/2."""
+    a = jet_derive(f, 2 * i)
+    b = jet_derive(f, 2 * i + 1)
+    return jet_scale(jet_add(a, jet_scale(b, -1j)), 0.5)
+
+
+def chain_dzbar(f: Jet, i: int) -> Jet:
+    """d/dzbar_i = (d/dx_i + i d/dy_i)/2."""
+    a = jet_derive(f, 2 * i)
+    b = jet_derive(f, 2 * i + 1)
+    return jet_scale(jet_add(a, jet_scale(b, 1j)), 0.5)

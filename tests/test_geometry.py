@@ -1,10 +1,14 @@
+import math
 from itertools import combinations, permutations, product as iproduct
 
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import jet_to_expr, jet_vs_expr
+from oracles import chain_dz, chain_dzbar, chain_mixed_hessian, jet_to_expr, jet_vs_expr
+from ricciflat import geometry
 from ricciflat.errors import InvalidInputError
 from ricciflat.geometry import (
     HermitianJetMatrix,
@@ -13,6 +17,8 @@ from ricciflat.geometry import (
     builtin_metric,
     complex_mixed_hessian,
     det_coefficient,
+    dz,
+    dzbar,
     flat,
     fubini_study_chart,
     jet_det,
@@ -27,6 +33,7 @@ from ricciflat.jets import (
     jet_conj,
     jet_derive,
     jet_mul,
+    jet_partials,
     jet_scale,
     max_abs_coeff,
     max_coeff_diff,
@@ -117,6 +124,95 @@ def test_hessian_diagonal_is_real_laplacian_exactly():
             jet_derive(f, 2 * i + 1), 2 * i + 1
         )
         assert max_coeff_diff(H[i, i], lap) == 0.0
+
+
+CAPS = {1: 8, 2: 6, 3: 5, 4: 4}
+JET_KINDS = ("real", "complex", "sparse", "signed_zeros", "constant", "linear")
+
+
+def special_jet_coeffs(ctx, kind, rng):
+    """Coefficients of one of ``JET_KINDS``: dense real or complex, sparse,
+    mostly +-0.0 with a few ones and NaNs, or zero past degree 0 or 1 with
+    -0.0 mixed into the zeros."""
+    size = ctx.size
+    c = rng.standard_normal(size).astype(np.complex128)
+    if kind == "complex":
+        c += 1j * rng.standard_normal(size)
+    elif kind == "sparse":
+        c[rng.random(size) < 0.85] = 0.0
+    elif kind == "signed_zeros":
+        values = np.array([0.0, -0.0, 1.0, -2.5, 1j, np.nan])
+        c = rng.choice(values, size, p=[0.3, 0.5, 0.08, 0.05, 0.05, 0.02])
+    elif kind in ("constant", "linear"):
+        top = ctx.deg_start[1 if kind == "constant" else 2]
+        c[top:] = rng.choice(np.array([0.0, -0.0]), size - top)
+    return c
+
+
+def same_jet(a, b) -> bool:
+    return a.valid_degree == b.valid_degree and a.prefix.tobytes() == b.prefix.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), kind=st.sampled_from(JET_KINDS), seed=st.integers(0, 2**32 - 1))
+def test_gathered_partials_keep_the_bits_of_the_single_partial_chain(n, kind, seed):
+    # the Hessian from gathers, dz and dzbar from one, against one
+    # jet_derive call per real partial, at every validity of one jet
+    ctx = context(n, CAPS[n])
+    coeffs = special_jet_coeffs(ctx, kind, np.random.default_rng(seed))
+    for vd in range(-1, ctx.cap + 1):
+        f = Jet(ctx, coeffs, vd)
+        H, want = complex_mixed_hessian(f), chain_mixed_hessian(f)
+        for i, j in iproduct(range(n), repeat=2):
+            assert same_jet(H[i, j], want[i, j]), (vd, i, j)
+            if vd < 2:
+                assert H[i, j] is ctx.zero(vd - 2)
+        partials = jet_partials(f)
+        for v in range(ctx.nvars):
+            assert same_jet(partials[v], jet_derive(f, v))
+        for i in range(n):
+            assert same_jet(dz(f, i), chain_dz(f, i))
+            assert same_jet(dzbar(f, i, partials), chain_dzbar(f, i))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("step", [1, 3, 7])
+def test_hessian_in_column_runs_keeps_the_bits_of_the_chain(n, step, monkeypatch):
+    # the second partials of a large jet are gathered a run of columns at a
+    # time: runs of 1, 3 and 7 columns, the last one short, give the chain's bits
+    monkeypatch.setattr(geometry, "_CHUNK_ENTRIES", step * 2 * n * n)
+    ctx = context(n, CAPS[n])
+    rng = np.random.default_rng(10 * n + step)
+    for kind in JET_KINDS:
+        coeffs = special_jet_coeffs(ctx, kind, rng)
+        for vd in range(2, ctx.cap + 1):
+            f = Jet(ctx, coeffs, vd)
+            H, want = complex_mixed_hessian(f), chain_mixed_hessian(f)
+            assert all(same_jet(H[i, j], want[i, j]) for i, j in iproduct(range(n), repeat=2)), (kind, vd)
+
+
+def test_a_first_partial_of_signed_zeros_gives_plus_zero_second_partials():
+    # f = x^3 - 0.0 x^4 - 0.0 x^2 y^2: f_y is -0.0 past its constant, so the
+    # chain's f_yy is +0.0, and at x^2 the Hessian adds f_xx = -0.0 to it
+    ctx = context(1, 4)
+    coeffs = np.zeros(ctx.size, dtype=np.complex128)
+    for exps, value in (((3, 0), 1.0), ((4, 0), -0.0), ((2, 2), -0.0)):
+        coeffs[ctx.rank_of(exps)] = value
+    f = Jet(ctx, coeffs, ctx.cap)
+    h = complex_mixed_hessian(f)[0, 0]
+    assert same_jet(h, chain_mixed_hessian(f)[0, 0])
+    assert h.coefficient((2, 0)) == 0 and math.copysign(1.0, h.coefficient((2, 0)).real) == 1.0
+
+
+def test_hessian_below_degree_two_is_the_shared_zero_in_every_entry():
+    for n in range(1, 5):
+        ctx = context(n, CAPS[n])
+        f = Jet(ctx, np.arange(1.0, ctx.size + 1), ctx.cap)
+        for vd in (-3, -1, 0, 1):
+            H = complex_mixed_hessian(Jet(ctx, f.coeffs, vd))
+            assert {id(e) for row in H.entries for e in row} == {id(ctx.zero(vd - 2))}
+        for vd in (-1, 0):
+            assert {id(p) for p in jet_partials(Jet(ctx, f.coeffs, vd))} == {id(ctx.zero(vd - 1))}
 
 
 def test_hessian_preserves_hermitian_symmetry():

@@ -488,3 +488,22 @@ def test_norm_bounds_the_jet_on_the_polydisc(seed, n, real, r):
     # tight: with |coefficients| the norm is the value at the corner (r, .., r)
     corner = jet_eval_many(Jet(ctx, np.abs(c), vd), np.full((1, ctx.nvars), r))[0]
     assert norm == pytest.approx(corner.real, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n, cap", [(1, 12), (2, 10), (4, 4)])
+def test_norm_by_horner_has_the_bits_of_polyval(n, cap):
+    # every validity, scalar and array radii, NaN, inf and signed zeros
+    ctx = context(n, cap)
+    rng = np.random.default_rng(cap)
+    radii = (0.05, 0.2, 0.35, 0.75)
+    for trial in range(4):
+        c = rng.standard_normal(ctx.size) * 10.0 ** rng.integers(-8, 8, ctx.size)
+        c = c + 1j * rng.standard_normal(ctx.size) if trial % 2 else c.astype(np.complex128)
+        if trial == 3:
+            c[rng.integers(0, ctx.size, 3)] = [np.nan, np.inf, -0.0]
+        for vd in range(-1, cap + 1):
+            jet = Jet(ctx, c, vd)
+            sums = np.add.reduceat(np.abs(jet.prefix), ctx._blocks[: max(vd + 1, 0)])
+            for r in radii + (radii[:3],):
+                want = np.polyval(sums[::-1], r) if vd >= 0 else np.zeros_like(np.asarray(r, dtype=float))
+                assert np.asarray(jet_norm(jet, r)).tobytes() == np.asarray(want).tobytes()

@@ -1,9 +1,11 @@
 """Coefficient tables: the hand-joined writer against a csv.writer reference,
-and the per-context monomial cells it reads."""
+and the per-context monomial cells it reads.  JSON reports: the one-walk
+writer against ``json.dumps`` of a strict copy."""
 
 import csv
 import gc
 import io
+import json
 import math
 import weakref
 
@@ -169,3 +171,79 @@ def test_cells_are_formed_once_per_context_through_the_highest_trusted_index(
     del ctx, low, high
     gc.collect()
     assert alive() is None
+
+
+def strict_copy(obj):
+    """Copy of ``obj`` with non-finite floats replaced by their names."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
+    if isinstance(obj, dict):
+        return {k: strict_copy(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [strict_copy(v) for v in obj]
+    return obj
+
+
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324]),
+    st.text(),
+    st.sampled_from(["", "\u00e9t\u00e9", "\u03ba", "\U0001d49e", "tab\there", 'quote"back\\slash']),
+)
+# str keys mostly; keys of other types as json takes them, mixed ones refused alike
+_json_keys = st.one_of(
+    st.text(max_size=8),
+    st.text(max_size=8),
+    st.integers(-5, 5),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+)
+_json_docs = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_json_keys, inner, max_size=5),
+        st.dictionaries(st.text(max_size=8), inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(max_size=8), _json_docs, max_size=6))
+def test_json_report_is_json_dumps_of_the_strict_copy(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("json") / "report.json"
+    try:
+        want = json.dumps(strict_copy(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except (TypeError, ValueError) as refused:
+        with pytest.raises(type(refused)):
+            report.write_json(str(path), doc, no_timestamp=True)
+        return
+    report.write_json(str(path), doc, no_timestamp=True)
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+def test_json_report_names_non_finite_floats_at_every_depth(tmp_path):
+    doc = {
+        "flat": [math.nan, math.inf, -math.inf, -0.0, 1.5],
+        "nested": {"empty": {}, "none": [], "rows": [{"r": math.nan}, (1, -math.inf)], "x": math.inf},
+        "t": (True, None, 2, "\u00e9"),
+    }
+    path = tmp_path / "report.json"
+    report.write_json(str(path), doc, no_timestamp=True)
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(strict_copy(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    assert json.loads(text)["nested"]["rows"] == [{"r": "NaN"}, [1, "-Infinity"]]
+    assert '"-Infinity"' in text and "-0.0" in text
+
+
+def test_json_report_leaves_its_payload_as_it_was(tmp_path):
+    doc = {"a": [math.nan], "b": {"c": 1}}
+    report.write_json(str(tmp_path / "report.json"), doc)
+    assert set(doc) == {"a", "b"} and math.isnan(doc["a"][0])
+    assert "timestamp" in json.loads((tmp_path / "report.json").read_text())

@@ -6,10 +6,12 @@ evaluates no jet, its nonlinearity bounds multiply no t-series, a
 calibration forms the Ricci form once and evaluates no jet, the
 exponential, logarithm and reciprocal of a jet form no jet product, a run
 forms no untrusted jet but the shared zero jets, it caches no product or
-series plan chunk above the bound, and neither series operations nor the
+series plan chunk above the bound, neither series operations nor the
 solver's order step form a product for the Cauchy sum of an untrusted
-order."""
+order, and a verify run takes every partial from the derivative table in
+whole gathers, with no single-partial call."""
 
+import sys
 import warnings
 from collections import Counter
 
@@ -291,3 +293,17 @@ def test_verify_forms_no_product_for_an_untrusted_sum(tmp_path, monkeypatch):
     # step and the series operations asked for their sums
     assert steps and min(min(vds) for vds in steps) < 0
     assert sum(vd < 0 for _, vd, _ in sums) > 3
+
+
+def test_verify_makes_no_single_partial_call(tmp_path, monkeypatch):
+    # the Hessians, d/dz and d/dzbar of a verify run are gathered whole from
+    # the derivative table: the package calls jet_derive nowhere
+    calls = _record(monkeypatch, jets, "jet_derive")
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ricciflat.") and module is not jets and hasattr(module, "jet_derive"):
+            monkeypatch.setattr(module, "jet_derive", jets.jet_derive)
+    _verify(tmp_path, N4)
+    assert calls == []
+    # the recorder sees a call
+    jets.jet_derive(jets.context(4, 4).x(0), 0)
+    assert len(calls) == 1
