@@ -361,17 +361,11 @@ def _majorant_one(sc: Scenario, out_dir: str, m_max=None) -> int:
 def _compare_one(sc: Scenario, out_dir: str, extra=None) -> int:
     sol = _solve_scenario(sc)
     rep = calibrate(sol, tolerance=sc.tolerance)
-    os.makedirs(out_dir, exist_ok=True)
-    write_csv(
-        os.path.join(out_dir, "comparison.csv"),
-        ("candidate_kappa", "max_deviation"),
-        [(repr(float(k)), repr(float(dev))) for k, dev in sorted(rep.per_candidate.items())],
-    )
     _write_report(sc, out_dir, "compare", calibration=rep.as_dict())
     if rep.matched:
         print(f"compare: kappa={rep.kappa}, deviation={rep.max_relative_deviation:.3e}")
         return EXIT_OK
-    print(f"compare: no convention match (best deviation {rep.max_relative_deviation:.3e})")
+    print(f"compare: no match at kappa = 4/c (deviation {rep.max_relative_deviation:.3e})")
     return EXIT_CHECK_FAILED
 
 

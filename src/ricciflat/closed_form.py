@@ -12,19 +12,19 @@ fiber weight reciprocal is the rational function
     w^{-1}(tau) = integral_0^tau P / P.
 
 These exact expressions are the independent oracle for the series solver.
-The solver's flow variable differs from tau by a convention factor kappa
-(powers of two coming from the mixed-Hessian normalization); ``calibrate``
-finds kappa from a documented finite candidate set instead of fitting it
-continuously, so a real bug cannot hide inside a fitted constant.
+The solver's flow variable differs from tau by a factor kappa that the flow
+fixes: g^(1) = -H(v_0)/c = (4/c) ricci(h), so kappa = 4/c is derived, not
+fitted, and ``calibrate`` checks the solution against the closed form at that
+one value; no constant is searched for in which a real bug could hide.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .conventions import CALIBRATION_CANDIDATES
+from .conventions import MIXED_HESSIAN_FACTOR
 from .errors import InvalidInputError
 from .geometry import HermitianJetMatrix, InitialData, det_coefficient, ricci_form
 from .jets import (
@@ -147,28 +147,25 @@ class CalibrationReport:
     eigenvalues: tuple[float, ...]
     spectrum_variation: float
     P: tuple[float, ...]
-    candidates: tuple[float, ...] = CALIBRATION_CANDIDATES
-    per_candidate: dict = field(default_factory=dict)
 
     @property
     def matched(self) -> bool:
         return self.kappa is not None
 
     def as_dict(self) -> dict:
-        """Every field but ``per_candidate``, which the comparison table holds."""
-        d = dict(vars(self), matched=self.matched)
-        del d["per_candidate"]
-        return d
+        return dict(vars(self), matched=self.matched)
 
 
 def calibrate(solution, tolerance: float = 1e-9) -> CalibrationReport:
-    """Match solver output against Phi + (kappa t) rho for kappa in the
-    documented candidate set; the fiber weight must then satisfy
-    w_inv_solver(t) = (c/kappa) * w_inv_closed(kappa t).
+    """Match solver output against Phi + (kappa t) rho at kappa = 4/c, the
+    factor of the flow H(u) + c dg/dt = 0; the fiber weight must then
+    satisfy w_inv_solver(t) = (c/kappa) * w_inv_closed(kappa t).  Matched
+    means a deviation of at most ``tolerance`` times the solution's scale;
+    kappa is None otherwise.
 
     Raises on bases whose principal Ricci curvatures vary by more than 1e-6
     (``ricci_spectrum_of``), i.e. are not constant.  Every maximum here keeps
-    a NaN, so a solution with a NaN coefficient matches no factor.
+    a NaN, so a solution with a NaN coefficient does not match.
     """
     initial = solution.input
     rho = ricci_form(initial.h)
@@ -181,21 +178,13 @@ def calibrate(solution, tolerance: float = 1e-9) -> CalibrationReport:
     P = p_of_t(spectrum)
     closed_w = w_inv_closed(P)
     c = solution.config.c
-
-    per_candidate = {}
-    best = (None, np.inf, np.inf, np.inf)
-    for kappa in CALIBRATION_CANDIDATES:
-        gdev = _metric_deviation(solution, initial.h, rho, kappa)
-        wdev = _w_inv_deviation(solution, closed_w, kappa, c)
-        dev = nan_max(gdev, wdev)
-        per_candidate[kappa] = dev
-        if dev < best[1]:
-            best = (kappa, dev, gdev, wdev)
-
-    kappa, dev, gdev, wdev = best
+    kappa = MIXED_HESSIAN_FACTOR / c
+    gdev = _metric_deviation(solution, initial.h, rho, kappa)
+    wdev = _w_inv_deviation(solution, closed_w, kappa, c)
+    dev = nan_max(gdev, wdev)
     scale = _solution_scale(solution)
     # v is not compared with the closed form, but a potential that is not
-    # finite matches no convention factor either.
+    # finite does not match either.
     v_finite = np.isfinite(nan_max(*map(max_abs_coeff, solution.v.coeffs)))
     matched = bool(v_finite and dev <= tolerance * scale)
     return CalibrationReport(
@@ -206,7 +195,6 @@ def calibrate(solution, tolerance: float = 1e-9) -> CalibrationReport:
         eigenvalues=spectrum.eigenvalues,
         spectrum_variation=variation,
         P=tuple(P),
-        per_candidate=per_candidate,
     )
 
 

@@ -16,18 +16,17 @@ through ``closed_form.calibrate`` instead of inserting ad-hoc factors.
   so for the flow above  d(g_ij)/dt|_{t=0} = (4/c) * ricci_ij(h).
 * The curvature 2-form is assembled verbatim as
       F = -( (i/2)(g_ij)_t dz_i^dzbar_j + i w_{z_i} dt^dz_i - i w_{zbar_j} dt^dzbar_j ).
-  For topological integrals it is renormalized by the empirically calibrated
-  factor 2/kappa (kappa from ``closed_form.calibrate``), which makes the
-  t = 0 slice equal to minus the Ricci form of the base and the integral an
-  integer multiple of 2*pi.  See docs/conventions.md for the derivation.
+  For topological integrals it is renormalized by the factor 2/kappa, where
+  kappa = 4/c is derived from the flow above (g^(1) = kappa * ricci(h)) and
+  checked by ``closed_form.calibrate``.  This makes the t = 0 slice equal to
+  minus the Ricci form of the base and the integral an integer multiple of
+  2*pi.  See docs/conventions.md for the derivation.
 """
 
 # Scalar applied by mixed_hessian on top of d^2/dz dzbar.
 MIXED_HESSIAN_FACTOR = 4.0
 
-# Finite candidate set scanned by closed_form.calibrate.  Convention gaps are
-# powers of two; a continuous fit could mask genuine bugs.
-CALIBRATION_CANDIDATES = (1.0, 2.0, 4.0, 0.5, 0.25)
+CALIBRATION_CANDIDATES = (1.0, 2.0, 4.0, 0.5, 0.25)  # old kappa set; only perfbench reads it
 
 CONVENTIONS = {
     "dz": "(d/dx - i d/dy)/2",

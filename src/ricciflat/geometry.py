@@ -440,10 +440,22 @@ def perturbed_flat(n: int, eps: float, seed: int, degree: int, cap: int) -> Init
     lo = pot_ctx.deg_start[2] if top >= 2 else pot_ctx.deg_start[0]
     hi = pot_ctx.deg_start[top + 1]
     pot[lo:hi] = rng.uniform(-1.0, 1.0, hi - lo)
-    potential = Jet(pot_ctx, pot.astype(np.complex128), cap)
+    # The potential has no term past degree top, so its Hessian is formed
+    # through degree top - 2 only and zero-padded to cap - 2: once the
+    # identity is added the tail is +0.0, as the Hessian formed at the cap
+    # gives.
+    potential = Jet(pot_ctx, pot.astype(np.complex128), top)
     bump = complex_mixed_hessian(potential).map(
         lambda e: jet_scale(e, eps / MIXED_HESSIAN_FACTOR)
     )
+    if top < cap:
+
+        def padded(e):
+            coeffs = np.zeros(ctx.size, dtype=np.complex128)
+            coeffs[: len(e.prefix)] = e.prefix
+            return Jet(ctx, coeffs, cap - 2)
+
+        bump = bump.map(padded)
     rows = [
         [jet_add(base[i][j], bump.entries[i][j]) for j in range(n)]
         for i in range(n)

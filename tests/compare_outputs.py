@@ -69,6 +69,7 @@ SCENARIO_FILES = {
 # two after those take their partials from the derivative table: flat:3 has
 # a constant potential, so every partial of v is a signed zero, and the
 # n = 4 curvature check reads d/dz through trusted and untrusted orders.
+# The last two take c = 0.5 and c = 3, where kappa = 4/c is no power of two.
 # No run joins a file's [checks] with check flags: there the flags win.
 SCENARIOS = (
     "verify --metric perturbed_flat:1,0.1,7,2 --M 8 --D 12",
@@ -138,6 +139,8 @@ SCENARIOS = (
     "majorant --metric perturbed_flat:2,0.1,1,2 --M 3 --D 8 --R 0.2",
     "verify --metric flat:3 --M 3 --D 6",
     "verify --metric perturbed_flat:4,0.1,0,2 --M 3 --D 6 --curvature",
+    "compare --metric fubini_study_chart:1,1 --M 6 --D 12 --c 0.5",
+    "verify --metric fubini_study_chart:1,1 --M 6 --D 12 --c 3 --curvature",
 )
 
 # Refused with exit 2: the three majorant runs trust v_1 to degrees -1, 0

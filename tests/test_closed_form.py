@@ -283,6 +283,31 @@ def test_cli_compare_matches_fubini_study_in_four_dimensions(tmp_path):
     assert calibration["eigenvalues"] == [5.0] * 4
 
 
+@pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("n, M, D", [(1, 6, 12), (2, 4, 10), (3, 3, 8)])
+def test_cli_compare_matches_at_kappa_four_over_c(tmp_path, n, M, D, c):
+    # the flow fixes g^(1) = (4/c) ricci(h): kappa is 4/c at every c, also
+    # where it is no power of two (c = 3) or above 4 (c = 0.5)
+    argv = ["compare", "--metric", f"fubini_study_chart:{n},1", "--M", str(M), "--D", str(D)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(argv + ["--c", repr(c), "--no-timestamp", "--out", str(tmp_path)]) == 0
+    calibration = json.loads((tmp_path / "report.json").read_text())["calibration"]
+    assert calibration["kappa"] == 4 / c
+    assert calibration["max_relative_deviation"] <= 1e-9
+
+
+@pytest.mark.parametrize("c", [0.5, 3.0])
+def test_cli_class_integral_at_kappa_four_over_c(tmp_path, c):
+    argv = ["verify", "--metric", "fubini_study_chart:1,1", "--M", "6", "--D", "12", "--curvature"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(argv + ["--c", repr(c), "--no-timestamp", "--out", str(tmp_path)]) == 0
+    curvature = json.loads((tmp_path / "report.json").read_text())["checks"]["curvature"]
+    assert curvature["nearest_integer"] == -2 and curvature["kappa"] == 4 / c
+    assert curvature["passed"] is True
+
+
 def test_cli_compare_refuses_a_base_trusted_only_at_the_base_point(tmp_path, capsys):
     argv = ["compare", "--metric", "perturbed_flat:4,0.1,0,2", "--M", "1", "--D", "4"]
     with warnings.catch_warnings():

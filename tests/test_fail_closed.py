@@ -18,7 +18,14 @@ from ricciflat.jets import Jet, TJet, context
 from ricciflat.majorant import _dom_row, check_domination, estimate_params
 from ricciflat.report import write_json
 from ricciflat.solver import SolverConfig, solve
-from ricciflat.verify import ResidualReport, ResidualRow, _row, perturb_solution, residual_system
+from ricciflat.verify import (
+    ResidualReport,
+    ResidualRow,
+    _row,
+    curvature_and_class,
+    perturb_solution,
+    residual_system,
+)
 
 
 def _strict_load(path):
@@ -128,6 +135,15 @@ def test_cli_nan_perturbation_skips_the_class_integral(tmp_path, perturb):
     curvature = _strict_load(out / "report.json")["checks"]["curvature"]
     assert curvature["class_integral"] is None and curvature["kappa"] is None
     assert "class integral skipped: calibration found no matching convention factor" in curvature["notes"]
+    # the chart has a class-integral recipe, so a skipped integral fails the check
+    assert curvature["passed"] is False
+
+
+def test_curvature_fails_when_the_closed_form_rejects_g1(fs_solution):
+    # g^(1) off by 1e-3 leaves the form closed, but calibrate no longer matches
+    rep = curvature_and_class(perturb_solution(fs_solution, "g", 1, 1e-3))
+    assert rep.closedness.passed and rep.class_integral is None
+    assert not rep.passed
 
 
 @pytest.mark.parametrize(

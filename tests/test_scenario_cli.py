@@ -674,7 +674,7 @@ def test_cli_reports_hold_every_field_of_their_records(tmp_path, capsys):
     assert not missing(checks["smoothness"], SmoothnessReport)
 
     calibration = report("compare")["calibration"]
-    assert not missing(calibration, CalibrationReport, "per_candidate")
+    assert not missing(calibration, CalibrationReport)
 
     maj = report("majorant", "--R", "0.2")["majorant"]
     assert maj["rows"] and not any(missing(row, DominationRow) for row in maj["rows"])
