@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 a selected check failed, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -79,10 +80,9 @@ def _build_parser() -> argparse.ArgumentParser:
     call fills a new namespace."""
     common = argparse.ArgumentParser(add_help=False)
     # Options that set a Scenario field take the field's name as dest, so
-    # apply_overrides reads them off the namespace; --metric, --metric-file
-    # and the positional files are sources, not fields.
+    # apply_overrides reads them off the namespace; --metric and the
+    # positional scenario files are sources, not fields.
     common.add_argument("--metric", dest="metric_spec", help="builtin metric spec, e.g. flat:2")
-    common.add_argument("--metric-file", help="scenario file supplying the metric")
     common.add_argument("--M", type=int, dest="t_order", help="t truncation order")
     common.add_argument("--D", type=int, dest="space_degree", help="spatial degree cap")
     common.add_argument("--c", type=float, dest="c", help="moment-map Laplacian constant")
@@ -148,11 +148,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _collect_scenarios(args) -> list[Scenario]:
-    files = list(args.scenarios)
-    if args.metric_file:
-        files.append(args.metric_file)
     scenarios = []
-    for path in files:
+    for path in args.scenarios:
         if not os.path.exists(path):
             raise InvalidInputError(f"scenario file not found: {path}")
         scenarios.append(load_scenario(path, args))
@@ -161,7 +158,7 @@ def _collect_scenarios(args) -> list[Scenario]:
         scenarios.append(apply_overrides(base, args))
     if not scenarios:
         raise InvalidInputError(
-            "no scenario given: pass --metric, --metric-file or scenario files"
+            "no scenario given: pass --metric or scenario files"
         )
     return scenarios
 
@@ -200,14 +197,20 @@ def _safe(label: str) -> str:
     return "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in os.path.basename(label))
 
 
-def _solve_scenario(sc: Scenario):
-    initial = sc.initial_data()
+@contextlib.contextmanager
+def _warnings_to_stderr():
+    """Print each warning raised in the block as one ``warning:`` line once
+    the block succeeds; a block that raises prints only its error."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        sol = solve(initial, sc.solver_config())
+        yield
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    return sol
+
+
+def _solve_scenario(sc: Scenario):
+    with _warnings_to_stderr():
+        return solve(sc.initial_data(), sc.solver_config())
 
 
 def _write_report(sc: Scenario, out_dir: str, command: str, **sections) -> None:
@@ -287,7 +290,7 @@ def _parse_perturb(spec: str):
 
 def cmd_closed_form(args) -> int:
     if args.eigenvalues:
-        if args.metric_spec or args.metric_file or args.scenarios:
+        if args.metric_spec or args.scenarios:
             raise InvalidInputError("--eigenvalues takes no metric source")
         sc = apply_overrides(Scenario(), args)
         try:
@@ -306,7 +309,8 @@ def cmd_closed_form(args) -> int:
         if len(scenarios) != 1:
             raise InvalidInputError("closed-form takes one metric source")
         sc = scenarios[0]
-        initial = sc.initial_data()
+        with _warnings_to_stderr():
+            initial = sc.initial_data()
         spectrum, variation = ricci_spectrum_of(initial, ricci_form(initial.h))
 
     P = p_of_t(spectrum)

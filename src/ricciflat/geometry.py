@@ -100,9 +100,10 @@ def _conj_entry(e):
 
 
 def jet_det(g: HermitianJetMatrix, memo: dict | None = None):
-    """Truncated determinant by cofactor expansion (n <= 4); works for Jet
-    and TJet entries alike.  ``memo`` keeps the expanded minors, the
-    cofactors of row 0 among them, for a later ``adjugate`` of g."""
+    """Truncated determinant by cofactor expansion (n <= 4: a jet context
+    packs monomial keys into 64 bits); works for Jet and TJet entries alike.
+    ``memo`` keeps the expanded minors, the cofactors of row 0 among them,
+    for a later ``adjugate`` of g."""
     full = tuple(range(g.n))
     return minor_det(g.entries, full, full, {} if memo is None else memo)
 
@@ -293,17 +294,22 @@ def ricci_form(g: HermitianJetMatrix) -> HermitianJetMatrix:
 class InitialData:
     """Real-analytic Hermitian metric data at the origin of a chart.
 
-    ``h`` holds order-0 jets; ``polydisc_radius`` bounds the region where
-    the jets are meant to represent the metric.
+    ``h`` holds order-0 jets and fixes the solve's shape: n is its size, which
+    must be its jets' dimension, and the degree cap D is their context's cap.
+    ``polydisc_radius`` bounds the region where the jets are meant to
+    represent the metric.
     """
 
-    n: int
     h: HermitianJetMatrix
     polydisc_radius: float = 1.0
     name: str = "custom"
     chart_info: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.h.n != self.ctx.n:
+            raise InvalidInputError(
+                f"initial metric is {self.n}x{self.n} but its jets have dimension {self.ctx.n}"
+            )
         for i, row in enumerate(self.h.entries):
             for j, entry in enumerate(row):
                 if entry.valid_degree < 0:
@@ -327,6 +333,10 @@ class InitialData:
             )
 
     @property
+    def n(self) -> int:
+        return self.h.n
+
+    @property
     def ctx(self) -> JetContext:
         return self.h.entries[0][0].ctx
 
@@ -337,10 +347,9 @@ def _identity_rows(ctx: JetContext, n: int) -> list:
 
 def flat(n: int, cap: int) -> InitialData:
     return InitialData(
-        n=n,
         h=HermitianJetMatrix(_identity_rows(context(n, cap), n)),
         name=f"flat:{n}",
-        chart_info={"kind": "flat", "n": n},
+        chart_info={"kind": "flat"},
     )
 
 
@@ -368,11 +377,10 @@ def fubini_study_chart(n: int, scale: float, cap: int) -> InitialData:
             if i != j:
                 rows[j][i] = jet_conj(e)
     return InitialData(
-        n=n,
         h=HermitianJetMatrix(rows),
         polydisc_radius=0.9,
         name=f"fubini_study_chart:{n},{scale}",
-        chart_info={"kind": "fubini_study", "n": n, "scale": scale},
+        chart_info={"kind": "fubini_study", "scale": scale},
     )
 
 
@@ -392,7 +400,7 @@ def product(parts: list[InitialData], cap: int) -> InitialData:
         var_offset += 2 * p.n
     radius = min(p.polydisc_radius for p in parts)
     name = "product(" + ",".join(p.name for p in parts) + ")"
-    return InitialData(n=n, h=HermitianJetMatrix(rows), polydisc_radius=radius, name=name)
+    return InitialData(h=HermitianJetMatrix(rows), polydisc_radius=radius, name=name)
 
 
 def _remap_vars(src: JetContext, dst: JetContext, var_offset: int):
@@ -428,23 +436,21 @@ def perturbed_flat(n: int, eps: float, seed: int, degree: int, cap: int) -> Init
     base = _identity_rows(ctx, n)
     if eps == 0:
         return InitialData(
-            n=n,
             h=HermitianJetMatrix(base),
             name=f"perturbed_flat:{n},{eps},{seed},{degree}",
-            chart_info={"kind": "flat", "n": n},
+            chart_info={"kind": "flat"},
         )
     rng = np.random.default_rng(seed)
-    pot_ctx = ctx
-    pot = np.zeros(pot_ctx.size)
+    pot = np.zeros(ctx.size)
     top = min(degree + 2, cap)
-    lo = pot_ctx.deg_start[2] if top >= 2 else pot_ctx.deg_start[0]
-    hi = pot_ctx.deg_start[top + 1]
+    lo = ctx.deg_start[2] if top >= 2 else ctx.deg_start[0]
+    hi = ctx.deg_start[top + 1]
     pot[lo:hi] = rng.uniform(-1.0, 1.0, hi - lo)
     # The potential has no term past degree top, so its Hessian is formed
     # through degree top - 2 only and zero-padded to cap - 2: once the
     # identity is added the tail is +0.0, as the Hessian formed at the cap
     # gives.
-    potential = Jet(pot_ctx, pot.astype(np.complex128), top)
+    potential = Jet(ctx, pot.astype(np.complex128), top)
     bump = complex_mixed_hessian(potential).map(
         lambda e: jet_scale(e, eps / MIXED_HESSIAN_FACTOR)
     )
@@ -461,7 +467,6 @@ def perturbed_flat(n: int, eps: float, seed: int, degree: int, cap: int) -> Init
         for i in range(n)
     ]
     return InitialData(
-        n=n,
         h=HermitianJetMatrix(rows),
         name=f"perturbed_flat:{n},{eps},{seed},{degree}",
     )

@@ -203,8 +203,8 @@ def solution_summary(sol) -> dict:
         "n": sol.n,
         "c": sol.config.c,
         "t_order": sol.config.t_order,
-        "space_degree": sol.config.space_degree,
-        "validity_per_order": list(sol.validity),
+        "space_degree": sol.input.ctx.cap,
+        "validity_per_order": list(sol.v.valid_degrees),
         "w_inv_crosscheck": sol.w_inv_crosscheck,
         "base_identity_margin": sol.base_identity_margin,
         "metric_name": sol.input.name,

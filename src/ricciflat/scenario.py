@@ -69,7 +69,6 @@ class Scenario:
         return SolverConfig(
             c=self.c,
             t_order=self.t_order,
-            space_degree=self.space_degree,
             tolerance=self.tolerance,
         )
 
@@ -242,7 +241,7 @@ def inline_metric(entries: dict, n: int | None, cap: int) -> InitialData:
                         f"entries h_{i+1}_{j+1} and h_{j+1}_{i+1} are not "
                         f"conjugate (gap {gap:.3e})"
                     )
-    return InitialData(n=n, h=HermitianJetMatrix(rows), name="inline")
+    return InitialData(h=HermitianJetMatrix(rows), name="inline")
 
 
 # ---------------------------------------------------------------------------

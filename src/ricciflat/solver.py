@@ -74,7 +74,7 @@ class SolverConfig:
 
     ``c`` is the constant the moment-map Laplacian must equal (1 gives the
     smooth fiber extension, other values a cone); ``t_order`` is the
-    truncation order M in t; ``space_degree`` the spatial degree cap D.
+    truncation order M in t; the spatial degree cap D is the initial data's.
     Order m is trusted two spatial degrees less than order m - 1, starting
     from the validity of log(c det h) (D, or less when h itself is trusted
     only to a lower degree).  When the top orders run out of trusted degrees
@@ -84,7 +84,6 @@ class SolverConfig:
 
     c: float = 1.0
     t_order: int = 8
-    space_degree: int = 12
     tolerance: float = 1e-9
 
     def __post_init__(self):
@@ -92,8 +91,6 @@ class SolverConfig:
             raise InvalidInputError(f"constant c must be finite and nonzero, got {self.c}")
         if self.t_order < 1:
             raise InvalidInputError("t_order must be >= 1")
-        if self.space_degree < 2:
-            raise InvalidInputError("space_degree must be >= 2")
         if not 0 < self.tolerance < math.inf:
             raise InvalidInputError(
                 f"tolerance must be finite and positive, got {self.tolerance}"
@@ -105,7 +102,6 @@ class SolverState:
     """Immutable snapshot after ``m`` completed orders."""
 
     config: SolverConfig
-    initial: InitialData
     m: int
     v: tuple[Jet, ...]                      # v_0 .. v_m
     g: tuple                                # g^(0) .. g^(m), entry matrices
@@ -120,9 +116,9 @@ class Solution:
     ``v`` is the regular part of the log-volume potential u = log t + v;
     ``exp_u`` is t e^v, whose constant term vanishes and whose linear
     coefficient is c det h; ``w_inv`` is the fiber weight reciprocal with
-    zero constant term.  ``validity`` is the ``valid_degree`` of each v_m
-    (reported as ``validity_per_order``).  ``w_inv_crosscheck`` records the
-    worst coefficient gap between the assembled w_inv and
+    zero constant term.  ``v.valid_degrees`` holds the ``valid_degree`` of
+    each v_m (reported as ``validity_per_order``).  ``w_inv_crosscheck``
+    records the worst coefficient gap between the assembled w_inv and
     c * integral(det g)/det g.
     """
 
@@ -145,23 +141,15 @@ class Solution:
     def t_order(self) -> int:
         return self.v.order
 
-    @property
-    def validity(self) -> tuple[int, ...]:
-        return self.v.valid_degrees
-
 
 def init_state(
     initial: InitialData, config: SolverConfig, minors: dict | None = None
 ) -> SolverState:
     """Order-0 state: v_0 = log(c det h), g^(0) = h.  ``minors`` is the memo
     of minors that the later steps of the same solve share (a fresh one when
-    absent)."""
-    ctx = initial.ctx
-    if config.space_degree != ctx.cap:
-        raise InvalidInputError(
-            f"config space_degree {config.space_degree} does not match the "
-            f"initial data degree cap {ctx.cap}"
-        )
+    absent).  The degree cap D is the cap of h's jets."""
+    if initial.ctx.cap < 2:
+        raise InvalidInputError("space_degree must be >= 2")
     det_h = det_coefficient((initial.h.entries,), 0, {} if minors is None else minors)
     scaled = jet_scale(det_h, config.c)
     if scaled.constant_term.real <= 0 or abs(scaled.constant_term.imag) > 1e-12:
@@ -172,7 +160,6 @@ def init_state(
     v0 = jet_log(scaled)
     return SolverState(
         config=config,
-        initial=initial,
         m=0,
         v=(v0,),
         g=(initial.h.entries,),
@@ -237,7 +224,7 @@ def solve(initial: InitialData, config: SolverConfig) -> Solution:
     notes = []
     if v.valid_degrees[-1] < 0:
         msg = (
-            f"space_degree {config.space_degree} < 2*t_order + 2 = "
+            f"space_degree {initial.ctx.cap} < 2*t_order + 2 = "
             f"{2 * config.t_order + 2}: top orders have no trusted spatial "
             f"coefficients and are skipped by checks"
         )

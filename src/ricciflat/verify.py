@@ -369,7 +369,7 @@ def curvature_and_class(sol, tolerance: float = 1e-9) -> CurvatureReport:
     if kind == "flat":
         integral, nearest, deviation = 0.0, 0, 0.0
         notes.append("flat chart: curvature blocks vanish identically, integral 0")
-    elif kind == "fubini_study" and chart.get("n") == 1:
+    elif kind == "fubini_study" and n == 1:
         integral, nearest, deviation, npts, kappa, prop_defect, extra = (
             _projective_line_integral(sol, chart["scale"])
         )

@@ -69,8 +69,10 @@ SCENARIO_FILES = {
 # two after those take their partials from the derivative table: flat:3 has
 # a constant potential, so every partial of v is a signed zero, and the
 # n = 4 curvature check reads d/dz through trusted and untrusted orders.
-# The last two take c = 0.5 and c = 3, where kappa = 4/c is no power of two.
-# No run joins a file's [checks] with check flags: there the flags win.
+# The two after those take c = 0.5 and c = 3, where kappa = 4/c is no power
+# of two.  The last two exit 2: D = 1 is below the solver's least cap, and an
+# infinite scale makes the initial metric NaN, whose build warns before it is
+# refused; only the refusal's one line may reach stderr.  No run joins a file's [checks] with check flags: there the flags win.
 SCENARIOS = (
     "verify --metric perturbed_flat:1,0.1,7,2 --M 8 --D 12",
     "verify --metric perturbed_flat:2,0.1,0,2 --M 5 --D 12",
@@ -115,7 +117,7 @@ SCENARIOS = (
     "closed-form --eigenvalues 1,2 --metric flat:1",
     "closed-form --metric perturbed_flat:1,0.1,7,2 --D 3",
     "verify sc.ini",
-    "solve --metric-file sc.ini --M 4",
+    "solve sc.ini --M 4",
     "verify inline.ini",
     "solve --metric perturbed_flat:4,0.1,0,2 --M 4 --D 10",
     "solve sc.ini inline.ini --jobs 2",
@@ -141,6 +143,8 @@ SCENARIOS = (
     "verify --metric perturbed_flat:4,0.1,0,2 --M 3 --D 6 --curvature",
     "compare --metric fubini_study_chart:1,1 --M 6 --D 12 --c 0.5",
     "verify --metric fubini_study_chart:1,1 --M 6 --D 12 --c 3 --curvature",
+    "solve --metric flat:1 --M 2 --D 1",
+    "solve --metric fubini_study_chart:1,inf --M 2 --D 6",
 )
 
 # Refused with exit 2: the three majorant runs trust v_1 to degrees -1, 0

@@ -120,7 +120,7 @@ def corpus_keys():
 
 def solve_corpus_member(n: int, seed: int, c: float = 1.0):
     initial = geo.perturbed_flat(n, CORPUS_EPS, seed, 2, CORPUS_D)
-    cfg = SolverConfig(c=c, t_order=CORPUS_M, space_degree=CORPUS_D)
+    cfg = SolverConfig(c=c, t_order=CORPUS_M)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return solve(initial, cfg)
@@ -147,7 +147,7 @@ def corpus_solutions_c2():
 @pytest.fixture(scope="session")
 def fs_solution():
     initial = geo.fubini_study_chart(1, 1.0, 12)
-    cfg = SolverConfig(c=1.0, t_order=8, space_degree=12)
+    cfg = SolverConfig(c=1.0, t_order=8)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return solve(initial, cfg)
@@ -158,6 +158,6 @@ def flat_solutions():
     out = {}
     for n in (1, 2):
         initial = geo.flat(n, 26)
-        out[n] = solve(initial, SolverConfig(c=1.0, t_order=12, space_degree=26))
+        out[n] = solve(initial, SolverConfig(c=1.0, t_order=12))
     return out
 

@@ -43,7 +43,7 @@ def solve_scenario(spec: str, M: int, D: int):
     params = [int(p) if p.lstrip("-").isdigit() else float(p) for p in rest.split(",")]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return solve(builtin_metric(name, params, D), SolverConfig(t_order=M, space_degree=D))
+        return solve(builtin_metric(name, params, D), SolverConfig(t_order=M))
 
 
 def _digest(jet) -> list:

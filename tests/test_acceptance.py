@@ -45,7 +45,7 @@ def criterion(tag: str, detail: str):
 def test_a1_flat_base_is_exactly_trivial():
     t0 = time.time()
     for n in (1, 2):
-        sol = solve(geo.flat(n, 26), SolverConfig(c=1.0, t_order=12, space_degree=26))
+        sol = solve(geo.flat(n, 26), SolverConfig(c=1.0, t_order=12))
         for m in range(sol.t_order + 1):
             assert np.all(sol.v.coeffs[m].coeffs == 0)
             for i in range(n):
@@ -73,7 +73,7 @@ def test_a2_einstein_oracle_equivalence():
     init = geo.fubini_study_chart(1, 1.0, 12)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sol = solve(init, SolverConfig(c=1.0, t_order=8, space_degree=12))
+        sol = solve(init, SolverConfig(c=1.0, t_order=8))
     rep = calibrate(sol, tolerance=1e-9)
     elapsed = time.time() - t0
     with criterion(
@@ -149,11 +149,11 @@ def test_a6_curvature_class_integral(fs_solution):
 
 def test_a7_fiber_smoothness_lemma():
     results = []
-    for make, cap in ((lambda: geo.flat(1, 12), 12), (lambda: geo.fubini_study_chart(1, 1.0, 12), 12)):
+    for make in (lambda: geo.flat(1, 12), lambda: geo.fubini_study_chart(1, 1.0, 12)):
         for c in (1.0, 2.0, 4.0):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                sol = solve(make(), SolverConfig(c=c, t_order=4, space_degree=cap))
+                sol = solve(make(), SolverConfig(c=c, t_order=4))
             rep = smoothness_check(sol)
             det0 = geo.jet_det(sol.input.h).constant_term.real
             assert rep.a_deviation <= 1e-12

@@ -241,7 +241,7 @@ def test_calibrate_scale_changes_eigenvalue_not_kappa():
     init = geo.fubini_study_chart(1, 2.0, 12)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sol = solve(init, SolverConfig(c=1.0, t_order=6, space_degree=12))
+        sol = solve(init, SolverConfig(c=1.0, t_order=6))
     rep = calibrate(sol)
     assert rep.matched and rep.kappa == 4.0
     assert rep.eigenvalues[0] == pytest.approx(1.0, abs=1e-9)
@@ -252,7 +252,7 @@ def test_calibrate_product_constant_but_not_einstein():
     init = geo.product(parts, 10)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sol = solve(init, SolverConfig(c=1.0, t_order=4, space_degree=10))
+        sol = solve(init, SolverConfig(c=1.0, t_order=4))
     rep = calibrate(sol)
     assert rep.matched and rep.kappa == 4.0
     assert sorted(rep.eigenvalues) == pytest.approx([0.0, 2.0], abs=1e-9)
@@ -260,7 +260,7 @@ def test_calibrate_product_constant_but_not_einstein():
 
 def test_calibrate_rejects_non_constant_curvature():
     init = geo.perturbed_flat(1, 0.1, 1, 2, 12)
-    sol = solve(init, SolverConfig(c=1.0, t_order=4, space_degree=12))
+    sol = solve(init, SolverConfig(c=1.0, t_order=4))
     with pytest.raises(InvalidInputError):
         calibrate(sol)
 

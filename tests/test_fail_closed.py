@@ -3,8 +3,12 @@ vanish from a summary, and reports stay strict JSON."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -40,7 +44,7 @@ def _strict_load(path):
 def small_solution():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return solve(geo.perturbed_flat(1, 0.1, 7, 2, 10), SolverConfig(t_order=4, space_degree=10))
+        return solve(geo.perturbed_flat(1, 0.1, 7, 2, 10), SolverConfig(t_order=4))
 
 
 @pytest.mark.parametrize("nan_first", [True, False])
@@ -187,7 +191,7 @@ def test_initial_data_rejects_nan_entries(i, j, idx):
     h = _flat_with_nan(i, j, idx)
     assert math.isnan(h.hermitian_defect())
     with pytest.raises(InvalidInputError):
-        InitialData(n=2, h=h)
+        InitialData(h=h)
 
 
 @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
@@ -209,12 +213,37 @@ def test_cli_verify_rejects_non_finite_input_with_exit_two(tmp_path, extra):
     assert code == 2
 
 
+def test_cli_solve_refuses_a_degree_cap_below_two(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["solve", "--metric", "flat:1", "--M", "2", "--D", "1", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: invalid input: space_degree must be >= 2\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "closed-form"])
+def test_cli_failed_initial_data_prints_only_its_error(tmp_path, command):
+    # an infinite scale makes the jets NaN: numpy's RuntimeWarning from the
+    # build must not reach stderr ahead of the one-line refusal.  A fresh
+    # process, because pytest records warnings that would otherwise print.
+    argv = [command, "--metric", "fubini_study_chart:1,inf", "--M", "2", "--D", "6"]
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ricciflat", *argv, "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: invalid input: initial metric is not finite at the base point\n"
+
+
 def test_cli_solve_refuses_an_overflowed_series_before_writing(tmp_path):
     # 10^200 x1^2 overflows the series of det h; the margins that should
     # catch it are NaN, and a NaN must not be dropped by a max
     scenario = tmp_path / "overflow.ini"
     scenario.write_text("[metric]\nn = 1\nh_1_1 = 1 + 10^200*x1^2\n[solver]\nM = 3\nD = 8\n")
     out = tmp_path / "out"
-    code = main(["solve", "--metric-file", str(scenario), "--no-timestamp", "--out", str(out)])
+    code = main(["solve", str(scenario), "--no-timestamp", "--out", str(out)])
     assert code == 3
     assert not out.exists()

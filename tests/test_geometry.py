@@ -564,7 +564,7 @@ def test_initial_data_rejects_non_positive():
     ctx = context(1, 4)
     neg = HermitianJetMatrix([[ctx.constant(-1.0)]])
     with pytest.raises(InvalidInputError):
-        InitialData(n=1, h=neg)
+        InitialData(h=neg)
 
 
 def test_initial_data_rejects_non_hermitian():
@@ -574,7 +574,21 @@ def test_initial_data_rejects_non_hermitian():
         [ctx.constant(0.5), ctx.constant(1.0)],
     ]
     with pytest.raises(InvalidInputError):
-        InitialData(n=2, h=HermitianJetMatrix(rows))
+        InitialData(h=HermitianJetMatrix(rows))
+
+
+def test_initial_data_refuses_h_whose_size_is_not_its_context_dimension():
+    # a 1x1 h whose jets live in dimension 2 fixes no consistent n
+    ctx = context(2, 6)
+    with pytest.raises(InvalidInputError, match="dimension 2"):
+        InitialData(h=HermitianJetMatrix([[ctx.constant(1.0)]]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_initial_data_dimension_is_the_size_of_h(n):
+    ctx = context(n, 4)
+    h = HermitianJetMatrix([[ctx.constant(float(i == j)) for j in range(n)] for i in range(n)])
+    assert InitialData(h=h).n == h.n == n
 
 
 def test_unknown_builtin_rejected():

@@ -64,8 +64,8 @@ def test_estimate_params_linear_metric_lower_bound():
     # for h = 1 + x the first series coefficient is (1+x)^{-3}/2, so its
     # norm is at least its base value 1/2
     ctx = context(1, 12)
-    init = InitialData(n=1, h=HermitianJetMatrix([[1 + ctx.x(0)]]))
-    sol = solve(init, SolverConfig(c=1.0, t_order=3, space_degree=12))
+    init = InitialData(h=HermitianJetMatrix([[1 + ctx.x(0)]]))
+    sol = solve(init, SolverConfig(c=1.0, t_order=3))
     params = estimate_params(sol, 0.2)
     assert params.A >= 0.5
     assert reported_sigma(params) == 1.0
@@ -89,7 +89,7 @@ def test_resonance_gap_is_one():
 
 def test_operator_bound_convention_scales_with_c():
     init = geo.perturbed_flat(1, 0.1, 0, 2, 12)
-    sol = solve(init, SolverConfig(c=2.0, t_order=3, space_degree=12))
+    sol = solve(init, SolverConfig(c=2.0, t_order=3))
     assert estimate_params(sol, 0.2).M_const == pytest.approx(2.0)
 
 
@@ -161,7 +161,7 @@ def test_nonlinearity_bounds_exponential_tail():
     # the e^{-Z} factor contributes exactly 1/q! times the determinant bound;
     # the flat determinant is the constant 1, whose norm is its modulus, so
     # the (0, q, 0) entries are exactly 1/q!
-    sol = solve(geo.flat(1, 10), SolverConfig(c=1.0, t_order=3, space_degree=10))
+    sol = solve(geo.flat(1, 10), SolverConfig(c=1.0, t_order=3))
     params = estimate_params(sol, 0.2)
     bounds = nonlinearity_bounds(sol, params, 5)
     assert bounds[(0, 2, 0)] == 0.5
@@ -169,7 +169,7 @@ def test_nonlinearity_bounds_exponential_tail():
 
 
 def test_nonlinearity_bounds_weight_filter():
-    sol = solve(geo.flat(1, 10), SolverConfig(c=1.0, t_order=3, space_degree=10))
+    sol = solve(geo.flat(1, 10), SolverConfig(c=1.0, t_order=3))
     params = estimate_params(sol, 0.2)
     bounds = nonlinearity_bounds(sol, params, 5)
     for (p, q, b) in bounds:
@@ -255,7 +255,7 @@ def test_signed_minors_equal_the_full_pattern_determinants(n):
 @pytest.mark.parametrize("n, D", [(1, 10), (2, 8), (3, 6), (4, 4)])
 def test_nonlinearity_bounds_unchanged_by_the_shared_minors(n, D, monkeypatch):
     # the bounds read only h and g^(1) = L(v_0), so one solved order is enough
-    sol = solve(geo.perturbed_flat(n, 0.1, 0, 2, D), SolverConfig(t_order=1, space_degree=D))
+    sol = solve(geo.perturbed_flat(n, 0.1, 0, 2, D), SolverConfig(t_order=1))
     params = simple_params(R=0.2)
     got = nonlinearity_bounds(sol, params, 4)
 
@@ -270,7 +270,7 @@ def test_nonlinearity_bounds_unchanged_by_the_shared_minors(n, D, monkeypatch):
 def test_nonlinearity_bounds_sum_the_norm_of_every_pattern(n, D):
     # reference: every unit-column pattern, its rows in every order, as one
     # TJet determinant, each t^p coefficient over det h bounded by its norm
-    sol = solve(geo.perturbed_flat(n, 0.1, 0, 2, D), SolverConfig(t_order=1, space_degree=D))
+    sol = solve(geo.perturbed_flat(n, 0.1, 0, 2, D), SolverConfig(t_order=1))
     params = simple_params(R=0.2)
     h, ctx = sol.input.h, sol.input.ctx
     Lv0 = complex_mixed_hessian(sol.v.coeffs[0]).map(lambda e: jet_scale(e, -1.0 / sol.config.c))
@@ -330,7 +330,7 @@ def test_domination_first_order_tight_by_construction():
 def bumped_scenario():
     """perturbed_flat:2,0.1,0,2 at M4 D10 with the params and C of its clean
     solution, as the ``majorant`` command builds them at R = 0.2."""
-    sol = solve(geo.perturbed_flat(2, 0.1, 0, 2, 10), SolverConfig(t_order=4, space_degree=10))
+    sol = solve(geo.perturbed_flat(2, 0.1, 0, 2, 10), SolverConfig(t_order=4))
     params = estimate_params(sol, 0.2)
     return sol, params, dominating_sequence(sol, params)
 

@@ -92,7 +92,7 @@ def test_scenario_file_seed_line_is_ignored(tmp_path):
     path = tmp_path / "fs.scn"
     path.write_text(SCENARIO_TEXT)
     out = tmp_path / "out"
-    assert main(["solve", "--metric-file", str(path), "--out", str(out), "--no-timestamp"]) == 0
+    assert main(["solve", str(path), "--out", str(out), "--no-timestamp"]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["scenario"]["t_order"] == 4
     assert "seed" not in report["scenario"]
@@ -194,7 +194,7 @@ def test_cli_rejects_non_hermitian_metric_file(tmp_path):
     bad.write_text(
         "[metric]\nn = 2\nh_1_1 = 1\nh_2_2 = 1\nh_1_2 = x2\nh_2_1 = 0.5*x2\n"
     )
-    code = run_cli("solve", "--metric-file", str(bad), "--out", str(tmp_path / "o"))
+    code = run_cli("solve", str(bad), "--out", str(tmp_path / "o"))
     assert code == 2
 
 
@@ -469,7 +469,7 @@ def test_cli_closed_form_takes_its_order_from_the_scenario(tmp_path, source):
     [
         ("--eigenvalues", "1,2", "--metric", "nope:3"),
         ("--eigenvalues", "1,2", "--metric", "flat:1"),
-        ("--eigenvalues", "1,2", "--metric-file", "missing.scn"),
+        ("--eigenvalues", "1,2", "--metric", "flat:1", "missing.scn"),
         ("--eigenvalues", "1,2", "missing.scn"),
         ("--eigenvalues", "1,x"),
         ("--eigenvalues", ","),

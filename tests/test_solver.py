@@ -27,33 +27,33 @@ from ricciflat.solver import (
 
 def linear_metric_1d(cap=12):
     ctx = context(1, cap)
-    return InitialData(n=1, h=HermitianJetMatrix([[1 + ctx.x(0)]]), name="1+x")
+    return InitialData(h=HermitianJetMatrix([[1 + ctx.x(0)]]), name="1+x")
 
 
 # -- initialization -------------------------------------------------------------
 
 
 def test_init_flat_potential_is_zero():
-    state = init_state(geo.flat(2, 8), SolverConfig(c=1.0, t_order=2, space_degree=8))
+    state = init_state(geo.flat(2, 8), SolverConfig(c=1.0, t_order=2))
     assert state.v[0].effective_degree == -1
 
 
 def test_init_linear_metric_logs_determinant():
     init = linear_metric_1d(8)
-    state = init_state(init, SolverConfig(c=1.0, t_order=2, space_degree=8))
+    state = init_state(init, SolverConfig(c=1.0, t_order=2))
     v0 = state.v[0]
     assert v0.coefficient((1, 0)) == pytest.approx(1.0)
     assert v0.coefficient((2, 0)) == pytest.approx(-0.5)
 
 
 def test_init_with_c_two():
-    state = init_state(geo.flat(1, 6), SolverConfig(c=2.0, t_order=2, space_degree=6))
+    state = init_state(geo.flat(1, 6), SolverConfig(c=2.0, t_order=2))
     assert state.v[0].constant_term == pytest.approx(np.log(2.0))
 
 
 def test_init_rejects_negative_c_det():
     with pytest.raises(InvalidInputError):
-        init_state(geo.flat(1, 6), SolverConfig(c=-1.0, t_order=2, space_degree=6))
+        init_state(geo.flat(1, 6), SolverConfig(c=-1.0, t_order=2))
 
 
 def test_config_validation():
@@ -67,7 +67,7 @@ def test_config_validation():
 
 
 def test_step_on_flat_stays_zero():
-    state = init_state(geo.flat(2, 10), SolverConfig(c=1.0, t_order=3, space_degree=10))
+    state = init_state(geo.flat(2, 10), SolverConfig(c=1.0, t_order=3))
     for _ in range(3):
         state = step(state)
     for m in range(1, 4):
@@ -83,7 +83,7 @@ def test_worked_linear_metric_example():
     init = linear_metric_1d(12)
     ctx = init.ctx
     x = ctx.x(0)
-    sol = solve(init, SolverConfig(c=1.0, t_order=3, space_degree=12))
+    sol = solve(init, SolverConfig(c=1.0, t_order=3))
     inv = jet_reciprocal(1 + x)
     inv2 = jet_mul(inv, inv)
     inv3 = jet_mul(inv2, inv)
@@ -96,7 +96,7 @@ def test_extraction_divisor_never_resonates():
     # the order-m division is by m+2, which never vanishes; confirm the
     # normalization identity that justifies it holds at machine precision
     init = linear_metric_1d(12)
-    sol = solve(init, SolverConfig(c=1.0, t_order=4, space_degree=12))
+    sol = solve(init, SolverConfig(c=1.0, t_order=4))
     assert sol.base_identity_margin < 1e-12
     assert all(m + 2 != 0 for m in range(sol.t_order))
 
@@ -123,8 +123,8 @@ def test_flat_solve_is_exactly_trivial(n, flat_solutions):
 
 def test_flat_w_inv_scales_with_c():
     fl = geo.flat(1, 8)
-    s1 = solve(fl, SolverConfig(c=1.0, t_order=4, space_degree=8))
-    s2 = solve(fl, SolverConfig(c=2.0, t_order=4, space_degree=8))
+    s1 = solve(fl, SolverConfig(c=1.0, t_order=4))
+    s2 = solve(fl, SolverConfig(c=2.0, t_order=4))
     assert s2.w_inv.coeffs[1].constant_term == pytest.approx(
         2.0 * s1.w_inv.coeffs[1].constant_term
     )
@@ -132,7 +132,7 @@ def test_flat_w_inv_scales_with_c():
 
 def test_exp_u_has_zero_constant_and_unit_linear_term():
     init = linear_metric_1d(10)
-    sol = solve(init, SolverConfig(c=1.0, t_order=3, space_degree=10))
+    sol = solve(init, SolverConfig(c=1.0, t_order=3))
     assert sol.exp_u.coeffs[0].effective_degree == -1
     # linear coefficient is e^{v0} = c det h
     det_h = init.h[0, 0]
@@ -141,8 +141,8 @@ def test_exp_u_has_zero_constant_and_unit_linear_term():
 
 def test_solution_validity_metadata():
     init = linear_metric_1d(12)
-    sol = solve(init, SolverConfig(c=1.0, t_order=4, space_degree=12))
-    assert sol.validity == (12, 10, 8, 6, 4)
+    sol = solve(init, SolverConfig(c=1.0, t_order=4))
+    assert sol.v.valid_degrees == (12, 10, 8, 6, 4)
     for m, cj in enumerate(sol.v.coeffs):
         assert cj.valid_degree >= 12 - 2 * m
 
@@ -151,15 +151,15 @@ def test_validity_follows_the_jets():
     # perturbed_flat's h is itself a mixed Hessian, trusted only to D - 2, so
     # v_m is trusted to D - 2 - 2m, not to the D - 2m of the cap alone.
     init = geo.perturbed_flat(2, 0.1, 0, 2, 10)
-    sol = solve(init, SolverConfig(c=1.0, t_order=4, space_degree=10))
-    assert sol.validity == sol.v.valid_degrees == (8, 6, 4, 2, 0)
+    sol = solve(init, SolverConfig(c=1.0, t_order=4))
+    assert sol.v.valid_degrees == (8, 6, 4, 2, 0)
     assert solution_summary(sol)["validity_per_order"] == [8, 6, 4, 2, 0]
-    assert truncate_solution(sol, 2).validity == (8, 6, 4)
+    assert truncate_solution(sol, 2).v.valid_degrees == (8, 6, 4)
 
 
 def test_determinism_bitwise():
     init = geo.perturbed_flat(1, 0.1, 5, 2, 14)
-    cfg = SolverConfig(c=1.0, t_order=5, space_degree=14)
+    cfg = SolverConfig(c=1.0, t_order=5)
     a = solve(init, cfg)
     b = solve(init, cfg)
     for m in range(a.t_order + 1):
@@ -182,8 +182,8 @@ def _coeff_state(sol):
 
 def test_truncation_consistency():
     init = geo.perturbed_flat(1, 0.1, 8, 2, 16)
-    full = solve(init, SolverConfig(c=1.0, t_order=6, space_degree=16))
-    half = solve(init, SolverConfig(c=1.0, t_order=3, space_degree=16))
+    full = solve(init, SolverConfig(c=1.0, t_order=6))
+    half = solve(init, SolverConfig(c=1.0, t_order=3))
     cut = truncate_solution(full, 3)
     for m in range(4):
         assert np.array_equal(cut.v.coeffs[m].coeffs, half.v.coeffs[m].coeffs)
@@ -198,7 +198,7 @@ def test_shifted_variable_recursion_agrees():
     unshifted ones.  Validates that the reduction to zero initial values is
     an equivalent formulation, not a different scheme."""
     init = geo.perturbed_flat(1, 0.1, 2, 2, 14)
-    cfg = SolverConfig(c=1.0, t_order=4, space_degree=14)
+    cfg = SolverConfig(c=1.0, t_order=4)
     sol = solve(init, cfg)
 
     ctx = init.ctx
@@ -242,7 +242,7 @@ def test_integrated_determinant_linear_coefficient_is_initial_determinant():
     from ricciflat.jets import t_integrate
 
     init = geo.perturbed_flat(1, 0.1, 4, 2, 12)
-    sol = solve(init, SolverConfig(c=1.0, t_order=3, space_degree=12))
+    sol = solve(init, SolverConfig(c=1.0, t_order=3))
     integ = t_integrate(jet_det(sol.g))
     det_h = jet_det(init.h)
     assert max_coeff_diff(integ.coeffs[1], det_h) == 0.0
@@ -250,22 +250,22 @@ def test_integrated_determinant_linear_coefficient_is_initial_determinant():
 
 def test_solver_preserves_hermitian_symmetry():
     init = geo.perturbed_flat(2, 0.1, 6, 2, 12)
-    sol = solve(init, SolverConfig(c=1.0, t_order=4, space_degree=12))
+    sol = solve(init, SolverConfig(c=1.0, t_order=4))
     assert sol.g.hermitian_defect() <= 1e-11
 
 
 def test_low_degree_warns_but_solves():
     init = geo.fubini_study_chart(1, 1.0, 8)
     with pytest.warns(UserWarning, match="top orders"):
-        sol = solve(init, SolverConfig(c=1.0, t_order=6, space_degree=8))
+        sol = solve(init, SolverConfig(c=1.0, t_order=6))
     assert sol.t_order == 6
-    assert sol.validity[-1] < 0
+    assert sol.v.valid_degrees[-1] < 0
 
 
 def test_no_warning_while_the_top_order_is_trusted():
     init = geo.fubini_study_chart(1, 1.0, 10)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = solve(init, SolverConfig(t_order=5, space_degree=10))
-    assert sol.validity == (10, 8, 6, 4, 2, 0)
+        sol = solve(init, SolverConfig(t_order=5))
+    assert sol.v.valid_degrees == (10, 8, 6, 4, 2, 0)
     assert sol.warnings == ()

@@ -95,7 +95,7 @@ def test_consequence_redundancy_on_corpus_members(corpus_solutions):
 
 
 def test_consequence_with_nonunit_c():
-    sol = solve_quiet(geo.flat(1, 12), c=2.0, t_order=4, space_degree=12)
+    sol = solve_quiet(geo.flat(1, 12), c=2.0, t_order=4)
     rep = residual_consequence(sol)
     assert rep.max_relative_residual == 0.0
 
@@ -126,7 +126,7 @@ def test_laplacian_flat_exact(flat_solutions):
 
 @pytest.mark.parametrize("c", [1.0, 2.0])
 def test_laplacian_equals_c(c):
-    sol = solve_quiet(geo.fubini_study_chart(1, 1.0, 12), c=c, t_order=5, space_degree=12)
+    sol = solve_quiet(geo.fubini_study_chart(1, 1.0, 12), c=c, t_order=5)
     rep = laplacian_moment(sol)
     assert rep.passed
     assert rep.max_relative_residual <= 1e-9
@@ -174,7 +174,7 @@ def test_curvature_projective_chart_class_integral(fs_solution):
 
 
 def test_curvature_class_independent_of_c():
-    sol = solve_quiet(geo.fubini_study_chart(1, 1.0, 12), c=2.0, t_order=5, space_degree=12)
+    sol = solve_quiet(geo.fubini_study_chart(1, 1.0, 12), c=2.0, t_order=5)
     rep = curvature_and_class(sol)
     assert abs(rep.class_integral - (-2.0)) <= 1e-3
 
@@ -205,7 +205,7 @@ def test_smoothness_flat_unit_c(flat_solutions):
 
 @pytest.mark.parametrize("c", [2.0, 4.0])
 def test_smoothness_cone_for_other_c(c):
-    sol = solve_quiet(geo.flat(1, 10), c=c, t_order=4, space_degree=10)
+    sol = solve_quiet(geo.flat(1, 10), c=c, t_order=4)
     rep = smoothness_check(sol)
     assert not rep.is_smooth
     assert rep.w_inv_linear == pytest.approx(c, abs=1e-12)
@@ -224,7 +224,7 @@ def test_smoothness_projective_leading_coefficient(fs_solution):
 def test_smoothness_expected_matches_restricted_jet_det_bitwise(n):
     # Reference route: the cofactor expansion of the jets of h trusted to
     # degree 0, whose constant term is det h(0).
-    sol = solve_quiet(geo.perturbed_flat(n, 0.1, n, 2, 4), t_order=1, space_degree=4)
+    sol = solve_quiet(geo.perturbed_flat(n, 0.1, n, 2, 4), t_order=1)
     restricted = sol.input.h.map(lambda e: Jet(e.ctx, e.coeffs, 0))
     want = sol.config.c * geo.jet_det(restricted).constant_term.real
     assert smoothness_check(sol).a_expected.hex() == want.hex()

@@ -108,7 +108,7 @@ def test_solve_expands_each_minor_once_and_keeps_no_memo(monkeypatch):
     monkeypatch.setattr(geometry, "minor_det", recording)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        solve(geometry.perturbed_flat(3, 0.1, 1, 2, 8), SolverConfig(t_order=4, space_degree=8))
+        solve(geometry.perturbed_flat(3, 0.1, 1, 2, 8), SolverConfig(t_order=4))
     assert len(memos) == 1
     assert memos[0] == {}
     assert len(expanded) == len(set(expanded))
@@ -190,7 +190,7 @@ def test_cached_product_plans_hold_at_most_the_bound(tmp_path, monkeypatch):
 def test_shared_view_gives_the_reports_of_bare_solutions(checks):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sol = solve(geometry.perturbed_flat(2, 0.1, 0, 2, 10), SolverConfig(t_order=4, space_degree=10))
+        sol = solve(geometry.perturbed_flat(2, 0.1, 0, 2, 10), SolverConfig(t_order=4))
     view = verify.SolutionView(sol, checks)
     for check in (
         verify.residual_system,
@@ -221,7 +221,7 @@ def test_nonlinearity_bounds_form_no_series_product(monkeypatch):
     # bounds read only h and g^(1) = L(v_0), so one solved order is enough
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sol = solve(geometry.perturbed_flat(4, 0.1, 0, 2, 6), SolverConfig(t_order=1, space_degree=6))
+        sol = solve(geometry.perturbed_flat(4, 0.1, 0, 2, 6), SolverConfig(t_order=1))
     series_products = _record(monkeypatch, jets.TJet, "__mul__")
     sums = _record(monkeypatch, jets, "cauchy_sum")
     assert majorant.nonlinearity_bounds(sol, majorant.estimate_params(sol, 0.2), 4)
@@ -231,7 +231,7 @@ def test_nonlinearity_bounds_form_no_series_product(monkeypatch):
 def test_calibrate_forms_the_ricci_form_once_and_evaluates_no_jet(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sol = solve(geometry.fubini_study_chart(2, 1.0, 10), SolverConfig(t_order=4, space_degree=10))
+        sol = solve(geometry.fubini_study_chart(2, 1.0, 10), SolverConfig(t_order=4))
     forms = _record(monkeypatch, closed_form, "ricci_form")
     evaluations = _record(monkeypatch, jets, "jet_eval_many")
     spectra = _record(monkeypatch, np.linalg, "eigvals")
@@ -260,7 +260,7 @@ def test_series_functions_form_no_jet_product(monkeypatch):
 def test_series_determinant_multiplies_only_its_trusted_orders(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sol = solve(geometry.perturbed_flat(4, 0.1, 0, 2, 4), SolverConfig(t_order=3, space_degree=4))
+        sol = solve(geometry.perturbed_flat(4, 0.1, 0, 2, 4), SolverConfig(t_order=3))
     assert {e.valid_degrees for row in sol.g.entries for e in row} == {(2, 0, -2, -4)}
     products = _record(monkeypatch, jets, "_product")
     sums = record_sum_products(monkeypatch)
