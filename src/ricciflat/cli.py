@@ -255,9 +255,10 @@ def _verify_one(sc: Scenario, out_dir: str, extra=None) -> int:
     }
     # What the selected checks read in common, formed once for this run.
     view = SolutionView(sol, sc.checks)
-    reports = {
-        name: runners[name](view, sc.tolerance) for name in ALL_CHECKS if name in sc.checks
-    }
+    with _warnings_to_stderr():
+        reports = {
+            name: runners[name](view, sc.tolerance) for name in ALL_CHECKS if name in sc.checks
+        }
     residual_reports = [
         rep.closedness if name == "curvature" else rep
         for name, rep in reports.items()
@@ -311,7 +312,7 @@ def cmd_closed_form(args) -> int:
         sc = scenarios[0]
         with _warnings_to_stderr():
             initial = sc.initial_data()
-        spectrum, variation = ricci_spectrum_of(initial, ricci_form(initial.h))
+            spectrum, variation = ricci_spectrum_of(initial, ricci_form(initial.h))
 
     P = p_of_t(spectrum)
     w = w_inv_closed(P)

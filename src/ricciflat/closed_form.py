@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conventions import MIXED_HESSIAN_FACTOR
-from .errors import InvalidInputError
+from .errors import DegeneracyError, InvalidInputError
 from .geometry import HermitianJetMatrix, InitialData, det_coefficient, ricci_form
 from .jets import (
     Jet,
@@ -122,7 +122,8 @@ def ricci_spectrum_of(
     polynomial's coefficients q_k, at radius 0.05 min(1, polydisc radius).
     It bounds their change over that whole polydisc.  A q_k trusted below
     degree 1 says nothing past the base point and is refused before rho is
-    read at the base point, where it may be untrusted too."""
+    read at the base point, where it may be untrusted too; a rho with a
+    non-finite coefficient is refused before any eigenvalue is sought."""
     qs = characteristic_coefficients(initial, rho)
     for k, q in enumerate(qs):
         if q.valid_degree < 1:
@@ -130,6 +131,8 @@ def ricci_spectrum_of(
                 f"the characteristic polynomial's s^{k} coefficient has valid_degree "
                 f"{q.valid_degree}: constant Ricci curvature cannot be tested past the base point"
             )
+    if not all(np.isfinite(e.prefix).all() for row in rho.entries for e in row):
+        raise DegeneracyError("the Ricci form of the metric is not finite")
     eig0 = np.linalg.eigvals(np.linalg.solve(initial.h.base_matrix(), rho.base_matrix()))
     radius = 0.05 * min(1.0, initial.polydisc_radius)
     variation = nan_max(0.0, *(float(jet_norm(q - q.constant_term, radius)) for q in qs))
@@ -200,28 +203,19 @@ def calibrate(solution, tolerance: float = 1e-9) -> CalibrationReport:
 
 def _solution_scale(solution) -> float:
     """Magnitude reference for relative deviations."""
-    scale = 1.0
-    for i in range(solution.n):
-        for j in range(solution.n):
-            for cj in solution.g.entries[i][j].coeffs:
-                scale = nan_max(scale, max_abs_coeff(cj))
-    return scale
+    g = solution.g.entries
+    return nan_max(1.0, *(max_abs_coeff(cj) for row in g for e in row for cj in e.coeffs))
 
 
 def _metric_deviation(solution, Phi, rho, kappa) -> float:
+    """Largest coefficient deviation of g from Phi + (kappa t) rho."""
     worst = 0.0
-    n = solution.n
-    for i in range(n):
-        for j in range(n):
-            series = solution.g.entries[i][j]
+    for g_row, phi_row, rho_row in zip(solution.g.entries, Phi.entries, rho.entries):
+        for series, phi, r in zip(g_row, phi_row, rho_row):
+            targets = (phi, jet_scale(r, kappa))
             for m, cj in enumerate(series.coeffs):
-                if m == 0:
-                    target = Phi.entries[i][j]
-                elif m == 1:
-                    target = jet_scale(rho.entries[i][j], kappa)
-                else:
-                    target = cj.ctx.zero()
-                worst = nan_max(worst, max_coeff_diff(cj, target))
+                diff = max_coeff_diff(cj, targets[m]) if m < 2 else max_abs_coeff(cj)
+                worst = nan_max(worst, diff)
     return worst
 
 
@@ -229,7 +223,5 @@ def _w_inv_deviation(solution, closed_w: RationalT, kappa: float, c: float) -> f
     order = solution.w_inv.order
     target = closed_w.series(order) * (c / kappa)
     target *= kappa ** np.arange(order + 1)
-    worst = 0.0
-    for m, cj in enumerate(solution.w_inv.coeffs):
-        worst = nan_max(worst, max_coeff_diff(cj, cj.ctx.constant(target[m])))
-    return worst
+    coeffs = solution.w_inv.coeffs
+    return nan_max(0.0, *(max_coeff_diff(cj, cj.ctx.constant(t)) for cj, t in zip(coeffs, target)))

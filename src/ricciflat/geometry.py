@@ -26,14 +26,15 @@ from .jets import (
     jet_conj,
     jet_log,
     jet_mul,
-    jet_partials,
     jet_reciprocal,
     jet_rows,
     jet_scale,
     jet_through,
-    max_coeff_diff,
+    max_abs,
+    nan_max,
     partial_rows,
-    t_conj,
+    partial_runs,
+    stacked_rows,
 )
 
 
@@ -68,18 +69,19 @@ class HermitianJetMatrix:
 
     def hermitian_defect(self) -> float:
         """Max coefficientwise deviation |entry(i,j) - conj(entry(j,i))|; NaN
-        as soon as one compared coefficient is NaN."""
-        diffs = [0.0]
+        as soon as one compared coefficient is NaN.  Each t-order of a
+        series matrix is one stack of its upper entries against the mirrored
+        ones, each pair read through its common trusted degree."""
         # (j, i) gives the conjugate differences of (i, j): equal magnitudes
-        for i in range(self.n):
-            for j in range(i, self.n):
-                a = self.entries[i][j]
-                b = _conj_entry(self.entries[j][i])
-                if isinstance(a, TJet):
-                    diffs.extend(map(max_coeff_diff, a.coeffs, b.coeffs))
-                else:
-                    diffs.append(max_coeff_diff(a, b))
-        return float(np.max(diffs))
+        pairs = [(self[i, j], self[j, i]) for i in range(self.n) for j in range(i, self.n)]
+        series = isinstance(pairs[0][0], TJet)
+        worst = 0.0
+        for m in range(pairs[0][0].order + 1) if series else (None,):
+            a, b = zip(*[(x.coeffs[m], y.coeffs[m]) if series else (x, y) for x, y in pairs])
+            degrees = [min(x.valid_degree, y.valid_degree) for x, y in zip(a, b)]
+            for x, y in stacked_rows((a, b), degrees):
+                worst = nan_max(worst, max_abs(x - np.conj(y)))
+        return worst
 
     def base_matrix(self) -> np.ndarray:
         """Constant terms of Jet entries at the base point as a plain complex
@@ -93,10 +95,6 @@ class HermitianJetMatrix:
     def __repr__(self):
         kind = "TJet" if isinstance(self.entries[0][0], TJet) else "Jet"
         return f"HermitianJetMatrix(n={self.n}, {kind})"
-
-
-def _conj_entry(e):
-    return t_conj(e) if isinstance(e, TJet) else jet_conj(e)
 
 
 def jet_det(g: HermitianJetMatrix, memo: dict | None = None):
@@ -206,52 +204,17 @@ def _hessian_terms(n: int) -> np.ndarray:
     return terms
 
 
-# Most second-partial terms times columns gathered at once: the Hessian
-# of a large jet is formed in column chunks whose temporaries stay small,
-# as whole-array temporaries of several MB cost page faults on every call.
-_CHUNK_ENTRIES = 16384
-
-
 def complex_mixed_hessian(f: Jet) -> HermitianJetMatrix:
     """Matrix H_ij = 4 d^2 f / dz_i dzbar_j, computed through real partials.
 
-    Diagonal entries are assembled directly as f_{x_i x_i} + f_{y_i y_i} so
-    they agree with the real Laplacian exactly; the lower triangle mirrors
-    the upper one through conjugation.  Validity drops by two; when f is
+    The upper entries are the rows of ``hessian_rows``; the lower triangle
+    mirrors them through conjugation.  Validity drops by two; when f is
     trusted to degree 1 or less every entry is the shared untrusted jet.
-
-    The real second partials of ``_hessian_terms`` are gathered through
-    the context's derivative table: all first partials at once, then the
-    second partials from them, at most ``_CHUNK_ENTRIES`` at a time over
-    runs of columns (one run for a small jet).  Each coefficient is
-    multiplied by its two exponents in turn, and each entry adds them as a
-    chain of single partials does, over whole blocks of entries, so the
-    bits are the chain's.  As ``jet_derive`` does, a first partial with no
-    nonzero non-constant coefficient (-0.0 is zero, NaN is not) gives +0.0
-    second partials.
     """
     ctx, vd, n = f.ctx, f.valid_degree, f.ctx.n
     if vd < 2:
         return HermitianJetMatrix([[ctx.zero(vd - 2)] * n] * n)
-    a, b = _hessian_terms(n)
-    up, exps = ctx.derivative_table()
-    first, cols = partial_rows(f), ctx.deg_start[vd - 1]
-    dead = np.flatnonzero(~first[:, 1:].any(axis=1)[a])  # terms of a +0.0 rule
-    k = n * (n + 1) // 2
-    h = np.empty((k, cols), dtype=np.complex128)
-    step = _CHUNK_ENTRIES // len(a)
-    for start in range(0, cols, step):
-        run = slice(start, min(start + step, cols))
-        second = first[a[:, None], up[b, run]]
-        second *= exps[b, run]
-        if len(dead):
-            second[dead] = 0.0
-        np.add(second[:k], second[k : 2 * k], out=h[:, run])
-        # 4 dz_i dzbar_j = dx_i dx_j + dy_i dy_j + i(dx_i dy_j - dy_i dx_j)
-        skew = second[2 * k : 3 * k - n]
-        skew += second[3 * k - n :] * -1.0
-        skew *= 1j
-        h[n:, run] += skew
+    h = hessian_rows(f)
     upper = jet_rows(ctx, h, vd - 2)
     lower = jet_rows(ctx, np.conj(h[n:]), vd - 2)
     rows = [[upper[i] if i == j else None for j in range(n)] for i in range(n)]
@@ -260,17 +223,35 @@ def complex_mixed_hessian(f: Jet) -> HermitianJetMatrix:
     return HermitianJetMatrix(rows)
 
 
-def dz(f: Jet, i: int, partials=None) -> Jet:
-    """d/dz_i = (d/dx_i - i d/dy_i)/2, from the first partials of f
-    (``jet_partials``), which a caller that holds them passes."""
-    p = jet_partials(f) if partials is None else partials
-    return jet_scale(jet_add(p[2 * i], jet_scale(p[2 * i + 1], -1j)), 0.5)
+def hessian_rows(f: Jet) -> np.ndarray:
+    """The upper entries of H(f), (i, i) and then (i, j) for i < j row by
+    row, as the rows of a new array, for f trusted to degree 2 or more.
 
-
-def dzbar(f: Jet, i: int, partials=None) -> Jet:
-    """d/dzbar_i = (d/dx_i + i d/dy_i)/2, as ``dz``."""
-    p = jet_partials(f) if partials is None else partials
-    return jet_scale(jet_add(p[2 * i], jet_scale(p[2 * i + 1], 1j)), 0.5)
+    Diagonal entries are f_{x_i x_i} + f_{y_i y_i}, so they agree with the
+    real Laplacian exactly.  All first partials are one gather of the
+    derivative table, the second partials of ``_hessian_terms`` one gather
+    of them per run of ``partial_runs``.  Each coefficient is multiplied by
+    its two exponents in turn, and each entry adds them as a chain of single
+    partials does, so the bits are the chain's; as in ``jet_derive``, a
+    first partial with no nonzero non-constant coefficient (-0.0 is zero,
+    NaN is not) gives +0.0 second partials.
+    """
+    ctx, vd, n = f.ctx, f.valid_degree, f.ctx.n
+    a, b = _hessian_terms(n)
+    first, cols = partial_rows(f), ctx.deg_start[vd - 1]
+    dead = np.flatnonzero(~first[:, 1:].any(axis=1)[a])  # terms of a +0.0 rule
+    k = n * (n + 1) // 2
+    h = np.empty((k, cols), dtype=np.complex128)
+    for run, second in partial_runs(ctx, first, a, b, cols):
+        if len(dead):
+            second[dead] = 0.0
+        np.add(second[:k], second[k : 2 * k], out=h[:, run])
+        # 4 dz_i dzbar_j = dx_i dx_j + dy_i dy_j + i(dx_i dy_j - dy_i dx_j)
+        skew = second[2 * k : 3 * k - n]
+        skew += second[3 * k - n :] * -1.0
+        skew *= 1j
+        h[n:, run] += skew
+    return h
 
 
 def ricci_form(g: HermitianJetMatrix) -> HermitianJetMatrix:

@@ -695,6 +695,24 @@ def partial_rows(a: Jet) -> np.ndarray:
     return rows
 
 
+# Most coefficients one array of ``partial_runs`` or ``stacked_rows``
+# holds: whole-array temporaries of several MB cost page faults on every call.
+_RUN_ENTRIES = 16384
+
+
+def partial_runs(ctx: JetContext, rows: np.ndarray, picks: np.ndarray, coords: np.ndarray, end):
+    """(run, p) per run of at most ``_RUN_ENTRIES // len(picks)`` of the first
+    ``end`` columns: row t of p is the partial along ``coords[t]`` of the
+    prefix ``rows[picks[t]]``, one gather, as ``partial_rows`` less its +0.0 rule."""
+    up, exps = ctx.derivative_table()
+    step = max(1, _RUN_ENTRIES // len(picks))
+    for lo in range(0, end, step):
+        run = slice(lo, min(lo + step, end))
+        p = rows[picks[:, None], up[coords, run]]
+        p *= exps[coords, run]
+        yield run, p
+
+
 def jet_rows(ctx: JetContext, rows: np.ndarray, valid_degree: int) -> list[Jet]:
     """The rows of a new 2-D array as jets trusted to ``valid_degree`` >= 0;
     the caller writes to the array no more."""
@@ -722,21 +740,33 @@ def jet_eval_many(a: Jet, points: np.ndarray) -> np.ndarray:
 def jet_norm(a: Jet, r):
     """Weighted l1 norm sum_alpha |a_alpha| r^{|alpha|} of the jet through
     its ``valid_degree`` (0 for a jet with no trusted degree), at a radius
-    or an array of radii: one sum of |coefficients| per degree, evaluated
-    as a polynomial in r by ``horner``.  It bounds |a| on the polydisc of
-    radius r.  A NaN coefficient gives a NaN norm."""
+    or an array of radii.  It bounds |a| on the polydisc of radius r.  A NaN
+    coefficient gives a NaN norm."""
     vd = a.valid_degree
     if vd < 0:
         return np.zeros_like(np.asarray(r, dtype=float))
-    return horner(np.add.reduceat(np.abs(a.prefix), a.ctx._blocks[: vd + 1]), r)
+    return prefix_norms(a.ctx, a.prefix, vd, r)
+
+
+def prefix_norms(ctx: JetContext, prefixes: np.ndarray, vd: int, r):
+    """``jet_norm`` of a prefix trusted to vd >= 0, or of each row of a 2-D
+    array of them, from one ``np.add.reduceat`` and ``horner``."""
+    return horner(np.add.reduceat(np.abs(prefixes), ctx._blocks[: vd + 1], axis=-1), r)
 
 
 def horner(coeffs: np.ndarray, r):
-    """sum_d coeffs[d] r^d at a radius r (a float), or at each of a
-    sequence of radii (an array), by Horner's rule on Python floats, one
-    pass per radius.  Each step is the multiply and add of ``np.polyval``
-    on the reversed coefficients, so the bits are its bits, without its
-    loop of numpy-scalar operations."""
+    """sum_d coeffs[..., d] r^d at a radius r (a float) or at each of a
+    sequence of radii (the last axis of the result), by Horner's rule: on
+    Python floats for one row, one array step per degree for rows.  Each
+    step is the multiply and add of ``np.polyval`` on the reversed
+    coefficients, so the bits are its bits, without its numpy-scalar loop."""
+    if coeffs.ndim > 1:
+        x = np.asarray(r, dtype=float)
+        y = np.zeros(coeffs.shape[:-1] + x.shape)
+        for c in coeffs.T[::-1]:
+            y *= x
+            y += c[:, None] if x.ndim else c
+        return y
     if not isinstance(r, (int, float)):
         return np.array([horner(coeffs, x) for x in np.asarray(r, dtype=float).tolist()])
     y = 0.0
@@ -751,16 +781,38 @@ def max_coeff_diff(a: Jet, b: Jet, through_degree: int | None = None) -> float:
 
 
 def nan_max(*values) -> float:
-    """Largest value, NaN as soon as one value is NaN (Python's ``max``
-    drops a NaN that is not its first argument)."""
-    return float(np.max(values))
+    """Largest value, NaN as soon as one value is NaN, wherever it stands
+    (Python's ``max`` keeps a NaN only in first place)."""
+    return float("nan") if any(v != v for v in values) else float(max(values))
+
+
+def max_abs(x: np.ndarray) -> float:
+    """Largest |entry| by one ufunc reduction: NaN once one is NaN, 0.0 for none."""
+    return float(np.maximum.reduce(np.abs(x), axis=None, initial=0.0))
 
 
 def max_abs_coeff(a: Jet, through_degree: int | None = None) -> float:
-    """Largest |coefficient| through the trusted degree and ``through_degree``;
-    0.0 with no such coefficient."""
+    """``max_abs`` of the coefficients through the trusted degree and
+    ``through_degree``: NaN as soon as one of them is NaN, 0.0 with none."""
     vd = a.valid_degree if through_degree is None else min(a.valid_degree, through_degree)
-    return float(np.max(np.abs(a.prefix[: a.ctx.deg_start[vd + 1]]))) if vd >= 0 else 0.0
+    return max_abs(a.prefix[: a.ctx.deg_start[vd + 1]]) if vd >= 0 else 0.0
+
+
+def stacked_rows(stacks, degrees):
+    """Sequences of k jets as the rows of new arrays, per run of whole rows
+    of at most ``_RUN_ENTRIES`` coefficients (or one row): row r is its jet
+    through ``degrees[r]``, which it trusts, then zeros, which add nothing
+    to a largest magnitude.  No run when every degree is negative."""
+    start = stacks[0][0].ctx.deg_start
+    ends = [start[d + 1] if d >= 0 else 0 for d in degrees]
+    step = max(1, _RUN_ENTRIES // max(max(ends), 1))
+    for lo in range(0, len(ends) if max(ends) else 0, step):
+        run = ends[lo : lo + step]
+        arrays = [np.zeros((len(run), max(run)), dtype=np.complex128) for _ in stacks]
+        for out, jets in zip(arrays, stacks):
+            for row, a, end in zip(out, jets[lo : lo + step], run):
+                row[:end] = a.prefix[:end]
+        yield arrays
 
 
 # ---------------------------------------------------------------------------
@@ -915,7 +967,3 @@ def t_exp(a: TJet, e0: Jet | None = None) -> TJet:
     for m in range(1, a.order + 1):
         out.append(t_exp_coeff(a.coeffs, out, m))
     return _tjet(out)
-
-
-def t_conj(a: TJet) -> TJet:
-    return _tjet(map(jet_conj, a.coeffs))

@@ -33,15 +33,15 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import complex_mixed_hessian, det_coefficient, jet_det
+from .geometry import det_coefficient, hessian_rows, jet_det
 from .jets import (
     Jet,
     horner,
     jet_mul,
     jet_norm,
-    jet_partials,
     jet_reciprocal,
-    jet_scale,
+    partial_rows,
+    prefix_norms,
 )
 from .solver import Solution
 
@@ -76,17 +76,17 @@ def domination_radii(R: float) -> tuple[float, float, float]:
 def _group_norms(vm: Jet, c: float, r) -> list:
     """The largest norms at r (a radius or a sequence of radii) of the
     value, gradient and operator jets of v_m; None for a group whose
-    validity v_m lacks (degree 0, 1 or 2).  np.max keeps a NaN, so the
-    checks built on it fail."""
+    validity v_m lacks (degree 0, 1 or 2).  Each group is one stack of
+    prefixes read by ``prefix_norms``: v_m, its 2n first partials, and the
+    upper entries of -H(v_m)/c, whose mirrors have the same norms.
+    np.maximum keeps a NaN, so the checks built on it fail."""
+    vd = vm.valid_degree
     groups = (
-        [vm] if vm.valid_degree >= 0 else [],
-        jet_partials(vm) if vm.valid_degree >= 1 else [],
-        [jet_scale(e, -1.0 / c) for row in complex_mixed_hessian(vm).entries for e in row]
-        if vm.valid_degree >= 2
-        else [],
+        lambda: vm.prefix[None], lambda: partial_rows(vm), lambda: hessian_rows(vm) * (-1.0 / c)
     )
     return [
-        np.max([jet_norm(jet, r) for jet in group], axis=0) if group else None for group in groups
+        np.maximum.reduce(prefix_norms(vm.ctx, rows(), vd - k, r)) if vd >= k else None
+        for k, rows in enumerate(groups)
     ]
 
 

@@ -26,21 +26,20 @@ from .geometry import (
     HermitianJetMatrix,
     adjugate,
     complex_mixed_hessian,
-    dz,
-    dzbar,
     jet_det,
     minor_det,
 )
 from .jets import (
     Jet,
     TJet,
-    jet_add,
-    jet_conj,
-    jet_partials,
     jet_scale,
+    max_abs,
     max_abs_coeff,
     max_coeff_diff,
     nan_max,
+    partial_rows,
+    partial_runs,
+    stacked_rows,
     t_derive,
     t_exp,
     t_integrate,
@@ -163,46 +162,47 @@ def _flow_residuals(sol: Solution, kinds) -> dict:
       form (m+1)/c H(v_{m+1}) + (m+1)(m+2) g^(m+2) = 0
 
     Both rows that read H(v_m), hessian_flow m and second_order_flow m - 1,
-    are made from one H(v_m).
+    are made from one H(v_m).  A row is read off the stacked entries of
+    H(v_m) and g^(m+1), each through the least of its own validity and H's.
     """
     c = sol.config.c
     out = {kind: [] for kind in kinds}
+    g = [e for row in sol.g.entries for e in row]
     for m in range(0 if "hessian_flow" in kinds else 1, sol.t_order):
         vm = sol.v.coeffs[m]
         hess = [e for row in complex_mixed_hessian(vm).entries for e in row]
-        g_next = [e.coeffs[m + 1] for row in sol.g.entries for e in row]
+        g_next = [e.coeffs[m + 1] for e in g]
         valid = vm.valid_degree - 2
+        flow = second = (0.0, 0.0)
+        for h, gm in stacked_rows((hess, g_next), [min(valid, e.valid_degree) for e in g_next]):
+            if "hessian_flow" in kinds:
+                flow = _fold(flow, h, gm * (c * (m + 1)))
+            if m >= 1 and "second_order_flow" in kinds:
+                second = _fold(second, h * (m / c), gm * float(m * (m + 1)))
         if "hessian_flow" in kinds:
-            terms = ((h, jet_scale(g, c * (m + 1))) for h, g in zip(hess, g_next))
-            out["hessian_flow"].append((m, valid, *_sum_residual(terms, valid)))
+            out["hessian_flow"].append((m, valid, *flow))
         if m >= 1 and "second_order_flow" in kinds:
-            a, b = m / c, float(m * (m + 1))
-            terms = ((jet_scale(h, a), jet_scale(g, b)) for h, g in zip(hess, g_next))
-            out["second_order_flow"].append((m - 1, valid, *_sum_residual(terms, valid)))
+            out["second_order_flow"].append((m - 1, valid, *second))
     return out
 
 
-def _sum_residual(terms, valid: int):
-    """Worst |a + b| over the term pairs (a, b), and the largest |a|, |b|,
-    all read through the trusted degree of a + b, at most ``valid``."""
-    worst, scale = 0.0, 0.0
-    for a, b in terms:
-        resid = jet_add(a, b)
-        v = min(resid.valid_degree, valid)
-        if v >= 0:
-            worst = nan_max(worst, max_abs_coeff(resid, v))
-            scale = nan_max(scale, max_abs_coeff(a, v), max_abs_coeff(b, v))
-    return worst, scale
+def _fold(acc, a: np.ndarray, b: np.ndarray):
+    """(worst, scale) of ``acc`` with the largest |a + b| and |a|, |b| of arrays."""
+    worst, scale = acc
+    return nan_max(worst, max_abs(a + b)), nan_max(scale, max_abs(a), max_abs(b))
 
 
 def _series_rows(identity, a: TJet, b: TJet, factor, scaled_by: TJet, tolerance):
-    """Rows of a + factor b = 0, one per t-order, each scaled by the
-    coefficient of ``scaled_by``."""
+    """Rows of a + factor b = 0, one per t-order, each read through the
+    trusted degree of a_m and b_m, scaled by the coefficient of ``scaled_by``."""
+    start = a.ctx.deg_start
     for m in range(min(a.order, b.order) + 1):
-        resid = jet_add(a.coeffs[m], jet_scale(b.coeffs[m], factor))
-        valid = resid.valid_degree
+        am, bm = a.coeffs[m], b.coeffs[m]
+        valid = min(am.valid_degree, bm.valid_degree)
+        end = start[valid + 1] if valid >= 0 else 0
+        resid = max_abs(am.prefix[:end] + bm.prefix[:end] * factor)
         scale = max_abs_coeff(scaled_by.coeffs[m], valid)
-        yield _row(identity, m, valid, max_abs_coeff(resid), scale, tolerance)
+        yield _row(identity, m, valid, resid, scale, tolerance)
 
 
 def residual_system(sol, tolerance: float = 1e-9) -> ResidualReport:
@@ -279,19 +279,21 @@ def laplacian_moment(sol, tolerance: float = 1e-9) -> ResidualReport:
 
     delta = (sol.w_inv * t_reciprocal(det_g)) * adj_trace + t_derive(sol.w_inv)
     c = sol.config.c
-    rows = []
-    for m in range(delta.order + 1):
-        coeff = delta.coeffs[m]
-        target = coeff.ctx.constant(c if m == 0 else 0.0)
-        valid = coeff.valid_degree
-        resid = max_coeff_diff(coeff, target, valid)
-        rows.append(_row("moment_laplacian", m, valid, resid, abs(c), tolerance))
     return ResidualReport(
         name="laplacian_moment",
-        rows=tuple(rows),
+        rows=tuple(_moment_rows(delta, c, tolerance)),
         tolerance=tolerance,
         metadata={"c": c},
     )
+
+
+def _moment_rows(delta: TJet, c: float, tolerance):
+    """Rows of delta = c, one per t-order: the largest |coefficient - target|
+    through its trusted degree, the target c at order 0 and 0 past it."""
+    for m, coeff in enumerate(delta.coeffs):
+        p = coeff.prefix
+        resid = nan_max(max_abs(p[:1] - (c if m == 0 else 0.0)), max_abs(p[1:]))
+        yield _row("moment_laplacian", m, coeff.valid_degree, resid, abs(c), tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +312,9 @@ class CurvatureReport:
     proportionality_defect: float | None
     realness_defect: float
     notes: tuple[str, ...]
-    # closedness, and on a chart with a class-integral recipe an integral
-    # within tolerance of an integer; decided where the chart is known
+    # closedness, a finite realness defect, and on a chart with a
+    # class-integral recipe an integral within tolerance of an integer;
+    # decided where the chart is known
     passed: bool
 
     def as_dict(self) -> dict:
@@ -339,22 +342,20 @@ def curvature_and_class(sol, tolerance: float = 1e-9) -> CurvatureReport:
     """
     d = _view(sol, "curvature")
     sol = d.sol
-    c = sol.config.c
-    vt = d.v_t
     n = sol.n
     g_t = HermitianJetMatrix([[d.g_t(i, j) for j in range(n)] for i in range(n)])
 
     # F is real when (g_ij)_t is Hermitian and w_{zbar_i} = conj(w_{z_i})
-    realness = g_t.hermitian_defect()
-    for cj in vt.coeffs:
-        partials = jet_partials(cj)
-        for i in range(n):
-            w_z, w_zbar = (jet_scale(f(cj, i, partials), 1.0 / c) for f in (dz, dzbar))
-            realness = nan_max(realness, max_coeff_diff(jet_conj(w_z), w_zbar))
+    realness = nan_max(g_t.hermitian_defect(), _weight_gradient_defect(d.v_t, sol.config.c))
 
+    # dF = 0 splits into the second-order flow identity (dt dz dzbar part)
+    # and the symmetry of spatial gradients of (g_ij)_t (dz dz dzbar part)
+    rows = [_row("dF_dt_dz_dzbar", *r, tolerance) for r in d.flow("second_order_flow")]
+    if n >= 2:
+        rows += [_row("dF_dz_dz_dzbar", *r, tolerance) for r in _symmetry_rows(g_t)]
     closed = ResidualReport(
         name="curvature_closedness",
-        rows=tuple(_closedness_rows(d, g_t, tolerance)),
+        rows=tuple(rows),
         tolerance=tolerance,
         metadata={"realness_defect": realness},
     )
@@ -397,37 +398,47 @@ def curvature_and_class(sol, tolerance: float = 1e-9) -> CurvatureReport:
         proportionality_defect=prop_defect,
         realness_defect=realness,
         notes=tuple(notes),
-        passed=closed.passed and integral_ok,
+        passed=closed.passed and integral_ok and math.isfinite(realness),
     )
 
 
-def _closedness_rows(d: SolutionView, g_t, tolerance):
-    """dF = 0 splits into the second-order flow identity (dt dz dzbar part)
-    and the symmetry of spatial gradients of (g_ij)_t (dz dz dzbar part)."""
-    n = d.sol.n
-    for r in d.flow("second_order_flow"):
-        yield _row("dF_dt_dz_dzbar", *r, tolerance)
+def _weight_gradient_defect(vt: TJet, c: float) -> float:
+    """Largest |conj(w_{z_i}) - w_{zbar_i}| over i and the orders of
+    w_z = (1/c) d(dv/dt)/dz, each order from one gather of its partials."""
+    worst = 0.0
+    for cj in vt.coeffs:
+        if cj.valid_degree >= 1:
+            p = partial_rows(cj)
+            w_z = (p[0::2] + p[1::2] * -1j) * 0.5 * (1.0 / c)
+            w_zbar = (p[0::2] + p[1::2] * 1j) * 0.5 * (1.0 / c)
+            worst = nan_max(worst, max_abs(np.conj(w_z) - w_zbar))
+    return worst
 
-    if n >= 2:
-        for m in range(g_t.entries[0][0].order + 1):
-            entries = [[e.coeffs[m] for e in row] for row in g_t.entries]
-            valid = min(e.valid_degree - 1 for row in entries for e in row)
-            if valid < 0:  # no row reads a coefficient: form no partial
-                yield _row("dF_dz_dz_dzbar", m, valid, 0.0, 0.0, tolerance)
-                continue
-            # dz_k of entry (i, j) is read for each k != i, so once per entry
-            partials = [[jet_partials(e) for e in row] for row in entries]
-            terms = (
-                (
-                    dz(entries[i][j], k, partials[i][j]),
-                    jet_scale(dz(entries[k][j], i, partials[k][j]), -1.0),
-                )
-                for j in range(n)
-                for k in range(n)
-                for i in range(k + 1, n)
-            )
-            worst, scale = _sum_residual(terms, valid)
-            yield _row("dF_dz_dz_dzbar", m, valid, worst, scale, tolerance)
+
+def _symmetry_rows(g_t) -> list:
+    """(t_order, valid_degree, residual, scale) per order of dz_k (g_ij)_t
+    = dz_i (g_kj)_t for i > k, each order read through the least validity
+    of its entries less one: per run of columns one gather of all 2n first
+    partials of the n^2 entries, from which the terms are picked."""
+    n, ctx = g_t.n, g_t.entries[0][0].ctx
+    terms = [
+        (i * n + j, k, k * n + j, i) for j in range(n) for k in range(n) for i in range(k + 1, n)
+    ]
+    left_e, left_k, right_e, right_i = np.array(terms).T
+    picks, coords = np.divmod(np.arange(2 * n**3), 2 * n)
+    rows = []
+    for m in range(g_t.entries[0][0].order + 1):
+        entries = [e.coeffs[m] for row in g_t.entries for e in row]
+        valid = min(e.valid_degree for e in entries) - 1
+        acc = (0.0, 0.0)
+        if valid >= 0:
+            stack = np.array([e.prefix[: ctx.deg_start[valid + 2]] for e in entries])
+            for _, p in partial_runs(ctx, stack, picks, coords, ctx.deg_start[valid + 1]):
+                p = p.reshape(n * n, n, 2, -1)
+                dz = (p[:, :, 0] + p[:, :, 1] * -1j) * 0.5  # (d/dx - i d/dy)/2
+                acc = _fold(acc, dz[left_e, left_k], dz[right_e, right_i] * -1.0)
+        rows.append((m, valid, *acc))
+    return rows
 
 
 def _projective_line_integral(sol: Solution, scale: float):

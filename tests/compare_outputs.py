@@ -72,7 +72,15 @@ SCENARIO_FILES = {
 # The two after those take c = 0.5 and c = 3, where kappa = 4/c is no power
 # of two.  The last two exit 2: D = 1 is below the solver's least cap, and an
 # infinite scale makes the initial metric NaN, whose build warns before it is
-# refused; only the refusal's one line may reach stderr.  No run joins a file's [checks] with check flags: there the flags win.
+# refused; only the refusal's one line may reach stderr.  The three n = 2
+# runs after those inject a NaN or an inf into g or v, so the flow,
+# closedness and realness rows meet non-finite entries.  The first fails
+# its curvature check on the realness defect alone, which is NaN (trees
+# before the realness verdict pass it); the second prints the floating-point
+# warnings of its checks as `warning:` lines (earlier trees print them raw,
+# with their source paths).  The last run's Ricci form overflows, which
+# closed-form refuses with exit 3 (earlier trees crash with exit 1).  No
+# run joins a file's [checks] with check flags: there the flags win.
 SCENARIOS = (
     "verify --metric perturbed_flat:1,0.1,7,2 --M 8 --D 12",
     "verify --metric perturbed_flat:2,0.1,0,2 --M 5 --D 12",
@@ -145,6 +153,10 @@ SCENARIOS = (
     "verify --metric fubini_study_chart:1,1 --M 6 --D 12 --c 3 --curvature",
     "solve --metric flat:1 --M 2 --D 1",
     "solve --metric fubini_study_chart:1,inf --M 2 --D 6",
+    "verify --metric perturbed_flat:2,0.1,0,2 --M 5 --D 12 --perturb g:1:nan",
+    "verify --metric perturbed_flat:2,0.1,0,2 --M 5 --D 12 --perturb g:2:inf",
+    "verify --metric perturbed_flat:2,0.1,0,2 --M 5 --D 12 --perturb v:1:nan",
+    "closed-form --metric fubini_study_chart:2,1e300 --M 2 --D 6",
 )
 
 # Refused with exit 2: the three majorant runs trust v_1 to degrees -1, 0

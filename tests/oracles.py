@@ -15,7 +15,10 @@ Cauchy sum or jet operation.  The exponent table
 is enumerated one monomial at a time.  The derivative chain forms the
 complex mixed Hessian, d/dz and d/dzbar one ``jet_derive`` call per real
 partial, as the package did before its derivative table, so the whole
-gathers of ``geometry`` can be held to its bits.
+gathers of ``geometry`` can be held to its bits.  The per-entry rows redo
+each residual row, defect and group norm that the package reduces from
+stacked arrays one matrix entry at a time, on jets, with ``np.max`` on
+Python tuples, as the package did before its row reductions.
 """
 
 from itertools import combinations_with_replacement
@@ -25,13 +28,15 @@ import cmath
 import numpy as np
 import sympy as sp
 
-from ricciflat.geometry import HermitianJetMatrix
+from ricciflat.geometry import HermitianJetMatrix, complex_mixed_hessian
 from ricciflat.jets import (
     Jet,
+    TJet,
     jet_add,
     jet_conj,
     jet_derive,
     jet_mul,
+    jet_partials,
     jet_reciprocal,
     jet_scale,
     jet_sub,
@@ -362,3 +367,138 @@ def chain_dzbar(f: Jet, i: int) -> Jet:
     a = jet_derive(f, 2 * i)
     b = jet_derive(f, 2 * i + 1)
     return jet_scale(jet_add(a, jet_scale(b, 1j)), 0.5)
+
+
+# -- per-entry rows -------------------------------------------------------------
+
+
+def _largest(*values) -> float:
+    return float(np.max(values))
+
+
+def _max_abs(a: Jet, degree=None) -> float:
+    vd = a.valid_degree if degree is None else min(a.valid_degree, degree)
+    return float(np.max(np.abs(a.prefix[: a.ctx.deg_start[vd + 1]]))) if vd >= 0 else 0.0
+
+
+def entry_sum_residual(terms, valid: int):
+    """Worst |a + b| and the largest |a|, |b| over term pairs of jets, each
+    pair read through the trusted degree of a + b, at most ``valid``."""
+    worst, scale = 0.0, 0.0
+    for a, b in terms:
+        resid = jet_add(a, b)
+        v = min(resid.valid_degree, valid)
+        if v >= 0:
+            worst = _largest(worst, _max_abs(resid, v))
+            scale = _largest(scale, _max_abs(a, v), _max_abs(b, v))
+    return worst, scale
+
+
+def entry_flow_rows(sol, kinds) -> dict:
+    """verify's flow rows, (t_order, valid_degree, residual, scale), from
+    jet sums of H(v_m) and g^(m+1) entry by entry."""
+    c = sol.config.c
+    out = {kind: [] for kind in kinds}
+    for m in range(0 if "hessian_flow" in kinds else 1, sol.t_order):
+        vm = sol.v.coeffs[m]
+        hess = [e for row in complex_mixed_hessian(vm).entries for e in row]
+        g_next = [e.coeffs[m + 1] for row in sol.g.entries for e in row]
+        valid = vm.valid_degree - 2
+        if "hessian_flow" in kinds:
+            terms = [(h, jet_scale(g, c * (m + 1))) for h, g in zip(hess, g_next)]
+            out["hessian_flow"].append((m, valid, *entry_sum_residual(terms, valid)))
+        if m >= 1 and "second_order_flow" in kinds:
+            a, b = m / c, float(m * (m + 1))
+            terms = [(jet_scale(h, a), jet_scale(g, b)) for h, g in zip(hess, g_next)]
+            out["second_order_flow"].append((m - 1, valid, *entry_sum_residual(terms, valid)))
+    return out
+
+
+def entry_closedness_rows(g_t: HermitianJetMatrix) -> list:
+    """The dz dz dzbar closedness rows (t_order, valid_degree, residual,
+    scale) of a matrix of series, dz_k (g_ij)_t against dz_i (g_kj)_t for
+    i > k, from single partials as jets."""
+    n = g_t.n
+    rows = []
+    for m in range(g_t.entries[0][0].order + 1):
+        entries = [[e.coeffs[m] for e in row] for row in g_t.entries]
+        valid = min(e.valid_degree - 1 for row in entries for e in row)
+        if valid < 0:
+            rows.append((m, valid, 0.0, 0.0))
+            continue
+        terms = [
+            (chain_dz(entries[i][j], k), jet_scale(chain_dz(entries[k][j], i), -1.0))
+            for j in range(n)
+            for k in range(n)
+            for i in range(k + 1, n)
+        ]
+        rows.append((m, valid, *entry_sum_residual(terms, valid)))
+    return rows
+
+
+def entry_weight_gradient_defect(vt: TJet, c: float) -> float:
+    """Largest |conj(w_{z_i}) - w_{zbar_i}| with w_z = (1/c) d(dv/dt)/dz,
+    one jet per i and order."""
+    worst = 0.0
+    for cj in vt.coeffs:
+        for i in range(cj.ctx.n):
+            w_z = jet_scale(chain_dz(cj, i), 1.0 / c)
+            w_zbar = jet_scale(chain_dzbar(cj, i), 1.0 / c)
+            worst = _largest(worst, _max_abs(jet_sub(jet_conj(w_z), w_zbar)))
+    return worst
+
+
+def entry_hermitian_defect(g: HermitianJetMatrix) -> float:
+    """Largest |entry(i, j) - conj(entry(j, i))| over i <= j and the
+    t-orders of series entries, pair by pair."""
+    diffs = [0.0]
+    for i in range(g.n):
+        for j in range(i, g.n):
+            a, b = g.entries[i][j], g.entries[j][i]
+            pairs = zip(a.coeffs, b.coeffs) if isinstance(a, TJet) else [(a, b)]
+            diffs.extend(_max_abs(jet_sub(x, jet_conj(y))) for x, y in pairs)
+    return float(np.max(diffs))
+
+
+def entry_series_rows(a: TJet, b: TJet, factor, scaled_by: TJet) -> list:
+    """(t_order, valid_degree, residual, scale) of a + factor b = 0 per
+    order, each scaled by the coefficient of ``scaled_by``."""
+    rows = []
+    for m in range(min(a.order, b.order) + 1):
+        resid = jet_add(a.coeffs[m], jet_scale(b.coeffs[m], factor))
+        valid = resid.valid_degree
+        rows.append((m, valid, _max_abs(resid), _max_abs(scaled_by.coeffs[m], valid)))
+    return rows
+
+
+def entry_moment_rows(delta: TJet, c: float) -> list:
+    """(t_order, valid_degree, residual) of delta = c per order, each the
+    largest coefficient difference from the constant jet c (order 0) or 0."""
+    rows = []
+    for m, coeff in enumerate(delta.coeffs):
+        target = coeff.ctx.constant(c if m == 0 else 0.0)
+        rows.append((m, coeff.valid_degree, _max_abs(jet_sub(coeff, target), coeff.valid_degree)))
+    return rows
+
+
+def entry_norm(a: Jet, r):
+    """Weighted l1 norm of a jet through its validity, by ``np.polyval``
+    at each radius."""
+    vd = a.valid_degree
+    if vd < 0:
+        return np.zeros_like(np.asarray(r, dtype=float))
+    sums = np.add.reduceat(np.abs(a.prefix), a.ctx._blocks[: vd + 1])
+    return np.polyval(sums[::-1], np.asarray(r, dtype=float))
+
+
+def entry_group_norms(vm: Jet, c: float, r) -> list:
+    """The majorant's largest value, gradient and operator norms of v_m at
+    r, one jet at a time; None for a group whose validity v_m lacks."""
+    groups = (
+        [vm] if vm.valid_degree >= 0 else [],
+        jet_partials(vm) if vm.valid_degree >= 1 else [],
+        [jet_scale(e, -1.0 / c) for row in complex_mixed_hessian(vm).entries for e in row]
+        if vm.valid_degree >= 2
+        else [],
+    )
+    return [np.max([entry_norm(j, r) for j in g], axis=0) if g else None for g in groups]

@@ -122,6 +122,39 @@ def test_cli_verify_with_nan_perturbation_fails_with_strict_json(tmp_path):
     assert report["checks"]["system"]["max_relative_residual"] == "NaN"
 
 
+def test_cli_curvature_fails_on_a_realness_defect_that_is_not_finite(tmp_path, capsys):
+    # perturbed_flat has no class-integral recipe and its closedness rows
+    # skip the NaN's order, so only the realness defect can fail the check
+    out = tmp_path / "out"
+    code = main(
+        ["verify", "--metric", "perturbed_flat:2,0.1,0,2", "--M", "5", "--D", "12",
+         "--perturb", "g:1:nan", "--curvature", "--no-timestamp", "--out", str(out)]
+    )
+    assert code == 1
+    assert "verify[curvature]: FAIL" in capsys.readouterr().out
+    curvature = _strict_load(out / "report.json")["checks"]["curvature"]
+    assert curvature["realness_defect"] == "NaN"
+    assert curvature["closedness"]["passed"] is True
+    assert curvature["passed"] is False
+
+
+def test_cli_closed_form_refuses_an_overflowed_ricci_form(tmp_path):
+    # the Ricci form of a chart at scale 1e300 overflows: one error line and
+    # exit 3, no traceback, no raw warning.  A fresh process, because pytest
+    # records warnings that would otherwise print.
+    argv = ["closed-form", "--metric", "fubini_study_chart:2,1e300", "--M", "2", "--D", "6"]
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ricciflat", *argv, "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == "error: numerical degeneracy: the Ricci form of the metric is not finite\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("target, order", [("g", 1), ("g", 3), ("w", 2), ("v", 1)])
 def test_calibrate_matches_no_factor_on_a_nan_series(fs_solution, target, order):
     assert calibrate(fs_solution).matched

@@ -7,8 +7,8 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import chain_dz, chain_dzbar, chain_mixed_hessian, jet_to_expr, jet_vs_expr
-from ricciflat import geometry
+from oracles import chain_dz, chain_mixed_hessian, jet_to_expr, jet_vs_expr
+from ricciflat import jets
 from ricciflat.errors import InvalidInputError
 from ricciflat.geometry import (
     HermitianJetMatrix,
@@ -17,8 +17,6 @@ from ricciflat.geometry import (
     builtin_metric,
     complex_mixed_hessian,
     det_coefficient,
-    dz,
-    dzbar,
     flat,
     fubini_study_chart,
     jet_det,
@@ -156,7 +154,7 @@ def same_jet(a, b) -> bool:
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 4), kind=st.sampled_from(JET_KINDS), seed=st.integers(0, 2**32 - 1))
 def test_gathered_partials_keep_the_bits_of_the_single_partial_chain(n, kind, seed):
-    # the Hessian from gathers, dz and dzbar from one, against one
+    # the Hessian and the first partials from gathers, against one
     # jet_derive call per real partial, at every validity of one jet
     ctx = context(n, CAPS[n])
     coeffs = special_jet_coeffs(ctx, kind, np.random.default_rng(seed))
@@ -170,9 +168,6 @@ def test_gathered_partials_keep_the_bits_of_the_single_partial_chain(n, kind, se
         partials = jet_partials(f)
         for v in range(ctx.nvars):
             assert same_jet(partials[v], jet_derive(f, v))
-        for i in range(n):
-            assert same_jet(dz(f, i), chain_dz(f, i))
-            assert same_jet(dzbar(f, i, partials), chain_dzbar(f, i))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -180,7 +175,7 @@ def test_gathered_partials_keep_the_bits_of_the_single_partial_chain(n, kind, se
 def test_hessian_in_column_runs_keeps_the_bits_of_the_chain(n, step, monkeypatch):
     # the second partials of a large jet are gathered a run of columns at a
     # time: runs of 1, 3 and 7 columns, the last one short, give the chain's bits
-    monkeypatch.setattr(geometry, "_CHUNK_ENTRIES", step * 2 * n * n)
+    monkeypatch.setattr(jets, "_RUN_ENTRIES", step * 2 * n * n)
     ctx = context(n, CAPS[n])
     rng = np.random.default_rng(10 * n + step)
     for kind in JET_KINDS:
@@ -551,12 +546,10 @@ def test_perturbed_flat_is_hermitian_and_seed_deterministic():
 
 def test_perturbed_flat_is_kahler_closed():
     # d(h_ij dz^dzbar) = 0: dz_k h_ij symmetric in (k, i)
-    from ricciflat.geometry import dz
-
     init = perturbed_flat(2, 0.1, 3, 2, 8)
     for j in range(2):
-        lhs = dz(init.h[1, j], 0)
-        rhs = dz(init.h[0, j], 1)
+        lhs = chain_dz(init.h[1, j], 0)
+        rhs = chain_dz(init.h[0, j], 1)
         assert max_coeff_diff(lhs, rhs) < 1e-12
 
 

@@ -8,8 +8,9 @@ exponential, logarithm and reciprocal of a jet form no jet product, a run
 forms no untrusted jet but the shared zero jets, it caches no product or
 series plan chunk above the bound, neither series operations nor the
 solver's order step form a product for the Cauchy sum of an untrusted
-order, and a verify run takes every partial from the derivative table in
-whole gathers, with no single-partial call."""
+order, a verify run takes every partial from the derivative table in
+whole gathers, with no single-partial call, and its flow and closedness
+rows form no jet per matrix entry."""
 
 import sys
 import warnings
@@ -307,3 +308,48 @@ def test_verify_makes_no_single_partial_call(tmp_path, monkeypatch):
     # the recorder sees a call
     jets.jet_derive(jets.context(4, 4).x(0), 0)
     assert len(calls) == 1
+
+
+def test_flow_and_closedness_rows_form_no_jet_per_entry(tmp_path, monkeypatch):
+    # the rows are reduced from stacked prefixes: apart from H(v_m) itself,
+    # no jet is formed while a flow, closedness or realness row is made
+    depth, formed, made = [0], [], Counter()
+    original_fresh, original_init = jets._fresh, jets.Jet.__init__
+
+    def fresh(ctx, coeffs, valid_degree):
+        if depth[0] > 0:
+            formed.append(valid_degree)
+        return original_fresh(ctx, coeffs, valid_degree)
+
+    def init(self, ctx, coeffs, valid_degree):
+        if depth[0] > 0:
+            formed.append(valid_degree)
+        original_init(self, ctx, coeffs, valid_degree)
+
+    def counted(name, inside):
+        original = getattr(verify, name)
+
+        def wrapper(*args):
+            made[name] += 1
+            depth[0] += inside
+            try:
+                return original(*args)
+            finally:
+                depth[0] -= inside
+
+        monkeypatch.setattr(verify, name, wrapper)
+
+    monkeypatch.setattr(jets, "_fresh", fresh)
+    monkeypatch.setattr(jets.Jet, "__init__", init)
+    counted("_flow_residuals", 1)
+    counted("_symmetry_rows", 1)
+    counted("_weight_gradient_defect", 1)
+    counted("complex_mixed_hessian", -100)  # its n^2 entries are H(v_m)
+    _verify(tmp_path, ("perturbed_flat:2,0.1,0,2", "5", "12"))
+    assert made["_flow_residuals"] == made["_symmetry_rows"] == made["_weight_gradient_defect"] == 1
+    assert made["complex_mixed_hessian"] == 5  # H(v_0) .. H(v_4)
+    assert formed == []
+    # the recorder sees a jet formed inside a row maker
+    depth[0] = 1
+    jets.jet_scale(jets.context(2, 4).x(0), 2.0)
+    assert formed
