@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 a selected check failed, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import functools
 import math
@@ -148,11 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _collect_scenarios(args) -> list[Scenario]:
-    scenarios = []
-    for path in args.scenarios:
-        if not os.path.exists(path):
-            raise InvalidInputError(f"scenario file not found: {path}")
-        scenarios.append(load_scenario(path, args))
+    scenarios = [load_scenario(path, args) for path in args.scenarios]
     if args.metric_spec:
         base = Scenario(metric=args.metric_spec, label=args.metric_spec.replace(":", "_"))
         scenarios.append(apply_overrides(base, args))
@@ -199,13 +196,15 @@ def _safe(label: str) -> str:
 
 @contextlib.contextmanager
 def _warnings_to_stderr():
-    """Print each warning raised in the block as one ``warning:`` line once
-    the block succeeds; a block that raises prints only its error."""
+    """Print each distinct warning message raised in the block as one
+    ``warning:`` line, in first-seen order and with its count when it
+    repeats, once the block succeeds; a block that raises prints only its
+    error."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         yield
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
+    for message, count in collections.Counter(str(w.message) for w in caught).items():
+        print(f"warning: {message}" + (f" ({count} times)" if count > 1 else ""), file=sys.stderr)
 
 
 def _solve_scenario(sc: Scenario):

@@ -12,10 +12,11 @@ Metric sources are either a built-in name with positional parameters
 ``geometry.builtin_metric``, or inline polynomial entries in
 the real coordinates x1..xn, y1..yn, parsed by a small expression grammar:
 sums, differences, products, integer powers, decimal literals and the
-imaginary unit ``i``.  Entries are given for i <= j; the lower triangle is
-filled by conjugation, and an explicitly given lower entry must agree with
-the conjugate of its mirror.  A file that gives both sources is refused, and
-so is an ``n`` other than the built-in metric's dimension.
+imaginary unit ``i`` (precedence and refusals in ``parse_polynomial``).
+Entries are given for i <= j; the lower triangle is filled by conjugation,
+and an explicitly given lower entry must agree with the conjugate of its
+mirror.  A file that gives both sources is refused, and so is an ``n``
+other than the built-in metric's dimension.
 """
 
 from __future__ import annotations
@@ -154,8 +155,14 @@ FILE_KEYS = (
 
 
 def load_scenario(path: str, flags=None) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise InvalidInputError(f"scenario file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise InvalidInputError(f"cannot read scenario file {path}: {reason}") from None
     return apply_overrides(parse_scenario_text(text, label=path), flags)
 
 
@@ -255,8 +262,16 @@ _TOKEN_RE = re.compile(
 
 
 def parse_polynomial(src: str, ctx) -> Jet:
-    """Parse +, -, *, integer ^, decimals, coordinates x1..yn and the
-    imaginary unit i into a jet."""
+    """Parse an inline metric entry into a jet.
+
+    Terms are decimal literals (``2``, ``.5``, ``3.``), the coordinates
+    x1..xn, y1..yn, the imaginary unit ``i`` and parenthesised expressions.
+    From tightest to loosest: ``^`` with one nonnegative integer literal (at
+    most once per term: ``x1^2^2`` is refused), then any number of leading
+    signs, each taking one whole power (``-x1^2`` is -(x1^2)), then ``*``,
+    then ``+`` and ``-``; products and sums fold left.  Input nested past
+    the parser's depth is refused like any other malformed expression.
+    """
     tokens = []
     pos = 0
     while pos < len(src):
@@ -265,99 +280,60 @@ def parse_polynomial(src: str, ctx) -> Jet:
             raise InvalidInputError(f"bad character in expression at: {src[pos:]!r}")
         tokens.append(m)
         pos = m.end()
-    stream = _TokenStream(tokens, src)
-    jet = _parse_sum(stream, ctx)
-    if not stream.done:
-        raise InvalidInputError(f"trailing input in expression: {stream.rest()!r}")
+    tokens.reverse()  # the next token is tokens[-1]
+    try:
+        jet = _parse_expr(tokens, ctx)
+    except RecursionError:
+        raise InvalidInputError("expression nested too deeply") from None
+    if tokens:
+        raise InvalidInputError(f"trailing input in expression: {src[tokens[-1].start():]!r}")
     return jet
 
 
-class _TokenStream:
-    def __init__(self, tokens, src):
-        self.tokens = tokens
-        self.src = src
-        self.i = 0
-
-    @property
-    def done(self):
-        return self.i >= len(self.tokens)
-
-    def peek(self):
-        return None if self.done else self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def rest(self):
-        return "" if self.done else self.src[self.tokens[self.i].start() :]
+# Binary operators: (precedence, operation); a higher precedence binds tighter.
+_BINARY = {"+": (1, Jet.__add__), "-": (1, Jet.__sub__), "*": (2, Jet.__mul__)}
 
 
-def _parse_sum(s: _TokenStream, ctx) -> Jet:
-    acc = _parse_product(s, ctx)
-    while not s.done:
-        tok = s.peek()
-        op = tok.group("op")
-        if op == "+":
-            s.next()
-            acc = acc + _parse_product(s, ctx)
-        elif op == "-":
-            s.next()
-            acc = acc - _parse_product(s, ctx)
-        else:
-            break
+def _parse_expr(tokens: list, ctx, min_prec: int = 1) -> Jet:
+    """Precedence climbing: fold left every operator of ``min_prec`` or more."""
+    acc = _parse_power(tokens, ctx)
+    while tokens and (row := _BINARY.get(tokens[-1].group("op"))) and row[0] >= min_prec:
+        tokens.pop()
+        acc = row[1](acc, _parse_expr(tokens, ctx, row[0] + 1))
     return acc
 
 
-def _parse_product(s: _TokenStream, ctx) -> Jet:
-    acc = _parse_power(s, ctx)
-    while not s.done and s.peek().group("op") == "*":
-        s.next()
-        acc = acc * _parse_power(s, ctx)
-    return acc
-
-
-def _parse_power(s: _TokenStream, ctx) -> Jet:
-    # A sign takes one whole power and nothing after it: -x1^2^2 is refused.
-    if not s.done and s.peek().group("op") in ("-", "+"):
-        sign = s.next().group("op")
-        inner = _parse_power(s, ctx)
-        return -inner if sign == "-" else inner
-    base = _parse_atom(s, ctx)
-    if not s.done and s.peek().group("op") == "^":
-        s.next()
-        tok = s.peek()
-        if tok is None or tok.group("num") is None or "." in tok.group("num"):
+def _parse_power(tokens: list, ctx) -> Jet:
+    negations = 0
+    while tokens and tokens[-1].group("op") in ("+", "-"):
+        negations += tokens.pop().group("op") == "-"
+    out = _parse_atom(tokens, ctx)
+    if tokens and tokens[-1].group("op") == "^":
+        tokens.pop()
+        if not tokens or tokens[-1].group("num") is None or "." in tokens[-1].group("num"):
             raise InvalidInputError("exponent must be a nonnegative integer")
-        s.next()
-        k = int(tok.group("num"))
-        out = ctx.constant(1.0)
-        for _ in range(k):
+        base, out = out, ctx.constant(1.0)
+        for _ in range(int(tokens.pop().group("num"))):
             out = out * base
-        return out
-    return base
+    for _ in range(negations):
+        out = -out
+    return out
 
 
-def _parse_atom(s: _TokenStream, ctx) -> Jet:
-    tok = s.peek()
-    if tok is None:
+def _parse_atom(tokens: list, ctx) -> Jet:
+    if not tokens:
         raise InvalidInputError("unexpected end of expression")
+    tok = tokens.pop()
     if tok.group("op") == "(":
-        s.next()
-        inner = _parse_sum(s, ctx)
-        closing = s.peek()
-        if closing is None or closing.group("op") != ")":
+        inner = _parse_expr(tokens, ctx)
+        if not tokens or tokens.pop().group("op") != ")":
             raise InvalidInputError("unbalanced parentheses")
-        s.next()
         return inner
     if tok.group("num") is not None:
-        s.next()
         return ctx.constant(float(tok.group("num")))
     name = tok.group("name")
     if name is None:
-        raise InvalidInputError(f"unexpected token near {s.rest()!r}")
-    s.next()
+        raise InvalidInputError(f"unexpected token near {tok.string[tok.start():]!r}")
     if name == "i":
         return ctx.constant(1j)
     m = re.fullmatch(r"([xy])(\d+)", name)
@@ -365,7 +341,5 @@ def _parse_atom(s: _TokenStream, ctx) -> Jet:
         raise InvalidInputError(f"unknown symbol {name!r} (use x1..yn or i)")
     idx = int(m.group(2)) - 1
     if idx < 0 or idx >= ctx.n:
-        raise InvalidInputError(
-            f"coordinate {name} outside dimension n={ctx.n}"
-        )
+        raise InvalidInputError(f"coordinate {name} outside dimension n={ctx.n}")
     return ctx.x(idx) if m.group(1) == "x" else ctx.y(idx)

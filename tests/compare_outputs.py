@@ -9,8 +9,9 @@ gives, per scenario, the two exit codes and every output file (plus stdout
 and stderr) whose bytes differ.  The exit status is 0 when every scenario
 agrees.  The runs of ``REFUSALS`` are reported apart, under their own
 count: input that earlier trees accepted with exit 0 although it could not
-be trusted, and that the package now refuses with exit 2 before it writes
-anything.  Against a tree from before those refusals they differ by design.
+be trusted, or ended on with a traceback and exit 1, and that the package
+now refuses with exit 2 and one line before it writes anything.  Against a
+tree from before those refusals they differ by design.
 
     python tests/compare_outputs.py OLD_SRC NEW_SRC [--work DIR]
 
@@ -29,7 +30,12 @@ import sys
 import tempfile
 from pathlib import Path
 
-# The README's scenario file at D = 12, and one with inline metric entries.
+# The README's scenario file at D = 12, and files with inline metric
+# entries: rules.ini takes every rule of the grammar (a sign run, a sign after
+# a product, ^0, nested parentheses, i, .5 and 3. literals, and an explicit
+# lower entry that is the conjugate of its mirror); deep.ini nests past the
+# parser's depth, and not_utf8.ini holds the byte 0xff (the files are written
+# as latin-1, which keeps every other one ASCII).
 SCENARIO_FILES = {
     "sc.ini": (
         "[metric]\nbuiltin = perturbed_flat:2,0.1,7,2\n\n"
@@ -41,6 +47,15 @@ SCENARIO_FILES = {
         "h_2_2 = 1\n\n[solver]\nM = 4\nD = 10\n"
     ),
     "builtin_n.ini": "[metric]\nbuiltin = flat:1\nn = 3\n\n[solver]\nM = 4\nD = 10\n",
+    "rules.ini": (
+        "[metric]\nn = 2\n"
+        "h_1_1 = 1 + 0.1*((x1^2 + y1^2)) - -.5*0.1*x2^2 + 2*-0.05*y2^2*x1^0\n"
+        "h_1_2 = 0.05*(x1 - i*y1) + 3.*0.01*x2\n"
+        "h_2_1 = 0.05*(x1 + i*y1) + 3.*0.01*x2\n"
+        "h_2_2 = --1 + (0.1*(x2^2 + y2^2))^1\n\n[solver]\nM = 4\nD = 10\n"
+    ),
+    "deep.ini": f"[metric]\nn = 1\nh_1_1 = {'(' * 400}1{')' * 400}\n",
+    "not_utf8.ini": "[metric]\nn = 1\nh_1_1 = 1 \xff\n",
 }
 
 # verify, solve, majorant, compare and closed-form on n = 1..4, the n = 2
@@ -77,10 +92,12 @@ SCENARIO_FILES = {
 # closedness and realness rows meet non-finite entries.  The first fails
 # its curvature check on the realness defect alone, which is NaN (trees
 # before the realness verdict pass it); the second prints the floating-point
-# warnings of its checks as `warning:` lines (earlier trees print them raw,
-# with their source paths).  The last run's Ricci form overflows, which
-# closed-form refuses with exit 3 (earlier trees crash with exit 1).  No
-# run joins a file's [checks] with check flags: there the flags win.
+# warnings of its checks as `warning:` lines, each distinct message once
+# with its count (earlier trees print every warning, and older ones print
+# them raw, with their source paths).  The closed-form run after those has
+# a Ricci form that overflows, which it refuses with exit 3 (earlier trees
+# crash with exit 1).  The last run reads rules.ini.  No run joins a file's
+# [checks] with check flags: there the flags win.
 SCENARIOS = (
     "verify --metric perturbed_flat:1,0.1,7,2 --M 8 --D 12",
     "verify --metric perturbed_flat:2,0.1,0,2 --M 5 --D 12",
@@ -157,16 +174,23 @@ SCENARIOS = (
     "verify --metric perturbed_flat:2,0.1,0,2 --M 5 --D 12 --perturb g:2:inf",
     "verify --metric perturbed_flat:2,0.1,0,2 --M 5 --D 12 --perturb v:1:nan",
     "closed-form --metric fubini_study_chart:2,1e300 --M 2 --D 6",
+    "verify rules.ini",
 )
 
 # Refused with exit 2: the three majorant runs trust v_1 to degrees -1, 0
 # and 1, too little for the second derivatives that A reads, and the
 # scenario file gives an n that is not the dimension of its built-in metric.
+# The last three name a file that cannot be parsed or read: an entry nested
+# past the parser's depth, a directory and a file that is not UTF-8 (earlier
+# trees end each with a traceback and exit 1).
 REFUSALS = (
     "majorant --metric perturbed_flat:2,0.1,0,2 --M 4 --D 3 --R 0.2",
     "majorant --metric perturbed_flat:2,0.1,0,2 --M 4 --D 4 --R 0.2",
     "majorant --metric fubini_study_chart:1,1 --M 4 --D 3 --R 0.2",
     "solve builtin_n.ini",
+    "solve deep.ini",
+    "solve .",
+    "solve not_utf8.ini",
 )
 
 
@@ -174,7 +198,7 @@ def run(src: Path, argv: list[str], cwd: Path) -> tuple[int, dict[str, bytes]]:
     """Exit code and {relative path: bytes} of one CLI run in ``cwd``."""
     cwd.mkdir(parents=True)
     for name, text in SCENARIO_FILES.items():
-        (cwd / name).write_text(text)
+        (cwd / name).write_text(text, encoding="latin-1")
     env = dict(os.environ, PYTHONPATH=str(src))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"

@@ -280,3 +280,22 @@ def test_cli_solve_refuses_an_overflowed_series_before_writing(tmp_path):
     code = main(["solve", str(scenario), "--no-timestamp", "--out", str(out)])
     assert code == 3
     assert not out.exists()
+
+
+def test_cli_prints_each_distinct_warning_once(tmp_path):
+    # an inf in g_2 warns from many array operations; each distinct message
+    # prints once, with its count.  A fresh process, because pytest records
+    # warnings that would otherwise print.
+    argv = ["verify", "--metric", "perturbed_flat:2,0.1,0,2", "--M", "5", "--D", "12"]
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ricciflat", *argv, "--perturb", "g:2:inf", "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 5 and all(line.startswith("warning: ") for line in lines)
+    messages = [line.split(" (")[0] for line in lines]
+    assert len(set(messages)) == 5 and any(line.endswith(" times)") for line in lines)

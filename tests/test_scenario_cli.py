@@ -1,14 +1,19 @@
 import itertools
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import jet_eval
 from ricciflat import cli
 from ricciflat.cli import main
 from ricciflat.errors import InvalidInputError
-from ricciflat.jets import context
+from ricciflat.jets import Jet, context
 from ricciflat.scenario import (
     Scenario,
     inline_metric,
@@ -57,6 +62,119 @@ def test_parse_rejects_garbage(bad):
     ctx = context(2, 4)
     with pytest.raises(InvalidInputError):
         parse_polynomial(bad, ctx)
+
+
+# Expression trees for the grammar: a leaf is its source text; the nodes are
+# ("paren", child), ("pow", base, k), ("sign", signs, child) and
+# ("bin", op, left, right).  Tightness: 1 for + and -, 2 for *, 3 for a signed
+# or raised term, 4 for a leaf or a parenthesis.
+_LEAVES = ("1", "2", "0", ".5", "3.", "0.25", "10", "i", "x1", "x2", "y1", "y2")
+_TIGHTNESS = {"+": 1, "-": 1, "*": 2}
+_SPACE = st.sampled_from(("", " "))
+
+
+def _tightness(node):
+    if isinstance(node, str) or node[0] == "paren":
+        return 4
+    return 3 if node[0] in ("pow", "sign") else _TIGHTNESS[node[1][0]]
+
+
+def _operand(node, least):
+    """The node's text, in parentheses when it binds looser than ``least``."""
+    text = _render(node)
+    return text if _tightness(node) >= least else f"({text})"
+
+
+def _render(node):
+    if isinstance(node, str):
+        return node
+    kind = node[0]
+    if kind == "paren":
+        return f"({_render(node[1])})"
+    if kind == "pow":
+        return f"{_operand(node[1], 4)}^{node[2]}"
+    if kind == "sign":
+        return node[1] + _operand(node[2], 3)
+    _, (op, space), left, right = node
+    # sums and products fold left: a right operand of the same tightness is
+    # parenthesised
+    return f"{_operand(left, _TIGHTNESS[op])}{space}{op}{space}{_operand(right, _TIGHTNESS[op] + 1)}"
+
+
+def _build(node, ctx):
+    """The jet of a tree by the grammar's Jet operations, bottom up."""
+    if isinstance(node, str):
+        if node == "i":
+            return ctx.constant(1j)
+        if node[0] in "xy":
+            return ctx.x(int(node[1]) - 1) if node[0] == "x" else ctx.y(int(node[1]) - 1)
+        return ctx.constant(float(node))
+    kind = node[0]
+    if kind == "paren":
+        return _build(node[1], ctx)
+    if kind == "pow":
+        base, out = _build(node[1], ctx), ctx.constant(1.0)
+        for _ in range(node[2]):
+            out = out * base
+        return out
+    if kind == "sign":
+        out = _build(node[2], ctx)
+        for _ in range(node[1].count("-")):
+            out = -out
+        return out
+    op = {"+": Jet.__add__, "-": Jet.__sub__, "*": Jet.__mul__}[node[1][0]]
+    return op(_build(node[2], ctx), _build(node[3], ctx))
+
+
+_TREES = st.recursive(
+    st.sampled_from(_LEAVES),
+    lambda kids: st.one_of(
+        st.tuples(st.just("paren"), kids),
+        st.tuples(st.just("pow"), kids, st.integers(0, 3)),
+        st.tuples(st.just("sign"), st.text("+-", min_size=1, max_size=3), kids),
+        st.tuples(st.just("bin"), st.tuples(st.sampled_from("+-*"), _SPACE), kids, kids),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TREES)
+def test_parse_gives_the_jet_of_the_grammar_operations_bitwise(tree):
+    ctx = context(2, 6)
+    text = _render(tree)
+    got, want = parse_polynomial(text, ctx), _build(tree, ctx)
+    assert got.valid_degree == want.valid_degree, text
+    assert got.prefix.tobytes() == want.prefix.tobytes(), text
+
+
+def _cli(tmp_path, *argv):
+    """One CLI run in a fresh process: the call stack a user's run starts on."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "ricciflat", *argv],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_cli_refuses_deeply_nested_entries_with_one_line(tmp_path):
+    (tmp_path / "deep.ini").write_text(f"[metric]\nn = 1\nh_1_1 = {'(' * 400}1{')' * 400}\n")
+    proc = _cli(tmp_path, "solve", "deep.ini", "--M", "2", "--D", "4", "--out", "out")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: invalid input: expression nested too deeply\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_solves_an_entry_with_thousands_of_signs(tmp_path):
+    # 3,000 negations of 0.1 give 0.1 back, so the solution is the plain entry's
+    for name, term in (("signs", "-" * 3000 + "0.1"), ("plain", "0.1")):
+        (tmp_path / f"{name}.ini").write_text(f"[metric]\nn = 1\nh_1_1 = 1 + {term}*x1^2\n")
+        proc = _cli(tmp_path, "solve", f"{name}.ini", "--M", "3", "--D", "8", "--out", name)
+        assert proc.returncode == 0 and proc.stderr == ""
+    assert (tmp_path / "signs" / "v.csv").read_bytes() == (tmp_path / "plain" / "v.csv").read_bytes()
 
 
 # -- scenario files ---------------------------------------------------------------
@@ -196,6 +314,28 @@ def test_cli_rejects_non_hermitian_metric_file(tmp_path):
     )
     code = run_cli("solve", str(bad), "--out", str(tmp_path / "o"))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "kind, named",
+    [
+        ("missing", "scenario file not found: "),
+        ("directory", "cannot read scenario file "),
+        ("not-utf8", "cannot read scenario file "),
+    ],
+)
+def test_cli_refuses_an_unreadable_scenario_file_with_exit_two(tmp_path, capsys, kind, named):
+    path = tmp_path / "sc.ini"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"[metric]\nn = 1\nh_1_1 = 1 \xff\n")
+    out = tmp_path / "out"
+    code = run_cli("solve", str(path), "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: invalid input: {named}{path}") and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_cli_exit_codes_for_bad_input(tmp_path):
